@@ -104,11 +104,19 @@ func checkpointVersion(l *loader) (int64, bool) {
 	return v, ok
 }
 
-// isCheckpointed reports whether *T implements the snapshot protocol.
+// isCheckpointed reports whether *T declares the snapshot protocol
+// itself. Methods promoted from an embedded field serialize only that
+// field, which is fingerprinted as its own type, so a type that merely
+// embeds a checkpointed one (core.Measurement embeds
+// counters.Counters) is not checkpointed state; checkpointcov draws
+// the same line.
 func isCheckpointed(t types.Type) bool {
 	ms := types.NewMethodSet(types.NewPointer(t))
 	var save, load bool
 	for i := 0; i < ms.Len(); i++ {
+		if len(ms.At(i).Index()) > 1 {
+			continue // promoted through an embedded field
+		}
 		switch ms.At(i).Obj().Name() {
 		case "SaveState":
 			save = true

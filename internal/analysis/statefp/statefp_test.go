@@ -27,6 +27,13 @@ type Core struct {
 
 func (c *Core) SaveState() {}
 func (c *Core) LoadState() {}
+
+// Result only embeds a checkpointed type: its promoted methods
+// serialize Core alone, so Result is not checkpointed state.
+type Result struct {
+	Core
+	Note string
+}
 `,
 	}
 	for name, content := range files {
@@ -80,6 +87,9 @@ func TestComputeFindsCheckpointedTypes(t *testing.T) {
 	}
 	if len(ts.Fields) != 2 {
 		t.Fatalf("fields = %v, want [Cycles uint64, PC uint64]", ts.Fields)
+	}
+	if _, ok := s.Types["tmpmod/state.Result"]; ok {
+		t.Fatal("tmpmod/state.Result fingerprinted through methods promoted from its embedded Core")
 	}
 }
 

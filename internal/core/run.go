@@ -138,6 +138,10 @@ type Measurement struct {
 	// aggregated over the workload cores exactly like the top-level
 	// Counters (nil for contiguous measurements).
 	Samples []IntervalSample
+	// Truncated reports that a timed window hit the engine's MaxCycles
+	// cap before its instruction budget, so the counters cover a partial
+	// window. Omitted from JSON when false.
+	Truncated bool `json:"truncated,omitempty"`
 
 	// warmSource records how the run reached its warm state ("cold" or
 	// "checkpoint-fork"). Unexported — and therefore JSON-invisible — on
@@ -344,7 +348,7 @@ func Measure(w workloads.Workload, o Options) (*Measurement, error) {
 	total.DRAMBusyCycles = res.Total.DRAMBusyCycles
 	total.DRAMTotalCycles = res.Total.DRAMTotalCycles
 	total.DRAMChannels = res.Total.DRAMChannels
-	m := &Measurement{Counters: total, WindowCycles: res.Cycles, BenchName: w.Name(), warmSource: warmSource}
+	m := &Measurement{Counters: total, WindowCycles: res.Cycles, BenchName: w.Name(), Truncated: res.Truncated, warmSource: warmSource}
 	for _, iv := range res.Intervals {
 		agg := aggregateCores(iv.PerCore, coreOf)
 		agg.DRAMBusyCycles = iv.DRAMBusyCycles

@@ -95,6 +95,9 @@ func TestSharerDifferentialGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		// The matrix spans all six scale-out workloads, contiguous and
+		// sampled: check the accounting laws on each measurement too.
+		checkConservation(t, name, m)
 		b, err := json.Marshal(m)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -10,7 +10,11 @@
 // computes them the same way.
 package counters
 
-import "cloudsuite/internal/sim/checkpoint"
+import (
+	"fmt"
+
+	"cloudsuite/internal/sim/checkpoint"
+)
 
 // Counters is one block of raw event counts. All counts are cumulative.
 // The zero value is ready to use.
@@ -126,6 +130,26 @@ func (c *Counters) SaveState(w *checkpoint.Writer) {
 func (c *Counters) LoadState(r *checkpoint.Reader) {
 	r.Expect("ctrs")
 	r.Struct(c)
+}
+
+// Conservation checks the cycle-accounting laws every core's block, and
+// every sum or window delta of such blocks, obeys: each cycle is either
+// committing or stalled and either user or OS, so those four counts sum
+// to Cycles; memory, MLP, and fetch-stall cycles are subsets of Cycles.
+// It returns the first violated law, or nil.
+func (c *Counters) Conservation() error {
+	if sum := c.CommitCyclesUser + c.CommitCyclesOS + c.StallCyclesUser + c.StallCyclesOS; sum != c.Cycles {
+		return fmt.Errorf("counters: commit+stall cycles %d != Cycles %d", sum, c.Cycles)
+	}
+	for _, f := range []struct {
+		name string
+		v    uint64
+	}{{"MemCycles", c.MemCycles}, {"MLPCycles", c.MLPCycles}, {"FetchStallCycles", c.FetchStallCycles}} {
+		if f.v > c.Cycles {
+			return fmt.Errorf("counters: %s %d > Cycles %d", f.name, f.v, c.Cycles)
+		}
+	}
+	return nil
 }
 
 // Add accumulates other into c field-by-field.

@@ -123,3 +123,28 @@ func TestOffchipBytes(t *testing.T) {
 		t.Errorf("OffchipBytes = %d", c.OffchipBytes())
 	}
 }
+
+// TestConservation: a consistent block passes, and breaking any one law
+// is reported.
+func TestConservation(t *testing.T) {
+	ok := Counters{
+		Cycles: 100, CommitCyclesUser: 30, CommitCyclesOS: 10, StallCyclesUser: 50, StallCyclesOS: 10,
+		MemCycles: 60, MLPCycles: 40, FetchStallCycles: 5,
+	}
+	if err := ok.Conservation(); err != nil {
+		t.Fatalf("consistent block rejected: %v", err)
+	}
+	for name, broken := range map[string]func(*Counters){
+		"stall lost":    func(c *Counters) { c.StallCyclesOS-- },
+		"extra commit":  func(c *Counters) { c.CommitCyclesUser++ },
+		"mem > cycles":  func(c *Counters) { c.MemCycles = 101 },
+		"mlp > cycles":  func(c *Counters) { c.MLPCycles = 101 },
+		"fetch > cycle": func(c *Counters) { c.FetchStallCycles = 101 },
+	} {
+		c := ok
+		broken(&c)
+		if c.Conservation() == nil {
+			t.Errorf("%s: violation not reported", name)
+		}
+	}
+}

@@ -16,6 +16,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"cloudsuite/internal/obs"
 	"cloudsuite/internal/sim/bpred"
@@ -81,6 +82,7 @@ type RunConfig struct {
 	// interval in sampled mode). Must be positive.
 	MeasureInsts int64
 	// MaxCycles bounds each timed window as a safety net (0 = no bound).
+	// A window that reaches it stops and is reported Truncated.
 	MaxCycles int64
 
 	// Intervals selects SMARTS-style interval sampling when >= 1: the
@@ -178,6 +180,9 @@ type IntervalResult struct {
 	// DRAMBusyCycles is the chip-wide DRAM busy-cycle delta of this
 	// window (summed over channels and sockets).
 	DRAMBusyCycles uint64
+	// Truncated reports that the window hit MaxCycles before its stop
+	// condition: its counters cover a partial window.
+	Truncated bool `json:"truncated,omitempty"`
 }
 
 // Result carries the outcome of a run.
@@ -196,6 +201,8 @@ type Result struct {
 	// Intervals holds the per-window deltas of a sampled run (nil in
 	// contiguous mode). Total and PerCore are their sums.
 	Intervals []IntervalResult
+	// Truncated reports that at least one timed window hit MaxCycles.
+	Truncated bool `json:"truncated,omitempty"`
 }
 
 const (
@@ -204,12 +211,31 @@ const (
 	stDone
 )
 
+// entry is one window slot. Besides the instruction and its timing it
+// carries the wakeup/select scheduler's links: an entry dispatched
+// behind producers that have not issued yet is threaded onto each
+// producer's consumer list (one edge per operand, so at most two) and
+// counts them in pending; readyAt is the latest completion among its
+// issued producers.
 type entry struct {
 	inst    trace.Inst
 	doneAt  int64
+	readyAt int64
+	// waiters heads this entry's consumer list: the edge id
+	// (slot<<1 | operand) of the first consumer operand waiting on it, or
+	// -1. next[k] links operand k's edge to the next one on the list of
+	// the producer it waits on.
+	waiters int32
+	next    [2]int32
+	pending uint8
 	status  uint8
-	offcore bool
-	l1Miss  bool
+}
+
+// wake is a min-heap element: a waiting entry's slot and the cycle its
+// last operand becomes ready.
+type wake struct {
+	at   int64
+	slot int32
 }
 
 type context struct {
@@ -226,6 +252,13 @@ type context struct {
 	tail    int
 	count   int
 	baseSeq int64 // dynamic seq of window head
+
+	// ready has one bit per window slot: waiting entries whose operands
+	// are all ready. timers holds waiting entries whose operands are all
+	// issued but complete in the future, as a min-heap on the cycle they
+	// become ready; issue drains it into ready.
+	ready  []uint64
+	timers []wake
 
 	fetchBlockedUntil int64
 	imissUntil        int64 // off-core or L2 instruction-stall window
@@ -294,21 +327,99 @@ func (c *context) peek() (*trace.Inst, bool) {
 
 func (c *context) advance() { c.bufPos++ }
 
-func (c *context) windowAt(i int) *entry { return &c.window[i%len(c.window)] }
-
-// depReady reports whether the dependence at backward distance d from
-// the instruction about to occupy absolute index seq is satisfied.
-func (c *context) depReady(seq int64, d int32, now int64) bool {
+// link records operand k (backward distance d) of the entry in slot,
+// which is about to occupy absolute index seq. A producer that already
+// committed imposes nothing; one that issued raises readyAt to its
+// completion; one still waiting gets the operand on its consumer list.
+func (c *context) link(slot int, seq int64, k int, d int32) {
 	if d == 0 {
-		return true
+		return
 	}
 	p := seq - int64(d)
 	if p < c.baseSeq {
-		return true // producer already committed
+		return // producer already committed
 	}
-	idx := c.head + int(p-c.baseSeq)
-	e := c.windowAt(idx)
-	return e.status == stDone || (e.status == stIssued && e.doneAt <= now)
+	ps := c.head + int(p-c.baseSeq)
+	if ps >= len(c.window) {
+		ps -= len(c.window)
+	}
+	pe, e := &c.window[ps], &c.window[slot]
+	if pe.status == stWaiting {
+		e.next[k] = pe.waiters
+		pe.waiters = int32(slot<<1 | k)
+		e.pending++
+		return
+	}
+	if pe.doneAt > e.readyAt {
+		e.readyAt = pe.doneAt
+	}
+}
+
+// schedule files the entry in slot, whose producers have all issued: it
+// is ready now if its last operand completes by now, else a timer.
+func (c *context) schedule(slot int, now int64) {
+	at := c.window[slot].readyAt
+	if at <= now {
+		c.ready[slot>>6] |= 1 << uint(slot&63)
+		return
+	}
+	h := append(c.timers, wake{at: at, slot: int32(slot)})
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if h[up].at <= h[i].at {
+			break
+		}
+		h[up], h[i] = h[i], h[up]
+		i = up
+	}
+	c.timers = h
+}
+
+// expireTimers moves every timer due by now into the ready set.
+func (c *context) expireTimers(now int64) {
+	h := c.timers
+	for len(h) > 0 && h[0].at <= now {
+		s := h[0].slot
+		c.ready[s>>6] |= 1 << uint(s&63)
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		for i := 0; ; {
+			min, l := i, 2*i+1
+			if l < last && h[l].at < h[min].at {
+				min = l
+			}
+			if r := l + 1; r < last && h[r].at < h[min].at {
+				min = r
+			}
+			if min == i {
+				break
+			}
+			h[i], h[min] = h[min], h[i]
+			i = min
+		}
+	}
+	c.timers = h
+}
+
+// wakeConsumers releases the consumer list of the entry in slot, which
+// has just issued: each waiting operand takes the entry's completion
+// time, and a consumer with no producers left is scheduled.
+func (c *context) wakeConsumers(slot int, now int64) {
+	pe := &c.window[slot]
+	for edge := pe.waiters; edge >= 0; {
+		cs := int(edge >> 1)
+		ce := &c.window[cs]
+		edge = ce.next[edge&1]
+		if pe.doneAt > ce.readyAt {
+			ce.readyAt = pe.doneAt
+		}
+		ce.pending--
+		if ce.pending == 0 {
+			c.schedule(cs, now)
+		}
+	}
+	pe.waiters = -1
 }
 
 // Run simulates threads under cfg and returns the measured counters.
@@ -371,6 +482,8 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 				gen: t.Gen, buf: make([]trace.Inst, 4096),
 				measured: t.Measured, tid: ti,
 				window:        make([]entry, winPer),
+				ready:         make([]uint64, (winPer+63)/64),
+				timers:        make([]wake, 0, winPer),
 				pendingBranch: -1,
 				ro:            cfg.Obs,
 			}
@@ -466,7 +579,10 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 			// from steady-state pipeline state.
 			span := cfg.Obs.SpanStart()
 			prev := cfg.Obs.Enter(obs.PhaseDetailWarm)
-			clock = runQuantum(cores, mem, cfg, clock, uint64(cfg.DetailWarmInsts)*uint64(nMeasured))
+			quantum := uint64(cfg.DetailWarmInsts) * uint64(nMeasured)
+			if sum, live := measuredProgress(cores); live && quantum > 0 {
+				clock, _ = runUntil(cores, mem, clock, cfg.MaxCycles, quantumDone(cores, sum+quantum))
+			}
 			cfg.Obs.Enter(prev)
 			cfg.Obs.SpanEnd("detail-warm", span)
 		}
@@ -479,74 +595,38 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 		// thread progress is uneven (e.g. split-socket runs) — the fast
 		// threads keep committing until the slowest reaches its budget,
 		// once per interval.
-		var quantumGoal uint64
 		for _, co := range cores {
 			snapshots[co.id] = *mem.Ctr(co.id)
 			for _, ctx := range co.ctxs {
 				ctx.target = ctx.committed + uint64(cfg.MeasureInsts)
-				if ctx.measured {
-					quantumGoal += ctx.committed
-				}
 			}
 		}
-		quantumGoal += uint64(cfg.MeasureInsts) * uint64(nMeasured)
+		done := targetsDone(cores)
+		if cfg.Intervals >= 1 {
+			sum, _ := measuredProgress(cores)
+			done = quantumDone(cores, sum+uint64(cfg.MeasureInsts)*uint64(nMeasured))
+		}
 		mem.DRAMSetSpanStart(clock)
 		mem.DRAMResetQueues(clock)
 		dramBusyStart := mem.DRAMBusyCycles()
 
 		wspan := cfg.Obs.SpanStart()
 		wprev := cfg.Obs.Enter(windowPhase)
-		now := clock
-		start := now
-		active := true
-		for active {
-			now++
-			if cfg.MaxCycles > 0 && now-start > cfg.MaxCycles {
-				break
-			}
-			for _, co := range cores {
-				co.cycle(now, mem, cfg)
-			}
-			if cfg.Intervals >= 1 {
-				// Sampled window: stop once the aggregate quantum is
-				// committed (or every measured thread has drained).
-				var sum uint64
-				live := false
-				for _, co := range cores {
-					for _, ctx := range co.ctxs {
-						if ctx.measured {
-							sum += ctx.committed
-							if !ctx.drained() {
-								live = true
-							}
-						}
-					}
-				}
-				active = sum < quantumGoal && live
-			} else {
-				// Contiguous window: stop when every measured thread has
-				// committed its budget.
-				active = false
-				for _, co := range cores {
-					for _, ctx := range co.ctxs {
-						if ctx.measured && ctx.committed < ctx.target && !ctx.drained() {
-							active = true
-						}
-					}
-				}
-			}
-		}
+		start := clock
+		var truncated bool
+		clock, truncated = runUntil(cores, mem, clock, cfg.MaxCycles, done)
 		cfg.Obs.Enter(wprev)
 		cfg.Obs.SpanEnd(windowSpan, wspan)
-		clock = now
-		res.Cycles += now - start
+		res.Cycles += clock - start
+		res.Truncated = res.Truncated || truncated
 
 		busy := mem.DRAMBusyCycles() - dramBusyStart
 		totalBusy += busy
 		window := IntervalResult{
 			PerCore:        make([]*counters.Counters, totalCores),
-			Cycles:         now - start,
+			Cycles:         clock - start,
 			DRAMBusyCycles: busy,
+			Truncated:      truncated,
 		}
 		drainedAll := true
 		for _, co := range cores {
@@ -585,49 +665,61 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 	return res, nil
 }
 
-// runQuantum advances the detailed timing model from clock until the
-// measured threads commit an aggregate quantum of instructions (or all
-// drain, or the MaxCycles safety net trips) and returns the new clock.
-// Counter effects land in the live counter blocks; callers exclude them
-// by snapshotting afterwards.
-func runQuantum(cores []*core, mem *cache.System, cfg RunConfig, clock int64, quantum uint64) int64 {
-	var goal uint64
-	live := false
+// runUntil is the timed cycle loop shared by contiguous windows,
+// sampled windows, and detailed warming: it ticks every core from clock
+// on until done holds after a cycle and returns the last cycle. With
+// maxCycles > 0 a run that has ticked maxCycles cycles stops at the
+// next cycle without ticking it and reports truncated.
+func runUntil(cores []*core, mem *cache.System, clock, maxCycles int64, done func() bool) (now int64, truncated bool) {
+	for now = clock + 1; ; now++ {
+		if maxCycles > 0 && now-clock > maxCycles {
+			return now, true
+		}
+		for _, co := range cores {
+			co.cycle(now, mem)
+		}
+		if done() {
+			return now, false
+		}
+	}
+}
+
+// measuredProgress sums the measured contexts' commits and reports
+// whether any of them still has instructions to run.
+func measuredProgress(cores []*core) (committed uint64, live bool) {
 	for _, co := range cores {
 		for _, ctx := range co.ctxs {
 			if ctx.measured {
-				goal += ctx.committed
-				if !ctx.drained() {
-					live = true
-				}
+				committed += ctx.committed
+				live = live || !ctx.drained()
 			}
 		}
 	}
-	goal += quantum
-	now, start := clock, clock
-	for active := live && quantum > 0; active; {
-		now++
-		if cfg.MaxCycles > 0 && now-start > cfg.MaxCycles {
-			break
-		}
-		for _, co := range cores {
-			co.cycle(now, mem, cfg)
-		}
-		var sum uint64
-		live = false
+	return committed, live
+}
+
+// quantumDone stops a run once the measured contexts have committed
+// goal instructions in aggregate, or all of them have drained.
+func quantumDone(cores []*core, goal uint64) func() bool {
+	return func() bool {
+		sum, live := measuredProgress(cores)
+		return sum >= goal || !live
+	}
+}
+
+// targetsDone stops a run once every measured context has committed up
+// to its target or drained.
+func targetsDone(cores []*core) func() bool {
+	return func() bool {
 		for _, co := range cores {
 			for _, ctx := range co.ctxs {
-				if ctx.measured {
-					sum += ctx.committed
-					if !ctx.drained() {
-						live = true
-					}
+				if ctx.measured && ctx.committed < ctx.target && !ctx.drained() {
+					return false
 				}
 			}
 		}
-		active = sum < goal && live
+		return true
 	}
-	return now
 }
 
 // warmThread streams up to insts instructions of ctx through the
@@ -669,7 +761,7 @@ func (co *core) warmThread(ctx *context, mem *cache.System, insts int64, clock *
 func (c *context) drained() bool { return c.eof && c.count == 0 && c.bufPos == c.bufLen }
 
 // cycle advances one core by one clock.
-func (co *core) cycle(now int64, mem *cache.System, cfg RunConfig) {
+func (co *core) cycle(now int64, mem *cache.System) {
 	ctr := mem.Ctr(co.id)
 	ctr.Cycles++
 
@@ -742,7 +834,7 @@ func (co *core) headMode() (kernel bool, windowEmpty bool) {
 		}
 		return false, true
 	}
-	return found.windowAt(found.head).inst.Kernel, false
+	return found.window[found.head].inst.Kernel, false
 }
 
 func (co *core) expireMisses(now int64) {
@@ -774,7 +866,7 @@ func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool)
 			if ctx.count == 0 {
 				continue
 			}
-			h := ctx.windowAt(ctx.head)
+			h := &ctx.window[ctx.head]
 			if h.status == stIssued && h.doneAt <= now {
 				h.status = stDone
 			}
@@ -786,7 +878,7 @@ func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool)
 		if pick == nil {
 			break
 		}
-		h := pick.windowAt(pick.head)
+		h := &pick.window[pick.head]
 		if h.inst.Op == trace.OpStore {
 			// Stores update the cache at retirement (store buffer drain).
 			mem.AccessData(co.id, h.inst.Addr, true, h.inst.Kernel, now)
@@ -819,71 +911,94 @@ func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool)
 	return kernelMode, any
 }
 
-// issue wakes up to Width ready instructions and starts execution.
+// issue starts up to Width ready instructions, oldest first within each
+// context and contexts in round-robin order. Only the ready set is
+// visited: entries reach it through wakeup (a producer issuing) or a
+// timer (a producer's completion time passing), never by rescanning the
+// window.
 func (co *core) issue(now int64, mem *cache.System, ctr *counters.Counters) {
+	for _, ctx := range co.ctxs {
+		ctx.expireTimers(now)
+	}
 	budget := co.cfg.Width
 	for i := 0; i < len(co.ctxs) && budget > 0; i++ {
 		ctx := co.ctxs[(co.nextCtx+i)%len(co.ctxs)]
-		if ctx.count == 0 {
-			continue
-		}
-		idx := ctx.head
-		for n := 0; n < ctx.count && budget > 0; n++ {
-			e := ctx.windowAt(idx)
-			seq := ctx.baseSeq + int64(n)
-			idx++
-			if e.status != stWaiting {
-				continue
+		// Program order from the head: slots [head, len) then [0, head).
+		// Bits are re-read after every issue, so a consumer an issue makes
+		// ready at once (a zero-latency producer) is seen further on.
+		for _, seg := range [2][2]int{{ctx.head, len(ctx.window)}, {0, ctx.head}} {
+			for pos := seg[0]; pos < seg[1] && budget > 0; pos++ {
+				w := ctx.ready[pos>>6] >> uint(pos&63)
+				if w == 0 {
+					pos |= 63
+					continue
+				}
+				if pos += bits.TrailingZeros64(w); pos >= seg[1] {
+					break
+				}
+				if co.start(ctx, pos, now, mem, ctr) {
+					budget--
+				}
 			}
-			if !ctx.depReady(seq, e.inst.DepA, now) || !ctx.depReady(seq, e.inst.DepB, now) {
-				continue
-			}
-			switch e.inst.Op {
-			case trace.OpLoad:
-				if len(co.superQ) >= co.cfg.MSHRs {
-					continue // super queue full: cannot start the miss
-				}
-				lat, tres := co.tlbs.TranslateD(e.inst.Addr)
-				if tres == tlb.Walk {
-					ctr.STLBMiss++
-					if end := now + int64(lat); end > co.tlbBusy {
-						co.tlbBusy = end
-					}
-				} else if tres == tlb.HitL2 {
-					ctr.DTLBMiss++
-				}
-				r := mem.AccessData(co.id, e.inst.Addr, false, e.inst.Kernel, now)
-				e.doneAt = r.Done + int64(lat)
-				e.l1Miss = r.L1Miss
-				e.offcore = r.OffCore
-				if r.L1Miss {
-					co.superQ = append(co.superQ, e.doneAt)
-				}
-				if r.OffCore {
-					co.offcore = append(co.offcore, e.doneAt)
-				}
-			case trace.OpStore:
-				// Address+data ready; completion is immediate (the write
-				// happens at retirement through the store buffer).
-				e.doneAt = now + 1
-			case trace.OpBranch:
-				e.doneAt = now + 1
-				if ctx.pendingBranch == seq {
-					ctx.redirectUntil = e.doneAt + int64(co.cfg.MispredictPenalty)
-					ctx.pendingBranch = -1
-				}
-			case trace.OpMul:
-				e.doneAt = now + int64(co.cfg.MulLatency)
-			case trace.OpFP:
-				e.doneAt = now + int64(co.cfg.FPLatency)
-			default:
-				e.doneAt = now + int64(co.cfg.ALULatency)
-			}
-			e.status = stIssued
-			co.rsUsed--
-			budget--
 		}
 	}
+}
+
+// start issues the ready entry in slot unless a structural hazard holds
+// it back (a load with the super queue full stays ready), and reports
+// whether it issued.
+func (co *core) start(ctx *context, slot int, now int64, mem *cache.System, ctr *counters.Counters) bool {
+	e := &ctx.window[slot]
+	switch e.inst.Op {
+	case trace.OpLoad:
+		if len(co.superQ) >= co.cfg.MSHRs {
+			return false // super queue full: cannot start the miss
+		}
+		lat, tres := co.tlbs.TranslateD(e.inst.Addr)
+		if tres == tlb.Walk {
+			ctr.STLBMiss++
+			if end := now + int64(lat); end > co.tlbBusy {
+				co.tlbBusy = end
+			}
+		} else if tres == tlb.HitL2 {
+			ctr.DTLBMiss++
+		}
+		r := mem.AccessData(co.id, e.inst.Addr, false, e.inst.Kernel, now)
+		e.doneAt = r.Done + int64(lat)
+		if r.L1Miss {
+			co.superQ = append(co.superQ, e.doneAt)
+		}
+		if r.OffCore {
+			co.offcore = append(co.offcore, e.doneAt)
+		}
+	case trace.OpStore:
+		// Address+data ready; completion is immediate (the write
+		// happens at retirement through the store buffer).
+		e.doneAt = now + 1
+	case trace.OpBranch:
+		e.doneAt = now + 1
+		if ctx.pendingBranch >= 0 {
+			off := slot - ctx.head
+			if off < 0 {
+				off += len(ctx.window)
+			}
+			if ctx.pendingBranch == ctx.baseSeq+int64(off) {
+				ctx.redirectUntil = e.doneAt + int64(co.cfg.MispredictPenalty)
+				ctx.pendingBranch = -1
+			}
+		}
+	case trace.OpMul:
+		e.doneAt = now + int64(co.cfg.MulLatency)
+	case trace.OpFP:
+		e.doneAt = now + int64(co.cfg.FPLatency)
+	default:
+		e.doneAt = now + int64(co.cfg.ALULatency)
+	}
+	e.status = stIssued
+	ctx.ready[slot>>6] &^= 1 << uint(slot&63)
+	co.rsUsed--
+	ctx.wakeConsumers(slot, now)
+	return true
 }
 
 // frontend fetches and dispatches up to Width instructions into the
@@ -948,10 +1063,16 @@ func (co *core) frontend(now int64, mem *cache.System, ctr *counters.Counters) {
 				}
 			}
 
-			// Dispatch into the window.
+			// Dispatch into the window, linking each operand to its
+			// producer.
 			slot := ctx.tail
-			e := ctx.windowAt(slot)
-			*e = entry{inst: *in, status: stWaiting}
+			ctx.window[slot] = entry{inst: *in, status: stWaiting, waiters: -1}
+			seq := ctx.baseSeq + int64(ctx.count)
+			ctx.link(slot, seq, 0, in.DepA)
+			ctx.link(slot, seq, 1, in.DepB)
+			if ctx.window[slot].pending == 0 {
+				ctx.schedule(slot, now)
+			}
 			ctx.tail++
 			if ctx.tail >= len(ctx.window) {
 				ctx.tail -= len(ctx.window)

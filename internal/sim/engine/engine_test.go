@@ -23,6 +23,7 @@ func mkRun(t *testing.T, threads []Thread, measure int64) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkConservation(t, t.Name(), res)
 	return res
 }
 
@@ -311,6 +312,7 @@ func TestSampledRunProducesIntervals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkConservation(t, t.Name(), res)
 	if len(res.Intervals) != 6 {
 		t.Fatalf("got %d intervals, want 6", len(res.Intervals))
 	}
