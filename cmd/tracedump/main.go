@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"cloudsuite/internal/core"
@@ -26,19 +27,28 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, profiles the requested stream, and writes the report
+// to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("tracedump", flag.ExitOnError)
 	var (
-		bench   = flag.String("bench", "Data Serving", "benchmark name")
-		insts   = flag.Int("insts", 500_000, "instructions to inspect per thread")
-		threads = flag.Int("threads", 1, "software threads")
-		seed    = flag.Int64("seed", 1, "random seed")
-		jsonOut = flag.Bool("json", false, "machine-readable JSON output instead of text tables")
+		bench   = fs.String("bench", "Data Serving", "benchmark name")
+		insts   = fs.Int("insts", 500_000, "instructions to inspect per thread")
+		threads = fs.Int("threads", 1, "software threads")
+		seed    = fs.Int64("seed", 1, "random seed")
+		jsonOut = fs.Bool("json", false, "machine-readable JSON output instead of text tables")
 	)
-	flag.Parse()
+	fs.Parse(args) // exits on a bad flag, as flag.Parse does
 
 	b, ok := core.FindBench(*bench)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *bench)
-		os.Exit(1)
+		return fmt.Errorf("unknown benchmark %q", *bench)
 	}
 	w := b.New()
 	gens := w.Start(*threads, *seed)
@@ -65,10 +75,10 @@ func main() {
 		}
 	}
 	if *jsonOut {
-		s.renderJSON(w.Name())
-	} else {
-		s.render(w.Name())
+		return s.renderJSON(out, w.Name())
 	}
+	s.render(out, w.Name())
+	return nil
 }
 
 type stats struct {
@@ -157,7 +167,7 @@ func (s *stats) alu() int {
 // pctOf is a share of the total instruction count, in percent.
 func (s *stats) pctOf(n int) float64 { return 100 * float64(n) / float64(max(1, s.total)) }
 
-func (s *stats) render(name string) {
+func (s *stats) render(out io.Writer, name string) {
 	pct := func(n int) string { return fmt.Sprintf("%.1f%%", s.pctOf(n)) }
 	t := report.Table{Title: "Trace profile: " + name, Header: []string{"metric", "value"}}
 	t.Add("instructions", fmt.Sprint(s.total))
@@ -166,7 +176,7 @@ func (s *stats) render(name string) {
 	t.Add("user code footprint", kb(len(s.codeLines)*64))
 	t.Add("kernel code footprint", kb(len(s.kernCodeLines)*64))
 	t.Add("data footprint touched", kb(len(s.dataLines)*64))
-	t.Render(os.Stdout)
+	t.Render(out)
 
 	// Operation mix: every committed instruction lands in exactly one
 	// class, so the shares sum to 100%.
@@ -182,7 +192,7 @@ func (s *stats) render(name string) {
 		mix.Add(row.name, fmt.Sprintf("%.1f%%", 100*frac), report.Bar(frac, 1, 30))
 	}
 	mix.Add("  taken branches", fmt.Sprintf("%.1f%% of branches", 100*float64(s.taken)/float64(max(1, s.branches))), "")
-	mix.Render(os.Stdout)
+	mix.Render(out)
 
 	labels := []string{"1", "2", "3-4", "5-8", "9-16", "17-48", "49-128", ">128"}
 	var depTotal int
@@ -194,7 +204,7 @@ func (s *stats) render(name string) {
 		frac := float64(n) / float64(max(1, depTotal))
 		h.Add(labels[i], fmt.Sprintf("%.1f%%", 100*frac), report.Bar(frac, 0.5, 30))
 	}
-	h.Render(os.Stdout)
+	h.Render(out)
 }
 
 // jsonProfile is the -json output: one object per invocation with the
@@ -222,7 +232,7 @@ type jsonProfile struct {
 	} `json:"dep_hist"`
 }
 
-func (s *stats) renderJSON(name string) {
+func (s *stats) renderJSON(out io.Writer, name string) error {
 	doc := jsonProfile{
 		Bench:        name,
 		Instructions: s.total,
@@ -246,12 +256,9 @@ func (s *stats) renderJSON(name string) {
 			Count    int    `json:"count"`
 		}{labels[i], n})
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return enc.Encode(doc)
 }
 
 func kb(bytes int) string {

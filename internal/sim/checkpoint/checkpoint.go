@@ -280,6 +280,19 @@ func (r *Reader) U64() uint64 {
 // I64 reads an int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
+// Count reads a uint32 element count for a decoder that allocates from
+// it. It fails, returning 0, when that many elements of at least
+// minElemBytes each would need more bytes than the payload has left, so
+// a corrupt prefix cannot drive a huge allocation.
+func (r *Reader) Count(minElemBytes int) int {
+	n := r.U32()
+	if left := len(r.buf) - r.pos; r.err == nil && uint64(n)*uint64(minElemBytes) > uint64(left) {
+		r.fail("count %d of %d-byte elements exceeds the %d bytes left", n, minElemBytes, left)
+		return 0
+	}
+	return int(n)
+}
+
 // F64 reads a float64 written by Writer.F64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 

@@ -92,6 +92,27 @@ func TestReaderLengthMismatch(t *testing.T) {
 	}
 }
 
+// TestReaderCountBounded: a count whose elements fit in the bytes left
+// passes, and one that would overrun them fails instead of returning a
+// size to allocate.
+func TestReaderCountBounded(t *testing.T) {
+	w := NewWriter()
+	w.U32(2)
+	w.U64s([]uint64{1, 2}) // 4-byte length + 16 bytes
+	w.U32(1 << 31)
+	r := w.Snapshot("k").Reader()
+	if n := r.Count(10); n != 2 || r.Err() != nil {
+		t.Fatalf("Count(10) = %d, %v; want 2, nil", n, r.Err())
+	}
+	r.U64s(make([]uint64, 2))
+	if n := r.Count(1); n != 0 {
+		t.Fatalf("oversized count returned %d", n)
+	}
+	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("want count error, got %v", err)
+	}
+}
+
 func TestReaderTruncation(t *testing.T) {
 	w := NewWriter()
 	w.U32(1)

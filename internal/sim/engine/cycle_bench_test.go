@@ -10,9 +10,11 @@ import (
 // BenchmarkCycle64 times the engine's per-core cycle on a 4-socket x
 // 16-core machine running 64 threads of a memory-bound synthetic stream
 // (the scale-up shape, where most window entries wait on memory). It
-// reports wall nanoseconds per simulated core-cycle and simulated
-// instructions per wall-second; set-up and a short functional warm-up
-// are inside the timer but small next to the timed window.
+// reports wall nanoseconds per simulated core-cycle, simulated
+// instructions per wall-second, and awake-frac, the share of simulated
+// core-cycles the cycle loop actually ticked (the rest were slept
+// through); set-up and a short functional warm-up are inside the timer
+// but small next to the timed window.
 //
 //	go test ./internal/sim/engine -run '^$' -bench Cycle64
 func BenchmarkCycle64(b *testing.B) {
@@ -30,7 +32,7 @@ func BenchmarkCycle64(b *testing.B) {
 		}
 		return ts
 	}
-	var coreCycles, insts uint64
+	var coreCycles, ticks, insts uint64
 	var elapsed time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -38,14 +40,16 @@ func BenchmarkCycle64(b *testing.B) {
 		ts := threads()
 		b.StartTimer()
 		start := time.Now()
-		res, err := Run(cfg, ts)
+		res, ticked, err := runTicked(cfg, ts)
 		elapsed += time.Since(start)
 		if err != nil {
 			b.Fatal(err)
 		}
 		coreCycles += res.Total.Cycles
+		ticks += ticked
 		insts += res.Total.Commits()
 	}
 	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(coreCycles), "ns/core-cycle")
 	b.ReportMetric(float64(insts)/elapsed.Seconds(), "sim-insts/s")
+	b.ReportMetric(float64(ticks)/float64(coreCycles), "awake-frac")
 }

@@ -16,6 +16,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"cloudsuite/internal/obs"
@@ -149,10 +150,11 @@ type RunConfig struct {
 
 	// CheckInvariantsEvery, when positive, arms the memory system's
 	// coherence invariant checker on every n-th access (1 = every
-	// access). A violation panics. Checking is a pure observer: it
-	// never changes a measurement, only vetoes an incoherent one, so
-	// smoke runs at new scales can assert the directory's correctness
-	// in-line.
+	// access), where a violation panics, and checks the counter
+	// conservation laws on every core's window delta, where a violation
+	// fails the run. Checking is a pure observer: it never changes a
+	// measurement, only vetoes an incoherent one, so smoke runs at new
+	// scales can assert the directory's correctness in-line.
 	CheckInvariantsEvery int
 
 	// Obs, when non-nil, observes the run: wall time is attributed to
@@ -302,7 +304,28 @@ type core struct {
 	tlbBusy int64
 
 	nextCtx int // round-robin pointer for SMT fairness
+
+	// sleeping is set after an idle cycle whose next event is more than
+	// one cycle away: runUntil skips the core until idle.wake, and charge
+	// then bills the skipped cycles with idle's classification.
+	sleeping bool
+	idle     idleCycle
+	ticks    uint64 // cycle calls, for the sleep tests and BenchmarkCycle64
 }
+
+// idleCycle is the classification of a cycle in which a core committed,
+// issued and fetched nothing. Until its next event every cycle of that
+// core is classified the same way.
+type idleCycle struct {
+	at, wake   int64 // the idle cycle and the first cycle ticked again
+	kernel     bool  // stall attributed to OS mode
+	fetchStall bool  // window empty
+	mem        bool  // memory cycle
+	superQ     uint64
+}
+
+// never is the wake time of a core with no pending event.
+const never = int64(math.MaxInt64)
 
 func (c *context) peek() (*trace.Inst, bool) {
 	if c.bufPos == c.bufLen {
@@ -424,20 +447,26 @@ func (c *context) wakeConsumers(slot int, now int64) {
 
 // Run simulates threads under cfg and returns the measured counters.
 func Run(cfg RunConfig, threads []Thread) (*Result, error) {
+	res, _, err := run(cfg, threads)
+	return res, err
+}
+
+// run is Run, also returning the simulated cores for test hooks.
+func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 	if len(threads) == 0 {
-		return nil, errors.New("engine: no threads")
+		return nil, nil, errors.New("engine: no threads")
 	}
 	// Budget guards: a zero or negative measured budget would convert to
 	// a huge uint64 commit target and spin the timed loop until the trace
 	// ends (never, for the suite's unbounded generators).
 	if cfg.MeasureInsts <= 0 {
-		return nil, fmt.Errorf("engine: MeasureInsts %d must be positive", cfg.MeasureInsts)
+		return nil, nil, fmt.Errorf("engine: MeasureInsts %d must be positive", cfg.MeasureInsts)
 	}
 	if cfg.WarmupInsts < 0 {
-		return nil, fmt.Errorf("engine: WarmupInsts %d must be >= 0", cfg.WarmupInsts)
+		return nil, nil, fmt.Errorf("engine: WarmupInsts %d must be >= 0", cfg.WarmupInsts)
 	}
 	if cfg.Intervals < 0 || cfg.IntervalWarmInsts < 0 || cfg.DetailWarmInsts < 0 {
-		return nil, fmt.Errorf("engine: sampling schedule (%d intervals, %d warm insts, %d detail insts) must be non-negative",
+		return nil, nil, fmt.Errorf("engine: sampling schedule (%d intervals, %d warm insts, %d detail insts) must be non-negative",
 			cfg.Intervals, cfg.IntervalWarmInsts, cfg.DetailWarmInsts)
 	}
 	if cfg.Core.Width == 0 {
@@ -450,7 +479,7 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 		cfg.Mem = cache.DefaultSystemConfig()
 	}
 	if err := cfg.Mem.Validate(); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
+		return nil, nil, fmt.Errorf("engine: %w", err)
 	}
 	mem := cache.NewSystem(cfg.Mem)
 	if cfg.CheckInvariantsEvery > 0 {
@@ -460,11 +489,11 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 	perCore := map[int][]int{} // core id -> indices into threads
 	for i, t := range threads {
 		if t.Core < 0 || t.Core >= cfg.Mem.TotalCores() {
-			return nil, fmt.Errorf("engine: thread core %d out of range (%d cores)", t.Core, cfg.Mem.TotalCores())
+			return nil, nil, fmt.Errorf("engine: thread core %d out of range (%d cores)", t.Core, cfg.Mem.TotalCores())
 		}
 		perCore[t.Core] = append(perCore[t.Core], i)
 		if len(perCore[t.Core]) > 2 {
-			return nil, fmt.Errorf("engine: more than two threads on core %d", t.Core)
+			return nil, nil, fmt.Errorf("engine: more than two threads on core %d", t.Core)
 		}
 	}
 
@@ -516,7 +545,7 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 		cfg.Obs.SpanEnd("ckpt-restore", span)
 		cfg.Obs.Enter(prev)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	} else {
 		span := cfg.Obs.SpanStart()
@@ -633,6 +662,11 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 			d := mem.Ctr(co.id).Sub(&snapshots[co.id])
 			d.DRAMBusyCycles = 0 // chip-wide; reported per window and in Total
 			d.DRAMTotalCycles = 0
+			if cfg.CheckInvariantsEvery > 0 {
+				if err := d.Conservation(); err != nil {
+					return nil, nil, fmt.Errorf("engine: window %d, core %d: %w", iv, co.id, err)
+				}
+			}
 			window.PerCore[co.id] = &d
 			totals[co.id].Add(&d)
 			for _, ctx := range co.ctxs {
@@ -662,7 +696,7 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 	res.Total.DRAMBusyCycles = totalBusy
 	res.Total.DRAMTotalCycles = uint64(res.Cycles)
 	res.Total.DRAMChannels = uint64(mem.DRAMTotalChannels())
-	return res, nil
+	return res, cores, nil
 }
 
 // runUntil is the timed cycle loop shared by contiguous windows,
@@ -670,16 +704,77 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 // on until done holds after a cycle and returns the last cycle. With
 // maxCycles > 0 a run that has ticked maxCycles cycles stops at the
 // next cycle without ticking it and reports truncated.
+//
+// A sleeping core is not ticked until its wake cycle; when every core
+// sleeps, now jumps to the earliest wake (capped at the truncation
+// cycle). Skipped cycles are charged on wake and on return, so no sleep
+// state outlives the call.
 func runUntil(cores []*core, mem *cache.System, clock, maxCycles int64, done func() bool) (now int64, truncated bool) {
-	for now = clock + 1; ; now++ {
-		if maxCycles > 0 && now-clock > maxCycles {
-			return now, true
-		}
+	stop := never
+	if maxCycles > 0 {
+		stop = clock + maxCycles + 1
+	}
+	for now = clock + 1; now < stop; {
+		next := stop
 		for _, co := range cores {
+			if co.sleeping {
+				if now < co.idle.wake {
+					next = min(next, co.idle.wake)
+					continue
+				}
+				co.charge(mem.Ctr(co.id), now-1)
+			}
 			co.cycle(now, mem)
+			if co.sleeping {
+				next = min(next, co.idle.wake)
+			} else {
+				next = now + 1
+			}
 		}
 		if done() {
+			chargeAll(cores, mem, now)
 			return now, false
+		}
+		if next == never {
+			panic("engine: every core is asleep with no pending event")
+		}
+		now = next
+	}
+	chargeAll(cores, mem, now-1)
+	return now, true
+}
+
+// charge bills a sleeping core's skipped cycles, idle.at+1 through last,
+// with its idle cycle's classification and wakes it. Advancing nextCtx
+// once per skipped cycle keeps the SMT round-robin where ticking would
+// have left it.
+func (co *core) charge(ctr *counters.Counters, last int64) {
+	k := uint64(last - co.idle.at)
+	ctr.Cycles += k
+	if co.idle.kernel {
+		ctr.StallCyclesOS += k
+	} else {
+		ctr.StallCyclesUser += k
+	}
+	if co.idle.fetchStall {
+		ctr.FetchStallCycles += k
+	}
+	if co.idle.mem {
+		ctr.MemCycles += k
+	}
+	if co.idle.superQ > 0 {
+		ctr.MLPSum += k * co.idle.superQ
+		ctr.MLPCycles += k
+	}
+	co.nextCtx += int(k)
+	co.sleeping = false
+}
+
+// chargeAll charges every sleeping core through last.
+func chargeAll(cores []*core, mem *cache.System, last int64) {
+	for _, co := range cores {
+		if co.sleeping {
+			co.charge(mem.Ctr(co.id), last)
 		}
 	}
 }
@@ -760,21 +855,25 @@ func (co *core) warmThread(ctx *context, mem *cache.System, insts int64, clock *
 // window empty.
 func (c *context) drained() bool { return c.eof && c.count == 0 && c.bufPos == c.bufLen }
 
-// cycle advances one core by one clock.
+// cycle advances one core by one clock. After a cycle in which it
+// committed, issued and fetched nothing, the core goes to sleep if its
+// next event is more than one cycle away.
 func (co *core) cycle(now int64, mem *cache.System) {
+	co.ticks++
 	ctr := mem.Ctr(co.id)
 	ctr.Cycles++
 
 	co.expireMisses(now)
 
 	committedMode, committedAny := co.commit(now, mem)
-	co.issue(now, mem, ctr)
-	co.frontend(now, mem, ctr)
+	issued := co.issue(now, mem, ctr)
+	fetched := co.frontend(now, mem, ctr)
 
 	// Cycle classification (Figure 1). A cycle is Committing if at least
 	// one instruction retired; otherwise it is Stalled and attributed to
 	// the mode of the instruction blocking the head of the window (or
 	// the last fetched mode when the window is empty).
+	var mode, empty bool
 	if committedAny {
 		if committedMode {
 			ctr.CommitCyclesOS++
@@ -782,7 +881,7 @@ func (co *core) cycle(now int64, mem *cache.System) {
 			ctr.CommitCyclesUser++
 		}
 	} else {
-		mode, empty := co.headMode()
+		mode, empty = co.headMode()
 		if empty {
 			ctr.FetchStallCycles++
 		}
@@ -796,14 +895,64 @@ func (co *core) cycle(now int64, mem *cache.System) {
 	// Memory cycles (Section 3.1): at least one off-core data request
 	// outstanding, instruction fetch stalled past the L1-I, or a TLB
 	// walk in progress.
-	if len(co.offcore) > 0 || co.tlbBusy > now || co.imissActive(now) {
+	memCycle := len(co.offcore) > 0 || co.tlbBusy > now || co.imissActive(now)
+	if memCycle {
 		ctr.MemCycles++
 	}
 	// Super-queue occupancy for MLP (Figure 3, right).
-	if n := len(co.superQ); n > 0 {
+	n := len(co.superQ)
+	if n > 0 {
 		ctr.MLPSum += uint64(n)
 		ctr.MLPCycles++
 	}
+
+	if committedAny || issued || fetched {
+		return
+	}
+	if wake := co.nextEvent(now); wake > now+1 {
+		co.sleeping = true
+		co.idle = idleCycle{at: now, wake: wake, kernel: mode, fetchStall: empty, mem: memCycle, superQ: uint64(n)}
+	}
+}
+
+// nextEvent returns the first cycle after now at which an idle core can
+// act or classify a cycle differently, or never. Until then no head
+// completes, no timer readies an entry, no fetch stall, redirect,
+// I-miss or page walk ends, and no super-queue or off-core request
+// retires (a retiring super-queue entry frees the slot a held-back load
+// waits for). Nothing else the core reads changes without its own
+// activity: other cores reach it only through the shared caches, which
+// an idle core does not touch.
+func (co *core) nextEvent(now int64) int64 {
+	next := never
+	for _, ctx := range co.ctxs {
+		if ctx.count > 0 {
+			if h := &ctx.window[ctx.head]; h.status == stIssued {
+				next = sooner(next, h.doneAt, now)
+			}
+		}
+		if len(ctx.timers) > 0 {
+			next = sooner(next, ctx.timers[0].at, now)
+		}
+		next = sooner(next, ctx.fetchBlockedUntil, now)
+		next = sooner(next, ctx.redirectUntil, now)
+		next = sooner(next, ctx.imissUntil, now)
+	}
+	for _, t := range co.superQ {
+		next = sooner(next, t, now)
+	}
+	for _, t := range co.offcore {
+		next = sooner(next, t, now)
+	}
+	return sooner(next, co.tlbBusy, now)
+}
+
+// sooner returns t if it lies after now and before next, else next.
+func sooner(next, t, now int64) int64 {
+	if t > now && t < next {
+		return t
+	}
+	return next
 }
 
 func (co *core) imissActive(now int64) bool {
@@ -915,8 +1064,8 @@ func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool)
 // context and contexts in round-robin order. Only the ready set is
 // visited: entries reach it through wakeup (a producer issuing) or a
 // timer (a producer's completion time passing), never by rescanning the
-// window.
-func (co *core) issue(now int64, mem *cache.System, ctr *counters.Counters) {
+// window. It reports whether anything issued.
+func (co *core) issue(now int64, mem *cache.System, ctr *counters.Counters) bool {
 	for _, ctx := range co.ctxs {
 		ctx.expireTimers(now)
 	}
@@ -942,6 +1091,7 @@ func (co *core) issue(now int64, mem *cache.System, ctr *counters.Counters) {
 			}
 		}
 	}
+	return budget < co.cfg.Width
 }
 
 // start issues the ready entry in slot unless a structural hazard holds
@@ -1003,10 +1153,14 @@ func (co *core) start(ctx *context, slot int, now int64, mem *cache.System, ctr 
 
 // frontend fetches and dispatches up to Width instructions into the
 // window, honouring I-cache stalls, branch-mispredict redirects, and
-// structural limits (ROB, RS, LQ/SQ).
-func (co *core) frontend(now int64, mem *cache.System, ctr *counters.Counters) {
+// structural limits (ROB, RS, LQ/SQ). It reports whether it fetched or
+// dispatched, or stopped on a full load/store queue before visiting
+// every context: another context may dispatch next cycle, when the
+// round-robin visits it first.
+func (co *core) frontend(now int64, mem *cache.System, ctr *counters.Counters) (busy bool) {
 	budget := co.cfg.Width
-	for i := 0; i < len(co.ctxs) && budget > 0; i++ {
+	i := 0
+	for ; i < len(co.ctxs) && budget > 0; i++ {
 		ctx := co.ctxs[(co.nextCtx+i)%len(co.ctxs)]
 		for budget > 0 {
 			if ctx.fetchBlockedUntil > now || ctx.redirectUntil > now || ctx.pendingBranch >= 0 {
@@ -1048,6 +1202,7 @@ func (co *core) frontend(now int64, mem *cache.System, ctr *counters.Counters) {
 					ctx.lastFetchPage = page
 				}
 				fr := mem.FetchInstr(co.id, in.PC, now, in.Kernel)
+				busy = true
 				ctx.lastFetchLine = line
 				if fr.L1Miss {
 					if fr.Done > ctx.fetchBlockedUntil {
@@ -1095,7 +1250,9 @@ func (co *core) frontend(now int64, mem *cache.System, ctr *counters.Counters) {
 				}
 			}
 			ctx.advance()
+			busy = true
 			budget--
 		}
 	}
+	return busy || i < len(co.ctxs)
 }

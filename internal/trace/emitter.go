@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"cloudsuite/internal/rng"
 	"cloudsuite/internal/sim/checkpoint"
@@ -124,6 +126,12 @@ type frameRet struct {
 	pc uint64
 }
 
+// bufPool recycles the buffers of closed generators, so a fresh emitter
+// does not regrow its buffer step by step to the workload's largest
+// Step. Only capacity is shared: drain and SaveState read buf[pos:],
+// which every emitter writes itself before reading.
+var bufPool sync.Pool //simlint:ok globalrand recycled capacity only; no buffer content reaches a result
+
 // NewEmitter returns an emitter with an empty call stack. Most callers
 // want NewStepGen, which pairs the emitter with a Program.
 func NewEmitter(cfg EmitterConfig) *Emitter {
@@ -133,6 +141,9 @@ func NewEmitter(cfg EmitterConfig) *Emitter {
 	e := &Emitter{
 		cfg: cfg,
 		rng: rng.New(cfg.Seed),
+	}
+	if b, ok := bufPool.Get().(*[]Inst); ok {
+		e.buf = *b
 	}
 	e.untilBranch = e.nextBlockLen()
 	return e
@@ -454,7 +465,9 @@ func (e *Emitter) LoadState(rd *checkpoint.Reader) {
 	e.seq = rd.I64()
 	e.untilBranch = int(rd.U32())
 	e.kernelDepth = int(rd.U32())
-	n := int(rd.U32())
+	// A frame takes at least 33 bytes: entry, size, entropy, pc and the
+	// return flag.
+	n := rd.Count(33)
 	if rd.Err() != nil {
 		return
 	}
@@ -474,7 +487,7 @@ func (e *Emitter) LoadState(rd *checkpoint.Reader) {
 		}
 		e.funcs[i] = fr
 	}
-	k := int(rd.U32())
+	k := rd.Count(binary.Size(Inst{}))
 	if rd.Err() != nil {
 		return
 	}
@@ -566,10 +579,14 @@ func (g *StepGen) Next(out []Inst) int {
 	return total
 }
 
-// Close implements Closer: it ends the stream and discards any buffered
-// instructions. There is no goroutine to unwind.
+// Close implements Closer: it ends the stream, discards any buffered
+// instructions and hands the buffer to the next emitter. There is no
+// goroutine to unwind.
 func (g *StepGen) Close() {
 	g.done = true
+	if buf := g.e.buf[:0]; cap(buf) > 0 {
+		bufPool.Put(&buf)
+	}
 	g.e.buf, g.e.pos = nil, 0
 }
 

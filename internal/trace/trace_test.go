@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cloudsuite/internal/rng"
 	"cloudsuite/internal/sim/checkpoint"
 )
 
@@ -405,5 +406,34 @@ func TestQuickDependenceDistanceValid(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEmitterLoadStateRejectsHugeCounts: a frame or residue count of
+// 1<<31 fails the load instead of allocating for it.
+func TestEmitterLoadStateRejectsHugeCounts(t *testing.T) {
+	image := func(frames, residue uint32) *checkpoint.Reader {
+		w := checkpoint.NewWriter()
+		w.Tag("emitter")
+		w.U32(6)
+		w.F64(0.5)
+		w.I64(1)
+		rng.New(1).SaveState(w)
+		w.I64(0)
+		w.U32(3)
+		w.U32(0)
+		w.U32(frames)
+		w.U32(residue)
+		return w.Snapshot("k").Reader()
+	}
+	for _, tc := range []struct {
+		name            string
+		frames, residue uint32
+	}{{"frames", 1 << 31, 0}, {"residue", 0, 1 << 31}} {
+		rd := image(tc.frames, tc.residue)
+		NewEmitter(EmitterConfig{Seed: 1}).LoadState(rd)
+		if rd.Err() == nil {
+			t.Errorf("%s count 1<<31 loaded without error", tc.name)
+		}
 	}
 }

@@ -329,7 +329,7 @@ func (t *sthread) LoadState(rd *checkpoint.Reader) {
 	}
 	rd.Struct(in.clauses)
 	for i := range in.watches {
-		n := int(rd.U32())
+		n := rd.Count(4) // int32 clause indices
 		if rd.Err() != nil {
 			return
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cloudsuite/internal/sim/checkpoint"
 	"cloudsuite/internal/trace"
 )
 
@@ -198,5 +199,26 @@ func TestValueSemantics(t *testing.T) {
 	}
 	if in.value(6<<1) != 0 {
 		t.Error("unassigned literal must be unknown")
+	}
+}
+
+// TestLoadStateRejectsHugeWatchCount: a watch-list count of 1<<31 fails
+// the load instead of allocating for it.
+func TestLoadStateRejectsHugeWatchCount(t *testing.T) {
+	th := New(smallConfig()).newThread(0, 1)
+	w := checkpoint.NewWriter()
+	w.Tag("satsolver.thread")
+	th.rnd.SaveState(w)
+	w.U64(0)
+	w.U64(0)
+	w.Bool(false)
+	w.U32(uint32(th.in.nVars))
+	w.U32(uint32(len(th.in.clauses)))
+	w.Struct(th.in.clauses)
+	w.U32(1 << 31)
+	rd := w.Snapshot("k").Reader()
+	th.LoadState(rd)
+	if rd.Err() == nil {
+		t.Fatal("watch count 1<<31 loaded without error")
 	}
 }
