@@ -61,7 +61,7 @@ func BenchmarkFigure1ExecutionBreakdown(b *testing.B) {
 	var rows []cloudsuite.BreakdownRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = cloudsuite.Figure1(entries, o)
+		rows, err = cloudsuite.NewRunner(1).Figure1(entries, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func BenchmarkFigure2InstructionMisses(b *testing.B) {
 	var rows []cloudsuite.InstrMissRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = cloudsuite.Figure2(entries, o)
+		rows, err = cloudsuite.NewRunner(1).Figure2(entries, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func BenchmarkFigure3IPCMLP(b *testing.B) {
 	var rows []cloudsuite.IPCMLPRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = cloudsuite.Figure3(entries, o)
+		rows, err = cloudsuite.NewRunner(1).Figure3(entries, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func BenchmarkFigure4LLCSensitivity(b *testing.B) {
 	var series []cloudsuite.LLCSeries
 	for i := 0; i < b.N; i++ {
 		var err error
-		series, err = cloudsuite.Figure4(groups, []int{4, 6, 8, 10}, o)
+		series, err = cloudsuite.NewRunner(1).Figure4(groups, []int{4, 6, 8, 10}, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func BenchmarkFigure5Prefetchers(b *testing.B) {
 	var rows []cloudsuite.PrefetchRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = cloudsuite.Figure5(entries, o)
+		rows, err = cloudsuite.NewRunner(1).Figure5(entries, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func BenchmarkFigure6Sharing(b *testing.B) {
 	var rows []cloudsuite.SharingRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = cloudsuite.Figure6(entries, o)
+		rows, err = cloudsuite.NewRunner(1).Figure6(entries, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func BenchmarkFigure7Bandwidth(b *testing.B) {
 	var rows []cloudsuite.BandwidthRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = cloudsuite.Figure7(entries, o)
+		rows, err = cloudsuite.NewRunner(1).Figure7(entries, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func BenchmarkImplicationsDensity(b *testing.B) {
 	var rows []cloudsuite.ImplicationRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = cloudsuite.Implications(entries, o)
+		rows, err = cloudsuite.NewRunner(1).Implications(entries, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -390,7 +390,7 @@ func BenchmarkInstructionPrefetchStudy(b *testing.B) {
 	var rows []cloudsuite.IPrefRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = cloudsuite.InstructionPrefetchStudy(entries, o)
+		rows, err = cloudsuite.NewRunner(1).InstructionPrefetchStudy(entries, o)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -112,8 +112,8 @@ type (
 	BandwidthRow = core.BandwidthRow
 
 	// Experiment-orchestration types. Runner fans measurement requests
-	// out across a worker pool and memoizes results; every figure
-	// driver is also available as a Runner method.
+	// out across a worker pool and memoizes results; the figure,
+	// validation and implication drivers are Runner methods.
 	Runner         = core.Runner
 	MeasureRequest = core.MeasureRequest
 	RunnerStats    = core.RunnerStats
@@ -176,10 +176,6 @@ var (
 	Measure = core.Measure
 	// MeasureBench creates and measures a fresh instance of a benchmark.
 	MeasureBench = core.MeasureBench
-	// MeasureEntry measures every member of an Entry.
-	MeasureEntry = core.MeasureEntry
-	// Validate checks the paper's headline claims against fresh runs.
-	Validate = core.Validate
 	// AllHold reports whether every claim holds.
 	AllHold = core.AllHold
 )
@@ -188,22 +184,10 @@ var (
 var (
 	// ScaleOutProcessor is the paper's proposed scale-out-optimized CMP.
 	ScaleOutProcessor = core.ScaleOutProcessor
-	// AreaUnits is the coarse die-area proxy used by Implications.
+	// AreaUnits is the coarse die-area proxy used by
+	// Runner.Implications.
 	AreaUnits = core.AreaUnits
-	// Implications compares computational density across designs.
-	Implications = core.Implications
-	// InstructionPrefetchStudy compares instruction-prefetch front-ends.
-	InstructionPrefetchStudy = core.InstructionPrefetchStudy
-)
-
-// Experiment drivers, one per paper figure.
-var (
-	Figure1       = core.Figure1
-	Figure2       = core.Figure2
-	Figure3       = core.Figure3
-	Figure4       = core.Figure4
+	// Figure4Groups returns Figure 4's benchmark groups, the input of
+	// Runner.Figure4.
 	Figure4Groups = core.Figure4Groups
-	Figure5       = core.Figure5
-	Figure6       = core.Figure6
-	Figure7       = core.Figure7
 )

@@ -36,45 +36,50 @@ import (
 	"cloudsuite/internal/analysis"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run parses args, runs the requested mode, writes its report to out
+// and returns the exit status.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("simlint", flag.ExitOnError)
 	// The go command's tool handshake: `-V=full` must print a version
 	// line; content-hashing the executable makes go's action cache
 	// invalidate vet results whenever the analyzers change.
-	versionFlag := flag.String("V", "", "print version (go command tool protocol)")
-	flagsFlag := flag.Bool("flags", false, "print analyzer flags in JSON (go vet protocol)")
-	suppressionsFlag := flag.Bool("suppressions", false,
-		"print the audit table of every //simlint:ok and //simlint:replay annotation under the argument directory (default .) and exit")
+	versionFlag := fs.String("V", "", "print version (go command tool protocol)")
+	flagsFlag := fs.Bool("flags", false, "print analyzer flags in JSON (go vet protocol)")
+	suppressionsFlag := fs.Bool("suppressions", false,
+		"print the audit table of every //simlint:ok annotation under the argument directory (default .) and exit")
 	enabled := map[string]*bool{}
 	for _, a := range analysis.All {
-		enabled[a.Name] = flag.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+firstLine(a.Doc))
+		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+firstLine(a.Doc))
 	}
-	flag.Parse()
+	fs.Parse(args) // exits on a bad flag, as flag.Parse does
 
 	switch {
 	case *versionFlag != "":
-		fmt.Printf("simlint version %s\n", selfID())
-		return
+		fmt.Fprintf(out, "simlint version %s\n", selfID())
+		return 0
 	case *flagsFlag:
-		printFlagsJSON()
-		return
+		printFlagsJSON(out)
+		return 0
 	case *suppressionsFlag:
-		os.Exit(printSuppressions(flag.Args()))
+		return printSuppressions(fs.Args(), out)
 	}
 
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runUnitchecker(args[0], selectAnalyzers(enabled)))
+	rest := fs.Args()
+	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
+		return runUnitchecker(rest[0], selectAnalyzers(fs, enabled))
 	}
-	os.Exit(runStandalone())
+	return runStandalone(args, out)
 }
 
 // selectAnalyzers applies vet's flag semantics: any analyzer flag
 // explicitly set true selects exactly the true set; otherwise the full
 // suite runs minus any explicitly disabled.
-func selectAnalyzers(enabled map[string]*bool) []*analysis.Analyzer {
+func selectAnalyzers(fs *flag.FlagSet, enabled map[string]*bool) []*analysis.Analyzer {
 	explicitTrue := false
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if _, ok := enabled[f.Name]; ok {
 			set[f.Name] = true
 			if *enabled[f.Name] {
@@ -97,7 +102,7 @@ func selectAnalyzers(enabled map[string]*bool) []*analysis.Analyzer {
 // printSuppressions answers `simlint -suppressions [dir]`: the
 // purely-syntactic annotation audit (no type checking, no go command),
 // rendered as the markdown table DESIGN.md §8 embeds.
-func printSuppressions(args []string) int {
+func printSuppressions(args []string, out io.Writer) int {
 	root := "."
 	if len(args) > 0 {
 		root = args[0]
@@ -107,21 +112,20 @@ func printSuppressions(args []string) int {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 		return 1
 	}
-	fmt.Print(analysis.FormatSuppressions(sups))
+	fmt.Fprint(out, analysis.FormatSuppressions(sups))
 	return 0
 }
 
 // runStandalone re-executes as a go vet backend so package loading,
 // export data, and caching all come from the go command.
-func runStandalone() int {
+func runStandalone(args []string, out io.Writer) int {
 	exe, err := os.Executable()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simlint: %v\n", err)
 		return 1
 	}
-	args := append([]string{"vet", "-vettool=" + exe}, os.Args[1:]...)
-	cmd := exec.Command("go", args...)
-	cmd.Stdout = os.Stdout
+	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + exe}, args...)...)
+	cmd.Stdout = out
 	cmd.Stderr = os.Stderr
 	cmd.Stdin = os.Stdin
 	if err := cmd.Run(); err != nil {
@@ -154,18 +158,18 @@ func selfID() string {
 }
 
 // printFlagsJSON answers `simlint -flags`: the go vet flag handshake.
-func printFlagsJSON() {
+func printFlagsJSON(out io.Writer) {
 	type jsonFlag struct {
 		Name  string
 		Bool  bool
 		Usage string
 	}
-	var out []jsonFlag
+	var flags []jsonFlag
 	for _, a := range analysis.All {
-		out = append(out, jsonFlag{Name: a.Name, Bool: true, Usage: firstLine(a.Doc)})
+		flags = append(flags, jsonFlag{Name: a.Name, Bool: true, Usage: firstLine(a.Doc)})
 	}
-	data, _ := json.Marshal(out)
-	fmt.Printf("%s\n", data)
+	data, _ := json.Marshal(flags)
+	fmt.Fprintf(out, "%s\n", data)
 }
 
 func firstLine(s string) string {

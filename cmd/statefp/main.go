@@ -15,67 +15,72 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"cloudsuite/internal/analysis/statefp"
 )
 
-func main() {
-	root := flag.String("root", ".", "module root directory")
-	golden := flag.String("golden", filepath.Join("internal", "sim", "checkpoint", "testdata", "schema_golden.json"),
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run parses args, runs the requested mode, writes its report to out
+// (problems go to stderr) and returns the exit status: 0 clean, 1 on
+// schema drift, 2 on errors.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("statefp", flag.ExitOnError)
+	root := fs.String("root", ".", "module root directory")
+	golden := fs.String("golden", filepath.Join("internal", "sim", "checkpoint", "testdata", "schema_golden.json"),
 		"golden schema path, relative to -root unless absolute")
-	write := flag.Bool("write", false, "regenerate the golden from the current tree")
-	check := flag.Bool("check", false, "fail if the current schema differs from the golden")
-	flag.Parse()
+	write := fs.Bool("write", false, "regenerate the golden from the current tree")
+	check := fs.Bool("check", false, "fail if the current schema differs from the golden")
+	fs.Parse(args) // exits on a bad flag, as flag.Parse does
 
 	goldenPath := *golden
 	if !filepath.IsAbs(goldenPath) {
 		goldenPath = filepath.Join(*root, goldenPath)
 	}
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, "statefp:", err)
+		return 2
+	}
 
 	cur, err := statefp.Compute(*root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "statefp:", err)
-		os.Exit(2)
+		return fail(err)
 	}
 
 	switch {
 	case *write:
 		data, err := statefp.Marshal(cur)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "statefp:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "statefp:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 		if err := os.WriteFile(goldenPath, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "statefp:", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		fmt.Printf("statefp: wrote %s (%d types, version %d)\n", goldenPath, len(cur.Types), cur.Version)
+		fmt.Fprintf(out, "statefp: wrote %s (%d types, version %d)\n", goldenPath, len(cur.Types), cur.Version)
 	case *check:
 		old, err := statefp.Load(goldenPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "statefp:", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		problems := statefp.Diff(old, cur)
-		if len(problems) > 0 {
+		if problems := statefp.Diff(old, cur); len(problems) > 0 {
 			for _, p := range problems {
 				fmt.Fprintln(os.Stderr, "statefp:", p)
 			}
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("statefp: schema matches golden (%d types, version %d)\n", len(cur.Types), cur.Version)
+		fmt.Fprintf(out, "statefp: schema matches golden (%d types, version %d)\n", len(cur.Types), cur.Version)
 	default:
 		data, err := statefp.Marshal(cur)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "statefp:", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		os.Stdout.Write(data)
+		out.Write(data)
 	}
+	return 0
 }

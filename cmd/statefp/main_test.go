@@ -1,0 +1,52 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+const repoRoot = "../.."
+
+// TestCheck: -check passes on the repository, and fails against a copy
+// of the golden that lost one checkpointed type.
+func TestCheck(t *testing.T) {
+	var out bytes.Buffer
+	if code := run([]string{"-root", repoRoot, "-check"}, &out); code != 0 {
+		t.Fatalf("statefp -check on the repository exited %d", code)
+	}
+	if !strings.Contains(out.String(), "schema matches golden") {
+		t.Fatalf("unexpected report: %q", out.String())
+	}
+
+	raw, err := os.ReadFile(filepath.Join(repoRoot, "internal", "sim", "checkpoint", "testdata", "schema_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]any
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	types := golden["types"].(map[string]any)
+	names := make([]string, 0, len(types))
+	for name := range types {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	delete(types, names[0])
+	raw, err = json.Marshal(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "golden.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{"-root", repoRoot, "-golden", path, "-check"}, &out); code != 1 {
+		t.Fatalf("statefp -check against a golden missing %s exited %d, want 1", names[0], code)
+	}
+}

@@ -61,9 +61,9 @@ func (q *queueWorkload) Start(n int, seed int64) []*trace.StepGen {
 	return gens
 }
 
-// SaveShared/LoadShared make the workload live-point capable: with
-// these (plus the thread SaveState below) a warm image restores by a
-// pure load instead of replaying the warmup instruction stream.
+// SaveShared/LoadShared checkpoint the shared state: with these (plus
+// the thread SaveState below) a warm image restores by a pure load
+// instead of re-running the warmup instruction stream.
 func (q *queueWorkload) SaveShared(w *checkpoint.Writer) {
 	w.Tag("mq.shared")
 	q.kern.SaveState(w)

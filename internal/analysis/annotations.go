@@ -9,9 +9,9 @@ import (
 
 // Annotation grammar
 //
-// Two comment forms opt code out of a check, both requiring a stated
-// reason so every exemption is an auditable decision rather than a
-// silent hole:
+// One comment form opts code out of a check, requiring a stated reason
+// so every exemption is an auditable decision rather than a silent
+// hole:
 //
 //	//simlint:ok <analyzer> <reason>
 //	    Suppresses diagnostics of <analyzer> on the annotation's own
@@ -19,19 +19,11 @@ import (
 //	    sit either at the end of the offending line or on its own line
 //	    above it, doc-comment style).
 //
-//	//simlint:replay <reason>
-//	    Field-level marker consumed by the checkpointcov analyzer: the
-//	    field's post-warm-up value is re-derived by deterministic replay
-//	    (the skipThread fast-forward) rather than serialized.
-//
 // An annotation with a missing reason is itself a diagnostic: an
 // unexplained exemption is exactly the kind of drift the suite exists
 // to prevent.
 
-const (
-	okPrefix     = "//simlint:ok"
-	replayPrefix = "//simlint:replay"
-)
+const okPrefix = "//simlint:ok"
 
 type okAnn struct {
 	analyzer string
@@ -52,41 +44,32 @@ type annotations struct {
 
 // collectAnnotations scans every comment of every file for simlint
 // annotations, recording well-formed //simlint:ok markers and
-// reporting malformed ones (either form, missing its reason).
+// reporting malformed ones (missing the analyzer or the reason).
 func collectAnnotations(fset *token.FileSet, files []*ast.File) *annotations {
 	anns := &annotations{}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(c.Text)
-				switch {
-				case strings.HasPrefix(text, okPrefix):
-					rest := strings.TrimPrefix(text, okPrefix)
-					fields := strings.Fields(rest)
-					if len(fields) < 2 {
-						anns.malformed = append(anns.malformed, Diagnostic{
-							Pos:      c.Pos(),
-							Message:  "simlint:ok annotation needs an analyzer name and a reason: //simlint:ok <analyzer> <reason>",
-							Analyzer: "annotation",
-						})
-						continue
-					}
-					pos := fset.Position(c.Pos())
-					anns.ok = append(anns.ok, okAnn{
-						analyzer: fields[0],
-						line:     pos.Line,
-						file:     pos.Filename,
-						pos:      c.Pos(),
-					})
-				case strings.HasPrefix(text, replayPrefix):
-					if len(strings.Fields(strings.TrimPrefix(text, replayPrefix))) == 0 {
-						anns.malformed = append(anns.malformed, Diagnostic{
-							Pos:      c.Pos(),
-							Message:  "simlint:replay annotation needs a reason: //simlint:replay <reason>",
-							Analyzer: "annotation",
-						})
-					}
+				if !strings.HasPrefix(text, okPrefix) {
+					continue
 				}
+				fields := strings.Fields(strings.TrimPrefix(text, okPrefix))
+				if len(fields) < 2 {
+					anns.malformed = append(anns.malformed, Diagnostic{
+						Pos:      c.Pos(),
+						Message:  "simlint:ok annotation needs an analyzer name and a reason: //simlint:ok <analyzer> <reason>",
+						Analyzer: "annotation",
+					})
+					continue
+				}
+				pos := fset.Position(c.Pos())
+				anns.ok = append(anns.ok, okAnn{
+					analyzer: fields[0],
+					line:     pos.Line,
+					file:     pos.Filename,
+					pos:      c.Pos(),
+				})
 			}
 		}
 	}
@@ -145,23 +128,4 @@ func (a *annotations) staleSuppressions(ran []*Analyzer) []Diagnostic {
 		}
 	}
 	return out
-}
-
-// replayAnnotated reports whether the comment group carries a
-// well-formed //simlint:replay marker (checkpointcov's re-derived-by-
-// replay exemption).
-func replayAnnotated(groups ...*ast.CommentGroup) bool {
-	for _, cg := range groups {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			text := strings.TrimSpace(c.Text)
-			if strings.HasPrefix(text, replayPrefix) &&
-				len(strings.Fields(strings.TrimPrefix(text, replayPrefix))) > 0 {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -75,19 +75,3 @@ var unexcused = map[int]int{}
 		t.Fatalf("maporder should have nothing to say here, got %v", got)
 	}
 }
-
-// A reason-less //simlint:replay is reported even when no analyzer in
-// the run consumes replay markers.
-func TestMalformedReplayReported(t *testing.T) {
-	pkg := loadSrc(t, "p", `package p
-
-type T struct {
-	//simlint:replay
-	mask uint64
-}
-`)
-	diags := Run(pkg, []*Analyzer{CheckpointCov})
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "simlint:replay annotation needs a reason") {
-		t.Fatalf("want the malformed-replay diagnostic, got %v", diags)
-	}
-}

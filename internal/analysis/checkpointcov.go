@@ -12,9 +12,6 @@ import (
 //   - touched by SaveState or LoadState (directly, or through another
 //     method of the same type that they call — helpers and nested
 //     component SaveState fan-out both count), or
-//   - marked `//simlint:replay <reason>`: the field's post-warm value
-//     is re-derived by the deterministic replay fast-forward
-//     (skipThread) rather than serialized, or
 //   - exempted with `//simlint:ok checkpointcov <reason>` (typically
 //     configuration fixed at construction, checked for geometry
 //     mismatch instead of being restored).
@@ -26,7 +23,7 @@ import (
 // analyzer moves that failure to vet time and names the field.
 var CheckpointCov = &Analyzer{
 	Name: "checkpointcov",
-	Doc:  "verifies every field of a SaveState/LoadState type is serialized, replay-derived (//simlint:replay), or exempted",
+	Doc:  "verifies every field of a SaveState/LoadState type is serialized or exempted",
 	Run:  runCheckpointCov,
 }
 
@@ -77,16 +74,12 @@ func runCheckpointCov(pass *Pass) error {
 			if covered[fv] {
 				continue
 			}
-			af := fieldDecl[fv]
-			if af != nil && replayAnnotated(af.Doc, af.Comment) {
-				continue
-			}
 			pos := tn.Pos()
-			if af != nil {
+			if af := fieldDecl[fv]; af != nil {
 				pos = af.Pos()
 			}
 			pass.Reportf(pos,
-				"field %s.%s is not covered by SaveState/LoadState: serialize it, mark it //simlint:replay <reason>, or annotate //simlint:ok checkpointcov <reason>",
+				"field %s.%s is not covered by SaveState/LoadState: serialize it, or annotate //simlint:ok checkpointcov <reason>",
 				tn.Name(), fv.Name())
 		}
 	}

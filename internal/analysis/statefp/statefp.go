@@ -5,9 +5,8 @@
 // LoadState methods) contributes one fingerprint: a SHA-256 over the
 // canonical description of its serialized fields, with in-module named
 // struct types expanded transitively so a field added three levels down
-// still changes the hash. Fields excluded from serialization —
-// `//simlint:replay` (re-derived by replay fast-forward) and
-// `//simlint:ok checkpointcov` (construction-time configuration) — are
+// still changes the hash. Fields excluded from serialization with
+// `//simlint:ok checkpointcov` (construction-time configuration) are
 // excluded from the fingerprint too: they are not part of the on-disk
 // format.
 //
@@ -208,7 +207,7 @@ func (l *loader) canonType(t types.Type, seen map[*types.Named]bool) string {
 }
 
 // excludedFields maps tn's fields that are annotated out of
-// serialization: //simlint:replay and //simlint:ok checkpointcov.
+// serialization with //simlint:ok checkpointcov.
 func excludedFields(info *pkgInfo, tn *types.TypeName, st *types.Struct) map[*types.Var]bool {
 	out := map[*types.Var]bool{}
 	for _, f := range info.files {
@@ -248,8 +247,7 @@ func fieldExcluded(field *ast.Field) bool {
 		for _, c := range cg.List {
 			text := strings.TrimPrefix(c.Text, "//")
 			text = strings.TrimSpace(text)
-			if strings.HasPrefix(text, "simlint:replay") ||
-				strings.HasPrefix(text, "simlint:ok checkpointcov") {
+			if strings.HasPrefix(text, "simlint:ok checkpointcov") {
 				return true
 			}
 		}

@@ -22,7 +22,7 @@ type Core struct {
 	Cycles uint64
 	PC     uint64
 ` + extraField + `
-	scratch int //simlint:replay re-derived by replay fast-forward
+	scratch int //simlint:ok checkpointcov per-call scratch, rebuilt by every use
 }
 
 func (c *Core) SaveState() {}
@@ -79,10 +79,10 @@ func TestComputeFindsCheckpointedTypes(t *testing.T) {
 	if !ok {
 		t.Fatalf("tmpmod/state.Core not fingerprinted; have %v", s.Types)
 	}
-	// The replay-annotated field is not part of the on-disk format.
+	// The exempted field is not part of the on-disk format.
 	for _, f := range ts.Fields {
 		if strings.Contains(f, "scratch") {
-			t.Fatalf("replay-excluded field in schema: %v", ts.Fields)
+			t.Fatalf("checkpointcov-exempted field in schema: %v", ts.Fields)
 		}
 	}
 	if len(ts.Fields) != 2 {

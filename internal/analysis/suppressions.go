@@ -10,20 +10,16 @@ import (
 	"strings"
 )
 
-// Suppression is one standing annotation in the tree: a //simlint:ok
-// exemption or a //simlint:replay field marker. The list is the audit
-// surface behind `simlint -suppressions`, which regenerates the
-// DESIGN.md §8/§9 suppression tables — every exemption is a reviewed
-// decision with a stated reason, enumerable on demand.
+// Suppression is one standing //simlint:ok exemption in the tree. The
+// list is the audit surface behind `simlint -suppressions`, which
+// regenerates the DESIGN.md §8 suppression table — every exemption is
+// a reviewed decision with a stated reason, enumerable on demand.
 type Suppression struct {
 	// File is the path relative to the walk root, Line the 1-based
 	// annotation line.
 	File string
 	Line int
-	// Kind is "ok" or "replay".
-	Kind string
-	// Analyzer is the suppressed analyzer for Kind "ok"; "-" for replay
-	// markers (consumed by checkpointcov).
+	// Analyzer is the suppressed analyzer.
 	Analyzer string
 	// Reason is the annotation's mandatory justification text.
 	Reason string
@@ -64,25 +60,18 @@ func ListSuppressions(root string) ([]Suppression, error) {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(c.Text)
-				line := fset.Position(c.Pos()).Line
-				switch {
-				case strings.HasPrefix(text, okPrefix):
-					fields := strings.Fields(strings.TrimPrefix(text, okPrefix))
-					s := Suppression{File: rel, Line: line, Kind: "ok", Analyzer: "?", Reason: "(missing)"}
-					if len(fields) > 0 {
-						s.Analyzer = fields[0]
-					}
-					if len(fields) > 1 {
-						s.Reason = strings.Join(fields[1:], " ")
-					}
-					out = append(out, s)
-				case strings.HasPrefix(text, replayPrefix):
-					reason := strings.TrimSpace(strings.TrimPrefix(text, replayPrefix))
-					if reason == "" {
-						reason = "(missing)"
-					}
-					out = append(out, Suppression{File: rel, Line: line, Kind: "replay", Analyzer: "-", Reason: reason})
+				if !strings.HasPrefix(text, okPrefix) {
+					continue
 				}
+				fields := strings.Fields(strings.TrimPrefix(text, okPrefix))
+				s := Suppression{File: rel, Line: fset.Position(c.Pos()).Line, Analyzer: "?", Reason: "(missing)"}
+				if len(fields) > 0 {
+					s.Analyzer = fields[0]
+				}
+				if len(fields) > 1 {
+					s.Reason = strings.Join(fields[1:], " ")
+				}
+				out = append(out, s)
 			}
 		}
 		return nil
@@ -103,11 +92,11 @@ func ListSuppressions(root string) ([]Suppression, error) {
 // embedded in DESIGN.md.
 func FormatSuppressions(sups []Suppression) string {
 	var b strings.Builder
-	b.WriteString("| Location | Kind | Analyzer | Reason |\n")
-	b.WriteString("|---|---|---|---|\n")
+	b.WriteString("| Location | Analyzer | Reason |\n")
+	b.WriteString("|---|---|---|\n")
 	for _, s := range sups {
 		loc := s.File + ":" + strconv.Itoa(s.Line)
-		b.WriteString("| `" + loc + "` | " + s.Kind + " | `" + s.Analyzer + "` | " + s.Reason + " |\n")
+		b.WriteString("| `" + loc + "` | `" + s.Analyzer + "` | " + s.Reason + " |\n")
 	}
 	return b.String()
 }

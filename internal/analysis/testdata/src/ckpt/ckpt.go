@@ -1,8 +1,8 @@
 // Package ckpt is the checkpointcov fixture: types implementing the
 // SaveState/LoadState snapshot protocol with one forgotten field (the
 // "field added, checkpoint forgot" drift the analyzer exists to catch),
-// one replay-derived field, one construction-time exemption, and
-// coverage that flows through a helper method.
+// construction-time exemptions, and coverage that flows through a
+// helper method.
 package ckpt
 
 // Writer and Reader are local stand-ins for checkpoint.Writer/Reader;
@@ -21,9 +21,9 @@ func (r *Reader) Struct(v any) {}
 // Table has every coverage class the analyzer distinguishes.
 type Table struct {
 	hist uint64
-	// mask is rebuilt from the configured size at construction; replay
-	// fast-forward re-derives it, so it is deliberately not serialized.
-	mask uint64 //simlint:replay re-derived from configuration at construction
+	// mask is rebuilt from the configured size at construction, so it
+	// is deliberately not serialized.
+	mask uint64 //simlint:ok checkpointcov re-derived from configuration at construction
 	// pos was added after SaveState was written — the drift bug.
 	pos     int // want `field Table.pos is not covered by SaveState/LoadState`
 	entries []uint64

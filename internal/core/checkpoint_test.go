@@ -15,8 +15,8 @@ import (
 //
 //	restore(save(warm)) + measure == warm + measure
 //
-// across every scale-out workload, one and two sockets, contiguous and
-// sampled measurement — the equivalence that licenses forking parameter
+// across every benchmark, one and two sockets, contiguous and sampled
+// measurement — the equivalence that licenses forking parameter
 // sweeps from a shared warm image. The comparison is on the serialized
 // measurement (the same JSON the CLIs emit rows from), so any drift in
 // any counter fails the harness.
@@ -48,7 +48,7 @@ func mustJSON(t *testing.T, m *Measurement) string {
 }
 
 func TestCheckpointDifferentialHarness(t *testing.T) {
-	for _, b := range ScaleOut() {
+	for _, b := range AllBenches() {
 		for _, sockets := range []int{1, 2} {
 			for _, sampled := range []bool{false, true} {
 				o := diffOptions(sockets, sampled)
@@ -327,8 +327,10 @@ func TestCheckpointMismatchedImageRetriesCold(t *testing.T) {
 	close(cell.done)
 	store.cells[key] = cell
 
-	o.Checkpoints = store
-	m, err := MeasureBench(b, o)
+	// Measure through a Runner: the cold retry stays one run.
+	r := NewRunner(1)
+	r.SetCheckpoints(store)
+	m, err := r.MeasureBench(b, o)
 	if err != nil {
 		t.Fatalf("mismatched image must fall back to cold warming: %v", err)
 	}
@@ -337,6 +339,9 @@ func TestCheckpointMismatchedImageRetriesCold(t *testing.T) {
 	}
 	if s := store.Stats(); s.Failures == 0 {
 		t.Fatalf("stats %+v, want the restore failure counted", s)
+	}
+	if s := runnerStats(t, r); s.Runs != 1 {
+		t.Fatalf("runner stats %+v, want the cold retry counted as one run", s)
 	}
 }
 

@@ -250,7 +250,7 @@ func TestImplicationsDensityGain(t *testing.T) {
 	// higher computational density on a scale-out workload.
 	e := ScaleOutEntries()[5] // Web Search
 	o := fastOptions()
-	rows, err := Implications([]Entry{e}, o)
+	rows, err := NewRunner(1).Implications([]Entry{e}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestInstructionPrefetchStudyDirections(t *testing.T) {
 	// scale-out workload; next-line sits in between (Section 4.1).
 	e := ScaleOutEntries()[0] // Data Serving
 	o := fastOptions()
-	rows, err := InstructionPrefetchStudy([]Entry{e}, o)
+	rows, err := NewRunner(1).InstructionPrefetchStudy([]Entry{e}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestInstructionPrefetchStudyDirections(t *testing.T) {
 
 func TestValidateClaimsHold(t *testing.T) {
 	o := fastOptions()
-	claims, err := Validate(o)
+	claims, err := NewRunner(1).Validate(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestImplicationsEnergyEfficiency(t *testing.T) {
 	// The optimized design must also win on the paper's per-operation
 	// energy metric, not just density.
 	e := ScaleOutEntries()[0] // Data Serving
-	rows, err := Implications([]Entry{e}, fastOptions())
+	rows, err := NewRunner(1).Implications([]Entry{e}, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

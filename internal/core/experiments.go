@@ -35,12 +35,6 @@ type BreakdownRow struct {
 	MemoryCI Estimate
 }
 
-// Figure1 measures the execution-time breakdown of the given entries
-// serially; see (*Runner).Figure1.
-func Figure1(entries []Entry, o Options) ([]BreakdownRow, error) {
-	return NewRunner(1).Figure1(entries, o)
-}
-
 // Figure1 measures the execution-time breakdown of the given entries.
 func (r *Runner) Figure1(entries []Entry, o Options) ([]BreakdownRow, error) {
 	results, err := r.measureEntrySets(entrySets(entries, o))
@@ -92,12 +86,6 @@ type InstrMissRow struct {
 	ShowOS bool
 }
 
-// Figure2 measures instruction-cache miss rates serially; see
-// (*Runner).Figure2.
-func Figure2(entries []Entry, o Options) ([]InstrMissRow, error) {
-	return NewRunner(1).Figure2(entries, o)
-}
-
 // Figure2 measures instruction-cache miss rates.
 func (r *Runner) Figure2(entries []Entry, o Options) ([]InstrMissRow, error) {
 	results, err := r.measureEntrySets(entrySets(entries, o))
@@ -135,12 +123,6 @@ type IPCMLPRow struct {
 	// intervals (zero width when sampling is off). The Lo/Hi pairs above
 	// are member min/max spreads, not statistical intervals.
 	IPCCI, MLPCI Estimate
-}
-
-// Figure3 measures IPC and MLP for baseline and SMT configurations
-// serially; see (*Runner).Figure3.
-func Figure3(entries []Entry, o Options) ([]IPCMLPRow, error) {
-	return NewRunner(1).Figure3(entries, o)
 }
 
 // Figure3 measures IPC and MLP for baseline and SMT configurations.
@@ -191,12 +173,6 @@ type LLCPoint struct {
 type LLCSeries struct {
 	Label  string
 	Points []LLCPoint
-}
-
-// Figure4 sweeps effective LLC capacity serially; see
-// (*Runner).Figure4.
-func Figure4(groups map[string][]Entry, capacitiesMB []int, o Options) ([]LLCSeries, error) {
-	return NewRunner(1).Figure4(groups, capacitiesMB, o)
 }
 
 // Figure4 sweeps effective LLC capacity using cache-polluting threads
@@ -305,12 +281,6 @@ type PrefetchRow struct {
 	HWDisabled       float64
 }
 
-// Figure5 measures L2 hit-ratio prefetcher sensitivity serially; see
-// (*Runner).Figure5.
-func Figure5(entries []Entry, o Options) ([]PrefetchRow, error) {
-	return NewRunner(1).Figure5(entries, o)
-}
-
 // Figure5 measures L2 hit-ratio sensitivity to the prefetchers.
 func (r *Runner) Figure5(entries []Entry, o Options) ([]PrefetchRow, error) {
 	mk := func(adj, hw bool) *Machine {
@@ -352,11 +322,6 @@ type SharingRow struct {
 	OS    float64
 }
 
-// Figure6 measures read-write sharing serially; see (*Runner).Figure6.
-func Figure6(entries []Entry, o Options) ([]SharingRow, error) {
-	return NewRunner(1).Figure6(entries, o)
-}
-
 // Figure6 measures read-write sharing with threads split across two
 // sockets (Section 3.1's configuration).
 func (r *Runner) Figure6(entries []Entry, o Options) ([]SharingRow, error) {
@@ -385,12 +350,6 @@ type BandwidthRow struct {
 	// TotalCI is the 95% confidence interval of the total utilisation
 	// (zero width when sampling is off).
 	TotalCI Estimate
-}
-
-// Figure7 measures off-chip bandwidth utilisation serially; see
-// (*Runner).Figure7.
-func Figure7(entries []Entry, o Options) ([]BandwidthRow, error) {
-	return NewRunner(1).Figure7(entries, o)
 }
 
 // Figure7 measures off-chip bandwidth utilisation.

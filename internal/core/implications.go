@@ -93,12 +93,6 @@ type ImplicationRow struct {
 	OptPJPerInstr  float64
 }
 
-// Implications measures entries on the conventional and optimized
-// designs serially; see (*Runner).Implications.
-func Implications(entries []Entry, o Options) ([]ImplicationRow, error) {
-	return NewRunner(1).Implications(entries, o)
-}
-
 // Implications measures entries on the Table-1 machine and on the
 // scale-out-optimized design, comparing chip-level computational
 // density (Section 6: "improved computational density and power
@@ -156,12 +150,6 @@ type IPrefRow struct {
 	MPKINone, MPKINextLine, MPKIStream float64
 	// IPC under each front-end.
 	IPCNone, IPCNextLine, IPCStream float64
-}
-
-// InstructionPrefetchStudy compares instruction-prefetch front-ends
-// serially; see (*Runner).InstructionPrefetchStudy.
-func InstructionPrefetchStudy(entries []Entry, o Options) ([]IPrefRow, error) {
-	return NewRunner(1).InstructionPrefetchStudy(entries, o)
 }
 
 // InstructionPrefetchStudy measures entries with no instruction

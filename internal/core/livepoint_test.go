@@ -11,34 +11,29 @@ import (
 )
 
 // saveAll serializes a workload's complete generator half — shared
-// structures plus every thread generator — the way a live image does.
-func saveAll(t *testing.T, st workloads.Stateful, gens []*trace.StepGen) *checkpoint.Snapshot {
+// structures plus every thread generator — the way a warm image does.
+func saveAll(t *testing.T, w workloads.Workload, gens []*trace.StepGen) *checkpoint.Snapshot {
 	t.Helper()
-	w := checkpoint.NewWriter()
-	st.SaveShared(w)
+	wr := checkpoint.NewWriter()
+	w.SaveShared(wr)
 	for _, g := range gens {
 		if !g.CanSave() {
 			t.Fatal("generator reports CanSave() == false")
 		}
-		g.SaveState(w)
+		g.SaveState(wr)
 	}
-	return w.Snapshot("roundtrip")
+	return wr.Snapshot("roundtrip")
 }
 
-// TestWorkloadStateRoundTrip: for every scale-out workload,
+// TestWorkloadStateRoundTrip: for every benchmark,
 // save -> load-into-fresh-instance -> save must reproduce the state
 // bytes exactly. This is the workload-local contract behind pure-load
 // restore: if a field were dropped or restored approximately, the
 // second save would differ.
 func TestWorkloadStateRoundTrip(t *testing.T) {
 	const threads, seed = 4, 7
-	for _, b := range ScaleOut() {
+	for _, b := range AllBenches() {
 		w := b.New()
-		st, ok := w.(workloads.Stateful)
-		if !ok {
-			t.Errorf("%s: scale-out workload is not live-point capable", b.Name)
-			continue
-		}
 		gens := w.Start(threads, seed)
 		// Advance each thread unevenly so the saved state is past the
 		// initial conditions and differs per thread.
@@ -52,14 +47,13 @@ func TestWorkloadStateRoundTrip(t *testing.T) {
 				drained += n
 			}
 		}
-		first := saveAll(t, st, gens)
+		first := saveAll(t, w, gens)
 
 		// A fresh instance, never advanced, absorbs the saved state...
 		w2 := b.New()
-		st2 := w2.(workloads.Stateful)
 		gens2 := w2.Start(threads, seed)
 		rd := first.Reader()
-		st2.LoadShared(rd)
+		w2.LoadShared(rd)
 		for _, g := range gens2 {
 			g.LoadState(rd)
 		}
@@ -68,53 +62,12 @@ func TestWorkloadStateRoundTrip(t *testing.T) {
 		}
 
 		// ...and must serialize to the identical bytes.
-		second := saveAll(t, st2, gens2)
+		second := saveAll(t, w2, gens2)
 		if first.Hash() != second.Hash() {
 			t.Errorf("%s: save -> load -> save changed the state bytes", b.Name)
 		}
 		for _, g := range append(gens, gens2...) {
 			g.Close()
-		}
-	}
-}
-
-// TestCheckpointReplayFlavorDifferential: the traditional-benchmark
-// proxies do not serialize their generator state, so their images use
-// the replay flavor — restore fast-forwards fresh generators through
-// the warm pull sequence. That path must stay byte-identical to cold
-// runs too.
-func TestCheckpointReplayFlavorDifferential(t *testing.T) {
-	for _, name := range []string{"SPECint (mcf)", "TPC-C"} {
-		b, ok := FindBench(name)
-		if !ok {
-			t.Fatalf("bench %q missing", name)
-		}
-		if _, live := b.New().(workloads.Stateful); live {
-			t.Fatalf("%s: expected a replay-flavor (non-Stateful) workload", name)
-		}
-		o := diffOptions(1, false)
-
-		cold, err := MeasureBench(b, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		store, err := NewCheckpointStore("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.Checkpoints = store
-		if _, err := MeasureBench(b, o); err != nil {
-			t.Fatal(err)
-		}
-		forked, err := MeasureBench(b, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mustJSON(t, forked) != mustJSON(t, cold) {
-			t.Fatalf("%s: replay-flavor fork differs from cold run", name)
-		}
-		if s := store.Stats(); s.Saves != 1 || s.MemoryHits != 1 {
-			t.Fatalf("%s: store stats %+v, want 1 save and 1 memory hit", name, s)
 		}
 	}
 }

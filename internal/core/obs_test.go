@@ -102,12 +102,6 @@ func TestObsArmedVsUnarmedByteIdentity(t *testing.T) {
 	if s.Histograms["engine.phase.ckpt_restore"].SumNS == 0 {
 		t.Fatal("armed restored runs recorded no ckpt_restore time")
 	}
-	// The scale-out workloads are all live-point capable, so their forks
-	// restore by a pure load: no generator replay may be attributed.
-	if seg := s.Histograms["engine.phase.ckpt_replay"]; seg.Count != 0 {
-		t.Fatalf("live-image forks attributed %d ckpt_replay segments (%dns); pure-load restore must not replay",
-			seg.Count, seg.SumNS)
-	}
 	if s.Counters["ckpt.hits.memory"] != n {
 		t.Fatalf("ckpt.hits.memory = %d, want %d", s.Counters["ckpt.hits.memory"], n)
 	}
@@ -213,7 +207,7 @@ func TestRunnerStatsConsistentUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := r.Stats()
+	s := runnerStats(t, r)
 	uniq := int64(len(ScaleOut()))
 	if s.Requests != int64(len(reqs)) || s.Runs != uniq || s.CacheHits != int64(len(reqs))-uniq {
 		t.Fatalf("final stats %+v, want %d requests = %d runs + %d hits",

@@ -260,15 +260,9 @@ func Measure(w workloads.Workload, o Options) (*Measurement, error) {
 		MeasureInsts:         c.measureInsts,
 		MaxCycles:            c.measureInsts * int64(nThreads) * 40,
 		CheckInvariantsEvery: o.InvariantChecks,
+		SaveShared:           w.SaveShared,
+		LoadShared:           w.LoadShared,
 		Obs:                  ro,
-	}
-	// Live-point capability: a workload that can serialize its shared
-	// structures upgrades checkpoints to the live flavor (pure-load
-	// restore, no warmup replay) — provided every thread generator is
-	// also serializable, which the engine verifies at save time.
-	if st, ok := w.(workloads.Stateful); ok {
-		cfg.SaveShared = st.SaveShared
-		cfg.LoadShared = st.LoadShared
 	}
 	if c.sampling.Enabled() {
 		// Sampled mode: N timed intervals of IntervalInsts each, every
@@ -429,7 +423,7 @@ func polluterCores(coreOf []int, mem cache.SystemConfig) ([]int, error) {
 // polluterProg is one cache-polluter thread: it traverses a private
 // array in a pseudo-random sequence sized so that accesses miss the
 // upper-level caches but hit (and therefore occupy) the LLC. It is
-// Stateful, so polluted configurations stay live-point capable.
+// Stateful, so polluted configurations can checkpoint.
 type polluterProg struct {
 	fn    *trace.Func //simlint:ok checkpointcov construction-time code layout
 	rnd   *rng.Rand
@@ -514,19 +508,6 @@ func MeasureBench(b Bench, o Options) (*Measurement, error) {
 type EntryResult struct {
 	Label        string
 	Measurements []*Measurement
-}
-
-// MeasureEntry measures every member of e.
-func MeasureEntry(e Entry, o Options) (*EntryResult, error) {
-	r := &EntryResult{Label: e.Label}
-	for _, b := range e.Members {
-		m, err := MeasureBench(b, o)
-		if err != nil {
-			return nil, err
-		}
-		r.Measurements = append(r.Measurements, m)
-	}
-	return r, nil
 }
 
 // MeanMinMax extracts f per member and returns the mean plus the

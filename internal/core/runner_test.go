@@ -6,6 +6,18 @@ import (
 	"testing"
 )
 
+// runnerStats reads r's counters and asserts the runner's conservation
+// law: every request is either a fresh run or a cache hit, on every
+// path (errors, memo hits, and checkpoint restores retried cold).
+func runnerStats(t *testing.T, r *Runner) RunnerStats {
+	t.Helper()
+	s := r.Stats()
+	if s.Requests != s.Runs+s.CacheHits {
+		t.Fatalf("runner stats %+v break Requests == Runs + CacheHits", s)
+	}
+	return s
+}
+
 // TestMeasureIsBitReproducible pins the determinism contract the Runner
 // is built on: the same (benchmark, options) measures to the exact same
 // counters, because trace generation runs in lockstep with the
@@ -46,12 +58,12 @@ func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSerialAndParallelFigure1Identical checks the package-level serial
-// driver against a parallel Runner for several figures' row types.
+// TestSerialAndParallelFigure1Identical checks a serial Runner against
+// a parallel one for Figure 1, then Figure 2's reuse of the cache.
 func TestSerialAndParallelFigure1Identical(t *testing.T) {
 	entries := ScaleOutEntries()[:2]
 	o := fastOptions()
-	serial, err := Figure1(entries, o)
+	serial, err := NewRunner(1).Figure1(entries, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +77,11 @@ func TestSerialAndParallelFigure1Identical(t *testing.T) {
 	}
 	// Figure 2 on the same runner reuses Figure 1's measurements: same
 	// entries, same options, different aggregation.
-	before := r.Stats()
+	before := runnerStats(t, r)
 	if _, err := r.Figure2(entries, o); err != nil {
 		t.Fatal(err)
 	}
-	after := r.Stats()
+	after := runnerStats(t, r)
 	if after.Runs != before.Runs {
 		t.Fatalf("Figure2 re-simulated cached configurations: %d -> %d runs", before.Runs, after.Runs)
 	}
@@ -96,7 +108,7 @@ func TestRunnerCacheHitAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := r.Stats()
+	s := runnerStats(t, r)
 	if s.Requests != 4 || s.Runs != 2 || s.CacheHits != 2 {
 		t.Fatalf("stats after first batch = %+v, want 4 requests, 2 runs, 2 hits", s)
 	}
@@ -110,7 +122,7 @@ func TestRunnerCacheHitAccounting(t *testing.T) {
 	if _, err := r.MeasureAll(reqs); err != nil {
 		t.Fatal(err)
 	}
-	s = r.Stats()
+	s = runnerStats(t, r)
 	if s.Requests != 8 || s.Runs != 2 || s.CacheHits != 6 {
 		t.Fatalf("stats after second batch = %+v, want 8 requests, 2 runs, 6 hits", s)
 	}
@@ -133,7 +145,7 @@ func TestRunnerCanonicalizesOptions(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if s := r.Stats(); s.Runs != 1 || s.CacheHits != 1 {
+	if s := runnerStats(t, r); s.Runs != 1 || s.CacheHits != 1 {
 		t.Fatalf("equivalent options did not share a cache slot: %+v", s)
 	}
 }
@@ -149,14 +161,14 @@ func TestRunnerErrorPropagation(t *testing.T) {
 	if _, err := r.MeasureAll([]MeasureRequest{{Bench: b, Options: bad}}); err == nil {
 		t.Fatal("expected error for polluters without spare cores")
 	}
-	if s := r.Stats(); s.Errors != 1 {
+	if s := runnerStats(t, r); s.Errors != 1 {
 		t.Fatalf("error not accounted: %+v", s)
 	}
 	// The failure is memoized like any result: retrying does not rerun.
 	if _, err := r.MeasureAll([]MeasureRequest{{Bench: b, Options: bad}}); err == nil {
 		t.Fatal("cached failure lost")
 	}
-	if s := r.Stats(); s.Runs != 1 {
+	if s := runnerStats(t, r); s.Runs != 1 {
 		t.Fatalf("failed configuration was re-simulated: %+v", s)
 	}
 }
@@ -201,10 +213,10 @@ func TestRunnerProgressEvents(t *testing.T) {
 }
 
 // TestRunnerValidateMatchesSerial checks the batched Validate against
-// the serial package-level one.
+// a serial Runner.
 func TestRunnerValidateMatchesSerial(t *testing.T) {
 	o := fastOptions()
-	serial, err := Validate(o)
+	serial, err := NewRunner(1).Validate(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +280,7 @@ func TestRunnerSharedAcrossGoroutines(t *testing.T) {
 	if !reflect.DeepEqual(out[0], out[1]) {
 		t.Fatal("concurrent callers saw different results for identical batches")
 	}
-	if s := r.Stats(); s.Requests != 4 || s.Runs != 2 || s.CacheHits != 2 {
+	if s := runnerStats(t, r); s.Requests != 4 || s.Runs != 2 || s.CacheHits != 2 {
 		t.Fatalf("stats = %+v, want 4 requests, 2 runs, 2 hits", s)
 	}
 }

@@ -69,7 +69,7 @@ func TestMemoKeyIncludesSampling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := r.Stats()
+	s := runnerStats(t, r)
 	if s.Runs != 3 || s.CacheHits != 1 {
 		t.Fatalf("runs/hits = %d/%d, want 3/1 (contiguous, 4-interval, 6-interval, repeat)", s.Runs, s.CacheHits)
 	}
@@ -95,7 +95,7 @@ func TestSamplingSpellingsShareCacheSlot(t *testing.T) {
 	if _, err := r.MeasureBench(b, long); err != nil {
 		t.Fatal(err)
 	}
-	if s := r.Stats(); s.Runs != 1 || s.CacheHits != 1 {
+	if s := runnerStats(t, r); s.Runs != 1 || s.CacheHits != 1 {
 		t.Fatalf("runs/hits = %d/%d, want 1/1", s.Runs, s.CacheHits)
 	}
 }

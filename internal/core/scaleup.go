@@ -59,12 +59,6 @@ type ScaleUpRow struct {
 	Cells []ScaleUpCell
 }
 
-// ScaleUpStudy runs the scale-up sweep serially; see
-// (*Runner).ScaleUpStudy.
-func ScaleUpStudy(entries []Entry, points []ScalePoint, o Options) ([]ScaleUpRow, error) {
-	return NewRunner(1).ScaleUpStudy(entries, points, o)
-}
-
 // ScaleUpStudy measures every entry at every sweep point. The whole
 // matrix is enumerated up front and submitted as one batch, so the
 // worker pool sees all the parallelism at once.

@@ -91,7 +91,7 @@ func TestScaleUpStudy(t *testing.T) {
 	if _, err := r2.ScaleUpStudy(entries, points, o); err != nil {
 		t.Fatal(err)
 	}
-	s := r2.Stats()
+	s := runnerStats(t, r2)
 	if s.CacheHits != s.Requests/2 {
 		t.Errorf("second sweep not cached: %+v", s)
 	}

@@ -17,12 +17,6 @@ type Claim struct {
 	Detail string
 }
 
-// Validate measures a minimal set of workloads serially and checks the
-// paper's headline claims; see (*Runner).Validate.
-func Validate(o Options) ([]Claim, error) {
-	return NewRunner(1).Validate(o)
-}
-
 // Validate measures a minimal set of workloads and checks the paper's
 // headline claims. It is the programmatic counterpart of the
 // integration test suite, usable from tools and CI. The full

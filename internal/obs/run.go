@@ -19,7 +19,7 @@ import "time"
 // mechanism: the engine's batch-pull site brackets the generator call
 // with Enter(PhaseTraceGen)/Enter(prev), so generation time is carved
 // out of whatever phase it happens inside (functional warming, a timed
-// window, or checkpoint replay) and attributed to trace_gen. Metrics
+// window, or detailed warming) and attributed to trace_gen. Metrics
 // are therefore exclusive; the coarse trace SPANS (warm, window,
 // restore...) are inclusive wall intervals — the two views answer
 // different questions and both are emitted.
@@ -49,10 +49,6 @@ const (
 	PhaseCkptSave
 	// PhaseCkptRestore is warm-image deserialization into the machine.
 	PhaseCkptRestore
-	// PhaseCkptReplay is the generator fast-forward of a restored run
-	// (minus the generation itself, which lands in PhaseTraceGen —
-	// the split that shows replay cost IS trace generation).
-	PhaseCkptReplay
 	numPhases
 )
 
@@ -63,7 +59,7 @@ const (
 var phaseNames = [numPhases]string{
 	"setup", "trace_gen", "func_warm", "detail_warm",
 	"timed_window", "sample_interval",
-	"ckpt_save", "ckpt_restore", "ckpt_replay",
+	"ckpt_save", "ckpt_restore",
 }
 
 func (p Phase) String() string {

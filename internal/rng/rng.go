@@ -6,7 +6,7 @@
 // warm image could only re-derive stream positions by replaying the
 // workload to the warm point. This Rand exposes SaveState/LoadState
 // over the checkpoint Writer/Reader, making the RNG a first-class part
-// of the warm-image format (checkpoint format v3).
+// of the warm-image format.
 //
 // The core generator is xoshiro256** (Blackman/Vigna): 256 bits of
 // state, four uint64 words, equidistributed in 4 dimensions and far

@@ -8,18 +8,13 @@
 // machine (checkpointed sampling in the SMARTS/TurboSMARTS live-points
 // tradition).
 //
-// Since format v3 a warm image also carries the generator half of the
-// machine when the workload supports it (the "live" flavor, in the
-// live-points sense): emitter RNG and call-stack state, per-thread
-// program state, the workload's shared structures, and the engine's
-// undrained fetch buffers. Restoring a live image is a pure load — no
-// part of the warmup instruction stream is re-executed. Workloads
-// without save support (the traditional-benchmark proxies) fall back
-// to the "replay" flavor: fresh generators fast-forward through the
-// identical pull sequence, re-deriving workload state by replay while
-// the machine state loads from the snapshot (see
-// engine.RunConfig.Restore). The differential test harness proves both
-// compositions byte-identical to a cold run.
+// A warm image also carries the generator half of the machine (a
+// "live" image, in the live-points sense): emitter RNG and call-stack
+// state, per-thread program state, the workload's shared structures,
+// and the engine's undrained fetch buffers. Restoring it is a pure
+// load — no part of the warmup instruction stream is re-executed (see
+// engine.RunConfig.Restore). The differential test harness proves the
+// restore byte-identical to a cold run for every benchmark.
 //
 // Container layout (all little-endian):
 //
@@ -59,8 +54,11 @@ import (
 // bitmask; v2 stores the sparse sharer-set encoding that tracks up to
 // 256 cores; v3 appends the generator section (live/replay flavor
 // byte, workload shared state, per-thread generator state, residual
-// fetch buffers) so live images restore by a pure load.
-const Version = 3
+// fetch buffers) so live images restore by a pure load; v4 drops the
+// replay flavor: every image carries the generator section, led by a
+// shared-state presence flag, and the traditional proxies serialize
+// their threads.
+const Version = 4
 
 //simlint:ok globalrand write-once file-format magic, read-only after initialization
 var magic = [8]byte{'C', 'S', 'C', 'K', 'P', 'T', '0', '1'}

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"cloudsuite/internal/obs"
 	"cloudsuite/internal/sim/cache"
 	"cloudsuite/internal/sim/checkpoint"
 )
@@ -17,57 +16,40 @@ import (
 // with directory state, prefetchers, per-core counters, DRAM
 // controllers).
 //
-// Generator half — one of two flavors, chosen at save time:
-//
-//   - live (flavorLive): the workload supports serialization
-//     (RunConfig.SaveShared is set and every generator CanSave), so the
-//     image stores the workload's shared structures, every thread's
-//     generator state (emitter RNG, call stack, program state, buffered
-//     residue), and the engine's undrained per-context fetch buffers.
-//     Restore is a pure load: no part of the warmup instruction stream
-//     is re-executed, so fork cost is independent of WarmupInsts.
-//
-//   - replay (flavorReplay): nothing is stored. Workload goroutineless
-//     generators are deterministic in the simulator's pull order, so a
-//     restored run replays warmThread's exact pull pattern (same
-//     per-thread order, same per-instruction peek/advance, same buffer
-//     geometry) against fresh generators, re-deriving the workload and
-//     OS-kernel state while the machine state loads from the snapshot.
-//     This is the v2-compatible path; the traditional-benchmark proxies
-//     keep it exercised.
+// Generator half — the workload's shared structures (RunConfig.
+// SaveShared, when set), every thread's generator state (for a
+// trace.StepGen: emitter RNG, call stack, program state, buffered
+// residue), and the engine's undrained per-context fetch buffers.
+// Restore is a pure load: no part of the warmup instruction stream is
+// re-executed, so fork cost is independent of WarmupInsts. A run that
+// checkpoints or restores must have a serializable generator on every
+// thread; Run checks that before it starts.
 //
 // The differential harness in internal/core proves restore(save(warm))
-// + measure == warm + measure byte-for-byte for both flavors.
+// + measure == warm + measure byte-for-byte for every benchmark.
 
-const (
-	flavorReplay uint8 = 0
-	flavorLive   uint8 = 1
-)
-
-// statefulGen is the generator side of a live-point checkpoint:
-// trace.StepGen implements it when its program is Stateful.
+// statefulGen is the generator side of a warm image: trace.StepGen
+// implements it (serializable when its program is Stateful), and so do
+// trace.SliceGen and trace.LoopGen.
 type statefulGen interface {
 	CanSave() bool
 	SaveState(w *checkpoint.Writer)
 	LoadState(rd *checkpoint.Reader)
 }
 
-// liveCapable reports whether every context's generator can serialize
-// its full state.
-func liveCapable(cores []*core) bool {
-	for _, co := range cores {
-		for _, ctx := range co.ctxs {
-			sg, ok := ctx.gen.(statefulGen)
-			if !ok || !sg.CanSave() {
-				return false
-			}
+// checkSerializable fails unless every thread's generator can
+// serialize its full state, which a checkpointed run requires.
+func checkSerializable(threads []Thread) error {
+	for i, t := range threads {
+		if sg, ok := t.Gen.(statefulGen); !ok || !sg.CanSave() {
+			return fmt.Errorf("engine: thread %d's generator (%T) cannot serialize its state, so the run cannot checkpoint or restore", i, t.Gen)
 		}
 	}
-	return true
+	return nil
 }
 
 // saveMachine serializes the complete warm image: machine half, then
-// the generator half in the richest flavor the run supports.
+// generator half.
 func saveMachine(cfg RunConfig, clock int64, cores []*core, mem *cache.System) *checkpoint.Snapshot {
 	w := checkpoint.NewWriter()
 	w.Tag("engine")
@@ -87,12 +69,10 @@ func saveMachine(cfg RunConfig, clock int64, cores []*core, mem *cache.System) *
 	mem.SaveState(w)
 
 	w.Tag("generators")
-	if cfg.SaveShared == nil || !liveCapable(cores) {
-		w.U8(flavorReplay)
-		return w.Snapshot(cfg.CheckpointKey)
+	w.Bool(cfg.SaveShared != nil)
+	if cfg.SaveShared != nil {
+		cfg.SaveShared(w)
 	}
-	w.U8(flavorLive)
-	cfg.SaveShared(w)
 	for _, co := range cores {
 		for _, ctx := range co.ctxs {
 			ctx.gen.(statefulGen).SaveState(w)
@@ -110,9 +90,9 @@ func saveMachine(cfg RunConfig, clock int64, cores []*core, mem *cache.System) *
 }
 
 // restoreRun loads a snapshot written by saveMachine into a
-// freshly-built machine of identical configuration, then brings the
-// generators to the warm point: by pure load for a live image, by
-// deterministic replay for a replay image.
+// freshly-built machine of identical configuration: machine state,
+// workload shared state, and every thread's generator state. Nothing
+// executes; fork cost is a deserialization, not a replay.
 func restoreRun(snap *checkpoint.Snapshot, cfg RunConfig, cores []*core, mem *cache.System, clock *int64) error {
 	r := snap.Reader()
 	r.Expect("engine")
@@ -142,33 +122,20 @@ func restoreRun(snap *checkpoint.Snapshot, cfg RunConfig, cores []*core, mem *ca
 	}
 
 	r.Expect("generators")
-	flavor := r.U8()
+	shared := r.Bool()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	switch flavor {
-	case flavorLive:
-		return restoreLive(r, cfg, cores)
-	case flavorReplay:
-		return replayGenerators(cfg, cores)
-	default:
-		return fmt.Errorf("engine: unknown generator flavor %d in snapshot", flavor)
-	}
-}
-
-// restoreLive loads the generator half of a live image: workload shared
-// state, per-thread generator state, and the engine's fetch buffers.
-// Nothing executes; fork cost is a deserialization, not a replay.
-func restoreLive(r *checkpoint.Reader, cfg RunConfig, cores []*core) error {
-	if cfg.LoadShared == nil {
-		return fmt.Errorf("engine: snapshot is a live image but the run has no shared-state loader")
-	}
-	if !liveCapable(cores) {
-		return fmt.Errorf("engine: snapshot is a live image but a generator cannot load state")
-	}
-	cfg.LoadShared(r)
-	if err := r.Err(); err != nil {
-		return err
+	switch {
+	case shared && cfg.LoadShared == nil:
+		return fmt.Errorf("engine: live image carries workload shared state, but the run has no shared-state loader")
+	case !shared && cfg.LoadShared != nil:
+		return fmt.Errorf("engine: run loads workload shared state, but the live image carries none")
+	case shared:
+		cfg.LoadShared(r)
+		if err := r.Err(); err != nil {
+			return err
+		}
 	}
 	for _, co := range cores {
 		for _, ctx := range co.ctxs {
@@ -188,46 +155,4 @@ func restoreLive(r *checkpoint.Reader, cfg RunConfig, cores []*core) error {
 		}
 	}
 	return r.Err()
-}
-
-// replayGenerators fast-forwards every context through the warm pull
-// sequence (the replay-flavor restore). A generator that runs dry
-// before reaching the warm point is a workload/image mismatch: the
-// restored run would measure a different execution, so it fails loudly
-// instead of silently diverging.
-func replayGenerators(cfg RunConfig, cores []*core) error {
-	span := cfg.Obs.SpanStart()
-	prev := cfg.Obs.Enter(obs.PhaseCkptReplay)
-	defer func() {
-		cfg.Obs.SpanEnd("ckpt-replay", span)
-		cfg.Obs.Enter(prev)
-	}()
-	for _, co := range cores {
-		for _, ctx := range co.ctxs {
-			if skipped := skipThread(ctx, cfg.WarmupInsts); skipped < cfg.WarmupInsts {
-				return fmt.Errorf("engine: replay fast-forward of thread %d ended after %d of %d instructions (snapshot does not match this workload)",
-					ctx.tid, skipped, cfg.WarmupInsts)
-			}
-		}
-	}
-	return nil
-}
-
-// skipThread fast-forwards ctx by up to insts instructions without
-// touching any machine state, returning how many it skipped. It mirrors
-// warmThread's consumption pattern exactly — one peek/advance per
-// instruction through the same buffer — so the sequence of batch pulls
-// (and therefore the deterministic workload interleaving) is identical
-// to the warm run the snapshot was taken from, leaving the generator,
-// its buffer, and the emitter behind it in precisely the checkpointed
-// position. A short count means the stream ended early; callers must
-// treat that as a failed restore, not a warm machine.
-func skipThread(ctx *context, insts int64) int64 {
-	for fetched := int64(0); fetched < insts; fetched++ {
-		if _, ok := ctx.peek(); !ok {
-			return fetched
-		}
-		ctx.advance()
-	}
-	return insts
 }

@@ -186,51 +186,48 @@ func TestRestoreRejectsMismatchedConfiguration(t *testing.T) {
 	}
 }
 
-// finiteThreads builds a thread set whose streams end after exactly n
-// instructions each (deterministic per seed).
-func finiteThreads(n int) []Thread {
-	take := func(seed int64) trace.Generator {
-		loop := mixedStream(seed, 1<<22, 4096).(*trace.LoopGen)
-		insts := make([]trace.Inst, n)
-		for i := range insts {
-			insts[i] = loop.Insts[i%len(loop.Insts)]
+// TestCheckpointNeedsSerializableGenerators: a checkpointed or
+// restored run whose generator cannot serialize its state — here a
+// StepGen over a plain ProgFunc — fails at Run start, before any
+// warming, instead of writing an image it could not restore.
+func TestCheckpointNeedsSerializableGenerators(t *testing.T) {
+	fn := trace.NewCodeLayout(0x40_0000, 1<<20).Func("plain", 64)
+	threads := func() []Thread {
+		prog := trace.ProgFunc(func(e *trace.Emitter) bool {
+			e.Call(fn)
+			e.ALUIndep(8)
+			e.Ret()
+			return true
+		})
+		return []Thread{
+			{Gen: mixedStream(1, 1<<22, 4096), Core: 0, Measured: true},
+			{Gen: trace.NewStepGen(trace.EmitterConfig{Seed: 1}, prog), Core: 1, Measured: true},
 		}
-		return &trace.SliceGen{Insts: insts}
 	}
-	return []Thread{
-		{Gen: take(1), Core: 0, Measured: true},
-		{Gen: take(2), Core: 1, Measured: true},
-	}
-}
-
-// TestReplayShortfallFailsRestore: a replay-flavor restore whose
-// generator stream ends before the warm point must fail with an error
-// reporting the shortfall — a short stream means the restored run would
-// measure a different execution than the one the image was taken from,
-// so it must never be passed off as a warm machine.
-func TestReplayShortfallFailsRestore(t *testing.T) {
-	cfg := twoSocketConfig()
-	cfg.WarmupInsts = 30_000
 	var snap *checkpoint.Snapshot
-	cfg.Checkpoint = func(s *checkpoint.Snapshot) { snap = s }
-	if _, err := Run(cfg, finiteThreads(50_000)); err != nil {
+	good := twoSocketConfig()
+	good.Checkpoint = func(s *checkpoint.Snapshot) { snap = s }
+	if _, err := Run(good, twoSocketThreads()); err != nil {
 		t.Fatal(err)
 	}
-	if snap == nil {
-		t.Fatal("Checkpoint callback never fired")
-	}
 
-	rcfg := twoSocketConfig()
-	rcfg.WarmupInsts = 30_000
-	rcfg.Restore = snap
-	_, err := Run(rcfg, finiteThreads(10_000))
-	if err == nil {
-		t.Fatal("restore with a short generator stream must fail, not silently diverge")
-	}
-	for _, want := range []string{"10000", "30000"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("shortfall error %q does not report %s", err, want)
+	save := twoSocketConfig()
+	fired := false
+	save.Checkpoint = func(*checkpoint.Snapshot) { fired = true }
+	restore := twoSocketConfig()
+	restore.Restore = snap
+	for name, cfg := range map[string]RunConfig{"checkpoint": save, "restore": restore} {
+		_, err := Run(cfg, threads())
+		if err == nil || !strings.Contains(err.Error(), "thread 1") || !strings.Contains(err.Error(), "cannot serialize") {
+			t.Errorf("%s: unserializable generator not rejected at start: %v", name, err)
 		}
+	}
+	if fired {
+		t.Fatal("Checkpoint fired for a run with an unserializable generator")
+	}
+	// Without checkpointing the same threads run normally.
+	if _, err := Run(twoSocketConfig(), threads()); err != nil {
+		t.Fatalf("uncheckpointed run rejected: %v", err)
 	}
 }
 
@@ -341,8 +338,8 @@ func TestLiveImageRestoresByPureLoad(t *testing.T) {
 }
 
 // TestLiveImageNeedsLoader: restoring a live image into a run that
-// cannot load shared state must fail loudly, not fall through to a
-// replay that was never recorded.
+// cannot load shared state must fail loudly, not misread the shared
+// state as the first generator's.
 func TestLiveImageNeedsLoader(t *testing.T) {
 	var snap *checkpoint.Snapshot
 	saveCfg, saveThreads := liveSetup()

@@ -111,21 +111,20 @@ type RunConfig struct {
 	// Checkpoint, when non-nil, is invoked once at the warm->measure
 	// boundary (after WarmupInsts of functional warming, before the
 	// first timed window) with a snapshot of the complete simulated-
-	// machine state — and, when SaveShared is set and every generator
-	// supports it, the complete generator state too (a "live" image
-	// that restores by a pure load). It is not invoked on restored
-	// runs. The callback runs on the simulation goroutine; a slow
-	// callback delays the measurement but cannot change its result.
+	// machine state and the complete generator state, an image that
+	// restores by a pure load. It is not invoked on restored runs. The
+	// callback runs on the simulation goroutine; a slow callback delays
+	// the measurement but cannot change its result. A run with
+	// Checkpoint or Restore set fails at start unless every thread's
+	// generator can serialize its state.
 	Checkpoint func(*checkpoint.Snapshot)
-	// SaveShared and LoadShared, when non-nil, serialize and restore
-	// the workload's shared structures (data-store contents, kernel
-	// state, allocator cursors — everything the per-thread generators
-	// reference but do not own). Setting SaveShared upgrades snapshots
-	// taken by this run to the live flavor if every thread's generator
-	// is also serializable; a live image restores without replaying
-	// any of the warmup instruction stream. LoadShared must accept
-	// exactly what SaveShared wrote (signatures match
-	// workloads.Stateful; errors flow through the Reader).
+	// SaveShared and LoadShared serialize and restore the workload's
+	// shared structures (data-store contents, kernel state, allocator
+	// cursors — everything the per-thread generators reference but do
+	// not own) as part of the image's generator half. Nil means the
+	// threads share no state. LoadShared must accept exactly what
+	// SaveShared wrote (signatures match workloads.Workload's
+	// SaveShared/LoadShared; errors flow through the Reader).
 	SaveShared func(*checkpoint.Writer)
 	LoadShared func(*checkpoint.Reader)
 	// CheckpointKey is the identity string recorded in snapshots taken
@@ -133,19 +132,13 @@ type RunConfig struct {
 	// configuration the image belongs to.
 	CheckpointKey string
 	// Restore, when non-nil, starts the run from the given warm
-	// snapshot instead of warming from cold. A live image restores by
-	// a pure load: machine state, workload shared state (via
-	// LoadShared), and every thread's generator state deserialize
-	// directly, with no instruction replay. A replay image instead
-	// fast-forwards the trace generators WarmupInsts per thread —
-	// re-running the workload deterministically so the emitters' RNG,
-	// stream positions, and all workload/OS-model state reach the warm
-	// point — while the machine state loads from the snapshot. The
-	// snapshot must come from a run with identical warm-relevant
-	// configuration (machine, threads, and WarmupInsts); mismatches —
-	// including a generator stream that ends before the warm point —
-	// fail with an error. A restored run is byte-identical to the warm
-	// run it forked from.
+	// snapshot instead of warming from cold. Restore is a pure load:
+	// machine state, workload shared state (via LoadShared), and every
+	// thread's generator state deserialize directly, with no
+	// instruction replay. The snapshot must come from a run with
+	// identical warm-relevant configuration (machine, threads, and
+	// WarmupInsts); mismatches fail with an error. A restored run is
+	// byte-identical to the warm run it forked from.
 	Restore *checkpoint.Snapshot
 
 	// CheckInvariantsEvery, when positive, arms the memory system's
@@ -159,7 +152,7 @@ type RunConfig struct {
 
 	// Obs, when non-nil, observes the run: wall time is attributed to
 	// phases (functional warming, detailed warming, timed windows,
-	// trace generation, checkpoint save/restore/replay) in the
+	// trace generation, checkpoint save/restore) in the
 	// observer's registry, and coarse spans land on the run's trace
 	// track. Observation is a pure observer — it reads the wall clock
 	// and writes only observer state, so an armed run is byte-identical
@@ -469,6 +462,11 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 		return nil, nil, fmt.Errorf("engine: sampling schedule (%d intervals, %d warm insts, %d detail insts) must be non-negative",
 			cfg.Intervals, cfg.IntervalWarmInsts, cfg.DetailWarmInsts)
 	}
+	if cfg.Checkpoint != nil || cfg.Restore != nil {
+		if err := checkSerializable(threads); err != nil {
+			return nil, nil, err
+		}
+	}
 	if cfg.Core.Width == 0 {
 		cfg.Core = DefaultCoreConfig()
 	}
@@ -527,18 +525,12 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 	// (cfg.Intervals >= 1) repeats the warm/measure alternation per
 	// interval; the contiguous mode is the one-window special case of
 	// the same loop, cycle-for-cycle identical to the pre-sampling
-	// engine. A restored run skips the machine side of warming entirely:
-	// generators fast-forward through the identical pull sequence and
-	// the warmed machine state loads from the snapshot.
+	// engine. A restored run skips warming entirely: the warmed machine
+	// and generator state load from the snapshot.
 	clock := int64(0)
 	if cfg.Restore != nil {
-		// Load the warm image instead of warming. The whole restore is
-		// ckpt_restore; only a replay-flavor image enters ckpt_replay
-		// (for its generator fast-forward), so live forks report
-		// ckpt_replay ~ 0. Metric attribution inside replay: generation
-		// lands in trace_gen (the carve-out in peek) — deliberately, so
-		// the breakdown shows that replay cost IS trace generation. The
-		// coarse spans are inclusive wall intervals.
+		// Load the warm image instead of warming; the whole load is
+		// ckpt_restore.
 		span := cfg.Obs.SpanStart()
 		prev := cfg.Obs.Enter(obs.PhaseCkptRestore)
 		err := restoreRun(cfg.Restore, cfg, cores, mem, &clock)

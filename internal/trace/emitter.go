@@ -101,8 +101,8 @@ type EmitterConfig struct {
 // Step method emits into the buffer and returns, and the owning StepGen
 // drains the buffer into the consumer. There is no workload goroutine,
 // which is what makes the whole generator — RNG, call stack, buffered
-// residue — serializable through SaveState/LoadState for live-point
-// checkpoints (checkpoint format v3).
+// residue — serializable through SaveState/LoadState for warm-image
+// checkpoints.
 type Emitter struct {
 	cfg   EmitterConfig
 	rng   *rng.Rand
@@ -528,10 +528,9 @@ type Initer interface {
 }
 
 // Stateful is implemented by programs whose complete per-thread state
-// can be serialized. When every thread of a workload is Stateful (and
-// the workload's shared structures serialize too), a warm image stores
-// the generator side of the machine and restore is a pure load with no
-// replay; otherwise the engine falls back to replay-based restore.
+// can be serialized. A warm image stores every thread's generator
+// state, so a checkpointed run needs every program to be Stateful; the
+// engine rejects one that is not before the run starts.
 type Stateful interface {
 	SaveState(w *checkpoint.Writer)
 	LoadState(rd *checkpoint.Reader)
@@ -591,8 +590,7 @@ func (g *StepGen) Close() {
 }
 
 // CanSave reports whether the full generator state — emitter plus
-// program — is serializable, making the thread eligible for live-point
-// (pure-load) checkpoints.
+// program — is serializable, which a checkpointed run requires.
 func (g *StepGen) CanSave() bool {
 	_, ok := g.prog.(Stateful)
 	return ok
@@ -600,7 +598,7 @@ func (g *StepGen) CanSave() bool {
 
 // SaveState serializes the generator: progress flag, emitter, and the
 // program's own per-thread state. It panics if CanSave is false; the
-// engine checks eligibility before choosing the live format.
+// engine checks every generator before a checkpointed run starts.
 func (g *StepGen) SaveState(w *checkpoint.Writer) {
 	w.Tag("stepgen")
 	w.Bool(g.done)

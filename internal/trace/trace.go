@@ -14,6 +14,8 @@
 // buffered, split into batches, and replayed without fix-ups.
 package trace
 
+import "cloudsuite/internal/sim/checkpoint"
+
 // Op classifies a dynamic instruction for the purposes of the timing model.
 type Op uint8
 
@@ -125,10 +127,50 @@ func (g *SliceGen) Next(out []Inst) int {
 // Reset rewinds the generator to the beginning of its slice.
 func (g *SliceGen) Reset() { g.pos = 0 }
 
+// CanSave reports that the cursor is the generator's whole state.
+func (g *SliceGen) CanSave() bool { return true }
+
+// SaveState serializes the cursor. The slice itself is construction-
+// time input; its length is recorded so a restore onto a different
+// slice fails instead of resuming mid-way through the wrong stream.
+func (g *SliceGen) SaveState(w *checkpoint.Writer) { saveCursor(w, "slicegen", len(g.Insts), g.pos) }
+
+// LoadState restores a cursor written by SaveState onto a generator
+// over a slice of the same length.
+func (g *SliceGen) LoadState(rd *checkpoint.Reader) { g.pos = loadCursor(rd, "slicegen", len(g.Insts)) }
+
 // LoopGen replays a fixed slice of instructions forever.
 type LoopGen struct {
 	Insts []Inst
 	pos   int
+}
+
+// CanSave reports that the cursor is the generator's whole state.
+func (g *LoopGen) CanSave() bool { return true }
+
+// SaveState serializes the cursor, as SliceGen.SaveState does.
+func (g *LoopGen) SaveState(w *checkpoint.Writer) { saveCursor(w, "loopgen", len(g.Insts), g.pos) }
+
+// LoadState restores a cursor written by SaveState.
+func (g *LoopGen) LoadState(rd *checkpoint.Reader) { g.pos = loadCursor(rd, "loopgen", len(g.Insts)) }
+
+func saveCursor(w *checkpoint.Writer, tag string, n, pos int) {
+	w.Tag(tag)
+	w.U64(uint64(n))
+	w.U64(uint64(pos))
+}
+
+func loadCursor(rd *checkpoint.Reader, tag string, n int) int {
+	rd.Expect(tag)
+	saved, pos := rd.U64(), rd.U64()
+	if rd.Err() != nil {
+		return 0
+	}
+	if saved != uint64(n) || pos > saved {
+		rd.Failf("%s: cursor %d over %d instructions does not fit a %d-instruction stream", tag, pos, saved, n)
+		return 0
+	}
+	return int(pos)
 }
 
 // Next implements Generator.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -372,6 +373,57 @@ func TestStepGenCanSaveFalseForPlainProg(t *testing.T) {
 	g := oneShot(EmitterConfig{Seed: 1}, func(e *Emitter) {})
 	if g.CanSave() {
 		t.Fatal("ProgFunc has no state; CanSave must be false")
+	}
+}
+
+// TestSliceLoopGenCursorRoundTrip: a SliceGen or LoopGen saved
+// mid-stream resumes on a fresh generator over the same slice at the
+// next instruction, and its cursor refuses a slice of another length.
+func TestSliceLoopGenCursorRoundTrip(t *testing.T) {
+	insts := make([]Inst, 100)
+	for i := range insts {
+		insts[i] = Inst{PC: 0x1000 + uint64(i)*InstBytes, Op: OpALU}
+	}
+	type cursorGen interface {
+		Generator
+		SaveState(w *checkpoint.Writer)
+		LoadState(rd *checkpoint.Reader)
+	}
+	for _, tc := range []struct {
+		name string
+		mk   func([]Inst) cursorGen
+	}{
+		{"slice", func(in []Inst) cursorGen { return &SliceGen{Insts: in} }},
+		{"loop", func(in []Inst) cursorGen { return &LoopGen{Insts: in} }},
+	} {
+		orig := tc.mk(insts)
+		orig.Next(make([]Inst, 37))
+		w := checkpoint.NewWriter()
+		orig.SaveState(w)
+		snap := w.Snapshot("cursor")
+
+		restored := tc.mk(insts)
+		rd := snap.Reader()
+		restored.LoadState(rd)
+		if err := rd.Err(); err != nil {
+			t.Fatalf("%s: load failed: %v", tc.name, err)
+		}
+		w2 := checkpoint.NewWriter()
+		restored.SaveState(w2)
+		if snap.Hash() != w2.Snapshot("cursor").Hash() {
+			t.Errorf("%s: save -> load -> save is not byte-identical", tc.name)
+		}
+		a, b := make([]Inst, 150), make([]Inst, 150)
+		na, nb := orig.Next(a), restored.Next(b)
+		if na != nb || !reflect.DeepEqual(a[:na], b[:nb]) {
+			t.Errorf("%s: restored stream diverged (%d vs %d insts)", tc.name, na, nb)
+		}
+
+		rd = snap.Reader()
+		tc.mk(insts[:50]).LoadState(rd)
+		if rd.Err() == nil {
+			t.Errorf("%s: cursor loaded onto a shorter stream", tc.name)
+		}
 	}
 }
 

@@ -11,22 +11,22 @@
 // real B+tree engine with lock-mediated sharing. Fidelity notes per
 // workload are in DESIGN.md.
 //
-// These proxies intentionally do not implement the checkpoint Stateful
-// interfaces: they exercise the engine's replay-flavor warm images
-// (v2-compatible fast-forward restore), keeping that fallback path
-// honest while the scale-out workloads use live-point (pure-load)
-// images.
+// Like the scale-out workloads, every proxy checkpoints its live state:
+// a proxy thread keeps everything its steps mutate in a serializable
+// thread value, and the workload serializes its heap cursor and OS
+// model, so a warm image restores by a pure load.
 package traditional
 
 import (
 	"cloudsuite/internal/addrspace"
 	"cloudsuite/internal/oskern"
 	"cloudsuite/internal/rng"
+	"cloudsuite/internal/sim/checkpoint"
 	"cloudsuite/internal/trace"
 	"cloudsuite/internal/workloads"
 )
 
-// kernelWorkload adapts per-thread step programs to the Workload
+// kernelWorkload adapts per-thread step functions to the Workload
 // interface.
 type kernelWorkload struct {
 	name    string
@@ -35,10 +35,75 @@ type kernelWorkload struct {
 	// main, when set, is the top-level function frame the thread loop
 	// runs in (emissions between explicit InFunc calls belong to it).
 	main *trace.Func
-	// prog builds one thread's step program. Construction runs at Start
-	// time in thread order, so shared-heap allocation order is
-	// deterministic in (n, seed).
-	prog func(tid int, seed int64) trace.Program
+	// heap is the proxy's data heap; kern, when set, its OS model
+	// (SPECweb09 and the database proxies). They are the only shared
+	// state that moves: code, arrays and B+trees are immutable after
+	// construction.
+	heap *addrspace.Heap
+	kern *oskern.Kernel
+	// prog sets up one thread and returns its step function.
+	// Construction runs at Start time in thread order, so shared-heap
+	// allocation order is deterministic in (n, seed).
+	prog func(t *thread, tid int) stepFunc
+}
+
+// stepFunc emits one step of a proxy thread. Everything it mutates
+// lives in t; the closure captures only construction-time values
+// (arrays, base addresses, stacks, buffers).
+type stepFunc func(t *thread, e *trace.Emitter)
+
+// thread is one proxy thread: its step function plus every value the
+// steps mutate. Each proxy uses the fields it needs.
+type thread struct {
+	main *trace.Func //simlint:ok checkpointcov construction-time code layout
+	step stepFunc    //simlint:ok checkpointcov construction-time program
+	rnd  *rng.Rand
+	conn *oskern.Conn // nil for proxies that serve no network traffic
+	n    uint64       // completed steps: units, rows, requests, transactions or queries
+	cur  uint64       // sweep offset or pointer-chase cursor
+	pass uint64       // completed sweeps
+	v    trace.Val    // value carried from one step into the next
+}
+
+// Init implements trace.Initer: it pushes the workload's top-level
+// frame before the first step.
+func (t *thread) Init(e *trace.Emitter) {
+	if t.main != nil {
+		e.Call(t.main)
+	}
+}
+
+// Step implements trace.Program. Proxy threads never finish.
+func (t *thread) Step(e *trace.Emitter) bool {
+	t.step(t, e)
+	return true
+}
+
+// SaveState serializes the thread's mutable state.
+func (t *thread) SaveState(w *checkpoint.Writer) {
+	w.Tag("traditional.thread")
+	t.rnd.SaveState(w)
+	if t.conn != nil {
+		t.conn.SaveState(w)
+	}
+	w.U64(t.n)
+	w.U64(t.cur)
+	w.U64(t.pass)
+	w.I64(int64(t.v))
+}
+
+// LoadState restores state written by SaveState onto a thread built by
+// the same workload.
+func (t *thread) LoadState(rd *checkpoint.Reader) {
+	rd.Expect("traditional.thread")
+	t.rnd.LoadState(rd)
+	if t.conn != nil {
+		t.conn.LoadState(rd)
+	}
+	t.n = rd.U64()
+	t.cur = rd.U64()
+	t.pass = rd.U64()
+	t.v = trace.Val(rd.I64())
 }
 
 // Name implements workloads.Workload.
@@ -47,31 +112,35 @@ func (k *kernelWorkload) Name() string { return k.name }
 // Class implements workloads.Workload.
 func (k *kernelWorkload) Class() workloads.Class { return k.class }
 
-// mainProg pushes the workload's top-level frame before the wrapped
-// program's first step.
-type mainProg struct {
-	main *trace.Func
-	p    trace.Program
-}
-
-// Init implements trace.Initer.
-func (m *mainProg) Init(e *trace.Emitter) {
-	if m.main != nil {
-		e.Call(m.main)
-	}
-}
-
-// Step implements trace.Program.
-func (m *mainProg) Step(e *trace.Emitter) bool { return m.p.Step(e) }
-
 // Start implements workloads.Workload.
 func (k *kernelWorkload) Start(n int, seed int64) []*trace.StepGen {
 	gens := make([]*trace.StepGen, n)
 	for i := 0; i < n; i++ {
 		cfg := workloads.EmitterConfigFor(seed+int64(i)*6151, k.entropy)
-		gens[i] = trace.NewStepGen(cfg, &mainProg{main: k.main, p: k.prog(i, seed+int64(i))})
+		t := &thread{main: k.main, rnd: rng.New(seed + int64(i))}
+		t.step = k.prog(t, i)
+		gens[i] = trace.NewStepGen(cfg, t)
 	}
 	return gens
+}
+
+// SaveShared implements workloads.Workload: the heap cursor and, when
+// the proxy has one, the OS model's cursors.
+func (k *kernelWorkload) SaveShared(w *checkpoint.Writer) {
+	w.Tag("traditional.shared")
+	k.heap.SaveState(w)
+	if k.kern != nil {
+		k.kern.SaveState(w)
+	}
+}
+
+// LoadShared implements workloads.Workload.
+func (k *kernelWorkload) LoadShared(rd *checkpoint.Reader) {
+	rd.Expect("traditional.shared")
+	k.heap.LoadState(rd)
+	if k.kern != nil {
+		k.kern.LoadState(rd)
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -89,21 +158,19 @@ func NewSPECintBitops() workloads.Workload {
 	fnMain := code.Func("bitops_kernel", 900)
 	return &kernelWorkload{
 		name: "SPECint (bitops)", class: workloads.Desktop, entropy: 0.03,
-		main: fnMain,
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
+		main: fnMain, heap: heap,
+		prog: func(_ *thread, tid int) stepFunc {
 			tables := addrspace.NewArray(heap, 4096, 8) // 32KB, L1-resident, per copy
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(t *thread, e *trace.Emitter) {
 				// Independent ALU bursts with occasional table lookups.
 				for it := 0; it < 64; it++ {
 					e.ALUIndep(24)
-					v := e.Load(tables.At(uint64(r.Intn(4096))), 8, trace.NoVal, false)
+					v := e.Load(tables.At(uint64(t.rnd.Intn(4096))), 8, trace.NoVal, false)
 					e.ALU(v, trace.NoVal)
 					e.ALUIndep(12)
-					e.Branch(r.Intn(8) == 0, v)
+					e.Branch(t.rnd.Intn(8) == 0, v)
 				}
-				return true
-			})
+			}
 		},
 	}
 }
@@ -116,16 +183,14 @@ func NewSPECintCompile() workloads.Workload {
 	bank := workloads.NewCodeBank(code, "compile_passes", 48, 700)
 	return &kernelWorkload{
 		name: "SPECint (compile)", class: workloads.Desktop, entropy: 0.10,
-		main: code.Func("compile_main", 300),
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
+		main: code.Func("compile_main", 300), heap: heap,
+		prog: func(_ *thread, tid int) stepFunc {
 			ir := addrspace.NewArray(heap, 32<<10, 48) // 1.5MB of IR nodes per copy
 			stack := workloads.StackOf(tid)
-			unit := 0
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
-				bank.Exec(e, uint64(unit)*2654435761, 10, 3400, stack, 2)
+			return func(t *thread, e *trace.Emitter) {
+				bank.Exec(e, t.n*2654435761, 10, 3400, stack, 2)
 				// Walk a chain of IR nodes with short dependence chains.
-				idx := uint64(r.Intn(32 << 10))
+				idx := uint64(t.rnd.Intn(32 << 10))
 				var v trace.Val = trace.NoVal
 				for n := 0; n < 16; n++ {
 					v = e.Load(ir.At(idx), 16, v, true)
@@ -133,9 +198,8 @@ func NewSPECintCompile() workloads.Workload {
 					idx = (idx*1103515245 + 12345) % (32 << 10)
 					e.Branch(n%5 == 0, v)
 				}
-				unit++
-				return true
-			})
+				t.n++
+			}
 		},
 	}
 }
@@ -148,13 +212,12 @@ func NewSPECintDP() workloads.Workload {
 	fn := code.Func("viterbi_kernel", 600)
 	return &kernelWorkload{
 		name: "SPECint (dp)", class: workloads.Desktop, entropy: 0.02,
-		main: fn,
-		prog: func(tid int, seed int64) trace.Program {
+		main: fn, heap: heap,
+		prog: func(*thread, int) stepFunc {
 			row := addrspace.NewArray(heap, 3, 256<<10) // per-copy DP rows
-			r := 0
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(t *thread, e *trace.Emitter) {
 				// One row sweep per step.
-				src, dst := row.At(uint64(r%3)), row.At(uint64((r+1)%3))
+				src, dst := row.At(t.n%3), row.At((t.n+1)%3)
 				for off := uint64(0); off < 256<<10; off += 64 {
 					a := e.Load(src+off, 64, trace.NoVal, false)
 					b := e.ALUChain(2, a)
@@ -162,9 +225,8 @@ func NewSPECintDP() workloads.Workload {
 					e.Store(dst+off, 64, b, c)
 					e.ALUIndep(4)
 				}
-				r++
-				return true
-			})
+				t.n++
+			}
 		},
 	}
 }
@@ -181,16 +243,16 @@ func NewSPECintMCF() workloads.Workload {
 	const nNodes = 24 << 10
 	return &kernelWorkload{
 		name: "SPECint (mcf)", class: workloads.Desktop, entropy: 0.12,
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
+		heap: heap,
+		prog: func(*thread, int) stepFunc {
 			arcs := addrspace.NewArray(heap, nArcs, 64)
 			nodes := addrspace.NewArray(heap, nNodes, 64)
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(t *thread, e *trace.Emitter) {
 				// Price-out pass: sequential over arcs, random node
 				// dereferences; arc iterations are independent (MLP).
 				e.InFunc(fnScan, func() {
 					for a := 0; a < 512; a++ {
-						arc := uint64(r.Intn(nArcs))
+						arc := uint64(t.rnd.Intn(nArcs))
 						av := e.Load(arcs.At(arc), 64, trace.NoVal, false)
 						tail := e.Load(nodes.At((arc*2654435761)%nNodes), 8, av, true)
 						head := e.Load(nodes.At((arc*40503)%nNodes), 8, av, true)
@@ -200,7 +262,7 @@ func NewSPECintMCF() workloads.Workload {
 				})
 				e.InFunc(fnPivot, func() {
 					// Basis update: dependent walk up the spanning tree.
-					n := uint64(r.Intn(nNodes))
+					n := uint64(t.rnd.Intn(nNodes))
 					var v trace.Val = trace.NoVal
 					for d := 0; d < 24; d++ {
 						v = e.Load(nodes.At(n), 8, v, true)
@@ -208,8 +270,7 @@ func NewSPECintMCF() workloads.Workload {
 						e.Store(nodes.At(n), 8, v, trace.NoVal)
 					}
 				})
-				return true
-			})
+			}
 		},
 	}
 }
@@ -223,24 +284,22 @@ func NewSPECintEvents() workloads.Workload {
 	const nObjs = 160 << 10 // ~7.5MB object graph per copy
 	return &kernelWorkload{
 		name: "SPECint (events)", class: workloads.Desktop, entropy: 0.15,
-		main: fn,
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
+		main: fn, heap: heap,
+		prog: func(t *thread, _ int) stepFunc {
 			objs := addrspace.NewArray(heap, nObjs, 48)
-			cur := uint64(r.Intn(nObjs))
-			var v trace.Val = trace.NoVal
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			t.cur = uint64(t.rnd.Intn(nObjs))
+			t.v = trace.NoVal
+			return func(t *thread, e *trace.Emitter) {
 				for it := 0; it < 128; it++ {
 					// Pop event: heap root chase, then module graph walk.
-					v = e.Load(objs.At(cur), 16, v, true)
-					v = e.ALUChain(4, v)
-					cur = (cur*6364136223846793005 + 1442695040888963407) % nObjs
-					v = e.Load(objs.At(cur), 16, v, true)
-					e.Store(objs.At(cur), 8, v, trace.NoVal)
-					e.Branch(cur%3 == 0, v)
+					t.v = e.Load(objs.At(t.cur), 16, t.v, true)
+					t.v = e.ALUChain(4, t.v)
+					t.cur = (t.cur*6364136223846793005 + 1442695040888963407) % nObjs
+					t.v = e.Load(objs.At(t.cur), 16, t.v, true)
+					e.Store(objs.At(t.cur), 8, t.v, trace.NoVal)
+					e.Branch(t.cur%3 == 0, t.v)
 				}
-				return true
-			})
+			}
 		},
 	}
 }
@@ -256,18 +315,17 @@ func NewSPECintStream() workloads.Workload {
 	const chunk = 4096 * 64 // one step covers 4096 lines of the sweep
 	return &kernelWorkload{
 		name: "SPECint (stream)", class: workloads.Desktop, entropy: 0.01,
-		main: fn,
-		prog: func(tid int, seed int64) trace.Program {
+		main: fn, heap: heap,
+		prog: func(*thread, int) stepFunc {
 			reg := heap.AllocLines(regBytes)
-			off := uint64(0)
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
-				for end := off + chunk; off < end; off += 64 {
+			return func(t *thread, e *trace.Emitter) {
+				for end := t.cur + chunk; t.cur < end; t.cur += 64 {
+					off := t.cur
 					v := e.Load(reg+off%regBytes, 64, trace.NoVal, false)
 					v = e.ALU(v, trace.NoVal)
 					e.Store(reg+off%regBytes, 64, v, trace.NoVal)
 				}
-				return true
-			})
+			}
 		},
 	}
 }
@@ -295,12 +353,12 @@ func NewPARSECBlackscholes() workloads.Workload {
 	opts := addrspace.NewArray(heap, 64<<10, 64) // 4MB of options
 	return &kernelWorkload{
 		name: "PARSEC (blackscholes)", class: workloads.Parallel, entropy: 0.01,
-		main: fn,
-		prog: func(tid int, seed int64) trace.Program {
+		main: fn, heap: heap,
+		prog: func(_ *thread, tid int) stepFunc {
 			// Each thread owns a contiguous slice of the options array
 			// (the benchmark's static partitioning: no write sharing).
 			base := uint64(tid) * (opts.Len / 8)
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(_ *thread, e *trace.Emitter) {
 				for i := uint64(0); i < 2048; i++ {
 					o := e.Load(opts.At((base+i)%opts.Len), 64, trace.NoVal, false)
 					// CNDF evaluation: a few dependent FP chains, but
@@ -311,8 +369,7 @@ func NewPARSECBlackscholes() workloads.Workload {
 					e.Store(opts.At((base+i)%opts.Len), 8, c, trace.NoVal)
 					e.ALUIndep(6)
 				}
-				return true
-			})
+			}
 		},
 	}
 }
@@ -326,10 +383,10 @@ func NewPARSECSwaptions() workloads.Workload {
 	state := addrspace.NewArray(heap, 4096, 64) // per-thread sim state slices
 	return &kernelWorkload{
 		name: "PARSEC (swaptions)", class: workloads.Parallel, entropy: 0.02,
-		main: fn,
-		prog: func(tid int, seed int64) trace.Program {
+		main: fn, heap: heap,
+		prog: func(_ *thread, tid int) stepFunc {
 			base := uint64(tid) * 512
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(_ *thread, e *trace.Emitter) {
 				var acc trace.Val = trace.NoVal
 				for s := uint64(0); s < 256; s++ {
 					v := e.Load(state.At((base+s)%state.Len), 64, trace.NoVal, false)
@@ -339,8 +396,7 @@ func NewPARSECSwaptions() workloads.Workload {
 					e.ALUIndep(4)
 				}
 				e.Store(state.At(base), 8, acc, trace.NoVal)
-				return true
-			})
+			}
 		},
 	}
 }
@@ -356,10 +412,10 @@ func NewPARSECCanneal() workloads.Workload {
 	elems := addrspace.NewArray(heap, nElems, 32)
 	return &kernelWorkload{
 		name: "PARSEC (canneal)", class: workloads.Parallel, entropy: 0.10,
-		main: fn,
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+		main: fn, heap: heap,
+		prog: func(_ *thread, tid int) stepFunc {
+			return func(t *thread, e *trace.Emitter) {
+				r := t.rnd
 				for it := 0; it < 32; it++ {
 					// Pick two random elements and their neighbours: a burst
 					// of independent loads, then the cost computation and a
@@ -379,8 +435,7 @@ func NewPARSECCanneal() workloads.Workload {
 					}
 					e.ALUIndep(8)
 				}
-				return true
-			})
+			}
 		},
 	}
 }
@@ -398,23 +453,21 @@ func NewPARSECStreamcluster() workloads.Workload {
 	centers := addrspace.NewArray(heap, 128, 512)
 	return &kernelWorkload{
 		name: "PARSEC (streamcluster)", class: workloads.Parallel, entropy: 0.02,
-		main: fn,
-		prog: func(tid int, seed int64) trace.Program {
-			off := uint64(0)
-			c := uint64(0)
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
-				for end := off + chunk; off < end; off += 64 {
+		main: fn, heap: heap,
+		prog: func(*thread, int) stepFunc {
+			return func(t *thread, e *trace.Emitter) {
+				for end := t.cur + chunk; t.cur < end; t.cur += 64 {
+					off := t.cur
 					p := e.Load(pts+off%ptsBytes, 64, trace.NoVal, false)
-					ctr := e.Load(centers.At(c%centers.Len), 64, trace.NoVal, false)
+					ctr := e.Load(centers.At(t.pass%centers.Len), 64, trace.NoVal, false)
 					d := e.FP(p, ctr)
 					d = e.FPChain(2, d)
 					e.Branch(off%512 == 0, d)
 				}
-				if off%ptsBytes == 0 {
-					c++
+				if t.cur%ptsBytes == 0 {
+					t.pass++
 				}
-				return true
-			})
+			}
 		},
 	}
 }
@@ -448,14 +501,13 @@ func NewSPECweb() workloads.Workload {
 	sessions := addrspace.NewArray(heap, 8<<10, 512)
 	return &kernelWorkload{
 		name: "SPECweb09", class: workloads.Server, entropy: 0.08,
-		main: code.Func("event_loop_main", 300),
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
-			conn := kern.OpenConnOn(tid)
+		main: code.Func("event_loop_main", 300), heap: heap, kern: kern,
+		prog: func(t *thread, tid int) stepFunc {
+			t.conn = kern.OpenConnOn(tid)
 			stack := workloads.StackOf(tid)
 			buf := heap.AllocLines(128 << 10)
-			reqs := 0
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(t *thread, e *trace.Emitter) {
+				r, conn := t.rnd, t.conn
 				kern.Poll(e, conn)
 				kern.Recv(e, conn, buf, 400)
 				e.InFunc(fnParse, func() { workloads.GenericWork(e, 260, stack, 3) })
@@ -476,12 +528,11 @@ func NewSPECweb() workloads.Workload {
 					bank.Exec(e, r.Uint64(), 10, 1600, stack, 3)
 					kern.Send(e, conn, buf, 8<<10)
 				}
-				reqs++
-				if reqs%64 == 0 {
+				t.n++
+				if t.n%64 == 0 {
 					kern.SchedTick(e, tid)
 				}
-				return true
-			})
+			}
 		},
 	}
 }
@@ -553,17 +604,16 @@ func NewTPCC() workloads.Workload {
 	d := newDBEngine(heap, code, 512<<10, 192, 192) // 512K stock rows (~96MB)
 	return &kernelWorkload{
 		name: "TPC-C", class: workloads.Server, entropy: 0.10,
-		main: code.Func("worker_loop", 400),
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
-			conn := d.kern.OpenConnOn(tid)
+		main: code.Func("worker_loop", 400), heap: heap, kern: d.kern,
+		prog: func(t *thread, tid int) stepFunc {
+			t.conn = d.kern.OpenConnOn(tid)
 			stack := workloads.StackOf(tid)
 			buf := heap.AllocLines(8 << 10)
-			tx := 0
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(t *thread, e *trace.Emitter) {
+				r, conn := t.rnd, t.conn
 				d.kern.Recv(e, conn, buf, 256)
 				e.InFunc(d.fnParse, func() { workloads.GenericWork(e, 420, stack, 2) })
-				d.bank.Exec(e, uint64(tx)*2654435761+uint64(tid), 26, 5200, stack, 2)
+				d.bank.Exec(e, t.n*2654435761+uint64(tid), 26, 5200, stack, 2)
 
 				// New-order: lock the district (hot, contended), probe
 				// customer, then a handful of items with stock updates.
@@ -587,19 +637,18 @@ func NewTPCC() workloads.Workload {
 				}
 				// WAL append and commit.
 				e.InFunc(d.fnLog, func() {
-					pos := (uint64(tx)*512 + uint64(tid)*64) % (16 << 20)
+					pos := (t.n*512 + uint64(tid)*64) % (16 << 20)
 					for off := uint64(0); off < 512; off += 64 {
 						e.Store(d.log+(pos+off)%(16<<20), 64, v, trace.NoVal)
 					}
 				})
 				e.InFunc(d.fnCommit, func() { workloads.GenericWork(e, 220, stack, 2) })
 				d.kern.Send(e, conn, buf, 512)
-				tx++
-				if tx%80 == 0 {
+				t.n++
+				if t.n%80 == 0 {
 					d.kern.SchedTick(e, tid)
 				}
-				return true
-			})
+			}
 		},
 	}
 }
@@ -614,18 +663,17 @@ func NewTPCE() workloads.Workload {
 	d := newDBEngine(heap, code, 640<<10, 256, 256) // wider rows (~160MB)
 	return &kernelWorkload{
 		name: "TPC-E", class: workloads.Server, entropy: 0.08,
-		main: code.Func("worker_loop", 400),
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
-			conn := d.kern.OpenConnOn(tid)
+		main: code.Func("worker_loop", 400), heap: heap, kern: d.kern,
+		prog: func(t *thread, tid int) stepFunc {
+			t.conn = d.kern.OpenConnOn(tid)
 			stack := workloads.StackOf(tid)
 			buf := heap.AllocLines(8 << 10)
-			tx := 0
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(t *thread, e *trace.Emitter) {
+				r, conn := t.rnd, t.conn
 				d.kern.Recv(e, conn, buf, 384)
 				e.InFunc(d.fnParse, func() { workloads.GenericWork(e, 600, stack, 2) })
 				e.InFunc(d.fnPlan, func() { workloads.GenericWork(e, 700, stack, 2) })
-				d.bank.Exec(e, uint64(tx)*40503+uint64(tid), 26, 3600, stack, 2)
+				d.bank.Exec(e, t.n*40503+uint64(tid), 26, 3600, stack, 2)
 
 				write := r.Intn(10) < 2
 				if write {
@@ -657,12 +705,11 @@ func NewTPCE() workloads.Workload {
 				}
 				e.InFunc(d.fnCommit, func() { workloads.GenericWork(e, 260, stack, 2) })
 				d.kern.Send(e, conn, buf, 2<<10)
-				tx++
-				if tx%80 == 0 {
+				t.n++
+				if t.n%80 == 0 {
 					d.kern.SchedTick(e, tid)
 				}
-				return true
-			})
+			}
 		},
 	}
 }
@@ -677,17 +724,16 @@ func NewWebBackend() workloads.Workload {
 	d := newDBEngine(heap, code, 448<<10, 160, 128)
 	return &kernelWorkload{
 		name: "Web Backend", class: workloads.Server, entropy: 0.09,
-		main: code.Func("worker_loop", 400),
-		prog: func(tid int, seed int64) trace.Program {
-			r := rng.New(seed)
-			conn := d.kern.OpenConnOn(tid)
+		main: code.Func("worker_loop", 400), heap: heap, kern: d.kern,
+		prog: func(t *thread, tid int) stepFunc {
+			t.conn = d.kern.OpenConnOn(tid)
 			stack := workloads.StackOf(tid)
 			buf := heap.AllocLines(8 << 10)
-			q := 0
-			return trace.ProgFunc(func(e *trace.Emitter) bool {
+			return func(t *thread, e *trace.Emitter) {
+				r, conn := t.rnd, t.conn
 				d.kern.Recv(e, conn, buf, 256)
 				e.InFunc(d.fnParse, func() { workloads.GenericWork(e, 500, stack, 2) })
-				d.bank.Exec(e, uint64(q)*69621+uint64(tid), 18, 2200, stack, 2)
+				d.bank.Exec(e, t.n*69621+uint64(tid), 18, 2200, stack, 2)
 
 				// InnoDB-style shared metadata: auto-increment counters and
 				// table statistics touched on every query.
@@ -702,7 +748,7 @@ func NewWebBackend() workloads.Workload {
 					rowAddr, v := d.customers.probe(e, uint64(r.Int63()), trace.NoVal)
 					d.customers.writeRow(e, rowAddr, 192, v)
 					e.InFunc(d.fnLog, func() {
-						pos := uint64(q*256+tid*64) % (16 << 20)
+						pos := (t.n*256 + uint64(tid)*64) % (16 << 20)
 						for off := uint64(0); off < 256; off += 64 {
 							e.Store(d.log+(pos+off)%(16<<20), 64, v, trace.NoVal)
 						}
@@ -718,12 +764,11 @@ func NewWebBackend() workloads.Workload {
 				}
 				e.InFunc(d.fnCommit, func() { workloads.GenericWork(e, 180, stack, 2) })
 				d.kern.Send(e, conn, buf, 1<<10)
-				q++
-				if q%80 == 0 {
+				t.n++
+				if t.n%80 == 0 {
 					d.kern.SchedTick(e, tid)
 				}
-				return true
-			})
+			}
 		},
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cloudsuite/internal/addrspace"
+	"cloudsuite/internal/sim/checkpoint"
 	"cloudsuite/internal/trace"
 	"cloudsuite/internal/workloads"
 )
@@ -214,5 +215,54 @@ func TestBPTreeRowsDistinct(t *testing.T) {
 	defer g.Close()
 	out := make([]trace.Inst, 8192)
 	for g.Next(out) != 0 {
+	}
+}
+
+// TestThreadStateResumes: a proxy saved after a long warm-up and loaded
+// into a fresh instance continues the exact instruction stream of the
+// original. A step that mutates a value its closure captures, instead
+// of one in the serialized thread, diverges here even when the value
+// shows only rarely: SPECweb09's request count ticks the scheduler
+// every 64 requests, and streamcluster's center index moves once per
+// 64MB sweep (about 7M instructions).
+func TestThreadStateResumes(t *testing.T) {
+	all := []func() workloads.Workload{
+		NewSPECintBitops, NewSPECintCompile, NewSPECintDP,
+		NewSPECintMCF, NewSPECintEvents, NewSPECintStream,
+		NewPARSECBlackscholes, NewPARSECSwaptions,
+		NewPARSECCanneal, NewPARSECStreamcluster,
+		NewSPECweb, NewTPCC, NewTPCE, NewWebBackend,
+	}
+	for _, mk := range all {
+		w := mk()
+		warm := 1 << 20
+		if w.Name() == "PARSEC (streamcluster)" {
+			warm = 1 << 23
+		}
+		orig := w.Start(1, 17)[0]
+		buf := make([]trace.Inst, 4096)
+		for n := 0; n < warm; n += orig.Next(buf) {
+		}
+		wr := checkpoint.NewWriter()
+		w.SaveShared(wr)
+		orig.SaveState(wr)
+
+		w2 := mk()
+		restored := w2.Start(1, 17)[0]
+		rd := wr.Snapshot("resume").Reader()
+		w2.LoadShared(rd)
+		restored.LoadState(rd)
+		if err := rd.Err(); err != nil {
+			t.Fatalf("%s: load: %v", w.Name(), err)
+		}
+		a, b := drain(t, orig, 1<<19), drain(t, restored, 1<<19)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Errorf("%s: restored stream diverges at instruction %d", w.Name(), i)
+				break
+			}
+		}
+		orig.Close()
+		restored.Close()
 	}
 }

@@ -60,21 +60,15 @@ type Workload interface {
 	Class() Class
 	// Start launches n software threads and returns their generators.
 	// The caller owns closing them. Threads are step-driven programs
-	// (trace.Program); construction must be deterministic in (n, seed)
-	// because a checkpoint restore re-runs Start before loading state.
+	// that implement trace.Stateful, so a warm image can carry their
+	// state; construction must be deterministic in (n, seed) because a
+	// checkpoint restore re-runs Start before loading state.
 	Start(n int, seed int64) []*trace.StepGen
-}
-
-// Stateful is implemented by workloads whose shared structures (beyond
-// the per-thread state the generators serialize) can be checkpointed:
-// heaps, memtables, kernel cursors. A workload that is Stateful and
-// whose threads all support SaveState is eligible for live-point
-// (pure-load) warm images.
-type Stateful interface {
-	// SaveShared serializes shared mutable state.
+	// SaveShared serializes the shared mutable state beyond what the
+	// threads serialize themselves: heaps, memtables, kernel cursors.
 	SaveShared(w *checkpoint.Writer)
 	// LoadShared restores state written by SaveShared onto a freshly
-	// constructed instance. Callers check the reader's Err.
+	// started instance. Callers check the reader's Err.
 	LoadShared(rd *checkpoint.Reader)
 }
 
