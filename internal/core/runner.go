@@ -397,39 +397,28 @@ func (r *Runner) MeasureAll(reqs []MeasureRequest) ([]*Measurement, error) {
 	r.mu.Unlock()
 	submitted := obs.Now()
 
-	workers := r.workers
-	if workers > len(uniq) {
-		workers = len(uniq)
+	// Every worker count runs this pool; with one worker it measures
+	// uniq in submission order.
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(r.workers, len(uniq)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				met.queueWait.Observe(int64(obs.Since(submitted)))
+				req := reqs[i]
+				m, rr, err := r.measureOne(req)
+				results[i], errs[i] = m, err
+				report(req, rr, err)
+			}
+		}()
 	}
-	if workers <= 1 {
-		for _, i := range uniq {
-			met.queueWait.Observe(int64(obs.Since(submitted)))
-			m, rr, err := r.measureOne(reqs[i])
-			results[i], errs[i] = m, err
-			report(reqs[i], rr, err)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					met.queueWait.Observe(int64(obs.Since(submitted)))
-					req := reqs[i]
-					m, rr, err := r.measureOne(req)
-					results[i], errs[i] = m, err
-					report(req, rr, err)
-				}
-			}()
-		}
-		for _, i := range uniq {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	for _, i := range uniq {
+		idx <- i
 	}
+	close(idx)
+	wg.Wait()
 	for _, i := range dups {
 		m, rr, err := r.measureOne(reqs[i])
 		results[i], errs[i] = m, err

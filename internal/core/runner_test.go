@@ -247,6 +247,58 @@ func TestRunnerFigure4SortedSeries(t *testing.T) {
 	}
 }
 
+// TestRunnerFigureDrivers runs the Figure 3, 5, 6 and 7 drivers on one
+// scale-out entry and checks that each returns one row per entry and
+// that every row obeys its figure's range law.
+func TestRunnerFigureDrivers(t *testing.T) {
+	entries := ScaleOutEntries()[0:1]
+	o := fastOptions()
+	frac := func(x float64) bool { return x >= 0 && x <= 1 }
+	cases := []struct {
+		name string
+		run  func(*testing.T, *Runner)
+	}{
+		{"Figure3", func(t *testing.T, r *Runner) {
+			rows, err := r.Figure3(entries, o)
+			checkRows(t, rows, err, len(entries), func(x IPCMLPRow) bool { return x.SMTSpeedup > 0 })
+		}},
+		{"Figure5", func(t *testing.T, r *Runner) {
+			rows, err := r.Figure5(entries, o)
+			checkRows(t, rows, err, len(entries), func(x PrefetchRow) bool {
+				return frac(x.Baseline) && frac(x.AdjacentDisabled) && frac(x.HWDisabled)
+			})
+		}},
+		{"Figure6", func(t *testing.T, r *Runner) {
+			rows, err := r.Figure6(entries, o)
+			checkRows(t, rows, err, len(entries), func(x SharingRow) bool { return frac(x.App) && frac(x.OS) })
+		}},
+		{"Figure7", func(t *testing.T, r *Runner) {
+			rows, err := r.Figure7(entries, o)
+			checkRows(t, rows, err, len(entries), func(x BandwidthRow) bool { return frac(x.App + x.OS) })
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { c.run(t, NewRunner(2)) })
+	}
+}
+
+// checkRows fails t unless a figure driver returned want rows without
+// error and every row satisfies law.
+func checkRows[R any](t *testing.T, rows []R, err error, want int, law func(R) bool) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != want {
+		t.Fatalf("%d rows, want %d: %+v", len(rows), want, rows)
+	}
+	for _, x := range rows {
+		if !law(x) {
+			t.Errorf("row breaks its range law: %+v", x)
+		}
+	}
+}
+
 // TestRunnerSharedAcrossGoroutines checks the Runner-wide bound and
 // cache under the documented concurrent use: two goroutines submit
 // overlapping batches to one single-slot Runner; everything completes

@@ -219,7 +219,7 @@ func (h HistogramSnapshot) Mean() float64 {
 
 // Snapshot is a point-in-time copy of a registry's metrics. It
 // marshals to deterministic JSON (map keys sort) — the -obs-out
-// metrics file and the BENCH_phases.json artifact are Snapshots.
+// metrics file is a Snapshot.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`

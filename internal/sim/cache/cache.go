@@ -151,21 +151,6 @@ func (c *Cache) invalidate(lineAddr uint64) (was line, ok bool) {
 	return line{}, false
 }
 
-// Utilization reports the fraction of ways holding valid lines, used by
-// tests and capacity diagnostics.
-func (c *Cache) Utilization() float64 {
-	if len(c.lines) == 0 {
-		return 0
-	}
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid() {
-			n++
-		}
-	}
-	return float64(n) / float64(len(c.lines))
-}
-
 // FootprintLines reports the number of valid lines (tests).
 func (c *Cache) FootprintLines() int {
 	n := 0

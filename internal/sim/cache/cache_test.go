@@ -99,20 +99,6 @@ func TestQuickCacheInvariants(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	c := New(Config{SizeBytes: 4 * 64, Assoc: 2}) // 2 sets x 2 ways
-	if c.Utilization() != 0 {
-		t.Fatal("empty cache utilization must be 0")
-	}
-	c.insert(0, 0)
-	c.insert(1, 0)
-	c.insert(2, 0)
-	c.insert(3, 0)
-	if c.Utilization() != 1 {
-		t.Fatalf("full cache utilization = %f", c.Utilization())
-	}
-}
-
 // TestVictimSelectionOrder pins insert's victim-selection semantics so
 // refactors cannot silently change replacement behaviour: invalid ways
 // are preferred over valid ones (lowest index first, ignoring LRU

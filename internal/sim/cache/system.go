@@ -723,18 +723,7 @@ func (s *System) accessShared(core int, lineAddr uint64, write, kernel, instr bo
 		if modified && !instr {
 			s.countSharedRW(core, lineAddr, kernel)
 		}
-		fl := lineFlags(0)
-		if write {
-			fl = flagDirty
-		}
-		if instr {
-			fl |= flagInstr
-		}
-		nl := s.fillLLC(core, lineAddr, fl, now)
-		nl.sharers = onlySharer(core)
-		if write && !instr {
-			nl.owner = int16(core)
-		}
+		s.installShared(core, lineAddr, write, instr, now)
 		routeHops := nearest
 		if write {
 			routeHops = farthest
@@ -749,6 +738,18 @@ func (s *System) accessShared(core int, lineAddr uint64, write, kernel, instr bo
 	} else {
 		ctr.OffchipReadUser += LineBytes
 	}
+	s.installShared(core, lineAddr, write, instr, now)
+	llcDone := now + int64(s.cfg.LLC.LatencyCycles)
+	if done < llcDone {
+		done = llcDone
+	}
+	return done
+}
+
+// installShared fills an LLC miss, serviced by a remote socket or by
+// DRAM, into core's socket LLC with core as its only sharer and, on a
+// data write, its owner.
+func (s *System) installShared(core int, lineAddr uint64, write, instr bool, now int64) {
 	fl := lineFlags(0)
 	if write {
 		fl = flagDirty
@@ -761,11 +762,6 @@ func (s *System) accessShared(core int, lineAddr uint64, write, kernel, instr bo
 	if write && !instr {
 		nl.owner = int16(core)
 	}
-	llcDone := now + int64(s.cfg.LLC.LatencyCycles)
-	if done < llcDone {
-		done = llcDone
-	}
-	return done
 }
 
 // prefetchLLC obtains lineAddr in core's socket LLC for a prefetch: a
@@ -865,6 +861,3 @@ func (s *System) EnableDebugSharing() {
 // EnableDebugSharing was called). The map belongs to the System; it is
 // safe to read once the simulation driving the System has finished.
 func (s *System) DebugSharing() map[uint64]uint64 { return s.debugSharing }
-
-// LLCUtilization reports valid-line share of socket's LLC (diagnostics).
-func (s *System) LLCUtilization(socket int) float64 { return s.llcs[socket].Utilization() }
