@@ -36,121 +36,51 @@
 // PREFIX.trace.json (Chrome trace_event format) on exit. Either flag
 // arms the observability layer, a pure observer: measured output is
 // byte-identical with or without it.
+// Options are judged by core.Options.Validate alone, where 0 selects
+// a default; a rejected value is reported under its flag, exit code 2.
+// -warmup 0 is refused rather than silently read as the default.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
-	"time"
 
+	"cloudsuite/cmd/internal/cli"
 	"cloudsuite/internal/core"
-	"cloudsuite/internal/obs"
 )
 
 func main() {
-	var (
-		list      = flag.Bool("list", false, "list benchmarks and exit")
-		bench     = flag.String("bench", "Web Search", `benchmark name, comma-separated names, or "all"`)
-		cores     = flag.Int("cores", 4, "workload cores")
-		sockets   = flag.Int("sockets", 1, "sockets to spread the cores over (NUMA machine; >= 2 implies -split placement)")
-		cps       = flag.Int("cores-per-socket", 0, "cores per socket (0 = the Table-1 six; larger values scale the chip)")
-		invar     = flag.Int("invariants", 0, "check coherence invariants every N memory accesses (0 = off)")
-		smt       = flag.Bool("smt", false, "two threads per core")
-		split     = flag.Bool("split", false, "split cores across two sockets")
-		pollute   = flag.Int("pollute", 0, "LLC MB occupied by polluter threads")
-		warmup    = flag.Int64("warmup", 400_000, "per-thread warm-up instructions")
-		measure   = flag.Int64("measure", 120_000, "per-thread measured instructions")
-		seed      = flag.Int64("seed", 1, "random seed")
-		parallel  = flag.Int("parallel", 0, "measurement worker-pool width (0 = GOMAXPROCS)")
-		progress  = flag.Bool("progress", false, "report measurement progress on stderr")
-		sampleF   = flag.Bool("sample", false, "SMARTS-style interval sampling instead of one contiguous window")
-		intervals = flag.Int("intervals", 0, "measurement intervals (0 = default 8; implies -sample)")
-		relerr    = flag.Float64("relerr", 0, "adaptive sampling: stop once the 95% CI of IPC is within this relative error (implies -sample)")
-		ckptDir   = flag.String("checkpoint-dir", "", "warm-state checkpoint directory: fork runs from cached warm images and persist new ones")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and live metrics on this address (e.g. 127.0.0.1:6060)")
-		obsOut    = flag.String("obs-out", "", "write PREFIX.metrics.json and PREFIX.trace.json (Chrome trace_event) on exit")
-	)
+	v := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *list {
+	if v.list {
 		for _, b := range core.AllBenches() {
 			fmt.Printf("%-28s %s\n", b.Name, b.Class)
 		}
 		return
 	}
 
-	benches, err := resolveBenches(*bench)
+	benches, err := resolveBenches(v.bench)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		cli.Reject(err)
 	}
-	o, err := buildOptions(cliFlags{
-		Cores: *cores, Sockets: *sockets, CoresPerSocket: *cps,
-		SMT: *smt, Split: *split, PolluteMB: *pollute,
-		Warmup: *warmup, Measure: *measure, Seed: *seed,
-		Invariants: *invar, Parallel: *parallel,
-		Sample: *sampleF, Intervals: *intervals, RelErr: *relerr,
-	})
+	o, err := buildOptions(flag.CommandLine, v)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		cli.Reject(err)
 	}
-
-	runner := core.NewRunner(*parallel)
-	if *progress {
-		runner.SetProgress(func(ev core.ProgressEvent) {
-			tag := ""
-			if ev.Source != "" {
-				tag = fmt.Sprintf(" (%s, %s)", ev.Source, ev.Duration.Round(time.Millisecond))
-			}
-			fmt.Fprintf(os.Stderr, "%4d/%-4d %s%s\n", ev.Done, ev.Total, ev.Bench, tag)
-		})
-	}
-	if *ckptDir != "" {
-		cs, err := core.NewCheckpointStore(*ckptDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		runner.SetCheckpoints(cs)
-	}
-	var ob *obs.Observer
-	if *pprofAddr != "" || *obsOut != "" {
-		ob = obs.New()
-		runner.SetObserver(ob)
-	}
-	if *pprofAddr != "" {
-		addr, err := obs.Serve(*pprofAddr, ob)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "obs: profiling endpoint on http://%s/debug/pprof/ (metrics at /metrics)\n", addr)
-	}
+	runner := v.NewRunner()
 	reqs := make([]core.MeasureRequest, len(benches))
 	for i, b := range benches {
 		reqs[i] = core.MeasureRequest{Bench: b, Options: o}
 	}
-	ms, err := runner.MeasureAll(reqs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for i, m := range ms {
+	for i, m := range cli.Must(runner.MeasureAll(reqs)) {
 		if i > 0 {
 			fmt.Println()
 		}
 		printMeasurement(m)
 	}
-	if *obsOut != "" {
-		if err := ob.WriteFiles(*obsOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "obs: wrote %s.metrics.json and %s.trace.json\n", *obsOut, *obsOut)
-	}
+	v.Finish(runner)
 }
 
 // resolveBenches parses the -bench argument: one name, a comma list,

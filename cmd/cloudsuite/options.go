@@ -1,107 +1,73 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"math"
 
+	"cloudsuite/cmd/internal/cli"
 	"cloudsuite/internal/core"
-	"cloudsuite/internal/sim/cache"
 )
 
-// maxBudgetInsts caps per-thread instruction budgets at a value far
-// beyond any sensible simulation (a single thread at ~1M simulated
-// insts/sec would run for days): a mistyped exponent should be a flag
-// error, not a day-long hang.
-const maxBudgetInsts = 1_000_000_000
-
-// maxIntervals caps the sampling schedule: more intervals than measured
-// instructions cannot be scheduled, and absurd counts signal a typo.
-const maxIntervals = 1_000_000
-
-// cliFlags carries the measurement-shaping flag values into validation.
+// cliFlags holds cloudsuite's flag values.
 type cliFlags struct {
-	Cores          int
-	Sockets        int
-	CoresPerSocket int
-	SMT            bool
-	Split          bool
-	PolluteMB      int
-	Warmup         int64
-	Measure        int64
-	Seed           int64
-	Invariants     int
-	Parallel       int
-	Sample         bool
-	Intervals      int
-	RelErr         float64
+	cli.Common
+	list, smt, split               bool
+	bench                          string
+	cores, sockets, cps, polluteMB int
+	warmup, measure                int64
 }
 
-// buildOptions validates the flag values and assembles core.Options.
-// Every rejection happens here, before any simulation starts: the
-// historical bug class is a negative budget surviving to the engine's
-// timed loop, wrapping a uint64, and hanging — guards must answer with
-// a clear error instead.
-func buildOptions(v cliFlags) (core.Options, error) {
-	switch {
-	case v.Cores <= 0:
-		return core.Options{}, fmt.Errorf("-cores %d: must be positive", v.Cores)
-	case v.Cores > cache.MaxCores:
-		return core.Options{}, fmt.Errorf("-cores %d: exceeds the %d-core directory limit", v.Cores, cache.MaxCores)
-	case v.Sockets < 0:
-		return core.Options{}, fmt.Errorf("-sockets %d: must be >= 0", v.Sockets)
-	case v.Sockets > cache.MaxCores:
-		return core.Options{}, fmt.Errorf("-sockets %d: exceeds the %d-core directory limit", v.Sockets, cache.MaxCores)
-	case v.CoresPerSocket < 0:
-		return core.Options{}, fmt.Errorf("-cores-per-socket %d: must be >= 0 (0 = the Table-1 six)", v.CoresPerSocket)
-	case v.CoresPerSocket > cache.MaxCores:
-		return core.Options{}, fmt.Errorf("-cores-per-socket %d: exceeds the %d-core directory limit", v.CoresPerSocket, cache.MaxCores)
-	case v.PolluteMB < 0:
-		return core.Options{}, fmt.Errorf("-pollute %d: must be >= 0", v.PolluteMB)
-	case v.Warmup < 0:
-		return core.Options{}, fmt.Errorf("-warmup %d: must be >= 0", v.Warmup)
-	case v.Warmup > maxBudgetInsts:
-		return core.Options{}, fmt.Errorf("-warmup %d: exceeds the %d per-thread budget cap", v.Warmup, int64(maxBudgetInsts))
-	case v.Measure <= 0:
-		return core.Options{}, fmt.Errorf("-measure %d: must be positive", v.Measure)
-	case v.Measure > maxBudgetInsts:
-		return core.Options{}, fmt.Errorf("-measure %d: exceeds the %d per-thread budget cap", v.Measure, int64(maxBudgetInsts))
-	case v.Invariants < 0:
-		return core.Options{}, fmt.Errorf("-invariants %d: must be >= 0 (0 = off)", v.Invariants)
-	case v.Parallel < 0:
-		return core.Options{}, fmt.Errorf("-parallel %d: must be >= 0 (0 = GOMAXPROCS)", v.Parallel)
+// defineFlags declares cloudsuite's flags on fs.
+func defineFlags(fs *flag.FlagSet) *cliFlags {
+	v := &cliFlags{}
+	v.Register(fs)
+	fs.BoolVar(&v.list, "list", false, "list benchmarks and exit")
+	fs.StringVar(&v.bench, "bench", "Web Search", `benchmark name, comma-separated names, or "all"`)
+	fs.IntVar(&v.cores, "cores", 4, "workload cores")
+	fs.IntVar(&v.sockets, "sockets", 1, "sockets to spread the cores over (NUMA machine; >= 2 implies -split placement)")
+	fs.IntVar(&v.cps, "cores-per-socket", 0, "cores per socket (0 = the Table-1 six; larger values scale the chip)")
+	fs.BoolVar(&v.smt, "smt", false, "two threads per core")
+	fs.BoolVar(&v.split, "split", false, "split cores across two sockets")
+	fs.IntVar(&v.polluteMB, "pollute", 0, "LLC MB occupied by polluter threads")
+	fs.Int64Var(&v.warmup, "warmup", 400_000, "per-thread warm-up instructions")
+	fs.Int64Var(&v.measure, "measure", 120_000, "per-thread measured instructions")
+	return v
+}
+
+// buildOptions maps the flags onto core.Options and judges them through
+// core.Options.Validate. Two checks are cloudsuite's own, because the
+// flag spelling cannot survive the mapping: Options reads a zero
+// warm-up as the default, and -pollute is scaled from MB to bytes.
+func buildOptions(fs *flag.FlagSet, v *cliFlags) (core.Options, error) {
+	if v.warmup == 0 {
+		return core.Options{}, fmt.Errorf(`-warmup 0: 0 is not "no warm-up"; it would select the default %d-instruction warm-up, so give a positive budget`,
+			core.DefaultOptions().WarmupInsts)
 	}
-	if err := validateSamplingFlags(v.Intervals, v.RelErr); err != nil {
-		return core.Options{}, err
+	// Negative values convert to huge ones, so one bound catches both.
+	if uint64(v.polluteMB) > math.MaxUint64>>20 {
+		return core.Options{}, fmt.Errorf("-pollute %d: must be between 0 and %d MB, or the byte count wraps",
+			v.polluteMB, uint64(math.MaxUint64>>20))
 	}
 	o := core.Options{
-		Cores: v.Cores, Sockets: v.Sockets, CoresPerSocket: v.CoresPerSocket,
-		SMT: v.SMT, SplitSockets: v.Split,
-		PolluteBytes: uint64(v.PolluteMB) << 20,
-		WarmupInsts:  v.Warmup, MeasureInsts: v.Measure, Seed: v.Seed,
-		InvariantChecks: v.Invariants,
+		Cores: v.cores, Sockets: v.sockets, CoresPerSocket: v.cps,
+		SMT: v.smt, SplitSockets: v.split,
+		PolluteBytes: uint64(v.polluteMB) << 20,
+		WarmupInsts:  v.warmup, MeasureInsts: v.measure,
 	}
-	if v.Sample || v.Intervals > 0 || v.RelErr > 0 {
-		o.Sampling = core.DefaultSampling()
-		if v.Intervals > 0 {
-			o.Sampling.Intervals = v.Intervals
-		}
-		o.Sampling.TargetRelErr = v.RelErr
+	v.Apply(&o)
+	// flagOf maps each Options field cloudsuite sets to the flag that sets
+	// it, so a rejected field is reported under the flag the user typed.
+	flagOf := map[string]string{
+		"Cores":                 "cores",
+		"Sockets":               "sockets",
+		"CoresPerSocket":        "cores-per-socket",
+		"PolluteBytes":          "pollute",
+		"WarmupInsts":           "warmup",
+		"MeasureInsts":          "measure",
+		"InvariantChecks":       "invariants",
+		"Sampling.Intervals":    "intervals",
+		"Sampling.TargetRelErr": "relerr",
 	}
-	return o, nil
-}
-
-// validateSamplingFlags guards the sampling shape shared by cloudsuite
-// and figures: non-positive or oversized interval counts and relative
-// errors outside (0,1) are flag errors, not downstream surprises.
-func validateSamplingFlags(intervals int, relerr float64) error {
-	switch {
-	case intervals < 0:
-		return fmt.Errorf("-intervals %d: must be >= 0 (0 = default)", intervals)
-	case intervals > maxIntervals:
-		return fmt.Errorf("-intervals %d: exceeds the %d-interval cap", intervals, maxIntervals)
-	case relerr < 0:
-		return fmt.Errorf("-relerr %g: must be >= 0 (0 = fixed interval count)", relerr)
-	case relerr >= 1:
-		return fmt.Errorf("-relerr %g: must be below 1 (it is a relative error target)", relerr)
-	}
-	return nil
+	return o, v.Check(fs, o, flagOf)
 }

@@ -44,6 +44,8 @@
 // cache afterwards. Measurements are bit-reproducible per seed —
 // sampled or not — so the output is byte-identical for every -parallel
 // value.
+// Options are judged by core.Options.Validate alone: a rejected value
+// is reported under its flag with exit code 2; a failing -check exits 1.
 package main
 
 import (
@@ -52,10 +54,9 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
+	"cloudsuite/cmd/internal/cli"
 	"cloudsuite/internal/core"
-	"cloudsuite/internal/obs"
 	"cloudsuite/internal/report"
 )
 
@@ -81,74 +82,15 @@ type jsonDoc struct {
 }
 
 func main() {
-	var (
-		only      = flag.String("only", "", "comma-separated figure numbers (default: all, 0 = Table 1, i = implications)")
-		fig       = flag.String("fig", "", `comma-separated named experiments ("scaling" = NUMA scale-up study)`)
-		quick     = flag.Bool("quick", false, "reduced instruction budgets")
-		check     = flag.Bool("check", false, "validate the paper's claims and exit")
-		seed      = flag.Int64("seed", 1, "random seed")
-		parallel  = flag.Int("parallel", 0, "measurement worker-pool width (0 = GOMAXPROCS)")
-		progress  = flag.Bool("progress", false, "report measurement progress on stderr")
-		sampleF   = flag.Bool("sample", false, "SMARTS-style interval sampling instead of one contiguous window")
-		intervals = flag.Int("intervals", 0, "measurement intervals per configuration (0 = default 8; implies -sample)")
-		relerr    = flag.Float64("relerr", 0, "adaptive sampling: stop early once the 95% CI of IPC is within this relative error (implies -sample)")
-		invar     = flag.Int("invariants", 0, "check coherence invariants every N memory accesses (0 = off; observer only, output unchanged)")
-		jsonOut   = flag.Bool("json", false, "machine-readable JSON output (per-figure rows + runner stats)")
-		ckptDir   = flag.String("checkpoint-dir", "", "warm-state checkpoint directory: fork runs from cached warm images and persist new ones")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and live metrics on this address (e.g. 127.0.0.1:6060)")
-		obsOut    = flag.String("obs-out", "", "write PREFIX.metrics.json and PREFIX.trace.json (Chrome trace_event) on exit")
-	)
+	v := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	o, err := buildOptions(cliFlags{
-		Quick: *quick, Seed: *seed, Invariants: *invar, Parallel: *parallel,
-		Sample: *sampleF, Intervals: *intervals, RelErr: *relerr,
-	})
+	o, err := buildOptions(flag.CommandLine, v)
 	if err != nil {
-		fail(err)
+		cli.Reject(err)
 	}
-	sampled := o.Sampling.Enabled()
-
-	runner := core.NewRunner(*parallel)
-	if *progress {
-		runner.SetProgress(progressLine)
-	}
-	if *ckptDir != "" {
-		cs, err := core.NewCheckpointStore(*ckptDir)
-		if err != nil {
-			fail(err)
-		}
-		runner.SetCheckpoints(cs)
-	}
-	// Observability: armed by either profiling flag, disarmed (nil, all
-	// recording no-ops) otherwise. Pure observer — figure bytes are
-	// identical either way.
-	var ob *obs.Observer
-	if *pprofAddr != "" || *obsOut != "" {
-		ob = obs.New()
-		runner.SetObserver(ob)
-	}
-	if *pprofAddr != "" {
-		addr, err := obs.Serve(*pprofAddr, ob)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "obs: profiling endpoint on http://%s/debug/pprof/ (metrics at /metrics)\n", addr)
-	}
-	// dumpObs runs on every exit path that has results worth profiling —
-	// including the -check failure exit, where the sweep still ran.
-	dumpObs := func() {
-		if *obsOut == "" {
-			return
-		}
-		if err := ob.WriteFiles(*obsOut); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "obs: wrote %s.metrics.json and %s.trace.json\n", *obsOut, *obsOut)
-	}
-
 	want := map[string]bool{}
-	for _, arg := range []string{*only, *fig} {
+	for _, arg := range []string{v.only, v.fig} {
 		if arg == "" {
 			continue
 		}
@@ -160,36 +102,30 @@ func main() {
 			case "0", "1", "2", "3", "4", "5", "6", "7", "i", "scaling":
 				want[name] = true
 			default:
-				fail(fmt.Errorf("unknown figure %q (valid: 0-7, i, scaling)", name))
+				cli.Reject(fmt.Errorf("unknown figure %q (valid: 0-7, i, scaling)", name))
 			}
 		}
 	}
-	// Named experiments run only when selected; numbered figures run by
-	// default when nothing is selected.
-	sel := func(n string) bool { return len(want) == 0 || want[n] }
+	// -check runs the claims alone. Otherwise numbered figures run by
+	// default when nothing is selected; named experiments only when
+	// selected.
+	sel := func(n string) bool {
+		return !v.check && (want[n] || len(want) == 0 && n != "i" && n != "scaling")
+	}
+	sampled := o.Sampling.Enabled()
 
-	doc := &jsonDoc{Seed: *seed, Quick: *quick}
+	runner := v.NewRunner()
+	doc := &jsonDoc{Seed: v.Seed, Quick: v.quick}
 	if sampled {
 		// Record the resolved schedule, not the flag spelling.
 		s := o.Sampling.Normalize(o.MeasureInsts)
 		doc.Sampling = &s
 	}
-	render := !*jsonOut
+	render := !v.jsonOut
 
-	if *check {
-		ok := runCheck(runner, o, doc, render)
-		if *jsonOut {
-			doc.Runner = runner.Stats()
-			emitJSON(doc)
-		}
-		if *progress {
-			reportStats(runner)
-		}
-		dumpObs()
-		if !ok {
-			os.Exit(1)
-		}
-		return
+	ok := true
+	if v.check {
+		ok = runCheck(runner, o, doc, render)
 	}
 
 	entries := core.FigureEntries()
@@ -201,151 +137,80 @@ func main() {
 		}
 	}
 	if sel("1") {
-		rows, err := runner.Figure1(entries, o)
-		if err != nil {
-			fail(err)
-		}
-		doc.Figure1 = rows
+		doc.Figure1 = cli.Must(runner.Figure1(entries, o))
 		if render {
-			renderFigure1(rows, sampled)
+			renderFigure1(doc.Figure1, sampled)
 		}
 	}
 	if sel("2") {
-		rows, err := runner.Figure2(entries, o)
-		if err != nil {
-			fail(err)
-		}
-		doc.Figure2 = rows
+		doc.Figure2 = cli.Must(runner.Figure2(entries, o))
 		if render {
-			renderFigure2(rows)
+			renderFigure2(doc.Figure2)
 		}
 	}
 	if sel("3") {
-		rows, err := runner.Figure3(entries, o)
-		if err != nil {
-			fail(err)
-		}
-		doc.Figure3 = rows
+		doc.Figure3 = cli.Must(runner.Figure3(entries, o))
 		if render {
-			renderFigure3(rows, sampled)
+			renderFigure3(doc.Figure3, sampled)
 		}
 	}
 	if sel("4") {
-		series, err := runner.Figure4(core.Figure4Groups(), []int{4, 5, 6, 7, 8, 9, 10, 11}, o)
-		if err != nil {
-			fail(err)
-		}
-		doc.Figure4 = series
+		doc.Figure4 = cli.Must(runner.Figure4(core.Figure4Groups(), []int{4, 5, 6, 7, 8, 9, 10, 11}, o))
 		if render {
-			renderFigure4(series)
+			renderFigure4(doc.Figure4)
 		}
 	}
 	if sel("5") {
-		rows, err := runner.Figure5(entries, o)
-		if err != nil {
-			fail(err)
-		}
-		doc.Figure5 = rows
+		doc.Figure5 = cli.Must(runner.Figure5(entries, o))
 		if render {
-			renderFigure5(rows)
+			renderFigure5(doc.Figure5)
 		}
 	}
 	if sel("6") {
-		rows, err := runner.Figure6(entries, o)
-		if err != nil {
-			fail(err)
-		}
-		doc.Figure6 = rows
+		doc.Figure6 = cli.Must(runner.Figure6(entries, o))
 		if render {
-			renderFigure6(rows)
+			renderFigure6(doc.Figure6)
 		}
 	}
 	if sel("7") {
-		rows, err := runner.Figure7(entries, o)
-		if err != nil {
-			fail(err)
-		}
-		doc.Figure7 = rows
+		doc.Figure7 = cli.Must(runner.Figure7(entries, o))
 		if render {
-			renderFigure7(rows, sampled)
+			renderFigure7(doc.Figure7, sampled)
 		}
 	}
-	if want["i"] {
+	if sel("i") {
 		implications(runner, o, doc, render)
 	}
-	if want["scaling"] {
-		rows, err := runner.ScaleUpStudy(core.ScaleOutEntries(), core.ScaleUpPoints(), o)
-		if err != nil {
-			fail(err)
-		}
-		doc.Scaling = rows
+	if sel("scaling") {
+		doc.Scaling = cli.Must(runner.ScaleUpStudy(core.ScaleOutEntries(), core.ScaleUpPoints(), o))
 		if render {
-			renderScaling(rows)
+			renderScaling(doc.Scaling)
 		}
 	}
 
-	if *jsonOut {
+	if v.jsonOut {
 		doc.Runner = runner.Stats()
 		emitJSON(doc)
 	}
-	if *progress {
-		reportStats(runner)
+	v.Finish(runner) // on the -check failure exit too: the sweep ran
+	if !ok {
+		os.Exit(1)
 	}
-	dumpObs()
-}
-
-// reportStats prints the runner's work accounting and, when a
-// checkpoint store is installed, the warm-image cache activity on
-// stderr (stderr only: -json output must stay byte-identical with and
-// without a checkpoint dir, which the CI determinism job enforces).
-func reportStats(runner *core.Runner) {
-	s := runner.Stats()
-	fmt.Fprintf(os.Stderr, "runner: %d measurements requested, %d simulated, %d served from cache, %d insts measured (%d workers)\n",
-		s.Requests, s.Runs, s.CacheHits, s.MeasuredInsts, runner.Workers())
-	cs := runner.Checkpoints()
-	if cs == nil {
-		return
-	}
-	c := cs.Stats()
-	fmt.Fprintf(os.Stderr, "checkpoints: %d requests, %d memory hits, %d disk hits, %d saved, %d failures (%s)\n",
-		c.Requests, c.MemoryHits, c.DiskHits, c.Saves, c.Failures, cs.Dir())
 }
 
 func emitJSON(doc *jsonDoc) {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(doc); err != nil {
-		fail(err)
-	}
-}
-
-// progressLine renders one in-place progress line on stderr, tagged
-// with the request's provenance (memo hit, checkpoint fork, cold run)
-// and wall-clock cost when known.
-func progressLine(ev core.ProgressEvent) {
-	tag := ""
-	switch {
-	case ev.Source != "":
-		tag = fmt.Sprintf(" (%s, %s)", ev.Source, ev.Duration.Round(time.Millisecond))
-	case ev.Cached:
-		tag = " (cached)"
-	}
-	fmt.Fprintf(os.Stderr, "\r\033[K%4d/%-4d %s%s", ev.Done, ev.Total, ev.Bench, tag)
-	if ev.Done == ev.Total {
-		fmt.Fprintln(os.Stderr)
+		cli.Fail(err)
 	}
 }
 
 func runCheck(runner *core.Runner, o core.Options, doc *jsonDoc, render bool) bool {
-	claims, err := runner.Validate(o)
-	if err != nil {
-		fail(err)
-	}
-	doc.Claims = claims
-	ok := core.AllHold(claims)
+	doc.Claims = cli.Must(runner.Validate(o))
 	if render {
 		t := report.Table{Title: "Reproduction check", Header: []string{"claim", "verdict", "measured"}}
-		for _, c := range claims {
+		for _, c := range doc.Claims {
 			verdict := "HOLDS"
 			if !c.Holds {
 				verdict = "FAILS"
@@ -354,21 +219,14 @@ func runCheck(runner *core.Runner, o core.Options, doc *jsonDoc, render bool) bo
 		}
 		t.Render(os.Stdout)
 	}
-	return ok
+	return core.AllHold(doc.Claims)
 }
 
 func implications(runner *core.Runner, o core.Options, doc *jsonDoc, render bool) {
 	so := core.ScaleOutEntries()
-	rows, err := runner.Implications(so, o)
-	if err != nil {
-		fail(err)
-	}
-	doc.Implications = rows
-	irows, err := runner.InstructionPrefetchStudy(so, o)
-	if err != nil {
-		fail(err)
-	}
-	doc.IPrefetch = irows
+	rows := cli.Must(runner.Implications(so, o))
+	irows := cli.Must(runner.InstructionPrefetchStudy(so, o))
+	doc.Implications, doc.IPrefetch = rows, irows
 	if !render {
 		return
 	}
@@ -410,11 +268,6 @@ func renderScaling(rows []core.ScaleUpRow) {
 		}
 	}
 	t.Render(os.Stdout)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }
 
 func renderTable1(rows []core.TableRow) {

@@ -1,61 +1,49 @@
 package main
 
 import (
-	"fmt"
+	"flag"
 
+	"cloudsuite/cmd/internal/cli"
 	"cloudsuite/internal/core"
 )
 
-// maxIntervals caps the sampling schedule: more intervals than measured
-// instructions cannot be scheduled, and absurd counts signal a typo.
-const maxIntervals = 1_000_000
-
-// cliFlags carries the measurement-shaping flag values into validation.
+// cliFlags holds figures' flag values.
 type cliFlags struct {
-	Quick      bool
-	Seed       int64
-	Invariants int
-	Parallel   int
-	Sample     bool
-	Intervals  int
-	RelErr     float64
+	cli.Common
+	only, fig             string
+	quick, check, jsonOut bool
 }
 
-// buildOptions validates the flag values and assembles the shared
-// core.Options every selected figure runs with. Rejections happen here,
-// before any simulation starts: a negative budget or interval count
-// surviving to the engine historically wrapped a uint64 and hung.
-func buildOptions(v cliFlags) (core.Options, error) {
-	switch {
-	case v.Invariants < 0:
-		return core.Options{}, fmt.Errorf("-invariants %d: must be >= 0 (0 = off)", v.Invariants)
-	case v.Parallel < 0:
-		return core.Options{}, fmt.Errorf("-parallel %d: must be >= 0 (0 = GOMAXPROCS)", v.Parallel)
-	case v.Intervals < 0:
-		return core.Options{}, fmt.Errorf("-intervals %d: must be >= 0 (0 = default)", v.Intervals)
-	case v.Intervals > maxIntervals:
-		return core.Options{}, fmt.Errorf("-intervals %d: exceeds the %d-interval cap", v.Intervals, maxIntervals)
-	case v.RelErr < 0:
-		return core.Options{}, fmt.Errorf("-relerr %g: must be >= 0 (0 = fixed interval count)", v.RelErr)
-	case v.RelErr >= 1:
-		return core.Options{}, fmt.Errorf("-relerr %g: must be below 1 (it is a relative error target)", v.RelErr)
-	}
+// defineFlags declares figures' flags on fs.
+func defineFlags(fs *flag.FlagSet) *cliFlags {
+	v := &cliFlags{}
+	v.Register(fs)
+	fs.StringVar(&v.only, "only", "", "comma-separated figure numbers (default: all, 0 = Table 1, i = implications)")
+	fs.StringVar(&v.fig, "fig", "", `comma-separated named experiments ("scaling" = NUMA scale-up study)`)
+	fs.BoolVar(&v.quick, "quick", false, "reduced instruction budgets")
+	fs.BoolVar(&v.check, "check", false, "validate the paper's claims and exit")
+	fs.BoolVar(&v.jsonOut, "json", false, "machine-readable JSON output (per-figure rows + runner stats)")
+	return v
+}
+
+// buildOptions maps the flags onto the core.Options every selected
+// figure runs with and judges them through core.Options.Validate.
+func buildOptions(fs *flag.FlagSet, v *cliFlags) (core.Options, error) {
 	o := core.DefaultOptions()
-	o.Seed = v.Seed
-	o.InvariantChecks = v.Invariants
-	if v.Quick {
+	if v.quick {
 		// Quick warming still has to cover a useful fraction of the
 		// largest workload's working set (Data Serving: 128MB), or the
 		// measured window sits on a cold-miss transient and claim
 		// margins evaporate.
 		o.WarmupInsts, o.MeasureInsts = 200_000, 40_000
 	}
-	if v.Sample || v.Intervals > 0 || v.RelErr > 0 {
-		o.Sampling = core.DefaultSampling()
-		if v.Intervals > 0 {
-			o.Sampling.Intervals = v.Intervals
-		}
-		o.Sampling.TargetRelErr = v.RelErr
+	v.Apply(&o)
+	// flagOf maps each Options field figures sets to the flag that sets it,
+	// so a rejected field is reported under the flag the user typed.
+	flagOf := map[string]string{
+		"InvariantChecks":       "invariants",
+		"Sampling.Intervals":    "intervals",
+		"Sampling.TargetRelErr": "relerr",
 	}
-	return o, nil
+	return o, v.Check(fs, o, flagOf)
 }

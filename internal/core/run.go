@@ -122,6 +122,88 @@ func DefaultOptions() Options {
 	}
 }
 
+// maxBudgetInsts caps per-thread instruction budgets at a value far
+// beyond any sensible simulation (a single thread at ~1M simulated
+// insts/sec would run for days): a mistyped exponent is an option
+// error, not a day-long hang.
+const maxBudgetInsts = 1_000_000_000
+
+// OptionError reports the Options field Validate rejects. Field is the
+// field's path in Options ("Cores", "Sampling.Intervals"), so a front
+// end can name its own spelling of the option — the CLIs map it to the
+// flag that set it.
+type OptionError struct {
+	Field  string
+	Value  any
+	Reason string
+}
+
+func (e *OptionError) Error() string {
+	return fmt.Sprintf("core: Options.%s %v: %s", e.Field, e.Value, e.Reason)
+}
+
+// Validate is the one place an Options value is judged. Measure and the
+// Runner call it before canonicalize, so an invalid request never
+// reaches the engine or takes a memo slot. Zero fields mean "default"
+// and are always valid; any other value must describe a run the
+// simulator can schedule: core counts within the directory's reach and
+// the resolved machine's capacity, polluters within their address
+// window, budgets within the per-thread cap, and a valid sampling
+// spec. The first violation is returned as an *OptionError.
+func (o Options) Validate() error {
+	bad := func(field string, v any, format string, args ...any) error {
+		return &OptionError{Field: field, Value: v, Reason: fmt.Sprintf(format, args...)}
+	}
+	for _, f := range []struct {
+		field    string
+		n, limit int64
+		cap      string
+	}{
+		{"Cores", int64(o.Cores), cache.MaxCores, "-core directory limit"},
+		{"Sockets", int64(o.Sockets), cache.MaxCores, "-core directory limit"},
+		{"CoresPerSocket", int64(o.CoresPerSocket), cache.MaxCores, "-core directory limit"},
+		{"WarmupInsts", o.WarmupInsts, maxBudgetInsts, " per-thread budget cap"},
+		{"MeasureInsts", o.MeasureInsts, maxBudgetInsts, " per-thread budget cap"},
+	} {
+		switch {
+		case f.n < 0:
+			return bad(f.field, f.n, "must be >= 0 (0 = default)")
+		case f.n > f.limit:
+			return bad(f.field, f.n, "exceeds the %d%s", f.limit, f.cap)
+		}
+	}
+	switch {
+	case o.PolluteBytes > polluterWindow:
+		return bad("PolluteBytes", o.PolluteBytes, "exceeds the %d-byte polluter address window", uint64(polluterWindow))
+	case o.InvariantChecks < 0:
+		return bad("InvariantChecks", o.InvariantChecks, "must be >= 0 (0 = off)")
+	}
+	if err := o.Sampling.Validate(); err != nil {
+		if fe := (*sample.FieldError)(nil); errors.As(err, &fe) {
+			return bad("Sampling."+fe.Field, fe.Value, "%s", fe.Reason)
+		}
+		return err
+	}
+
+	// The fields are in range; judge the configuration they resolve to.
+	c := canonicalize(o)
+	mem := c.machine.Mem
+	if err := mem.Validate(); err != nil {
+		switch {
+		case o.Machine != nil:
+			return bad("Machine", c.machine.Name, "%v", err)
+		case o.CoresPerSocket > 0:
+			return bad("CoresPerSocket", o.CoresPerSocket, "%v", err)
+		}
+		return bad("Sockets", o.Sockets, "%v", err)
+	}
+	if c.cores > mem.TotalCores() || (!c.splitSockets && c.cores > mem.CoresPerSocket) {
+		return bad("Cores", o.Cores, "%d workload cores exceed the %s capacity (%d sockets x %d cores)",
+			c.cores, c.machine.Name, mem.Sockets, mem.CoresPerSocket)
+	}
+	return nil
+}
+
 // Measurement is the outcome of one run: the counter deltas of the
 // measurement window plus derived context.
 type Measurement struct {
@@ -189,25 +271,20 @@ func (m *Measurement) CI(f func(*Measurement) float64) Estimate {
 
 // Measure runs one workload instance under the given options.
 //
-// Option defaulting goes through canonicalize (runner.go), the same
-// resolution the Runner's memoization cache keys on: two Options with
-// equal canonical forms measure identically by construction.
+// Options pass Validate first; defaulting then goes through
+// canonicalize (runner.go), the same resolution the Runner's
+// memoization cache keys on: two Options with equal canonical forms
+// measure identically by construction.
 func Measure(w workloads.Workload, o Options) (*Measurement, error) {
-	c := canonicalize(o)
-	if err := c.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
+	c := canonicalize(o)
 	// Run observation (no-op when disarmed): opened before workload
 	// startup so setup time is attributed, finished on every exit path.
 	ro := o.Obs.StartRun(w.Name(), c.label())
 	defer ro.Finish()
 	machine := &c.machine
-
-	if c.cores > machine.Mem.TotalCores() ||
-		(!c.splitSockets && c.cores > machine.Mem.CoresPerSocket) {
-		return nil, fmt.Errorf("core: %d workload cores exceed the %s capacity (%d sockets x %d cores)",
-			c.cores, machine.Name, machine.Mem.Sockets, machine.Mem.CoresPerSocket)
-	}
 
 	// Thread placement.
 	nThreads := c.cores
@@ -454,6 +531,11 @@ func (p *polluterProg) LoadState(rd *checkpoint.Reader) {
 	p.rnd.LoadState(rd)
 }
 
+// polluterWindow is the address span each polluter thread owns. Validate
+// caps PolluteBytes at it, so no polluter array runs into its
+// neighbour's window or wraps the address space.
+const polluterWindow = 0x10_0000_0000
+
 // startPolluter builds one polluter thread's generator.
 func startPolluter(bytes uint64, id uint64, seed int64) *trace.StepGen {
 	cfg := trace.EmitterConfig{Seed: seed, BlockLen: 8, BranchEntropy: 0}
@@ -466,7 +548,7 @@ func startPolluter(bytes uint64, id uint64, seed int64) *trace.StepGen {
 		fn:    layout.Func("polluter", 64),
 		rnd:   rng.New(seed),
 		lines: lines,
-		base:  uint64(0x20_0000_0000) + id*0x10_0000_0000,
+		base:  uint64(0x20_0000_0000) + id*polluterWindow,
 	})
 }
 

@@ -59,7 +59,8 @@ type ProgressFunc func(ProgressEvent)
 
 // RunnerStats counts the runner's activity.
 type RunnerStats struct {
-	// Requests is the number of measurements requested.
+	// Requests is the number of measurements requested; a request
+	// Options.Validate rejects never counts.
 	Requests int64
 	// Runs is the number of simulations actually executed.
 	Runs int64
@@ -107,7 +108,9 @@ type canonicalOptions struct {
 // canonicalize is the single defaulting resolution: Measure consumes
 // the canonical form directly, so requests spelled differently but
 // measured identically share a cache slot by construction — the cache
-// key and the measurement semantics cannot drift apart.
+// key and the measurement semantics cannot drift apart. It resolves
+// zeros to defaults and nothing else: callers pass Options that
+// Validate accepted.
 func canonicalize(o Options) canonicalOptions {
 	c := canonicalOptions{
 		cores:        o.Cores,
@@ -118,8 +121,8 @@ func canonicalize(o Options) canonicalOptions {
 		measureInsts: o.MeasureInsts,
 		seed:         o.Seed,
 	}
-	if c.cores <= 0 {
-		c.cores = 4
+	if c.cores == 0 {
+		c.cores = DefaultOptions().Cores
 	}
 	if c.warmupInsts == 0 {
 		c.warmupInsts = DefaultOptions().WarmupInsts
@@ -128,25 +131,13 @@ func canonicalize(o Options) canonicalOptions {
 		c.measureInsts = DefaultOptions().MeasureInsts
 	}
 	// Sampling defaults derive from the resolved contiguous budget, so
-	// two spellings of the same schedule share a cache slot. An invalid
-	// spec is kept verbatim: it gets its own key and Measure rejects it,
-	// rather than colliding with the contiguous configuration.
-	if o.Sampling.Validate() == nil {
-		c.sampling = o.Sampling.Normalize(c.measureInsts)
-	} else {
-		c.sampling = o.Sampling
-	}
+	// two spellings of the same schedule share a cache slot.
+	c.sampling = o.Sampling.Normalize(c.measureInsts)
 	switch {
 	case o.Machine != nil:
 		c.machine = *o.Machine
-	case o.CoresPerSocket > 0:
-		sockets := o.Sockets
-		if sockets < 1 {
-			sockets = 1
-		}
-		c.machine = ScaledMachine(sockets, o.CoresPerSocket)
-	case o.Sockets >= 2:
-		c.machine = MultiSocket(o.Sockets)
+	case o.CoresPerSocket > 0 || o.Sockets >= 2:
+		c.machine = ScaledMachine(o.Sockets, o.CoresPerSocket)
 	case o.SplitSockets:
 		c.machine = TwoSocket()
 	default:
@@ -166,24 +157,6 @@ func (c *canonicalOptions) label() string {
 		s += fmt.Sprintf(" intervals=%d", c.sampling.Intervals)
 	}
 	return s
-}
-
-// validate guards the canonical form against budgets the engine cannot
-// schedule (the defaulting above only fills zeros, so negatives and
-// malformed sampling specs survive to here and must be rejected with a
-// clear error instead of hanging the timed loop or dividing by zero
-// downstream).
-func (c *canonicalOptions) validate() error {
-	if c.warmupInsts < 0 {
-		return fmt.Errorf("core: WarmupInsts %d must be >= 0", c.warmupInsts)
-	}
-	if c.measureInsts <= 0 {
-		return fmt.Errorf("core: MeasureInsts %d must be positive", c.measureInsts)
-	}
-	if err := c.sampling.Validate(); err != nil {
-		return fmt.Errorf("core: invalid Sampling: %w", err)
-	}
-	return nil
 }
 
 // cacheCell is one memoized measurement. The first requester computes
@@ -436,6 +409,11 @@ func (r *Runner) MeasureAll(reqs []MeasureRequest) ([]*Measurement, error) {
 // simulation if this is the first request for its key. It reports how
 // the result was obtained (cache vs fresh, warm source, wall time).
 func (r *Runner) measureOne(req MeasureRequest) (*Measurement, runResult, error) {
+	// The front door: an invalid request fails before it is keyed, so it
+	// takes no memo slot and leaves the stats untouched.
+	if err := req.Options.Validate(); err != nil {
+		return nil, runResult{}, fmt.Errorf("core: measuring %s: %w", req.Bench.Name, err)
+	}
 	start := obs.Now()
 	key := measureKey{bench: req.Bench.Name, opt: canonicalize(req.Options)}
 	r.mu.Lock()

@@ -72,20 +72,39 @@ func (s Spec) Enabled() bool {
 	return s.Intervals > 0 || s.IntervalInsts > 0 || s.WarmInsts > 0 || s.TargetRelErr > 0
 }
 
-// Validate rejects specs that cannot be scheduled. Zero fields are
-// legal (they select defaults in Normalize); negatives are not.
+// MaxIntervals caps the interval count: more intervals than measured
+// instructions cannot be scheduled, and absurd counts signal a typo.
+const MaxIntervals = 1_000_000
+
+// FieldError reports the Spec field Validate rejects, so a front end
+// can name its own spelling of that field.
+type FieldError struct {
+	Field  string
+	Value  any
+	Reason string
+}
+
+func (e *FieldError) Error() string {
+	return fmt.Sprintf("sample: %s %v: %s", e.Field, e.Value, e.Reason)
+}
+
+// Validate rejects specs that cannot be scheduled, as a *FieldError.
+// Zero fields are legal (they select defaults in Normalize); negatives,
+// oversized interval counts and relative errors outside [0, 1) are not.
 func (s Spec) Validate() error {
-	if s.Intervals < 0 {
-		return fmt.Errorf("sample: Intervals %d must be >= 0", s.Intervals)
-	}
-	if s.IntervalInsts < 0 {
-		return fmt.Errorf("sample: IntervalInsts %d must be >= 0", s.IntervalInsts)
-	}
-	if s.WarmInsts < 0 {
-		return fmt.Errorf("sample: WarmInsts %d must be >= 0", s.WarmInsts)
-	}
-	if s.TargetRelErr < 0 {
-		return fmt.Errorf("sample: TargetRelErr %g must be >= 0", s.TargetRelErr)
+	switch {
+	case s.Intervals < 0:
+		return &FieldError{"Intervals", s.Intervals, "must be >= 0 (0 = default)"}
+	case s.Intervals > MaxIntervals:
+		return &FieldError{"Intervals", s.Intervals, fmt.Sprintf("exceeds the %d-interval cap", MaxIntervals)}
+	case s.IntervalInsts < 0:
+		return &FieldError{"IntervalInsts", s.IntervalInsts, "must be >= 0 (0 = default)"}
+	case s.WarmInsts < 0:
+		return &FieldError{"WarmInsts", s.WarmInsts, "must be >= 0 (0 = default)"}
+	case !(s.TargetRelErr >= 0): // NaN included
+		return &FieldError{"TargetRelErr", s.TargetRelErr, "must be >= 0 (0 = fixed interval count)"}
+	case s.TargetRelErr >= 1:
+		return &FieldError{"TargetRelErr", s.TargetRelErr, "must be below 1 (it is a relative error target)"}
 	}
 	return nil
 }

@@ -47,6 +47,9 @@ func TestSpecValidate(t *testing.T) {
 		{IntervalInsts: -5},
 		{WarmInsts: -1},
 		{TargetRelErr: -0.1},
+		{TargetRelErr: math.NaN()},
+		{TargetRelErr: 1},
+		{Intervals: MaxIntervals + 1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", bad)
