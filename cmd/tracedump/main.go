@@ -58,20 +58,18 @@ func run(args []string, out io.Writer) error {
 		}
 	}()
 
+	const pullInsts = 8192 // fixes where Steps run, as engine batches do
 	var s stats
-	buf := make([]trace.Inst, 8192)
 	for _, g := range gens {
 		remaining := *insts
 		for remaining > 0 {
-			n := g.Next(buf)
-			if n == 0 {
+			b := g.Batch(pullInsts)
+			if len(b) == 0 {
 				break
 			}
-			if n > remaining {
-				n = remaining
-			}
-			s.add(buf[:n])
-			remaining -= n
+			b = b[:min(len(b), remaining)]
+			s.add(b)
+			remaining -= len(b)
 		}
 	}
 	if *jsonOut {

@@ -20,7 +20,7 @@ func saveAll(t *testing.T, w workloads.Workload, gens []*trace.StepGen) *checkpo
 		if !g.CanSave() {
 			t.Fatal("generator reports CanSave() == false")
 		}
-		g.SaveState(wr)
+		g.SaveState(wr, 0)
 	}
 	return wr.Snapshot("roundtrip")
 }

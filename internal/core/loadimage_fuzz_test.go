@@ -1,0 +1,179 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"runtime"
+	"testing"
+
+	"cloudsuite/internal/sim/checkpoint"
+	"cloudsuite/internal/sim/engine"
+	"cloudsuite/internal/trace"
+)
+
+// imageSeed is one warm image FuzzLoadImage mutates: the run it was
+// taken from, its encoded container, and the bytes a restore of the
+// unmutated image allocates.
+type imageSeed struct {
+	bench Bench
+	c     canonicalOptions
+	raw   []byte
+	size  int // payload bytes, the tail of raw
+	alloc uint64
+}
+
+// imageRun starts a fresh instance of the seed's workload, and the
+// polluters its options ask for, and returns the engine input of a
+// run over them plus every generator, for closing.
+func (s imageSeed) imageRun(tb testing.TB) (engine.RunConfig, []engine.Thread, []*trace.StepGen) {
+	tb.Helper()
+	c := s.c
+	w := s.bench.New()
+	n := c.cores
+	if c.smt {
+		n *= 2
+	}
+	gens := w.Start(n, c.seed)
+	var threads []engine.Thread
+	coreOf := make([]int, n)
+	for i, g := range gens {
+		coreOf[i] = i % c.cores
+		threads = append(threads, engine.Thread{Gen: g, Core: coreOf[i], Measured: true})
+	}
+	if c.polluteBytes > 0 {
+		pcores, err := polluterCores(coreOf, c.machine.Mem)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for i, pc := range pcores {
+			g := startPolluter(c.polluteBytes/uint64(len(pcores)), uint64(i), c.seed+1000+int64(i))
+			gens = append(gens, g)
+			threads = append(threads, engine.Thread{Gen: g, Core: pc})
+		}
+	}
+	cfg := engine.RunConfig{
+		Core: c.machine.Core, Mem: c.machine.Mem,
+		WarmupInsts: c.warmupInsts, MeasureInsts: c.measureInsts, MaxCycles: c.measureInsts * int64(n) * 40,
+		SaveShared: w.SaveShared, LoadShared: w.LoadShared,
+	}
+	if c.sampling.Enabled() {
+		cfg.Intervals = c.sampling.Intervals
+		cfg.MeasureInsts = c.sampling.IntervalInsts
+		cfg.IntervalWarmInsts = c.sampling.FunctionalWarmInsts()
+		cfg.DetailWarmInsts = c.sampling.DetailWarmInsts()
+	}
+	return cfg, threads, gens
+}
+
+func closeAll(gens []*trace.StepGen) {
+	for _, g := range gens {
+		g.Close()
+	}
+}
+
+// warmImage warms the bench called name under o and keeps the image
+// taken at the warm boundary.
+func warmImage(tb testing.TB, name string, o Options) imageSeed {
+	tb.Helper()
+	b, ok := FindBench(name)
+	if !ok {
+		tb.Fatalf("no bench %q", name)
+	}
+	s := imageSeed{bench: b, c: canonicalize(o)}
+	cfg, threads, gens := s.imageRun(tb)
+	var snap *checkpoint.Snapshot
+	cfg.Checkpoint = func(sn *checkpoint.Snapshot) { snap = sn }
+	_, err := engine.Run(cfg, threads)
+	closeAll(gens)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := snap.Encode(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	s.raw, s.size = buf.Bytes(), snap.Size()
+	if s.alloc, err = s.restore(tb, s.payload()); err != nil {
+		tb.Fatalf("%s: unmutated image does not restore: %v", name, err)
+	}
+	return s
+}
+
+func (s imageSeed) payload() []byte { return s.raw[len(s.raw)-s.size:] }
+
+// restore seals payload into a container with a valid content hash and
+// runs only the restore of it into a fresh instance of the seed's run.
+// It returns the bytes the restore allocated and its error.
+func (s imageSeed) restore(tb testing.TB, payload []byte) (uint64, error) {
+	tb.Helper()
+	// The container ends in payload length, content hash and payload.
+	var buf bytes.Buffer
+	buf.Write(s.raw[:len(s.raw)-s.size-8-sha256.Size])
+	buf.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(payload))))
+	sum := sha256.Sum256(payload)
+	buf.Write(sum[:])
+	buf.Write(payload)
+	snap, err := checkpoint.Decode(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg, threads, gens := s.imageRun(tb)
+	defer closeAll(gens)
+	cfg.Restore = snap
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = engine.Restore(cfg, threads)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// mutate overwrites a copy of payload with patch at offset at, or, for
+// an empty patch, truncates it to at bytes. Offsets wrap, so every
+// input is a valid mutation.
+func mutate(payload []byte, at uint32, patch []byte) []byte {
+	p := int(uint64(at) % uint64(len(payload)+1))
+	if len(patch) == 0 {
+		return payload[:p]
+	}
+	out := append([]byte(nil), payload...)
+	copy(out[p:], patch)
+	return out
+}
+
+// FuzzLoadImage mutates real warm images, re-seals their content hash
+// and runs only the restore. Every outcome must be an error or a clean
+// load: never a panic, and never an allocation sized from a count the
+// decoder did not check against the bytes left. The seeds are warmed
+// at run time from small budgets — scale-out and traditional benches,
+// one with polluters and one sampled — so no image is committed.
+func FuzzLoadImage(f *testing.F) {
+	small := func(o Options) Options {
+		o.Cores, o.WarmupInsts, o.MeasureInsts, o.Seed = 2, 20_000, 2_000, 1
+		return o
+	}
+	seeds := []imageSeed{
+		warmImage(f, "Data Serving", small(Options{})),
+		warmImage(f, "SAT Solver", small(Options{PolluteBytes: 1 << 20})),
+		warmImage(f, "MapReduce", small(Options{Sampling: Sampling{Intervals: 3}})),
+		warmImage(f, "Web Search", small(Options{SMT: true})),
+		warmImage(f, "TPC-C", small(Options{})),
+	}
+	for i, s := range seeds {
+		n := uint32(s.size)
+		f.Add(uint8(i), n, []byte(nil))
+		f.Add(uint8(i), n/2, []byte(nil))
+		f.Add(uint8(i), n-64, []byte{0xff, 0xff, 0xff, 0x7f})
+		f.Add(uint8(i), n/3, []byte{0, 0, 0, 0x80, 1})
+	}
+	f.Fuzz(func(t *testing.T, which uint8, at uint32, patch []byte) {
+		s := seeds[int(which)%len(seeds)]
+		payload := mutate(s.payload(), at, patch)
+		// A decoder may allocate a few times the bytes it reads per
+		// element; an unchecked count allocates without bound.
+		alloc, _ := s.restore(t, payload)
+		if limit := s.alloc + 8*uint64(len(payload)); alloc > limit {
+			t.Fatalf("restore allocated %d bytes, over the %d-byte bound for a %d-byte payload", alloc, limit, len(payload))
+		}
+	})
+}

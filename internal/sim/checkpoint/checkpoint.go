@@ -11,7 +11,8 @@
 // A warm image also carries the generator half of the machine (a
 // "live" image, in the live-points sense): emitter RNG and call-stack
 // state, per-thread program state, the workload's shared structures,
-// and the engine's undrained fetch buffers. Restoring it is a pure
+// and each thread's one residue section of built but unfetched
+// instructions. Restoring it is a pure
 // load — no part of the warmup instruction stream is re-executed (see
 // engine.RunConfig.Restore). The differential test harness proves the
 // restore byte-identical to a cold run for every benchmark.
@@ -57,8 +58,11 @@ import (
 // fetch buffers) so live images restore by a pure load; v4 drops the
 // replay flavor: every image carries the generator section, led by a
 // shared-state presence flag, and the traditional proxies serialize
-// their threads.
-const Version = 4
+// their threads; v5 has one residue section per thread: the engine
+// fetches from the generator's lent batch, so the generator writes the
+// unfetched rest of that batch with its own residue and the lent count,
+// and the engine's fetch-buffer section is gone.
+const Version = 5
 
 //simlint:ok globalrand write-once file-format magic, read-only after initialization
 var magic = [8]byte{'C', 'S', 'C', 'K', 'P', 'T', '0', '1'}
@@ -232,7 +236,7 @@ func (r *Reader) Expect(name string) {
 	n := int(r.U32())
 	b := r.take(n)
 	if r.err == nil && string(b) != name {
-		r.fail("section tag mismatch: have %q, want %q", string(b), name)
+		r.fail("section tag mismatch: have %.64q, want %q", b, name)
 	}
 }
 

@@ -17,9 +17,10 @@ import (
 // controllers).
 //
 // Generator half — the workload's shared structures (RunConfig.
-// SaveShared, when set), every thread's generator state (for a
-// trace.StepGen: emitter RNG, call stack, program state, buffered
-// residue), and the engine's undrained per-context fetch buffers.
+// SaveShared, when set), then per context its generator state (for a
+// trace.StepGen: emitter RNG, call stack, program state, and the one
+// residue section with the count of lent but unfetched instructions,
+// which restore re-borrows with Batch(lent)) and end-of-stream flag.
 // Restore is a pure load: no part of the warmup instruction stream is
 // re-executed, so fork cost is independent of WarmupInsts. A run that
 // checkpoints or restores must have a serializable generator on every
@@ -33,8 +34,8 @@ import (
 // trace.SliceGen and trace.LoopGen.
 type statefulGen interface {
 	CanSave() bool
-	SaveState(w *checkpoint.Writer)
-	LoadState(rd *checkpoint.Reader)
+	SaveState(w *checkpoint.Writer, lent int)
+	LoadState(rd *checkpoint.Reader) int
 }
 
 // checkSerializable fails unless every thread's generator can
@@ -75,14 +76,7 @@ func saveMachine(cfg RunConfig, clock int64, cores []*core, mem *cache.System) *
 	}
 	for _, co := range cores {
 		for _, ctx := range co.ctxs {
-			ctx.gen.(statefulGen).SaveState(w)
-			// The engine-side fetch buffer: instructions already pulled
-			// from the generator but not yet consumed by warming.
-			residual := ctx.buf[ctx.bufPos:ctx.bufLen]
-			w.U32(uint32(len(residual)))
-			if len(residual) > 0 {
-				w.Struct(residual)
-			}
+			ctx.gen.(statefulGen).SaveState(w, len(ctx.batch)-ctx.pos)
 			w.Bool(ctx.eof)
 		}
 	}
@@ -139,18 +133,11 @@ func restoreRun(snap *checkpoint.Snapshot, cfg RunConfig, cores []*core, mem *ca
 	}
 	for _, co := range cores {
 		for _, ctx := range co.ctxs {
-			ctx.gen.(statefulGen).LoadState(r)
-			n := int(r.U32())
-			if r.Err() == nil && n > len(ctx.buf) {
-				return fmt.Errorf("engine: snapshot fetch buffer (%d insts) exceeds context capacity (%d)", n, len(ctx.buf))
-			}
+			lent := ctx.gen.(statefulGen).LoadState(r)
 			if r.Err() != nil {
 				return r.Err()
 			}
-			if n > 0 {
-				r.Struct(ctx.buf[:n])
-			}
-			ctx.bufPos, ctx.bufLen = 0, n
+			ctx.batch, ctx.pos = ctx.gen.Batch(lent), 0
 			ctx.eof = r.Bool()
 		}
 	}

@@ -302,8 +302,8 @@ func liveSetup() (RunConfig, []Thread) {
 // TestLiveImageRestoresByPureLoad: with serializable generators and
 // shared state, the image carries the generator half, and a restored
 // run — whose fresh generators are never advanced — reproduces the cold
-// run exactly. The warm budget deliberately leaves a partial batch in
-// the engine's fetch buffers so the residual-buffer path is exercised.
+// run exactly. The warm budget deliberately leaves part of a lent batch
+// unfetched, so the image's lent count and re-lending are exercised.
 func TestLiveImageRestoresByPureLoad(t *testing.T) {
 	coldCfg, coldThreads := liveSetup()
 	cold, err := Run(coldCfg, coldThreads)

@@ -139,7 +139,8 @@ type RunConfig struct {
 	// identical warm-relevant configuration (machine, threads, and
 	// WarmupInsts); mismatches fail with an error. A restored run is
 	// byte-identical to the warm run it forked from.
-	Restore *checkpoint.Snapshot
+	Restore     *checkpoint.Snapshot
+	restoreOnly bool // set by engine.Restore: stop once the image is loaded
 
 	// CheckInvariantsEvery, when positive, arms the memory system's
 	// coherence invariant checker on every n-th access (1 = every
@@ -233,11 +234,15 @@ type wake struct {
 	slot int32
 }
 
+// batchInsts is how many instructions a context asks its generator for
+// at a time. It fixes where a StepGen runs its Steps, and so the
+// cross-thread Step order every result depends on.
+const batchInsts = 4096
+
 type context struct {
 	gen      trace.Generator
-	buf      []trace.Inst
-	bufPos   int
-	bufLen   int
+	batch    []trace.Inst // lent by gen, valid until the next gen.Batch
+	pos      int          // fetch cursor into batch
 	eof      bool
 	measured bool
 	tid      int
@@ -274,10 +279,10 @@ type context struct {
 	// window for this context.
 	target uint64
 
-	// ro observes batch pulls: time inside gen.Next is carved out of
+	// ro observes batch pulls: time inside gen.Batch is carved out of
 	// the ambient phase and attributed to trace generation. Nil when
-	// observability is disarmed (the nil check costs once per
-	// 4096-instruction batch, never per instruction).
+	// observability is disarmed (the nil check costs once per batch,
+	// never per instruction).
 	ro *obs.RunObs
 }
 
@@ -321,27 +326,27 @@ type idleCycle struct {
 const never = int64(math.MaxInt64)
 
 func (c *context) peek() (*trace.Inst, bool) {
-	if c.bufPos == c.bufLen {
+	if c.pos == len(c.batch) {
 		if c.eof {
 			return nil, false
 		}
 		if c.ro != nil {
 			prev := c.ro.Enter(obs.PhaseTraceGen)
-			c.bufLen = c.gen.Next(c.buf)
+			c.batch = c.gen.Batch(batchInsts)
 			c.ro.Enter(prev)
 		} else {
-			c.bufLen = c.gen.Next(c.buf)
+			c.batch = c.gen.Batch(batchInsts)
 		}
-		c.bufPos = 0
-		if c.bufLen == 0 {
+		c.pos = 0
+		if len(c.batch) == 0 {
 			c.eof = true
 			return nil, false
 		}
 	}
-	return &c.buf[c.bufPos], true
+	return &c.batch[c.pos], true
 }
 
-func (c *context) advance() { c.bufPos++ }
+func (c *context) advance() { c.pos++ }
 
 // link records operand k (backward distance d) of the entry in slot,
 // which is about to occupy absolute index seq. A producer that already
@@ -444,6 +449,15 @@ func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 	return res, err
 }
 
+// Restore builds the machine for cfg and threads and loads cfg.Restore
+// into it without simulating: a restored Run's image checks on their
+// own, returning the error that Run would.
+func Restore(cfg RunConfig, threads []Thread) error {
+	cfg.restoreOnly = true
+	_, _, err := run(cfg, threads)
+	return err
+}
+
 // run is Run, also returning the simulated cores for test hooks.
 func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 	if len(threads) == 0 {
@@ -506,7 +520,7 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 		for _, ti := range ts {
 			t := threads[ti]
 			ctx := &context{
-				gen: t.Gen, buf: make([]trace.Inst, 4096),
+				gen:      t.Gen,
 				measured: t.Measured, tid: ti,
 				window:        make([]entry, winPer),
 				ready:         make([]uint64, (winPer+63)/64),
@@ -536,7 +550,7 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 		err := restoreRun(cfg.Restore, cfg, cores, mem, &clock)
 		cfg.Obs.SpanEnd("ckpt-restore", span)
 		cfg.Obs.Enter(prev)
-		if err != nil {
+		if err != nil || cfg.restoreOnly {
 			return nil, nil, err
 		}
 	} else {
@@ -845,7 +859,7 @@ func (co *core) warmThread(ctx *context, mem *cache.System, insts int64, clock *
 
 // drained reports whether the context has no more work: stream ended and
 // window empty.
-func (c *context) drained() bool { return c.eof && c.count == 0 && c.bufPos == c.bufLen }
+func (c *context) drained() bool { return c.eof && c.count == 0 && c.pos == len(c.batch) }
 
 // cycle advances one core by one clock. After a cycle in which it
 // committed, issued and fetched nothing, the core goes to sleep if its

@@ -73,9 +73,6 @@ func (l *CodeLayout) Func(name string, size int) *Func {
 	return f
 }
 
-// Used reports the number of code bytes allocated so far.
-func (l *CodeLayout) Used() uint64 { return l.next }
-
 // EmitterConfig tunes the synthetic control-flow the emitter weaves
 // around the data-flow provided by the workload kernel.
 type EmitterConfig struct {
@@ -99,7 +96,7 @@ type EmitterConfig struct {
 //
 // Emitters run synchronously on the simulator goroutine: a Program's
 // Step method emits into the buffer and returns, and the owning StepGen
-// drains the buffer into the consumer. There is no workload goroutine,
+// lends the buffer out in batches. There is no workload goroutine,
 // which is what makes the whole generator — RNG, call stack, buffered
 // residue — serializable through SaveState/LoadState for warm-image
 // checkpoints.
@@ -107,7 +104,7 @@ type Emitter struct {
 	cfg   EmitterConfig
 	rng   *rng.Rand
 	buf   []Inst // pending instructions, grown as a Step emits
-	pos   int    // read cursor: buf[pos:] is not yet consumed
+	pos   int    // lend cursor: buf[pos:] is not yet lent
 	seq   int64  // absolute index of the next instruction
 	funcs []frame
 	// untilBranch counts down instructions until the next auto branch.
@@ -128,8 +125,8 @@ type frameRet struct {
 
 // bufPool recycles the buffers of closed generators, so a fresh emitter
 // does not regrow its buffer step by step to the workload's largest
-// Step. Only capacity is shared: drain and SaveState read buf[pos:],
-// which every emitter writes itself before reading.
+// Step. Only capacity is shared: Batch and SaveState read instructions
+// that every emitter writes itself before reading.
 var bufPool sync.Pool //simlint:ok globalrand recycled capacity only; no buffer content reaches a result
 
 // NewEmitter returns an emitter with an empty call stack. Most callers
@@ -155,30 +152,10 @@ func (e *Emitter) nextBlockLen() int {
 	return bl/2 + 1 + e.rng.Intn(bl)
 }
 
-// Seq returns the absolute dynamic index of the next instruction.
-// Workloads rarely need it directly; it is exposed for tests.
-func (e *Emitter) Seq() int64 { return e.seq }
-
 // Rand returns the emitter's private random stream, for workloads that
 // need reproducible randomness tied to the thread seed. The stream is
 // part of the emitter's checkpointed state.
 func (e *Emitter) Rand() *rng.Rand { return e.rng }
-
-// pending reports how many emitted instructions await consumption.
-func (e *Emitter) pending() int { return len(e.buf) - e.pos }
-
-// drain copies pending instructions into out and advances the cursor.
-func (e *Emitter) drain(out []Inst) int {
-	n := copy(out, e.buf[e.pos:])
-	e.pos += n
-	if e.pos == len(e.buf) {
-		// Fully consumed: recycle the buffer so steady state allocates
-		// nothing. Consumers copy out of the batch before the next Step.
-		e.buf = e.buf[:0]
-		e.pos = 0
-	}
-	return n
-}
 
 func (e *Emitter) dist(v Val) int32 {
 	if v < 0 {
@@ -326,9 +303,6 @@ func (e *Emitter) InKernel(fn *Func, body func()) {
 	e.kernelDepth--
 }
 
-// Kernel reports whether the emitter is currently in kernel mode.
-func (e *Emitter) Kernel() bool { return e.kernelDepth > 0 }
-
 // Load emits a load of size bytes from addr. dep is the value the address
 // computation consumes (NoVal for none); chase marks address-generating
 // dependences (pointer chasing), which serialise memory-level parallelism.
@@ -418,10 +392,10 @@ func (e *Emitter) Branch(taken bool, dep Val) {
 
 // SaveState serializes the complete emitter state: configuration, RNG
 // position, call stack (with per-frame code-region geometry), and the
-// buffered residue of the last Step that the consumer has not drained
-// yet. Restoring from this state continues the instruction stream at
-// exactly the next instruction, with no replay.
-func (e *Emitter) SaveState(w *checkpoint.Writer) {
+// residue: the last lent instructions the consumer has not fetched,
+// then those never lent. Restoring from this state continues the
+// instruction stream at exactly the next instruction, with no replay.
+func (e *Emitter) SaveState(w *checkpoint.Writer, lent int) {
 	w.Tag("emitter")
 	w.U32(uint32(e.cfg.BlockLen))
 	w.F64(e.cfg.BranchEntropy)
@@ -445,9 +419,10 @@ func (e *Emitter) SaveState(w *checkpoint.Writer) {
 			w.U64(fr.ret.pc)
 		}
 	}
-	residual := e.buf[e.pos:]
-	w.U32(uint32(len(residual)))
-	w.Struct(residual)
+	residue := e.buf[e.pos-lent:]
+	w.U32(uint32(len(residue)))
+	w.U32(uint32(lent))
+	w.Struct(residue)
 }
 
 // LoadState restores state written by SaveState. The call stack is
@@ -455,8 +430,8 @@ func (e *Emitter) SaveState(w *checkpoint.Writer) {
 // emitter only ever reads Entry/Size/BranchEntropy from a frame's
 // function, so pointer identity with the workload's own Func values is
 // not required (Name is diagnostics-only and restored frames carry a
-// placeholder).
-func (e *Emitter) LoadState(rd *checkpoint.Reader) {
+// placeholder). It returns the lent count, checked against the residue.
+func (e *Emitter) LoadState(rd *checkpoint.Reader) int {
 	rd.Expect("emitter")
 	e.cfg.BlockLen = int(rd.U32())
 	e.cfg.BranchEntropy = rd.F64()
@@ -469,7 +444,7 @@ func (e *Emitter) LoadState(rd *checkpoint.Reader) {
 	// return flag.
 	n := rd.Count(33)
 	if rd.Err() != nil {
-		return
+		return 0
 	}
 	e.funcs = make([]frame, n)
 	for i := range e.funcs {
@@ -488,12 +463,18 @@ func (e *Emitter) LoadState(rd *checkpoint.Reader) {
 		e.funcs[i] = fr
 	}
 	k := rd.Count(binary.Size(Inst{}))
+	lent := int(rd.U32())
 	if rd.Err() != nil {
-		return
+		return 0
+	}
+	if lent > k {
+		rd.Failf("emitter: %d lent instructions exceed the %d-instruction residue", lent, k)
+		return 0
 	}
 	e.buf = make([]Inst, k)
 	e.pos = 0
 	rd.Struct(e.buf)
+	return lent
 }
 
 // Program is a resumable workload thread. Step emits one bounded unit of
@@ -502,8 +483,8 @@ func (e *Emitter) LoadState(rd *checkpoint.Reader) {
 // and returns false when the thread has nothing further to produce.
 //
 // Steps run synchronously on the goroutine that pulls from the StepGen,
-// in exactly the order the (single-threaded) simulator drains
-// generators. That ordering, plus the seeded emitter RNG, makes a run a
+// in exactly the order the (single-threaded) simulator pulls batches.
+// That ordering, plus the seeded emitter RNG, makes a run a
 // deterministic function of its seeds even when threads share data
 // structures — the same property the earlier goroutine-based generator
 // obtained through lockstep channels, now structural instead of
@@ -557,30 +538,27 @@ func NewStepGen(cfg EmitterConfig, prog Program) *StepGen {
 	return &StepGen{e: e, prog: prog}
 }
 
-// Emitter exposes the generator's emitter, for tests.
-func (g *StepGen) Emitter() *Emitter { return g.e }
-
-// Next implements Generator.
-func (g *StepGen) Next(out []Inst) int {
-	total := 0
-	for total < len(out) {
-		if g.e.pending() == 0 {
-			if g.done {
-				break
-			}
-			if !g.prog.Step(g.e) {
-				g.done = true
-			}
-			continue // drain whatever the (possibly final) step emitted
+// Batch implements Generator. It runs Steps only while fewer than max
+// instructions are pending — the pull rule that fixes the cross-thread
+// Step order — then lends the first max of them out of the emitter's
+// buffer. Before stepping it moves the residue over the consumed batch.
+func (g *StepGen) Batch(max int) []Inst {
+	e := g.e
+	if len(e.buf)-e.pos < max && !g.done {
+		e.buf = e.buf[:copy(e.buf, e.buf[e.pos:])]
+		e.pos = 0
+		for len(e.buf) < max && !g.done {
+			g.done = !g.prog.Step(e)
 		}
-		total += g.e.drain(out[total:])
 	}
-	return total
+	return lend(e.buf, &e.pos, max)
 }
 
-// Close implements Closer: it ends the stream, discards any buffered
-// instructions and hands the buffer to the next emitter. There is no
-// goroutine to unwind.
+// Next copies Batch(len(out)) into out and returns its length.
+func (g *StepGen) Next(out []Inst) int { return copy(out, g.Batch(len(out))) }
+
+// Close ends the stream, discards any buffered instructions and hands
+// the buffer to the next emitter. There is no goroutine to unwind.
 func (g *StepGen) Close() {
 	g.done = true
 	if buf := g.e.buf[:0]; cap(buf) > 0 {
@@ -597,20 +575,24 @@ func (g *StepGen) CanSave() bool {
 }
 
 // SaveState serializes the generator: progress flag, emitter, and the
-// program's own per-thread state. It panics if CanSave is false; the
-// engine checks every generator before a checkpointed run starts.
-func (g *StepGen) SaveState(w *checkpoint.Writer) {
+// program's own per-thread state; lent counts the unfetched rest of
+// the last batch. It panics if CanSave is false; the engine checks
+// every generator before a checkpointed run starts.
+func (g *StepGen) SaveState(w *checkpoint.Writer, lent int) {
 	w.Tag("stepgen")
 	w.Bool(g.done)
-	g.e.SaveState(w)
+	g.e.SaveState(w, lent)
 	g.prog.(Stateful).SaveState(w)
 }
 
 // LoadState restores state written by SaveState onto a freshly
-// constructed generator for the same program and configuration.
-func (g *StepGen) LoadState(rd *checkpoint.Reader) {
+// constructed generator for the same program and configuration, and
+// returns lent: Batch(lent) lends those instructions again, stepping
+// nothing.
+func (g *StepGen) LoadState(rd *checkpoint.Reader) int {
 	rd.Expect("stepgen")
 	g.done = rd.Bool()
-	g.e.LoadState(rd)
+	lent := g.e.LoadState(rd)
 	g.prog.(Stateful).LoadState(rd)
+	return lent
 }

@@ -7,6 +7,9 @@
 // back-end (register dependence distances), and the memory hierarchy
 // (effective address, access size, kernel/user mode).
 //
+// The generator's buffer is the only one between a workload and its
+// core: Generator.Batch lends a slice of it, read in place.
+//
 // Dependences are encoded as backward distances in the dynamic stream:
 // DepA == 3 means this instruction consumes the value produced by the
 // instruction three slots earlier. Distance 0 means "no dependence".
@@ -95,97 +98,97 @@ type Inst struct {
 	AcquiresDep bool
 }
 
-// Generator produces batches of dynamic instructions.
+// Generator produces the dynamic instruction stream in batches.
 //
-// Next fills out with up to len(out) instructions and returns the number
-// written. A return of 0 means the stream is exhausted. Generators are not
-// required to be safe for concurrent use.
+// Batch lends up to max instructions and returns them. The slice stays
+// valid until the next call, which consumes it; callers read it in
+// place and must not modify it. An empty batch means the stream is
+// exhausted. Generators are not required to be safe for concurrent use.
 type Generator interface {
-	Next(out []Inst) int
-}
-
-// Closer is implemented by generators that own background resources
-// (for example a goroutine running the workload kernel). The simulator
-// closes generators when a run finishes.
-type Closer interface {
-	Close()
+	Batch(max int) []Inst
 }
 
 // SliceGen replays a fixed slice of instructions once.
 type SliceGen struct {
 	Insts []Inst
-	pos   int
+	pos   int // next instruction not yet lent
 }
 
-// Next implements Generator.
-func (g *SliceGen) Next(out []Inst) int {
-	n := copy(out, g.Insts[g.pos:])
-	g.pos += n
-	return n
-}
-
-// Reset rewinds the generator to the beginning of its slice.
-func (g *SliceGen) Reset() { g.pos = 0 }
+// Batch implements Generator, lending straight out of Insts.
+func (g *SliceGen) Batch(max int) []Inst { return lend(g.Insts, &g.pos, max) }
 
 // CanSave reports that the cursor is the generator's whole state.
 func (g *SliceGen) CanSave() bool { return true }
 
-// SaveState serializes the cursor. The slice itself is construction-
-// time input; its length is recorded so a restore onto a different
-// slice fails instead of resuming mid-way through the wrong stream.
-func (g *SliceGen) SaveState(w *checkpoint.Writer) { saveCursor(w, "slicegen", len(g.Insts), g.pos) }
+// SaveState serializes the cursor and lent, the count of lent but
+// unfetched instructions. The slice itself is construction-time input;
+// its length is recorded so a restore onto a different slice fails
+// instead of resuming mid-way through the wrong stream.
+func (g *SliceGen) SaveState(w *checkpoint.Writer, lent int) {
+	saveCursor(w, "slicegen", len(g.Insts), g.pos, lent)
+}
 
 // LoadState restores a cursor written by SaveState onto a generator
-// over a slice of the same length.
-func (g *SliceGen) LoadState(rd *checkpoint.Reader) { g.pos = loadCursor(rd, "slicegen", len(g.Insts)) }
+// over a slice of the same length, rewound by lent, which it returns.
+func (g *SliceGen) LoadState(rd *checkpoint.Reader) int {
+	return loadCursor(rd, "slicegen", g.Insts, &g.pos)
+}
 
-// LoopGen replays a fixed slice of instructions forever.
+// LoopGen replays a fixed slice of instructions forever. A batch ends
+// at the end of the slice; the next one starts over.
 type LoopGen struct {
 	Insts []Inst
-	pos   int
+	pos   int // next instruction not yet lent; len(Insts) wraps lazily
+}
+
+// Batch implements Generator, lending straight out of Insts.
+func (g *LoopGen) Batch(max int) []Inst {
+	if g.pos == len(g.Insts) {
+		g.pos = 0
+	}
+	return lend(g.Insts, &g.pos, max)
 }
 
 // CanSave reports that the cursor is the generator's whole state.
 func (g *LoopGen) CanSave() bool { return true }
 
 // SaveState serializes the cursor, as SliceGen.SaveState does.
-func (g *LoopGen) SaveState(w *checkpoint.Writer) { saveCursor(w, "loopgen", len(g.Insts), g.pos) }
+func (g *LoopGen) SaveState(w *checkpoint.Writer, lent int) {
+	saveCursor(w, "loopgen", len(g.Insts), g.pos, lent)
+}
 
-// LoadState restores a cursor written by SaveState.
-func (g *LoopGen) LoadState(rd *checkpoint.Reader) { g.pos = loadCursor(rd, "loopgen", len(g.Insts)) }
+// LoadState restores a cursor written by SaveState and returns lent.
+func (g *LoopGen) LoadState(rd *checkpoint.Reader) int {
+	return loadCursor(rd, "loopgen", g.Insts, &g.pos)
+}
 
-func saveCursor(w *checkpoint.Writer, tag string, n, pos int) {
+// lend returns the next up to max instructions of buf from *pos on and
+// advances *pos past them.
+func lend(buf []Inst, pos *int, max int) []Inst {
+	n := min(max, len(buf)-*pos)
+	*pos += n
+	return buf[*pos-n : *pos]
+}
+
+func saveCursor(w *checkpoint.Writer, tag string, n, pos, lent int) {
 	w.Tag(tag)
 	w.U64(uint64(n))
 	w.U64(uint64(pos))
+	w.U64(uint64(lent))
 }
 
-func loadCursor(rd *checkpoint.Reader, tag string, n int) int {
+// loadCursor sets *pos to the saved cursor rewound by the lent count,
+// and returns that count.
+func loadCursor(rd *checkpoint.Reader, tag string, insts []Inst, pos *int) int {
 	rd.Expect(tag)
-	saved, pos := rd.U64(), rd.U64()
+	saved, end, lent := rd.U64(), rd.U64(), rd.U64()
 	if rd.Err() != nil {
 		return 0
 	}
-	if saved != uint64(n) || pos > saved {
-		rd.Failf("%s: cursor %d over %d instructions does not fit a %d-instruction stream", tag, pos, saved, n)
+	if n := uint64(len(insts)); saved != n || end > saved || lent > end {
+		rd.Failf("%s: cursor %d (%d lent) over %d instructions does not fit a %d-instruction stream", tag, end, lent, saved, n)
 		return 0
 	}
-	return int(pos)
-}
-
-// Next implements Generator.
-func (g *LoopGen) Next(out []Inst) int {
-	if len(g.Insts) == 0 {
-		return 0
-	}
-	total := 0
-	for total < len(out) {
-		n := copy(out[total:], g.Insts[g.pos:])
-		g.pos += n
-		total += n
-		if g.pos == len(g.Insts) {
-			g.pos = 0
-		}
-	}
-	return total
+	*pos = int(end - lent)
+	return int(lent)
 }

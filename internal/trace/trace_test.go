@@ -32,40 +32,40 @@ func TestIsMem(t *testing.T) {
 func TestSliceGen(t *testing.T) {
 	insts := []Inst{{PC: 1}, {PC: 2}, {PC: 3}}
 	g := &SliceGen{Insts: insts}
-	out := make([]Inst, 2)
-	if n := g.Next(out); n != 2 || out[0].PC != 1 || out[1].PC != 2 {
-		t.Fatalf("first batch wrong: n=%d out=%v", n, out[:n])
+	if b := g.Batch(2); len(b) != 2 || b[0].PC != 1 || b[1].PC != 2 {
+		t.Fatalf("first batch wrong: %v", b)
 	}
-	if n := g.Next(out); n != 1 || out[0].PC != 3 {
-		t.Fatalf("second batch wrong: n=%d", n)
+	if b := g.Batch(2); len(b) != 1 || b[0].PC != 3 {
+		t.Fatalf("second batch wrong: %v", b)
 	}
-	if n := g.Next(out); n != 0 {
-		t.Fatalf("exhausted generator returned %d", n)
-	}
-	g.Reset()
-	if n := g.Next(out); n != 2 {
-		t.Fatalf("reset did not rewind: n=%d", n)
+	if b := g.Batch(2); len(b) != 0 {
+		t.Fatalf("exhausted generator lent %d", len(b))
 	}
 }
 
+// TestLoopGenWrapsForever: batches end at the end of the slice and the
+// next one starts over, forever.
 func TestLoopGenWrapsForever(t *testing.T) {
 	g := &LoopGen{Insts: []Inst{{PC: 10}, {PC: 20}}}
-	out := make([]Inst, 5)
-	if n := g.Next(out); n != 5 {
-		t.Fatalf("loop generator should always fill: n=%d", n)
-	}
-	want := []uint64{10, 20, 10, 20, 10}
-	for i, w := range want {
-		if out[i].PC != w {
-			t.Errorf("out[%d].PC = %d, want %d", i, out[i].PC, w)
+	var got []uint64
+	for _, max := range []int{5, 1, 3, 4} {
+		b := g.Batch(max)
+		if len(b) == 0 {
+			t.Fatal("loop generator ran dry")
 		}
+		for _, in := range b {
+			got = append(got, in.PC)
+		}
+	}
+	if want := []uint64{10, 20, 10, 20, 10, 20}; !reflect.DeepEqual(got, want) {
+		t.Errorf("stream = %v, want %v", got, want)
 	}
 }
 
 func TestLoopGenEmpty(t *testing.T) {
 	g := &LoopGen{}
-	if n := g.Next(make([]Inst, 4)); n != 0 {
-		t.Fatalf("empty loop generator returned %d", n)
+	if b := g.Batch(4); len(b) != 0 {
+		t.Fatalf("empty loop generator lent %d", len(b))
 	}
 }
 
@@ -316,10 +316,11 @@ func (p *statefulProg) LoadState(rd *checkpoint.Reader) {
 }
 
 // TestStepGenSaveLoadResume is the live-points property at the trace
-// layer: draining K instructions, saving, and restoring onto a fresh
-// generator must continue the stream bit-identically to the original —
-// including mid-step residue (K deliberately not a multiple of the
-// per-step emission count).
+// layer: fetching part of a batch, saving with the rest still lent, and
+// restoring onto a fresh generator must continue the stream
+// bit-identically to the original — including mid-step residue (the
+// batch size deliberately not a multiple of the per-step emission
+// count) — and re-lending the saved rest must run no Step.
 func TestStepGenSaveLoadResume(t *testing.T) {
 	l := NewCodeLayout(0x400000, 1<<20)
 	f := l.Func("f", 128)
@@ -329,32 +330,39 @@ func TestStepGenSaveLoadResume(t *testing.T) {
 		t.Fatal("stateful program should be saveable")
 	}
 
-	// Drain an odd number of instructions so the emitter holds residue.
-	warm := make([]Inst, 777)
-	for got := 0; got < len(warm); {
-		got += orig.Next(warm[got:])
-	}
+	// Fetch 300 instructions of a 777-instruction batch, so both the
+	// lent batch and the emitter hold unfetched instructions.
+	batch := orig.Batch(777)
+	const fetched = 300
+	lent := len(batch) - fetched
+	rest := append([]Inst(nil), batch[fetched:]...)
 
 	w := checkpoint.NewWriter()
-	orig.SaveState(w)
+	orig.SaveState(w, lent)
 	snap := w.Snapshot("trace-test")
 
 	l2 := NewCodeLayout(0x400000, 1<<20)
 	f2 := l2.Func("f", 128)
-	restored := NewStepGen(cfg, &statefulProg{fn: f2})
+	prog := &statefulProg{fn: f2}
+	restored := NewStepGen(cfg, prog)
 	rd := snap.Reader()
-	restored.LoadState(rd)
+	if got := restored.LoadState(rd); got != lent {
+		t.Fatalf("LoadState returned lent %d, want %d", got, lent)
+	}
 	if err := rd.Err(); err != nil {
 		t.Fatalf("load failed: %v", err)
 	}
 
-	// Save-load-save byte equality.
+	n := prog.n
+	if again := restored.Batch(lent); !reflect.DeepEqual(again, rest) || prog.n != n {
+		t.Fatalf("re-lending %d instructions ran a Step or lent other instructions", lent)
+	}
+	// Save-load-relend-save byte equality.
 	w2 := checkpoint.NewWriter()
-	restored.SaveState(w2)
+	restored.SaveState(w2, lent)
 	if snap.Hash() != w2.Snapshot("trace-test").Hash() {
 		t.Fatal("save -> load -> save is not byte-identical")
 	}
-
 	a, b := make([]Inst, 4096), make([]Inst, 4096)
 	for got := 0; got < len(a); {
 		got += orig.Next(a[got:])
@@ -376,18 +384,21 @@ func TestStepGenCanSaveFalseForPlainProg(t *testing.T) {
 	}
 }
 
+// cursorGen is the checkpointed generator protocol the engine uses.
+type cursorGen interface {
+	Generator
+	SaveState(w *checkpoint.Writer, lent int)
+	LoadState(rd *checkpoint.Reader) int
+}
+
 // TestSliceLoopGenCursorRoundTrip: a SliceGen or LoopGen saved
-// mid-stream resumes on a fresh generator over the same slice at the
-// next instruction, and its cursor refuses a slice of another length.
+// mid-batch resumes on a fresh generator over the same slice at the
+// next unfetched instruction, and its cursor refuses a slice of another
+// length.
 func TestSliceLoopGenCursorRoundTrip(t *testing.T) {
 	insts := make([]Inst, 100)
 	for i := range insts {
 		insts[i] = Inst{PC: 0x1000 + uint64(i)*InstBytes, Op: OpALU}
-	}
-	type cursorGen interface {
-		Generator
-		SaveState(w *checkpoint.Writer)
-		LoadState(rd *checkpoint.Reader)
 	}
 	for _, tc := range []struct {
 		name string
@@ -397,26 +408,33 @@ func TestSliceLoopGenCursorRoundTrip(t *testing.T) {
 		{"loop", func(in []Inst) cursorGen { return &LoopGen{Insts: in} }},
 	} {
 		orig := tc.mk(insts)
-		orig.Next(make([]Inst, 37))
+		orig.Batch(37)
+		const lent = 12 // 25 of the 37 fetched
 		w := checkpoint.NewWriter()
-		orig.SaveState(w)
+		orig.SaveState(w, lent)
 		snap := w.Snapshot("cursor")
 
 		restored := tc.mk(insts)
 		rd := snap.Reader()
-		restored.LoadState(rd)
+		if got := restored.LoadState(rd); got != lent {
+			t.Fatalf("%s: LoadState returned lent %d, want %d", tc.name, got, lent)
+		}
 		if err := rd.Err(); err != nil {
 			t.Fatalf("%s: load failed: %v", tc.name, err)
 		}
+		if b := restored.Batch(lent); len(b) != lent || b[0] != insts[25] {
+			t.Fatalf("%s: re-lent batch does not start at the first unfetched instruction", tc.name)
+		}
 		w2 := checkpoint.NewWriter()
-		restored.SaveState(w2)
+		restored.SaveState(w2, lent)
 		if snap.Hash() != w2.Snapshot("cursor").Hash() {
 			t.Errorf("%s: save -> load -> save is not byte-identical", tc.name)
 		}
-		a, b := make([]Inst, 150), make([]Inst, 150)
-		na, nb := orig.Next(a), restored.Next(b)
-		if na != nb || !reflect.DeepEqual(a[:na], b[:nb]) {
-			t.Errorf("%s: restored stream diverged (%d vs %d insts)", tc.name, na, nb)
+		for range 3 {
+			a, b := orig.Batch(150), restored.Batch(150)
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("%s: restored stream diverged (%d vs %d insts)", tc.name, len(a), len(b))
+			}
 		}
 
 		rd = snap.Reader()
@@ -476,6 +494,7 @@ func TestEmitterLoadStateRejectsHugeCounts(t *testing.T) {
 		w.U32(0)
 		w.U32(frames)
 		w.U32(residue)
+		w.U32(0)
 		return w.Snapshot("k").Reader()
 	}
 	for _, tc := range []struct {

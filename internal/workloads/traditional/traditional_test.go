@@ -245,7 +245,7 @@ func TestThreadStateResumes(t *testing.T) {
 		}
 		wr := checkpoint.NewWriter()
 		w.SaveShared(wr)
-		orig.SaveState(wr)
+		orig.SaveState(wr, 0)
 
 		w2 := mk()
 		restored := w2.Start(1, 17)[0]
