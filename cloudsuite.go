@@ -33,6 +33,14 @@
 //	m, err := cloudsuite.MeasureBench(b, cloudsuite.DefaultOptions())
 //	fmt.Println(m.IPC(), m.MLP())
 //
+// MeasureBench is the one measurement entry point. A new Workload is
+// measured by naming it in a Bench; the name is the benchmark's
+// identity, keying memoized results and warm images, so a differently
+// configured workload needs a name of its own:
+//
+//	q := cloudsuite.Bench{Name: "Message Queue", New: newQueue}
+//	m, err := cloudsuite.MeasureBench(q, cloudsuite.DefaultOptions())
+//
 // Measurements are bit-reproducible per seed. Batch experiments go
 // through a Runner, which fans requests out across a worker pool and
 // memoizes results by (benchmark, canonicalized options), so identical
@@ -90,7 +98,8 @@ type (
 	Entry = core.Entry
 	// EntryResult aggregates measurements of an Entry's members.
 	EntryResult = core.EntryResult
-	// Workload is the interface new workloads implement.
+	// Workload is the interface new workloads implement; a Bench names
+	// one for measurement.
 	Workload = workloads.Workload
 	// TableRow is one row of the Table-1 listing.
 	TableRow = core.TableRow
@@ -172,8 +181,6 @@ var (
 	// DefaultSampling is an enabled interval-sampling spec with default
 	// schedule (8 intervals spread over the MeasureInsts horizon).
 	DefaultSampling = core.DefaultSampling
-	// Measure runs one workload instance.
-	Measure = core.Measure
 	// MeasureBench creates and measures a fresh instance of a benchmark.
 	MeasureBench = core.MeasureBench
 	// AllHold reports whether every claim holds.

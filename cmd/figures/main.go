@@ -31,7 +31,7 @@
 // across invocations. Restored runs are byte-identical to cold runs,
 // so the flag changes wall-clock time, never output.
 // -pprof ADDR serves net/http/pprof plus the live metrics registry
-// (/metrics, /debug/vars) on ADDR for profiling a sweep in flight.
+// (/metrics) on ADDR for profiling a sweep in flight.
 // -obs-out PREFIX arms the observability layer and, on exit, writes
 // PREFIX.metrics.json (phase-timing and cache metrics) and
 // PREFIX.trace.json (Chrome trace_event format — load it in

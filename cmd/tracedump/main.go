@@ -50,8 +50,7 @@ func run(args []string, out io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown benchmark %q", *bench)
 	}
-	w := b.New()
-	gens := w.Start(*threads, *seed)
+	gens := b.New().Start(*threads, *seed)
 	defer func() {
 		for _, g := range gens {
 			g.Close()
@@ -73,9 +72,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *jsonOut {
-		return s.renderJSON(out, w.Name())
+		return s.renderJSON(out, b.Name)
 	}
-	s.render(out, w.Name())
+	s.render(out, b.Name)
 	return nil
 }
 

@@ -50,8 +50,6 @@ func newQueueWorkload() *queueWorkload {
 	return q
 }
 
-func (q *queueWorkload) Name() string           { return "Message Queue" }
-func (q *queueWorkload) Class() workloads.Class { return workloads.ScaleOut }
 func (q *queueWorkload) Start(n int, seed int64) []*trace.StepGen {
 	gens := make([]*trace.StepGen, n)
 	for i := 0; i < n; i++ {
@@ -172,8 +170,15 @@ func main() {
 	opts.WarmupInsts = 250_000
 	opts.MeasureInsts = 60_000
 
-	// Measure the custom workload through the same methodology.
-	mq, err := cloudsuite.Measure(newQueueWorkload(), opts)
+	// Measure the custom workload through the same methodology. The
+	// Bench name is its identity: it keys memoized results and warm
+	// images, so a differently configured queue needs another name.
+	queue := cloudsuite.Bench{
+		Name:  "Message Queue",
+		Class: workloads.ScaleOut,
+		New:   func() cloudsuite.Workload { return newQueueWorkload() },
+	}
+	mq, err := cloudsuite.MeasureBench(queue, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -108,13 +108,6 @@ func (h *Heap) Used() uint64 {
 	return h.next - h.base
 }
 
-// Remaining reports the bytes left in the region.
-func (h *Heap) Remaining() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.end - h.next
-}
-
 // SaveState serializes the allocation cursor. The region geometry is
 // construction-time configuration; only the bump cursor moves at run
 // time (workloads that allocate per request, like the dataserving

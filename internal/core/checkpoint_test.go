@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"cloudsuite/internal/sim/checkpoint"
+	"cloudsuite/internal/workloads"
+	"cloudsuite/internal/workloads/websearch"
 )
 
 // This file is the differential test harness of the warm-state
@@ -187,6 +189,41 @@ func TestCheckpointWarmVisibleKnobsGetDistinctImages(t *testing.T) {
 		if k := checkpointKey("Web Search", variant(mut)); k != baseKey {
 			t.Fatalf("measurement-side option %q changes the checkpoint key", name)
 		}
+	}
+}
+
+// TestBenchNameKeysWarmImage: Bench.Name is the benchmark's identity, so
+// a reconfigured Web Search under its own name warms its own image
+// instead of forking from the default Web Search one, and its forked
+// run equals its cold run.
+func TestBenchNameKeysWarmImage(t *testing.T) {
+	long := Bench{Name: "Web Search (long queries)", Class: workloads.ScaleOut, New: func() workloads.Workload {
+		cfg := websearch.DefaultConfig()
+		cfg.TermsPerQuery = 8
+		return websearch.New(cfg)
+	}}
+	o := diffOptions(1, false)
+	cold, err := MeasureBench(long, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewCheckpointStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Checkpoints = store
+	for _, b := range []Bench{mustBench("Web Search"), long, long} {
+		m, err := MeasureBench(b, o)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if b.Name == long.Name && mustJSON(t, m) != mustJSON(t, cold) {
+			t.Fatalf("%s (%s) differs from its cold run: IPC %.3f, cold %.3f",
+				b.Name, m.WarmSource(), m.IPC(), cold.IPC())
+		}
+	}
+	if s := store.Stats(); s.Saves != 2 || s.MemoryHits != 1 {
+		t.Fatalf("store stats %+v, want one image per bench name (2 saves, 1 memory hit)", s)
 	}
 }
 

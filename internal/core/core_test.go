@@ -84,7 +84,9 @@ func TestFigureEntriesCoverAllClasses(t *testing.T) {
 	}
 	classes := map[workloads.Class]bool{}
 	for _, e := range entries {
-		classes[e.Class] = true
+		for _, b := range e.Members {
+			classes[b.Class] = true
+		}
 		if len(e.Members) == 0 {
 			t.Errorf("entry %q has no members", e.Label)
 		}

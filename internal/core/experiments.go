@@ -12,12 +12,6 @@ import (
 // renders and the benchmark harness prints. Output ordering is
 // deterministic and independent of the worker count. DESIGN.md
 // section 3 maps each driver to its figure.
-//
-// The package-level Figure functions are serial conveniences: each runs
-// its driver on a fresh single-worker Runner. Callers that regenerate
-// several figures should share one Runner so configurations common to
-// multiple figures (the baseline entries appear in Figures 1, 2, 3 and
-// 7) are measured once.
 
 // BreakdownRow is one bar of Figure 1: the commit-time execution
 // breakdown plus the overlapped memory-cycles bar.
@@ -37,42 +31,31 @@ type BreakdownRow struct {
 
 // Figure1 measures the execution-time breakdown of the given entries.
 func (r *Runner) Figure1(entries []Entry, o Options) ([]BreakdownRow, error) {
-	results, err := r.measureEntrySets(entrySets(entries, o))
+	results, err := r.grid(entries, o)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]BreakdownRow, 0, len(entries))
-	for i, e := range entries {
-		res := results[i]
-		cu, _, _ := res.MeanMinMax(func(m *Measurement) float64 {
-			return float64(m.CommitCyclesUser) / float64(m.Cycles)
-		})
-		co, _, _ := res.MeanMinMax(func(m *Measurement) float64 {
-			return float64(m.CommitCyclesOS) / float64(m.Cycles)
-		})
-		su, _, _ := res.MeanMinMax(func(m *Measurement) float64 {
-			return float64(m.StallCyclesUser) / float64(m.Cycles)
-		})
-		so, _, _ := res.MeanMinMax(func(m *Measurement) float64 {
-			return float64(m.StallCyclesOS) / float64(m.Cycles)
-		})
-		mem, _, _ := res.MeanMinMax(func(m *Measurement) float64 { return m.MemCycleFrac() })
+	for _, res := range results[0] {
 		rows = append(rows, BreakdownRow{
-			Label: e.Label, CommittingUser: cu, CommittingOS: co,
-			StalledUser: su, StalledOS: so, Memory: mem,
+			Label: res.Label,
+			CommittingUser: mean(res, func(m *Measurement) float64 {
+				return float64(m.CommitCyclesUser) / float64(m.Cycles)
+			}),
+			CommittingOS: mean(res, func(m *Measurement) float64 {
+				return float64(m.CommitCyclesOS) / float64(m.Cycles)
+			}),
+			StalledUser: mean(res, func(m *Measurement) float64 {
+				return float64(m.StallCyclesUser) / float64(m.Cycles)
+			}),
+			StalledOS: mean(res, func(m *Measurement) float64 {
+				return float64(m.StallCyclesOS) / float64(m.Cycles)
+			}),
+			Memory:   mean(res, func(m *Measurement) float64 { return m.MemCycleFrac() }),
 			MemoryCI: res.CI(func(m *Measurement) float64 { return m.MemCycleFrac() }),
 		})
 	}
 	return rows, nil
-}
-
-// entrySets pairs every entry with the same options.
-func entrySets(entries []Entry, o Options) []entrySet {
-	sets := make([]entrySet, len(entries))
-	for i, e := range entries {
-		sets[i] = entrySet{e: e, o: o}
-	}
-	return sets
 }
 
 // InstrMissRow is one bar group of Figure 2: L1-I and L2 instruction
@@ -88,19 +71,19 @@ type InstrMissRow struct {
 
 // Figure2 measures instruction-cache miss rates.
 func (r *Runner) Figure2(entries []Entry, o Options) ([]InstrMissRow, error) {
-	results, err := r.measureEntrySets(entrySets(entries, o))
+	results, err := r.grid(entries, o)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]InstrMissRow, 0, len(entries))
 	for i, e := range entries {
-		res := results[i]
-		l1a, _, _ := res.MeanMinMax(func(m *Measurement) float64 { return m.L1IMPKIUser() })
-		l1o, _, _ := res.MeanMinMax(func(m *Measurement) float64 { return m.L1IMPKIOS() })
-		l2a, _, _ := res.MeanMinMax(func(m *Measurement) float64 { return m.L2IMPKIUser() })
-		l2o, _, _ := res.MeanMinMax(func(m *Measurement) float64 { return m.L2IMPKIOS() })
+		res := results[0][i]
 		rows = append(rows, InstrMissRow{
-			Label: e.Label, L1IApp: l1a, L1IOS: l1o, L2IApp: l2a, L2IOS: l2o,
+			Label:  e.Label,
+			L1IApp: mean(res, func(m *Measurement) float64 { return m.L1IMPKIUser() }),
+			L1IOS:  mean(res, func(m *Measurement) float64 { return m.L1IMPKIOS() }),
+			L2IApp: mean(res, func(m *Measurement) float64 { return m.L2IMPKIUser() }),
+			L2IOS:  mean(res, func(m *Measurement) float64 { return m.L2IMPKIOS() }),
 			ShowOS: e.ShowOS,
 		})
 	}
@@ -131,18 +114,17 @@ type IPCMLPRow struct {
 func (r *Runner) Figure3(entries []Entry, o Options) ([]IPCMLPRow, error) {
 	oSMT := o
 	oSMT.SMT = true
-	sets := append(entrySets(entries, o), entrySets(entries, oSMT)...)
-	results, err := r.measureEntrySets(sets)
+	results, err := r.grid(entries, o, oSMT)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]IPCMLPRow, 0, len(entries))
 	for i, e := range entries {
-		base, smt := results[i], results[len(entries)+i]
+		base, smt := results[0][i], results[1][i]
 		ipc, ipcLo, ipcHi := base.MeanMinMax(func(m *Measurement) float64 { return m.IPC() })
 		mlp, mlpLo, mlpHi := base.MeanMinMax(func(m *Measurement) float64 { return m.MLP() })
-		ipcS, _, _ := smt.MeanMinMax(func(m *Measurement) float64 { return m.IPC() })
-		mlpS, _, _ := smt.MeanMinMax(func(m *Measurement) float64 { return m.MLP() })
+		ipcS := mean(smt, func(m *Measurement) float64 { return m.IPC() })
+		mlpS := mean(smt, func(m *Measurement) float64 { return m.MLP() })
 		row := IPCMLPRow{
 			Label:   e.Label,
 			IPCBase: ipc, IPCSMT: ipcS, IPCLo: ipcLo, IPCHi: ipcHi,
@@ -187,40 +169,36 @@ func (r *Runner) Figure4(groups map[string][]Entry, capacitiesMB []int, o Option
 	}
 	sort.Strings(labels)
 
-	// Enumerate the whole sweep: for each group, the unpolluted baseline
+	// One grid over every group's entries: the unpolluted baseline
 	// followed by one configuration per capacity point.
-	var sets []entrySet
+	var entries []Entry
 	for _, label := range labels {
-		sets = append(sets, entrySets(groups[label], o)...)
-		for _, mb := range capacitiesMB {
-			opt := o
-			if mb < llcMB {
-				opt.PolluteBytes = uint64(llcMB-mb) << 20
-			}
-			sets = append(sets, entrySets(groups[label], opt)...)
-		}
+		entries = append(entries, groups[label]...)
 	}
-	results, err := r.measureEntrySets(sets)
+	opts := []Options{o}
+	for _, mb := range capacitiesMB {
+		opt := o
+		if mb < llcMB {
+			opt.PolluteBytes = uint64(llcMB-mb) << 20
+		}
+		opts = append(opts, opt)
+	}
+	results, err := r.grid(entries, opts...)
 	if err != nil {
 		return nil, err
 	}
 
 	var out []LLCSeries
-	pos := 0
-	take := func(n int) []*EntryResult {
-		group := results[pos : pos+n]
-		pos += n
-		return group
-	}
+	lo := 0
 	for _, label := range labels {
-		n := len(groups[label])
+		hi := lo + len(groups[label])
 		series := LLCSeries{Label: label}
-		baseline, err := averageUserIPC(take(n))
+		baseline, err := averageUserIPC(results[0][lo:hi])
 		if err != nil {
 			return nil, err
 		}
-		for _, mb := range capacitiesMB {
-			v, err := averageUserIPC(take(n))
+		for k, mb := range capacitiesMB {
+			v, err := averageUserIPC(results[1+k][lo:hi])
 			if err != nil {
 				return nil, err
 			}
@@ -231,6 +209,7 @@ func (r *Runner) Figure4(groups map[string][]Entry, capacitiesMB []int, o Option
 			series.Points = append(series.Points, LLCPoint{CacheMB: mb, Normalized: norm})
 		}
 		out = append(out, series)
+		lo = hi
 	}
 	return out, nil
 }
@@ -242,8 +221,7 @@ func averageUserIPC(results []*EntryResult) (float64, error) {
 	}
 	var sum float64
 	for _, res := range results {
-		v, _, _ := res.MeanMinMax(func(m *Measurement) float64 { return m.UserIPC() })
-		sum += v
+		sum += mean(res, func(m *Measurement) float64 { return m.UserIPC() })
 	}
 	return sum / float64(len(results)), nil
 }
@@ -263,11 +241,7 @@ func Figure4Groups() map[string][]Entry {
 		}
 	}
 	groups["Server"] = server
-	mcf, ok := FindBench("SPECint (mcf)")
-	if !ok {
-		panic("core: mcf bench missing")
-	}
-	groups["SPECint (mcf)"] = []Entry{{Label: "SPECint (mcf)", Members: []Bench{mcf}}}
+	groups["SPECint (mcf)"] = []Entry{group("SPECint (mcf)", false, "SPECint (mcf)")}
 	return groups
 }
 
@@ -289,26 +263,24 @@ func (r *Runner) Figure5(entries []Entry, o Options) ([]PrefetchRow, error) {
 		m.Mem.HWPrefetcher = hw
 		return &m
 	}
-	configs := []*Machine{mk(true, true), mk(false, true), mk(true, false)}
-	var sets []entrySet
-	for _, m := range configs {
+	var opts []Options
+	for _, m := range []*Machine{mk(true, true), mk(false, true), mk(true, false)} {
 		opt := o
 		opt.Machine = m
-		sets = append(sets, entrySets(entries, opt)...)
+		opts = append(opts, opt)
 	}
-	results, err := r.measureEntrySets(sets)
+	results, err := r.grid(entries, opts...)
 	if err != nil {
 		return nil, err
 	}
+	l2 := func(c, i int) float64 {
+		return mean(results[c][i], func(m *Measurement) float64 { return m.L2HitRatio() })
+	}
 	rows := make([]PrefetchRow, 0, len(entries))
 	for i, e := range entries {
-		var vals [3]float64
-		for c := range configs {
-			vals[c], _, _ = results[c*len(entries)+i].MeanMinMax(func(m *Measurement) float64 { return m.L2HitRatio() })
-		}
 		rows = append(rows, PrefetchRow{
-			Label: e.Label, Baseline: vals[0],
-			AdjacentDisabled: vals[1], HWDisabled: vals[2],
+			Label: e.Label, Baseline: l2(0, i),
+			AdjacentDisabled: l2(1, i), HWDisabled: l2(2, i),
 		})
 	}
 	return rows, nil
@@ -327,16 +299,17 @@ type SharingRow struct {
 func (r *Runner) Figure6(entries []Entry, o Options) ([]SharingRow, error) {
 	opt := o
 	opt.SplitSockets = true
-	results, err := r.measureEntrySets(entrySets(entries, opt))
+	results, err := r.grid(entries, opt)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]SharingRow, 0, len(entries))
-	for i, e := range entries {
-		res := results[i]
-		app, _, _ := res.MeanMinMax(func(m *Measurement) float64 { return m.SharedRWFracUser() })
-		osv, _, _ := res.MeanMinMax(func(m *Measurement) float64 { return m.SharedRWFracOS() })
-		rows = append(rows, SharingRow{Label: e.Label, App: app, OS: osv})
+	for _, res := range results[0] {
+		rows = append(rows, SharingRow{
+			Label: res.Label,
+			App:   mean(res, func(m *Measurement) float64 { return m.SharedRWFracUser() }),
+			OS:    mean(res, func(m *Measurement) float64 { return m.SharedRWFracOS() }),
+		})
 	}
 	return rows, nil
 }
@@ -354,23 +327,22 @@ type BandwidthRow struct {
 
 // Figure7 measures off-chip bandwidth utilisation.
 func (r *Runner) Figure7(entries []Entry, o Options) ([]BandwidthRow, error) {
-	results, err := r.measureEntrySets(entrySets(entries, o))
+	results, err := r.grid(entries, o)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]BandwidthRow, 0, len(entries))
-	for i, e := range entries {
-		res := results[i]
+	for _, res := range results[0] {
 		// Split each member's utilisation by the mode of its off-chip
 		// read traffic (writebacks charged proportionally), then average.
-		app, _, _ := res.MeanMinMax(func(m *Measurement) float64 {
+		app := mean(res, func(m *Measurement) float64 {
 			reads := m.OffchipReadUser + m.OffchipReadOS
 			if reads == 0 {
 				return 0
 			}
 			return m.DRAMUtilization() * float64(m.OffchipReadUser) / float64(reads)
 		})
-		osu, _, _ := res.MeanMinMax(func(m *Measurement) float64 {
+		osu := mean(res, func(m *Measurement) float64 {
 			reads := m.OffchipReadUser + m.OffchipReadOS
 			if reads == 0 {
 				return 0
@@ -378,7 +350,7 @@ func (r *Runner) Figure7(entries []Entry, o Options) ([]BandwidthRow, error) {
 			return m.DRAMUtilization() * float64(m.OffchipReadOS) / float64(reads)
 		})
 		rows = append(rows, BandwidthRow{
-			Label: e.Label, App: app, OS: osu,
+			Label: res.Label, App: app, OS: osu,
 			TotalCI: res.CI(func(m *Measurement) float64 { return m.DRAMUtilization() }),
 		})
 	}

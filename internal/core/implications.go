@@ -108,36 +108,33 @@ func (r *Runner) Implications(entries []Entry, o Options) ([]ImplicationRow, err
 	oo := o
 	oo.Machine = &opt
 	oo.SMT = true // the optimized design relies on multi-threading
-	sets := append(entrySets(entries, oc), entrySets(entries, oo)...)
-	results, err := r.measureEntrySets(sets)
+	results, err := r.grid(entries, oc, oo)
 	if err != nil {
 		return nil, err
 	}
 
 	rows := make([]ImplicationRow, 0, len(entries))
 	for i, e := range entries {
-		rc, ro := results[i], results[len(entries)+i]
-		cIPC, _, _ := rc.MeanMinMax(func(m *Measurement) float64 { return m.IPC() })
-		oIPC, _, _ := ro.MeanMinMax(func(m *Measurement) float64 { return m.IPC() })
-		cPJ, _, _ := rc.MeanMinMax(func(m *Measurement) float64 {
-			pp := power.ConventionalParams(conv.Mem.CoresPerSocket, conv.Mem.LLC.SizeBytes>>20)
-			return power.Estimate(pp, &m.Counters, o.Cores).PJPerInstruction()
-		})
-		oPJ, _, _ := ro.MeanMinMax(func(m *Measurement) float64 {
-			pp := power.ModestParams(opt.Mem.CoresPerSocket, opt.Mem.LLC.SizeBytes>>20)
-			return power.Estimate(pp, &m.Counters, o.Cores).PJPerInstruction()
-		})
+		rc, ro := results[0][i], results[1][i]
+		cIPC := mean(rc, func(m *Measurement) float64 { return m.IPC() })
+		oIPC := mean(ro, func(m *Measurement) float64 { return m.IPC() })
 		row := ImplicationRow{
 			Label:              e.Label,
 			ConvIPC:            cIPC,
 			OptIPC:             oIPC,
 			ConvChipThroughput: cIPC * float64(conv.Mem.CoresPerSocket),
 			OptChipThroughput:  oIPC * float64(opt.Mem.CoresPerSocket),
+			ConvPJPerInstr: mean(rc, func(m *Measurement) float64 {
+				pp := power.ConventionalParams(conv.Mem.CoresPerSocket, conv.Mem.LLC.SizeBytes>>20)
+				return power.Estimate(pp, &m.Counters, o.Cores).PJPerInstruction()
+			}),
+			OptPJPerInstr: mean(ro, func(m *Measurement) float64 {
+				pp := power.ModestParams(opt.Mem.CoresPerSocket, opt.Mem.LLC.SizeBytes>>20)
+				return power.Estimate(pp, &m.Counters, o.Cores).PJPerInstruction()
+			}),
 		}
 		row.ConvDensity = row.ConvChipThroughput / convArea
 		row.OptDensity = row.OptChipThroughput / optArea
-		row.ConvPJPerInstr = cPJ
-		row.OptPJPerInstr = oPJ
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -162,24 +159,22 @@ func (r *Runner) InstructionPrefetchStudy(entries []Entry, o Options) ([]IPrefRo
 		m.Mem.IPrefetch = mode
 		return &m
 	}
-	configs := []*Machine{mk(cache.IPrefNone), mk(cache.IPrefNextLine), mk(cache.IPrefStream)}
-	var sets []entrySet
-	for _, m := range configs {
+	var opts []Options
+	for _, m := range []*Machine{mk(cache.IPrefNone), mk(cache.IPrefNextLine), mk(cache.IPrefStream)} {
 		opt := o
 		opt.Machine = m
-		sets = append(sets, entrySets(entries, opt)...)
+		opts = append(opts, opt)
 	}
-	results, err := r.measureEntrySets(sets)
+	results, err := r.grid(entries, opts...)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]IPrefRow, 0, len(entries))
 	for i, e := range entries {
 		var mpki, ipc [3]float64
-		for c := range configs {
-			res := results[c*len(entries)+i]
-			mpki[c], _, _ = res.MeanMinMax(func(m *Measurement) float64 { return m.L1IMPKIUser() + m.L1IMPKIOS() })
-			ipc[c], _, _ = res.MeanMinMax(func(m *Measurement) float64 { return m.IPC() })
+		for c, res := range results {
+			mpki[c] = mean(res[i], func(m *Measurement) float64 { return m.L1IMPKIUser() + m.L1IMPKIOS() })
+			ipc[c] = mean(res[i], func(m *Measurement) float64 { return m.IPC() })
 		}
 		rows = append(rows, IPrefRow{
 			Label:    e.Label,

@@ -16,7 +16,6 @@ import (
 	"strconv"
 
 	"cloudsuite/internal/sim/cache"
-	"cloudsuite/internal/sim/dram"
 	"cloudsuite/internal/sim/engine"
 )
 
@@ -36,30 +35,7 @@ type Machine struct {
 // three DDR3 channels delivering up to 32GB/s. All prefetchers
 // (adjacent-line, HW prefetcher, DCU streamer) are enabled.
 func XeonX5670() Machine {
-	return Machine{
-		Name: "Intel Xeon X5670",
-		Core: engine.CoreConfig{
-			Width: 4, ROB: 128, RS: 36, LoadQ: 48, StoreQ: 32,
-			MSHRs: 16, MispredictPenalty: 14,
-			ALULatency: 1, MulLatency: 3, FPLatency: 4,
-		},
-		Mem: cache.SystemConfig{
-			Sockets:        1,
-			CoresPerSocket: 6,
-			L1I:            cache.Config{SizeBytes: 32 << 10, Assoc: 4, LatencyCycles: 4},
-			L1D:            cache.Config{SizeBytes: 32 << 10, Assoc: 8, LatencyCycles: 4},
-			L2:             cache.Config{SizeBytes: 256 << 10, Assoc: 8, LatencyCycles: 11},
-			LLC:            cache.Config{SizeBytes: 12 << 20, Assoc: 16, LatencyCycles: 29},
-			AdjacentLine:   true,
-			HWPrefetcher:   true,
-			DCUStreamer:    true,
-
-			RemoteHitCycles: 110,
-			RemoteMemCycles: 90,
-			HopCycles:       70,
-			DRAM:            dram.Config{Channels: 3, AccessCycles: 190, TransferCycles: 18},
-		},
-	}
+	return Machine{Name: "Intel Xeon X5670", Core: engine.DefaultCoreConfig(), Mem: cache.DefaultSystemConfig()}
 }
 
 // MultiSocket returns the Table-1 machine scaled to n sockets. Each

@@ -11,8 +11,8 @@ import (
 
 // TestOptionsValidate is the front door's table: every row is an
 // Options value Validate must reject, naming the offending field, and
-// Measure, MeasureBench and Runner.MeasureBench must refuse it the same
-// way before any simulation starts.
+// MeasureBench and Runner.MeasureBench must refuse it the same way
+// before any simulation starts.
 func TestOptionsValidate(t *testing.T) {
 	huge := ScaledMachine(4, 128)
 	cases := []struct {
@@ -56,7 +56,6 @@ func TestOptionsValidate(t *testing.T) {
 				run  func() error
 			}{
 				{"Validate", o.Validate},
-				{"Measure", func() error { _, err := Measure(b.New(), o); return err }},
 				{"MeasureBench", func() error { _, err := MeasureBench(b, o); return err }},
 				{"Runner.MeasureBench", func() error { _, err := r.MeasureBench(b, o); return err }},
 			}

@@ -12,7 +12,6 @@ import (
 	"cloudsuite/internal/sim/engine"
 	"cloudsuite/internal/sim/sample"
 	"cloudsuite/internal/trace"
-	"cloudsuite/internal/workloads"
 )
 
 // Sampling configures SMARTS-style interval sampling for a measurement:
@@ -142,7 +141,7 @@ func (e *OptionError) Error() string {
 	return fmt.Sprintf("core: Options.%s %v: %s", e.Field, e.Value, e.Reason)
 }
 
-// Validate is the one place an Options value is judged. Measure and the
+// Validate is the one place an Options value is judged. measure and the
 // Runner call it before canonicalize, so an invalid request never
 // reaches the engine or takes a memo slot. Zero fields mean "default"
 // and are always valid; any other value must describe a run the
@@ -269,20 +268,22 @@ func (m *Measurement) CI(f func(*Measurement) float64) Estimate {
 	return sample.FromSamples(vals)
 }
 
-// Measure runs one workload instance under the given options.
+// measure runs one fresh instance of b under the given options; b.Name
+// names the run's trace track, its warm-image key and its BenchName.
 //
 // Options pass Validate first; defaulting then goes through
 // canonicalize (runner.go), the same resolution the Runner's
 // memoization cache keys on: two Options with equal canonical forms
 // measure identically by construction.
-func Measure(w workloads.Workload, o Options) (*Measurement, error) {
+func measure(b Bench, o Options) (*Measurement, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	c := canonicalize(o)
+	w := b.New()
 	// Run observation (no-op when disarmed): opened before workload
 	// startup so setup time is attributed, finished on every exit path.
-	ro := o.Obs.StartRun(w.Name(), c.label())
+	ro := o.Obs.StartRun(b.Name, c.label())
 	defer ro.Finish()
 	machine := &c.machine
 
@@ -377,7 +378,7 @@ func Measure(w workloads.Workload, o Options) (*Measurement, error) {
 	var ckptKey string
 	warmSource := "cold"
 	if o.Checkpoints != nil {
-		ckptKey = checkpointKey(w.Name(), c)
+		ckptKey = checkpointKey(b.Name, c)
 		snap, commit := o.Checkpoints.acquire(ckptKey)
 		if snap != nil {
 			cfg.Restore = snap
@@ -419,7 +420,7 @@ func Measure(w workloads.Workload, o Options) (*Measurement, error) {
 	total.DRAMBusyCycles = res.Total.DRAMBusyCycles
 	total.DRAMTotalCycles = res.Total.DRAMTotalCycles
 	total.DRAMChannels = res.Total.DRAMChannels
-	m := &Measurement{Counters: total, WindowCycles: res.Cycles, BenchName: w.Name(), Truncated: res.Truncated, warmSource: warmSource}
+	m := &Measurement{Counters: total, WindowCycles: res.Cycles, BenchName: b.Name, Truncated: res.Truncated, warmSource: warmSource}
 	for _, iv := range res.Intervals {
 		agg := aggregateCores(iv.PerCore, coreOf)
 		agg.DRAMBusyCycles = iv.DRAMBusyCycles
@@ -567,21 +568,18 @@ func (e *restoreError) Unwrap() error { return e.err }
 
 // MeasureBench creates a fresh instance of b and measures it. If a
 // cached warm image fails to restore (a corrupt or incompatible
-// snapshot that slipped past the integrity checks), Measure has
+// snapshot that slipped past the integrity checks), measure has
 // already dropped the image; the measurement is retried on a fresh
 // instance and warms from cold — determinism guarantees the same
-// result either way. (Direct Measure callers surface the restore error
-// instead: a consumed workload instance cannot be re-run, but their
-// own retry warms cold because the image is gone.)
+// result either way.
 func MeasureBench(b Bench, o Options) (*Measurement, error) {
-	m, err := Measure(b.New(), o)
+	m, err := measure(b, o)
 	if rerr := (*restoreError)(nil); errors.As(err, &rerr) && o.Checkpoints != nil {
-		m, err = Measure(b.New(), o)
+		m, err = measure(b, o)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: measuring %s: %w", b.Name, err)
 	}
-	m.BenchName = b.Name
 	return m, nil
 }
 
@@ -613,6 +611,12 @@ func (r *EntryResult) MeanMinMax(f func(*Measurement) float64) (mean, min, max f
 		}
 	}
 	return sum / float64(len(r.Measurements)), min, max
+}
+
+// mean is the mean of MeanMinMax, for drivers that plot no range bars.
+func mean(r *EntryResult, f func(*Measurement) float64) float64 {
+	m, _, _ := r.MeanMinMax(f)
+	return m
 }
 
 // CI returns the entry-level 95% confidence interval of metric f: each

@@ -83,15 +83,15 @@ type RunnerStats struct {
 // machine resolved to a value). Two requests with equal keys produce
 // bit-identical Measurements, which is what licenses memoization.
 //
-// Benchmarks are identified by name: a custom Bench must use a name
-// distinct from any differently-configured benchmark measured through
-// the same Runner.
+// Benchmarks are identified by Bench.Name, as warm images are: a
+// custom Bench must use a name distinct from any differently-configured
+// benchmark measured through the same Runner or checkpoint store.
 type measureKey struct {
 	bench string
 	opt   canonicalOptions
 }
 
-// canonicalOptions is Options with Measure's defaulting applied and the
+// canonicalOptions is Options with measure's defaulting applied and the
 // machine held by value, so it is comparable and collision-free.
 type canonicalOptions struct {
 	machine      Machine
@@ -105,7 +105,7 @@ type canonicalOptions struct {
 	seed         int64
 }
 
-// canonicalize is the single defaulting resolution: Measure consumes
+// canonicalize is the single defaulting resolution: measure consumes
 // the canonical form directly, so requests spelled differently but
 // measured identically share a cache slot by construction — the cache
 // key and the measurement semantics cannot drift apart. It resolves
@@ -498,46 +498,32 @@ func (r *Runner) MeasureBench(b Bench, o Options) (*Measurement, error) {
 	return m, err
 }
 
-// MeasureEntry measures every member of e through the worker pool.
-func (r *Runner) MeasureEntry(e Entry, o Options) (*EntryResult, error) {
-	res, err := r.measureEntrySets([]entrySet{{e: e, o: o}})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
-// entrySet is one (entry, options) pair of a driver's enumeration.
-type entrySet struct {
-	e Entry
-	o Options
-}
-
-// measureEntrySets enumerates every member measurement of every set,
-// submits them as one MeasureAll batch, and reassembles per-set
-// EntryResults in set order. This is the substrate the figure drivers
-// stand on: they enumerate their full request matrix up front so the
-// worker pool sees all the parallelism at once.
-func (r *Runner) measureEntrySets(sets []entrySet) ([]*EntryResult, error) {
+// grid measures every member of every entry under each of opts as one
+// MeasureAll batch and returns out[c][i], entries[i] under opts[c]. It
+// is the substrate the figure drivers stand on: each enumerates its
+// whole request matrix up front, so the worker pool sees all the
+// parallelism at once.
+func (r *Runner) grid(entries []Entry, opts ...Options) ([][]*EntryResult, error) {
 	var reqs []MeasureRequest
-	for _, s := range sets {
-		for _, b := range s.e.Members {
-			reqs = append(reqs, MeasureRequest{Bench: b, Options: s.o})
+	for _, o := range opts {
+		for _, e := range entries {
+			for _, b := range e.Members {
+				reqs = append(reqs, MeasureRequest{Bench: b, Options: o})
+			}
 		}
 	}
 	ms, err := r.MeasureAll(reqs)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*EntryResult, len(sets))
-	pos := 0
-	for i, s := range sets {
-		er := &EntryResult{Label: s.e.Label}
-		for range s.e.Members {
-			er.Measurements = append(er.Measurements, ms[pos])
-			pos++
+	out := make([][]*EntryResult, len(opts))
+	for c := range out {
+		out[c] = make([]*EntryResult, len(entries))
+		for i, e := range entries {
+			n := len(e.Members)
+			out[c][i] = &EntryResult{Label: e.Label, Measurements: ms[:n:n]}
+			ms = ms[n:]
 		}
-		out[i] = er
 	}
 	return out, nil
 }

@@ -63,16 +63,15 @@ type ScaleUpRow struct {
 // matrix is enumerated up front and submitted as one batch, so the
 // worker pool sees all the parallelism at once.
 func (r *Runner) ScaleUpStudy(entries []Entry, points []ScalePoint, o Options) ([]ScaleUpRow, error) {
-	var sets []entrySet
-	for _, p := range points {
-		opt := o
-		opt.Cores = p.Cores
-		opt.Sockets = p.Sockets
-		opt.CoresPerSocket = p.CoresPerSocket
-		opt.SplitSockets = p.Sockets > 1
-		sets = append(sets, entrySets(entries, opt)...)
+	opts := make([]Options, len(points))
+	for pi, p := range points {
+		opts[pi] = o
+		opts[pi].Cores = p.Cores
+		opts[pi].Sockets = p.Sockets
+		opts[pi].CoresPerSocket = p.CoresPerSocket
+		opts[pi].SplitSockets = p.Sockets > 1
 	}
-	results, err := r.measureEntrySets(sets)
+	results, err := r.grid(entries, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -80,23 +79,22 @@ func (r *Runner) ScaleUpStudy(entries []Entry, points []ScalePoint, o Options) (
 	for i, e := range entries {
 		row := ScaleUpRow{Label: e.Label}
 		for pi, p := range points {
-			res := results[pi*len(entries)+i]
-			chip, _, _ := res.MeanMinMax(func(m *Measurement) float64 {
+			res := results[pi][i]
+			chip := mean(res, func(m *Measurement) float64 {
 				if m.WindowCycles == 0 {
 					return 0
 				}
 				return float64(m.Commits()) / float64(m.WindowCycles)
 			})
-			mlp, _, _ := res.MeanMinMax(func(m *Measurement) float64 { return m.MLP() })
-			bw, _, _ := res.MeanMinMax(func(m *Measurement) float64 { return m.DRAMUtilization() })
-			rh, _, _ := res.MeanMinMax(func(m *Measurement) float64 {
-				return 1000 * float64(m.RemoteSocketHit) / float64(m.Commits())
-			})
-			rd, _, _ := res.MeanMinMax(func(m *Measurement) float64 { return m.RemoteDRAMFrac() })
 			cell := ScaleUpCell{
 				Sockets: p.Sockets, Cores: p.Cores,
-				ChipIPC: chip, MLP: mlp, BWUtil: bw,
-				RemoteHitPKI: rh, RemoteDRAMFrac: rd,
+				ChipIPC: chip,
+				MLP:     mean(res, func(m *Measurement) float64 { return m.MLP() }),
+				BWUtil:  mean(res, func(m *Measurement) float64 { return m.DRAMUtilization() }),
+				RemoteHitPKI: mean(res, func(m *Measurement) float64 {
+					return 1000 * float64(m.RemoteSocketHit) / float64(m.Commits())
+				}),
+				RemoteDRAMFrac: mean(res, func(m *Measurement) float64 { return m.RemoteDRAMFrac() }),
 			}
 			if len(row.Cells) == 0 {
 				cell.Speedup = 1

@@ -15,7 +15,10 @@ import (
 // instances. A fresh instance is created per measurement so runs do not
 // share warmed state.
 type Bench struct {
-	// Name is the benchmark's display name.
+	// Name is the benchmark's display name and its identity: it keys the
+	// Runner's memo slot and the warm image, names the run's trace track,
+	// and becomes Measurement.BenchName. Two differently configured
+	// benchmarks need two names.
 	Name string
 	// Class is the workload class.
 	Class workloads.Class
@@ -29,8 +32,6 @@ type Bench struct {
 type Entry struct {
 	// Label is the bar label.
 	Label string
-	// Class drives figure grouping/ordering.
-	Class workloads.Class
 	// Members are the benchmarks aggregated under this label.
 	Members []Bench
 	// ShowOS marks entries whose OS component the paper reports
@@ -87,14 +88,21 @@ func FindBench(name string) (Bench, bool) {
 	return Bench{}, false
 }
 
-func group(label string, class workloads.Class, showOS bool, names ...string) Entry {
-	e := Entry{Label: label, Class: class, ShowOS: showOS}
+// mustBench returns the registered benchmark with the given name. The
+// suite's own tables name only registered benchmarks, so a miss is a
+// bug.
+func mustBench(name string) Bench {
+	b, ok := FindBench(name)
+	if !ok {
+		panic("core: unknown bench " + name)
+	}
+	return b
+}
+
+func group(label string, showOS bool, names ...string) Entry {
+	e := Entry{Label: label, ShowOS: showOS}
 	for _, n := range names {
-		b, ok := FindBench(n)
-		if !ok {
-			panic("core: unknown bench " + n)
-		}
-		e.Members = append(e.Members, b)
+		e.Members = append(e.Members, mustBench(n))
 	}
 	return e
 }
@@ -104,20 +112,20 @@ func group(label string, class workloads.Class, showOS bool, names ...string) En
 // PARSEC and SPECint folded into cpu/mem group averages.
 func FigureEntries() []Entry {
 	return []Entry{
-		group("Data Serving", workloads.ScaleOut, true, "Data Serving"),
-		group("MapReduce", workloads.ScaleOut, true, "MapReduce"),
-		group("Media Streaming", workloads.ScaleOut, true, "Media Streaming"),
-		group("SAT Solver", workloads.ScaleOut, false, "SAT Solver"),
-		group("Web Frontend", workloads.ScaleOut, true, "Web Frontend"),
-		group("Web Search", workloads.ScaleOut, true, "Web Search"),
-		group("PARSEC (cpu)", workloads.Parallel, false, "PARSEC (blackscholes)", "PARSEC (swaptions)"),
-		group("PARSEC (mem)", workloads.Parallel, false, "PARSEC (canneal)", "PARSEC (streamcluster)"),
-		group("SPECint (cpu)", workloads.Desktop, false, "SPECint (bitops)", "SPECint (compile)", "SPECint (dp)"),
-		group("SPECint (mem)", workloads.Desktop, false, "SPECint (mcf)", "SPECint (events)", "SPECint (stream)"),
-		group("SPECweb09", workloads.Server, true, "SPECweb09"),
-		group("TPC-C", workloads.Server, true, "TPC-C"),
-		group("TPC-E", workloads.Server, true, "TPC-E"),
-		group("Web Backend", workloads.Server, true, "Web Backend"),
+		group("Data Serving", true, "Data Serving"),
+		group("MapReduce", true, "MapReduce"),
+		group("Media Streaming", true, "Media Streaming"),
+		group("SAT Solver", false, "SAT Solver"),
+		group("Web Frontend", true, "Web Frontend"),
+		group("Web Search", true, "Web Search"),
+		group("PARSEC (cpu)", false, "PARSEC (blackscholes)", "PARSEC (swaptions)"),
+		group("PARSEC (mem)", false, "PARSEC (canneal)", "PARSEC (streamcluster)"),
+		group("SPECint (cpu)", false, "SPECint (bitops)", "SPECint (compile)", "SPECint (dp)"),
+		group("SPECint (mem)", false, "SPECint (mcf)", "SPECint (events)", "SPECint (stream)"),
+		group("SPECweb09", true, "SPECweb09"),
+		group("TPC-C", true, "TPC-C"),
+		group("TPC-E", true, "TPC-E"),
+		group("Web Backend", true, "Web Backend"),
 	}
 }
 

@@ -44,20 +44,17 @@ func (r *Runner) Validate(o Options) ([]Claim, error) {
 	oSplit := o
 	oSplit.SplitSockets = true
 
-	reqs, err := requestsFor([]namedOptions{
-		{"Web Search", o},
-		{"Data Serving", o},
-		{"Media Streaming", o},
-		{"PARSEC (blackscholes)", o},
-		{"SPECint (bitops)", o},
-		{"Data Serving", oSMT},
-		{"Web Search", oPol},
-		{"Web Search", oPol6},
-		{"MapReduce", oSplit},
-		{"TPC-C", oSplit},
-	})
-	if err != nil {
-		return nil, err
+	reqs := []MeasureRequest{
+		{mustBench("Web Search"), o},
+		{mustBench("Data Serving"), o},
+		{mustBench("Media Streaming"), o},
+		{mustBench("PARSEC (blackscholes)"), o},
+		{mustBench("SPECint (bitops)"), o},
+		{mustBench("Data Serving"), oSMT},
+		{mustBench("Web Search"), oPol},
+		{mustBench("Web Search"), oPol6},
+		{mustBench("MapReduce"), oSplit},
+		{mustBench("TPC-C"), oSplit},
 	}
 	ms0, err := r.MeasureAll(reqs)
 	if err != nil {
@@ -134,25 +131,6 @@ func untruncated(reqs []MeasureRequest, ms []*Measurement) error {
 		}
 	}
 	return nil
-}
-
-// namedOptions pairs a registered benchmark name with options.
-type namedOptions struct {
-	name string
-	o    Options
-}
-
-// requestsFor resolves benchmark names into measurement requests.
-func requestsFor(specs []namedOptions) ([]MeasureRequest, error) {
-	reqs := make([]MeasureRequest, len(specs))
-	for i, s := range specs {
-		b, ok := FindBench(s.name)
-		if !ok {
-			return nil, fmt.Errorf("core: bench %q not registered", s.name)
-		}
-		reqs[i] = MeasureRequest{Bench: b, Options: s.o}
-	}
-	return reqs, nil
 }
 
 // AllHold reports whether every claim holds.

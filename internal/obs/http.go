@@ -1,38 +1,23 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"sync"
 )
 
 // This file implements the CLIs' -pprof endpoint: net/http/pprof's
-// profiling handlers plus the metrics registry published through
-// expvar, served from a dedicated mux (nothing global leaks into
-// DefaultServeMux). The server is an observer-side convenience and has
-// no interaction with simulation state.
-
-// publishOnce guards the process-global expvar registration: expvar
-// panics on duplicate names, and tests may Serve more than once.
-//
-//simlint:ok globalrand write-once guard for the process-global expvar namespace; no simulation state
-var publishOnce sync.Once
-
-// served is the observer whose registry expvar exposes (the first one
-// Serve is called with; a process serves one observer).
-//
-//simlint:ok globalrand set once under publishOnce before the listener starts; read-only afterwards
-var served *Observer
+// profiling handlers plus the metrics registry, served from a dedicated
+// mux (nothing global leaks into DefaultServeMux). The server is an
+// observer-side convenience and has no interaction with simulation
+// state.
 
 // Serve starts an HTTP listener on addr exposing:
 //
 //	/debug/pprof/...  net/http/pprof (CPU, heap, goroutine, ...)
-//	/debug/vars       expvar, including "simobs" = the registry snapshot
-//	/metrics          the registry snapshot as plain JSON
+//	/metrics          o's registry snapshot as JSON
 //
 // It returns the bound address (useful with ":0") and serves in a
 // background goroutine until the process exits.
@@ -41,19 +26,12 @@ func Serve(addr string, o *Observer) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("obs: listening on %s: %w", addr, err)
 	}
-	publishOnce.Do(func() {
-		served = o
-		expvar.Publish("simobs", expvar.Func(func() any {
-			return served.Registry().Snapshot()
-		}))
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := o.Registry().WriteJSON(w); err != nil {

@@ -123,16 +123,6 @@ func (t *Tracer) span(track int, name, cat string, startNS, endNS int64, args ma
 	t.mu.Unlock()
 }
 
-// Events reports the number of accumulated events (metadata included).
-func (t *Tracer) Events() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
 // WriteJSON writes the accumulated trace in Chrome trace_event object
 // format, events sorted by timestamp (viewers do not require the
 // order, but sorted files diff and inspect better).

@@ -135,14 +135,12 @@ func TestServe(t *testing.T) {
 	if s.Counters["served"] != 9 {
 		t.Fatalf("/metrics counter = %d, want 9", s.Counters["served"])
 	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(get("/debug/vars"), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	if _, ok := vars["simobs"]; !ok {
-		t.Fatal("/debug/vars does not publish simobs")
-	}
 	if body := get("/debug/pprof/cmdline"); len(body) == 0 {
 		t.Fatal("/debug/pprof/cmdline returned nothing")
+	}
+	// Heap statistics come from the pprof heap profile, not a second
+	// metrics endpoint.
+	if body := get("/debug/pprof/heap?debug=1"); !bytes.Contains(body, []byte("# HeapAlloc = ")) {
+		t.Fatal("/debug/pprof/heap?debug=1 reports no heap statistics")
 	}
 }

@@ -44,7 +44,6 @@ type Kernel struct {
 	fnVFSRead   *trace.Func //simlint:ok checkpointcov construction-time code layout
 	fnPageCache *trace.Func //simlint:ok checkpointcov construction-time code layout
 	fnSched     *trace.Func //simlint:ok checkpointcov construction-time code layout
-	fnPageFault *trace.Func //simlint:ok checkpointcov construction-time code layout
 	fnSelect    *trace.Func //simlint:ok checkpointcov construction-time code layout
 	fnLockPath  *trace.Func //simlint:ok checkpointcov construction-time code layout
 
@@ -53,8 +52,8 @@ type Kernel struct {
 	skbNext  atomic.Uint64
 	rings    []addrspace.Array //simlint:ok checkpointcov construction-time allocation geometry
 	ringCur  []atomic.Uint64
-	stats    uint64   //simlint:ok checkpointcov construction-time allocation address
-	nicTail  []uint64 //simlint:ok checkpointcov construction-time allocation addresses
+	stats    uint64          //simlint:ok checkpointcov construction-time allocation address
+	nicTail  []uint64        //simlint:ok checkpointcov construction-time allocation addresses
 	sockHash addrspace.Array //simlint:ok checkpointcov construction-time allocation geometry
 	runq     addrspace.Array //simlint:ok checkpointcov construction-time allocation geometry
 	pgCache  addrspace.Array //simlint:ok checkpointcov construction-time allocation geometry
@@ -176,7 +175,7 @@ func New(cfg Config) *Kernel {
 	k.fnVFSRead = code.Func("vfs_read", 600)
 	k.fnPageCache = code.Func("page_cache_lookup", 300)
 	k.fnSched = code.Func("schedule_tick", 500)
-	k.fnPageFault = code.Func("handle_page_fault", 450)
+	code.Func("handle_page_fault", 450) // nothing emits it; the slot keeps the layout after it
 	k.fnSelect = code.Func("sys_epoll_wait", 420)
 	k.fnLockPath = code.Func("futex_path", 260)
 	if cfg.ExtraCodeKB > 0 {
@@ -418,12 +417,5 @@ func (k *Kernel) Futex(e *trace.Emitter, lockAddr uint64) {
 		v := e.Load(lockAddr, 8, trace.NoVal, false)
 		e.Store(lockAddr, 8, v, trace.NoVal)
 		k.work(e, 140, lockAddr)
-	})
-}
-
-// PageFault emits a minor page-fault handling path.
-func (k *Kernel) PageFault(e *trace.Emitter, addr uint64) {
-	e.InKernel(k.fnPageFault, func() {
-		k.work(e, 320, addrspace.PageOf(addr))
 	})
 }

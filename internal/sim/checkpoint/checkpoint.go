@@ -39,7 +39,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -82,9 +81,6 @@ func (s *Snapshot) Key() string { return s.key }
 
 // Hash returns the SHA-256 content hash of the payload.
 func (s *Snapshot) Hash() [32]byte { return s.hash }
-
-// HashString returns the content hash as lowercase hex.
-func (s *Snapshot) HashString() string { return hex.EncodeToString(s.hash[:]) }
 
 // Size returns the payload size in bytes.
 func (s *Snapshot) Size() int { return len(s.payload) }

@@ -331,11 +331,6 @@ func (e *Emitter) FP(a, b Val) Val {
 	return e.push(Inst{PC: e.nextPC(), Op: OpFP, DepA: e.dist(a), DepB: e.dist(b)})
 }
 
-// Mul emits one multiply consuming a and b.
-func (e *Emitter) Mul(a, b Val) Val {
-	return e.push(Inst{PC: e.nextPC(), Op: OpMul, DepA: e.dist(a), DepB: e.dist(b)})
-}
-
 // ALUChain emits n serially dependent integer ops seeded by dep and
 // returns the final value. It models address arithmetic, comparisons and
 // other short dependent computations.

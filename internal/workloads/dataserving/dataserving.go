@@ -133,12 +133,6 @@ func New(cfg Config) *Store {
 	return s
 }
 
-// Name implements workloads.Workload.
-func (s *Store) Name() string { return "Data Serving" }
-
-// Class implements workloads.Workload.
-func (s *Store) Class() workloads.Class { return workloads.ScaleOut }
-
 // DatasetBytes reports the primary data footprint.
 func (s *Store) DatasetBytes() uint64 {
 	var t uint64

@@ -27,9 +27,6 @@ func drain(t *testing.T, g *trace.StepGen, n int) []trace.Inst {
 
 func TestMetadata(t *testing.T) {
 	s := New(smallConfig())
-	if s.Name() != "Data Serving" {
-		t.Errorf("name = %q", s.Name())
-	}
 	if s.DatasetBytes() != 4096*1024 {
 		t.Errorf("dataset = %d", s.DatasetBytes())
 	}

@@ -79,12 +79,6 @@ func New(cfg Config) *Job {
 	return j
 }
 
-// Name implements workloads.Workload.
-func (j *Job) Name() string { return "MapReduce" }
-
-// Class implements workloads.Workload.
-func (j *Job) Class() workloads.Class { return workloads.ScaleOut }
-
 // Start implements workloads.Workload. Each thread is one map task with
 // private input buffer, weights table, and spill buffer.
 func (j *Job) Start(n int, seed int64) []*trace.StepGen {

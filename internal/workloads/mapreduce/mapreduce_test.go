@@ -24,13 +24,6 @@ func drain(t *testing.T, g *trace.StepGen, n int) []trace.Inst {
 	return out[:got]
 }
 
-func TestMetadata(t *testing.T) {
-	j := New(smallConfig())
-	if j.Name() != "MapReduce" {
-		t.Errorf("name = %q", j.Name())
-	}
-}
-
 func TestMapTasksAreIndependent(t *testing.T) {
 	j := New(smallConfig())
 	gens := j.Start(2, 11)

@@ -76,12 +76,6 @@ func New(cfg Config) *Solver {
 	return s
 }
 
-// Name implements workloads.Workload.
-func (s *Solver) Name() string { return "SAT Solver" }
-
-// Class implements workloads.Workload.
-func (s *Solver) Class() workloads.Class { return workloads.ScaleOut }
-
 // Start implements workloads.Workload: one independent solver instance
 // per thread, as in the paper's one-process-per-core setup.
 func (s *Solver) Start(n int, seed int64) []*trace.StepGen {

@@ -27,13 +27,6 @@ func drain(t *testing.T, g *trace.StepGen, n int) []trace.Inst {
 	return out[:got]
 }
 
-func TestMetadata(t *testing.T) {
-	s := New(smallConfig())
-	if s.Name() != "SAT Solver" {
-		t.Errorf("name = %q", s.Name())
-	}
-}
-
 func TestSolverEmitsForever(t *testing.T) {
 	s := New(smallConfig())
 	gens := s.Start(2, 3)

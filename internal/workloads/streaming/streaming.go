@@ -93,12 +93,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Name implements workloads.Workload.
-func (s *Server) Name() string { return "Media Streaming" }
-
-// Class implements workloads.Workload.
-func (s *Server) Class() workloads.Class { return workloads.ScaleOut }
-
 // Start implements workloads.Workload.
 func (s *Server) Start(n int, seed int64) []*trace.StepGen {
 	gens := make([]*trace.StepGen, n)

@@ -29,9 +29,6 @@ func drain(t *testing.T, g *trace.StepGen, n int) []trace.Inst {
 
 func TestMetadata(t *testing.T) {
 	s := New(smallConfig())
-	if s.Name() != "Media Streaming" {
-		t.Errorf("name = %q", s.Name())
-	}
 	if len(s.fileBase) != 8 {
 		t.Fatalf("files = %d", len(s.fileBase))
 	}

@@ -29,8 +29,6 @@ import (
 // kernelWorkload adapts per-thread step functions to the Workload
 // interface.
 type kernelWorkload struct {
-	name    string
-	class   workloads.Class
 	entropy float64
 	// main, when set, is the top-level function frame the thread loop
 	// runs in (emissions between explicit InFunc calls belong to it).
@@ -106,12 +104,6 @@ func (t *thread) LoadState(rd *checkpoint.Reader) {
 	t.v = trace.Val(rd.I64())
 }
 
-// Name implements workloads.Workload.
-func (k *kernelWorkload) Name() string { return k.name }
-
-// Class implements workloads.Workload.
-func (k *kernelWorkload) Class() workloads.Class { return k.class }
-
 // Start implements workloads.Workload.
 func (k *kernelWorkload) Start(n int, seed int64) []*trace.StepGen {
 	gens := make([]*trace.StepGen, n)
@@ -157,8 +149,7 @@ func NewSPECintBitops() workloads.Workload {
 	code := trace.NewCodeLayout(addrspace.UserCodeBase, addrspace.UserCodeSize)
 	fnMain := code.Func("bitops_kernel", 900)
 	return &kernelWorkload{
-		name: "SPECint (bitops)", class: workloads.Desktop, entropy: 0.03,
-		main: fnMain, heap: heap,
+		entropy: 0.03, main: fnMain, heap: heap,
 		prog: func(_ *thread, tid int) stepFunc {
 			tables := addrspace.NewArray(heap, 4096, 8) // 32KB, L1-resident, per copy
 			return func(t *thread, e *trace.Emitter) {
@@ -182,8 +173,7 @@ func NewSPECintCompile() workloads.Workload {
 	code := trace.NewCodeLayout(addrspace.UserCodeBase, addrspace.UserCodeSize)
 	bank := workloads.NewCodeBank(code, "compile_passes", 48, 700)
 	return &kernelWorkload{
-		name: "SPECint (compile)", class: workloads.Desktop, entropy: 0.10,
-		main: code.Func("compile_main", 300), heap: heap,
+		entropy: 0.10, main: code.Func("compile_main", 300), heap: heap,
 		prog: func(_ *thread, tid int) stepFunc {
 			ir := addrspace.NewArray(heap, 32<<10, 48) // 1.5MB of IR nodes per copy
 			stack := workloads.StackOf(tid)
@@ -211,8 +201,7 @@ func NewSPECintDP() workloads.Workload {
 	code := trace.NewCodeLayout(addrspace.UserCodeBase, addrspace.UserCodeSize)
 	fn := code.Func("viterbi_kernel", 600)
 	return &kernelWorkload{
-		name: "SPECint (dp)", class: workloads.Desktop, entropy: 0.02,
-		main: fn, heap: heap,
+		entropy: 0.02, main: fn, heap: heap,
 		prog: func(*thread, int) stepFunc {
 			row := addrspace.NewArray(heap, 3, 256<<10) // per-copy DP rows
 			return func(t *thread, e *trace.Emitter) {
@@ -242,8 +231,7 @@ func NewSPECintMCF() workloads.Workload {
 	const nArcs = 96 << 10 // 96K arcs x 64B = 6MB per copy: 24MB over 4 copies
 	const nNodes = 24 << 10
 	return &kernelWorkload{
-		name: "SPECint (mcf)", class: workloads.Desktop, entropy: 0.12,
-		heap: heap,
+		entropy: 0.12, heap: heap,
 		prog: func(*thread, int) stepFunc {
 			arcs := addrspace.NewArray(heap, nArcs, 64)
 			nodes := addrspace.NewArray(heap, nNodes, 64)
@@ -283,8 +271,7 @@ func NewSPECintEvents() workloads.Workload {
 	fn := code.Func("event_loop", 800)
 	const nObjs = 160 << 10 // ~7.5MB object graph per copy
 	return &kernelWorkload{
-		name: "SPECint (events)", class: workloads.Desktop, entropy: 0.15,
-		main: fn, heap: heap,
+		entropy: 0.15, main: fn, heap: heap,
 		prog: func(t *thread, _ int) stepFunc {
 			objs := addrspace.NewArray(heap, nObjs, 48)
 			t.cur = uint64(t.rnd.Intn(nObjs))
@@ -314,8 +301,7 @@ func NewSPECintStream() workloads.Workload {
 	const regBytes = 16 << 20
 	const chunk = 4096 * 64 // one step covers 4096 lines of the sweep
 	return &kernelWorkload{
-		name: "SPECint (stream)", class: workloads.Desktop, entropy: 0.01,
-		main: fn, heap: heap,
+		entropy: 0.01, main: fn, heap: heap,
 		prog: func(*thread, int) stepFunc {
 			reg := heap.AllocLines(regBytes)
 			return func(t *thread, e *trace.Emitter) {
@@ -330,16 +316,6 @@ func NewSPECintStream() workloads.Workload {
 	}
 }
 
-// SPECintCPU returns the cpu-intensive SPECint group members.
-func SPECintCPU() []workloads.Workload {
-	return []workloads.Workload{NewSPECintBitops(), NewSPECintCompile(), NewSPECintDP()}
-}
-
-// SPECintMem returns the memory-intensive SPECint group members.
-func SPECintMem() []workloads.Workload {
-	return []workloads.Workload{NewSPECintMCF(), NewSPECintEvents(), NewSPECintStream()}
-}
-
 // ---------------------------------------------------------------------
 // PARSEC 2.1 proxies.
 // ---------------------------------------------------------------------
@@ -352,8 +328,7 @@ func NewPARSECBlackscholes() workloads.Workload {
 	fn := code.Func("bs_kernel", 700)
 	opts := addrspace.NewArray(heap, 64<<10, 64) // 4MB of options
 	return &kernelWorkload{
-		name: "PARSEC (blackscholes)", class: workloads.Parallel, entropy: 0.01,
-		main: fn, heap: heap,
+		entropy: 0.01, main: fn, heap: heap,
 		prog: func(_ *thread, tid int) stepFunc {
 			// Each thread owns a contiguous slice of the options array
 			// (the benchmark's static partitioning: no write sharing).
@@ -382,8 +357,7 @@ func NewPARSECSwaptions() workloads.Workload {
 	fn := code.Func("hjm_path", 900)
 	state := addrspace.NewArray(heap, 4096, 64) // per-thread sim state slices
 	return &kernelWorkload{
-		name: "PARSEC (swaptions)", class: workloads.Parallel, entropy: 0.02,
-		main: fn, heap: heap,
+		entropy: 0.02, main: fn, heap: heap,
 		prog: func(_ *thread, tid int) stepFunc {
 			base := uint64(tid) * 512
 			return func(_ *thread, e *trace.Emitter) {
@@ -411,8 +385,7 @@ func NewPARSECCanneal() workloads.Workload {
 	const nElems = 3 << 20 // 3M x 32B = 96MB netlist
 	elems := addrspace.NewArray(heap, nElems, 32)
 	return &kernelWorkload{
-		name: "PARSEC (canneal)", class: workloads.Parallel, entropy: 0.10,
-		main: fn, heap: heap,
+		entropy: 0.10, main: fn, heap: heap,
 		prog: func(_ *thread, tid int) stepFunc {
 			return func(t *thread, e *trace.Emitter) {
 				r := t.rnd
@@ -452,8 +425,7 @@ func NewPARSECStreamcluster() workloads.Workload {
 	pts := heap.AllocLines(ptsBytes)
 	centers := addrspace.NewArray(heap, 128, 512)
 	return &kernelWorkload{
-		name: "PARSEC (streamcluster)", class: workloads.Parallel, entropy: 0.02,
-		main: fn, heap: heap,
+		entropy: 0.02, main: fn, heap: heap,
 		prog: func(*thread, int) stepFunc {
 			return func(t *thread, e *trace.Emitter) {
 				for end := t.cur + chunk; t.cur < end; t.cur += 64 {
@@ -470,16 +442,6 @@ func NewPARSECStreamcluster() workloads.Workload {
 			}
 		},
 	}
-}
-
-// PARSECCPU returns the cpu-intensive PARSEC group members.
-func PARSECCPU() []workloads.Workload {
-	return []workloads.Workload{NewPARSECBlackscholes(), NewPARSECSwaptions()}
-}
-
-// PARSECMem returns the memory-intensive PARSEC group members.
-func PARSECMem() []workloads.Workload {
-	return []workloads.Workload{NewPARSECCanneal(), NewPARSECStreamcluster()}
 }
 
 // ---------------------------------------------------------------------
@@ -500,8 +462,7 @@ func NewSPECweb() workloads.Workload {
 	fnBank := code.Func("ebanking_script", 2200)
 	sessions := addrspace.NewArray(heap, 8<<10, 512)
 	return &kernelWorkload{
-		name: "SPECweb09", class: workloads.Server, entropy: 0.08,
-		main: code.Func("event_loop_main", 300), heap: heap, kern: kern,
+		entropy: 0.08, main: code.Func("event_loop_main", 300), heap: heap, kern: kern,
 		prog: func(t *thread, tid int) stepFunc {
 			t.conn = kern.OpenConnOn(tid)
 			stack := workloads.StackOf(tid)
@@ -603,8 +564,7 @@ func NewTPCC() workloads.Workload {
 	code := trace.NewCodeLayout(addrspace.UserCodeBase, addrspace.UserCodeSize)
 	d := newDBEngine(heap, code, 512<<10, 192, 192) // 512K stock rows (~96MB)
 	return &kernelWorkload{
-		name: "TPC-C", class: workloads.Server, entropy: 0.10,
-		main: code.Func("worker_loop", 400), heap: heap, kern: d.kern,
+		entropy: 0.10, main: code.Func("worker_loop", 400), heap: heap, kern: d.kern,
 		prog: func(t *thread, tid int) stepFunc {
 			t.conn = d.kern.OpenConnOn(tid)
 			stack := workloads.StackOf(tid)
@@ -662,8 +622,7 @@ func NewTPCE() workloads.Workload {
 	code := trace.NewCodeLayout(addrspace.UserCodeBase, addrspace.UserCodeSize)
 	d := newDBEngine(heap, code, 640<<10, 256, 256) // wider rows (~160MB)
 	return &kernelWorkload{
-		name: "TPC-E", class: workloads.Server, entropy: 0.08,
-		main: code.Func("worker_loop", 400), heap: heap, kern: d.kern,
+		entropy: 0.08, main: code.Func("worker_loop", 400), heap: heap, kern: d.kern,
 		prog: func(t *thread, tid int) stepFunc {
 			t.conn = d.kern.OpenConnOn(tid)
 			stack := workloads.StackOf(tid)
@@ -723,8 +682,7 @@ func NewWebBackend() workloads.Workload {
 	code := trace.NewCodeLayout(addrspace.UserCodeBase, addrspace.UserCodeSize)
 	d := newDBEngine(heap, code, 448<<10, 160, 128)
 	return &kernelWorkload{
-		name: "Web Backend", class: workloads.Server, entropy: 0.09,
-		main: code.Func("worker_loop", 400), heap: heap, kern: d.kern,
+		entropy: 0.09, main: code.Func("worker_loop", 400), heap: heap, kern: d.kern,
 		prog: func(t *thread, tid int) stepFunc {
 			t.conn = d.kern.OpenConnOn(tid)
 			stack := workloads.StackOf(tid)

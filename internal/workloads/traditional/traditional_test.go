@@ -53,42 +53,16 @@ func run(t *testing.T, w workloads.Workload, n int) []trace.Inst {
 	}()
 	insts := drain(t, gens[0], n)
 	if len(insts) != n {
-		t.Fatalf("%s produced only %d insts", w.Name(), len(insts))
+		t.Fatalf("produced only %d of %d insts", len(insts), n)
 	}
 	return insts
 }
 
-func TestSuiteFactories(t *testing.T) {
-	all := []workloads.Workload{
-		NewSPECintBitops(), NewSPECintCompile(), NewSPECintDP(),
-		NewSPECintMCF(), NewSPECintEvents(), NewSPECintStream(),
-		NewPARSECBlackscholes(), NewPARSECSwaptions(),
-		NewPARSECCanneal(), NewPARSECStreamcluster(),
-		NewSPECweb(), NewTPCC(), NewTPCE(), NewWebBackend(),
-	}
-	seen := map[string]bool{}
-	for _, w := range all {
-		if w.Name() == "" || seen[w.Name()] {
-			t.Fatalf("bad or duplicate name %q", w.Name())
-		}
-		seen[w.Name()] = true
-	}
-}
-
-func TestGroupHelpers(t *testing.T) {
-	if len(SPECintCPU()) != 3 || len(SPECintMem()) != 3 {
-		t.Fatal("SPECint groups must have three members each")
-	}
-	if len(PARSECCPU()) != 2 || len(PARSECMem()) != 2 {
-		t.Fatal("PARSEC groups must have two members each")
-	}
-}
-
 func TestDesktopKernelsHaveNoOSActivity(t *testing.T) {
-	for _, w := range []workloads.Workload{NewSPECintBitops(), NewPARSECBlackscholes()} {
+	for i, w := range []workloads.Workload{NewSPECintBitops(), NewPARSECBlackscholes()} {
 		_, _, _, kernel, _ := stats(run(t, w, 30000))
 		if kernel != 0 {
-			t.Errorf("%s emitted %d kernel insts; SPEC/PARSEC are user-only", w.Name(), kernel)
+			t.Errorf("kernel %d emitted %d kernel insts; SPEC/PARSEC are user-only", i, kernel)
 		}
 	}
 }
@@ -226,17 +200,20 @@ func TestBPTreeRowsDistinct(t *testing.T) {
 // every 64 requests, and streamcluster's center index moves once per
 // 64MB sweep (about 7M instructions).
 func TestThreadStateResumes(t *testing.T) {
-	all := []func() workloads.Workload{
-		NewSPECintBitops, NewSPECintCompile, NewSPECintDP,
-		NewSPECintMCF, NewSPECintEvents, NewSPECintStream,
-		NewPARSECBlackscholes, NewPARSECSwaptions,
-		NewPARSECCanneal, NewPARSECStreamcluster,
-		NewSPECweb, NewTPCC, NewTPCE, NewWebBackend,
+	all := []struct {
+		name string
+		mk   func() workloads.Workload
+	}{
+		{"bitops", NewSPECintBitops}, {"compile", NewSPECintCompile}, {"dp", NewSPECintDP},
+		{"mcf", NewSPECintMCF}, {"events", NewSPECintEvents}, {"stream", NewSPECintStream},
+		{"blackscholes", NewPARSECBlackscholes}, {"swaptions", NewPARSECSwaptions},
+		{"canneal", NewPARSECCanneal}, {"streamcluster", NewPARSECStreamcluster},
+		{"SPECweb09", NewSPECweb}, {"TPC-C", NewTPCC}, {"TPC-E", NewTPCE}, {"Web Backend", NewWebBackend},
 	}
-	for _, mk := range all {
-		w := mk()
+	for _, tc := range all {
+		w := tc.mk()
 		warm := 1 << 20
-		if w.Name() == "PARSEC (streamcluster)" {
+		if tc.name == "streamcluster" {
 			warm = 1 << 23
 		}
 		orig := w.Start(1, 17)[0]
@@ -247,18 +224,18 @@ func TestThreadStateResumes(t *testing.T) {
 		w.SaveShared(wr)
 		orig.SaveState(wr, 0)
 
-		w2 := mk()
+		w2 := tc.mk()
 		restored := w2.Start(1, 17)[0]
 		rd := wr.Snapshot("resume").Reader()
 		w2.LoadShared(rd)
 		restored.LoadState(rd)
 		if err := rd.Err(); err != nil {
-			t.Fatalf("%s: load: %v", w.Name(), err)
+			t.Fatalf("%s: load: %v", tc.name, err)
 		}
 		a, b := drain(t, orig, 1<<19), drain(t, restored, 1<<19)
 		for i := range a {
 			if a[i] != b[i] {
-				t.Errorf("%s: restored stream diverges at instruction %d", w.Name(), i)
+				t.Errorf("%s: restored stream diverges at instruction %d", tc.name, i)
 				break
 			}
 		}

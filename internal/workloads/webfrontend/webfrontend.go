@@ -125,12 +125,6 @@ func New(cfg Config) *Frontend {
 	return f
 }
 
-// Name implements workloads.Workload.
-func (f *Frontend) Name() string { return "Web Frontend" }
-
-// Class implements workloads.Workload.
-func (f *Frontend) Class() workloads.Class { return workloads.ScaleOut }
-
 // Start implements workloads.Workload.
 func (f *Frontend) Start(n int, seed int64) []*trace.StepGen {
 	gens := make([]*trace.StepGen, n)

@@ -29,9 +29,6 @@ func drain(t *testing.T, g *trace.StepGen, n int) []trace.Inst {
 
 func TestMetadata(t *testing.T) {
 	f := New(smallConfig())
-	if f.Name() != "Web Frontend" {
-		t.Errorf("name = %q", f.Name())
-	}
 	if len(f.scripts) != 8 {
 		t.Fatalf("scripts = %d", len(f.scripts))
 	}

@@ -135,12 +135,6 @@ func New(cfg Config) *Node {
 	return n
 }
 
-// Name implements workloads.Workload.
-func (n *Node) Name() string { return "Web Search" }
-
-// Class implements workloads.Workload.
-func (n *Node) Class() workloads.Class { return workloads.ScaleOut }
-
 // Start implements workloads.Workload.
 func (n *Node) Start(threads int, seed int64) []*trace.StepGen {
 	gens := make([]*trace.StepGen, threads)

@@ -27,13 +27,6 @@ func drain(t *testing.T, g *trace.StepGen, n int) []trace.Inst {
 	return out[:got]
 }
 
-func TestMetadata(t *testing.T) {
-	n := New(smallConfig())
-	if n.Name() != "Web Search" {
-		t.Errorf("name = %q", n.Name())
-	}
-}
-
 func TestPostingLayoutCoversBudget(t *testing.T) {
 	n := New(smallConfig())
 	var total uint64

@@ -52,12 +52,9 @@ func (c Class) String() string {
 }
 
 // Workload is one benchmark: a factory for per-thread instruction
-// streams over a shared simulated dataset.
+// streams over a shared simulated dataset. It carries no name: the
+// core.Bench that constructs it is the benchmark's only identity.
 type Workload interface {
-	// Name is the display name used in figures and tables.
-	Name() string
-	// Class is the workload's figure grouping.
-	Class() Class
 	// Start launches n software threads and returns their generators.
 	// The caller owns closing them. Threads are step-driven programs
 	// that implement trace.Stateful, so a warm image can carry their
