@@ -50,32 +50,48 @@ const (
 	flagExcl
 )
 
-// line is one cache line's bookkeeping. Directory fields (sharers,
-// owner) are used only in LLC instances.
+// line is one way's bookkeeping: 24 bytes. owner is used only in LLC
+// instances; an LLC's sharer vectors live beside its ways in Cache.dir.
 type line struct {
-	tag     uint64 // line address + 1; 0 means invalid
-	lru     uint64
-	sharers sharerSet // global core ids with a private copy
-	owner   int16     // global core id holding the line Modified, or -1
-	flags   lineFlags
+	tag   uint64 // line address + 1; 0 means invalid
+	lru   uint64
+	owner int16 // global core id holding the line Modified, or -1
+	flags lineFlags
 }
 
 func (l *line) valid() bool { return l.tag != 0 }
 
-// Cache is one set-associative cache with true-LRU replacement.
+// Cache is one set-associative cache with true-LRU replacement. An LLC
+// instance also holds the socket's directory: one sharer vector per
+// way, sized to the machine rather than to MaxCores.
 type Cache struct {
 	cfg   Config //simlint:ok checkpointcov construction-time configuration; LoadState geometry-checks against it instead of restoring it
 	sets  int    //simlint:ok checkpointcov derived from cfg at construction, geometry-checked by LoadState
 	assoc int    //simlint:ok checkpointcov derived from cfg at construction, geometry-checked by LoadState
-	lines []line
-	tick  uint64
+	// dirCores is the number of cores the directory tracks (the
+	// machine's TotalCores; 0 in private caches) and dirWords its
+	// sharer-vector width, ceil(dirCores/64) words.
+	dirCores int
+	dirWords int
+	lines    []line
+	// dir holds way i's sharer vector at dir[i*dirWords:(i+1)*dirWords];
+	// nil in private caches.
+	dir  []uint64
+	tick uint64
 }
 
-// New returns an empty cache.
-func New(cfg Config) *Cache {
+// New returns an empty private cache, which holds no directory state.
+func New(cfg Config) *Cache { return newDirectory(cfg, 0) }
+
+// newDirectory returns an empty cache whose ways also carry the
+// directory state of a machine of cores cores: an LLC.
+func newDirectory(cfg Config, cores int) *Cache {
 	sets := cfg.Sets()
-	c := &Cache{cfg: cfg, sets: sets, assoc: cfg.Assoc}
+	c := &Cache{cfg: cfg, sets: sets, assoc: cfg.Assoc, dirCores: cores, dirWords: (cores + 63) / 64}
 	c.lines = make([]line, sets*cfg.Assoc)
+	if c.dirWords > 0 {
+		c.dir = make([]uint64, len(c.lines)*c.dirWords)
+	}
 	return c
 }
 
@@ -86,9 +102,9 @@ func (c *Cache) setBase(lineAddr uint64) int {
 	return int(lineAddr%uint64(c.sets)) * c.assoc
 }
 
-// probe returns the way holding lineAddr, or nil. On hit the LRU stamp
-// is refreshed when touch is true.
-func (c *Cache) probe(lineAddr uint64, touch bool) *line {
+// probe returns the index of the way holding lineAddr, or -1. On hit
+// the LRU stamp is refreshed when touch is true.
+func (c *Cache) probe(lineAddr uint64, touch bool) int {
 	base := c.setBase(lineAddr)
 	tag := lineAddr + 1
 	ways := c.lines[base : base+c.assoc]
@@ -98,19 +114,38 @@ func (c *Cache) probe(lineAddr uint64, touch bool) *line {
 				c.tick++
 				ways[i].lru = c.tick
 			}
-			return &ways[i]
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Contains reports whether the cache holds lineAddr without touching LRU.
-func (c *Cache) Contains(lineAddr uint64) bool { return c.probe(lineAddr, false) != nil }
+func (c *Cache) Contains(lineAddr uint64) bool { return c.probe(lineAddr, false) >= 0 }
+
+// sharers returns way w's sharer vector (empty in private caches).
+func (c *Cache) sharers(w int) sharerSet {
+	var s sharerSet
+	copy(s.w[:], c.dir[w*c.dirWords:(w+1)*c.dirWords])
+	return s
+}
+
+// setSharers replaces way w's sharer vector. s must name only cores of
+// the machine.
+func (c *Cache) setSharers(w int, s sharerSet) {
+	copy(c.dir[w*c.dirWords:(w+1)*c.dirWords], s.w[:])
+}
+
+// addSharer registers core as a holder of way w's line.
+func (c *Cache) addSharer(w, core int) {
+	c.dir[w*c.dirWords+core>>6] |= 1 << uint(core&63)
+}
 
 // insert places lineAddr into the cache, evicting a way if the set is
-// full. It returns the victim's state so the caller can handle
-// writebacks and back-invalidation. If the line was already present it
-// is reused.
+// full. It returns the filled way and the victim's state and sharers,
+// so the caller can handle writebacks and back-invalidation; the victim
+// is invalid when nothing was evicted. If the line was already present
+// it is reused.
 //
 // Victim-selection order (pinned by TestVictimSelectionOrder): invalid
 // ways are always preferred over valid ones, taking the lowest-indexed
@@ -118,10 +153,10 @@ func (c *Cache) Contains(lineAddr uint64) bool { return c.probe(lineAddr, false)
 // invalidate (whose stamp resets to zero) is refilled by the next
 // insert into its set. Only when every way is valid does true-LRU pick
 // the smallest stamp.
-func (c *Cache) insert(lineAddr uint64, fl lineFlags) (victim line, evicted bool, slot *line) {
-	if l := c.probe(lineAddr, true); l != nil {
-		l.flags |= fl
-		return line{}, false, l
+func (c *Cache) insert(lineAddr uint64, fl lineFlags) (slot int, victim line, victimSharers sharerSet) {
+	if w := c.probe(lineAddr, true); w >= 0 {
+		c.lines[w].flags |= fl
+		return w, line{}, sharerSet{}
 	}
 	base := c.setBase(lineAddr)
 	ways := c.lines[base : base+c.assoc]
@@ -135,20 +170,28 @@ func (c *Cache) insert(lineAddr uint64, fl lineFlags) (victim line, evicted bool
 			vi = i
 		}
 	}
-	v := ways[vi]
+	slot = base + vi
+	victim, victimSharers = c.drop(slot)
 	c.tick++
 	ways[vi] = line{tag: lineAddr + 1, lru: c.tick, flags: fl, owner: -1}
-	return v, v.valid(), &ways[vi]
+	return slot, victim, victimSharers
 }
 
-// invalidate removes lineAddr if present and returns its prior state.
-func (c *Cache) invalidate(lineAddr uint64) (was line, ok bool) {
-	if l := c.probe(lineAddr, false); l != nil {
-		was = *l
-		*l = line{owner: -1}
-		return was, true
+// invalidate removes lineAddr if present and returns its prior state
+// and sharers; the state is invalid when the line was absent.
+func (c *Cache) invalidate(lineAddr uint64) (was line, wasSharers sharerSet) {
+	if w := c.probe(lineAddr, false); w >= 0 {
+		return c.drop(w)
 	}
-	return line{}, false
+	return line{}, sharerSet{}
+}
+
+// drop empties way w and returns its prior state and sharers.
+func (c *Cache) drop(w int) (line, sharerSet) {
+	was, sh := c.lines[w], c.sharers(w)
+	c.lines[w] = line{owner: -1}
+	c.setSharers(w, sharerSet{})
+	return was, sh
 }
 
 // FootprintLines reports the number of valid lines (tests).

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestConfigSets(t *testing.T) {
@@ -17,23 +18,54 @@ func TestConfigSets(t *testing.T) {
 	}
 }
 
+// peek returns the way holding lineAddr without touching LRU, or nil.
+func (c *Cache) peek(lineAddr uint64) *line {
+	if w := c.probe(lineAddr, false); w >= 0 {
+		return &c.lines[w]
+	}
+	return nil
+}
+
+// TestFootprint pins the memory layout: a way is 24 bytes, private
+// caches carry no directory, and an LLC carries ceil(TotalCores/64)
+// sharer words per way.
+func TestFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 24 {
+		t.Errorf("a way is %d bytes, want 24", got)
+	}
+	for _, g := range []struct{ sockets, cps, words int }{
+		{1, 6, 1}, {4, 16, 1}, {1, 65, 2}, {4, 24, 2}, {3, 43, 3}, {4, 48, 3}, {4, 64, 4},
+	} {
+		s := NewSystem(testSystemConfig(g.sockets, g.cps))
+		for _, llc := range s.llcs {
+			if len(llc.dir) != g.words*len(llc.lines) {
+				t.Errorf("%dx%d: LLC holds %d directory words for %d ways, want %d per way",
+					g.sockets, g.cps, len(llc.dir), len(llc.lines), g.words)
+			}
+		}
+		for _, c := range []*Cache{s.cores[0].l1i, s.cores[0].l1d, s.cores[0].l2} {
+			if c.dir != nil {
+				t.Errorf("%dx%d: a private cache carries %d directory words", g.sockets, g.cps, len(c.dir))
+			}
+		}
+	}
+}
+
 func TestProbeInsertInvalidate(t *testing.T) {
 	c := New(Config{SizeBytes: 4096, Assoc: 2}) // 32 sets
-	if c.probe(100, true) != nil {
+	if c.probe(100, true) >= 0 {
 		t.Fatal("empty cache must miss")
 	}
-	_, ev, _ := c.insert(100, 0)
-	if ev {
+	if _, v, _ := c.insert(100, 0); v.valid() {
 		t.Fatal("insert into empty set must not evict")
 	}
-	if c.probe(100, true) == nil {
+	if c.probe(100, true) < 0 {
 		t.Fatal("inserted line must hit")
 	}
-	was, ok := c.invalidate(100)
-	if !ok || was.tag != 101 {
-		t.Fatalf("invalidate: ok=%v tag=%d", ok, was.tag)
+	if was, _ := c.invalidate(100); was.tag != 101 {
+		t.Fatalf("invalidate: tag=%d", was.tag)
 	}
-	if c.probe(100, false) != nil {
+	if c.probe(100, false) >= 0 {
 		t.Fatal("invalidated line must miss")
 	}
 }
@@ -43,11 +75,11 @@ func TestLRUEviction(t *testing.T) {
 	c.insert(1, 0)
 	c.insert(2, 0)
 	c.probe(1, true) // make 1 MRU
-	v, ev, _ := c.insert(3, 0)
-	if !ev || v.tag != 2+1 {
-		t.Fatalf("expected eviction of line 2, got evicted=%v tag=%d", ev, v.tag)
+	_, v, _ := c.insert(3, 0)
+	if v.tag != 2+1 {
+		t.Fatalf("expected eviction of line 2, got tag=%d", v.tag)
 	}
-	if c.probe(1, false) == nil || c.probe(3, false) == nil {
+	if !c.Contains(1) || !c.Contains(3) {
 		t.Fatal("lines 1 and 3 must remain")
 	}
 }
@@ -55,11 +87,11 @@ func TestLRUEviction(t *testing.T) {
 func TestInsertExistingReuses(t *testing.T) {
 	c := New(Config{SizeBytes: 2 * 64, Assoc: 2})
 	c.insert(7, 0)
-	_, ev, slot := c.insert(7, flagDirty)
-	if ev {
+	slot, v, _ := c.insert(7, flagDirty)
+	if v.valid() {
 		t.Fatal("reinsert must not evict")
 	}
-	if slot.flags&flagDirty == 0 {
+	if c.lines[slot].flags&flagDirty == 0 {
 		t.Fatal("reinsert must merge flags")
 	}
 	if c.FootprintLines() != 1 {
@@ -85,9 +117,9 @@ func TestQuickCacheInvariants(t *testing.T) {
 		// No duplicates: probing any line and invalidating it once must
 		// remove it completely.
 		for la := range seen {
-			if c.probe(la, false) != nil {
+			if c.Contains(la) {
 				c.invalidate(la)
-				if c.probe(la, false) != nil {
+				if c.Contains(la) {
 					return false
 				}
 			}
@@ -119,7 +151,7 @@ func TestVictimSelectionOrder(t *testing.T) {
 		c.invalidate(1)
 		// Way 0 (line 0) holds the oldest LRU stamp, but the freed way
 		// must win.
-		if v, evicted, _ := c.insert(10, 0); evicted {
+		if _, v, _ := c.insert(10, 0); v.valid() {
 			t.Fatalf("insert into a set with a free way evicted line %#x", v.tag-1)
 		}
 		for _, la := range []uint64{0, 2, 3, 10} {
@@ -148,9 +180,9 @@ func TestVictimSelectionOrder(t *testing.T) {
 	t.Run("full set falls back to true LRU", func(t *testing.T) {
 		c := mk()
 		c.probe(0, true) // refresh line 0: line 1 is now LRU
-		v, evicted, _ := c.insert(10, 0)
-		if !evicted || v.tag-1 != 1 {
-			t.Fatalf("evicted %#x (evicted=%v), want LRU line 1", v.tag-1, evicted)
+		_, v, _ := c.insert(10, 0)
+		if !v.valid() || v.tag-1 != 1 {
+			t.Fatalf("evicted %#x (valid=%v), want LRU line 1", v.tag-1, v.valid())
 		}
 	})
 }

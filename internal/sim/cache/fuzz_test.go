@@ -20,10 +20,10 @@ import (
 // budget on every push.
 
 // Fuzz op encoding: one topology byte — sockets in bits 0-1 (1-4),
-// cores-per-socket selector in bits 2-3 ({2,4,8,16}), interconnect in
-// bit 4 (mesh/ring) — then 4-byte ops [kind+mode, core, addrLo,
-// addrHi]. The grid reaches 4x16 = 64 cores, crossing the old 32-core
-// ceiling.
+// cores-per-socket selector in bits 2-3 and 5 ({2,4,8,16,32}, taken
+// modulo five), interconnect in bit 4 (mesh/ring) — then 4-byte ops
+// [kind+mode, core, addrLo, addrHi]. The grid reaches 4x32 = 128
+// cores, crossing the old 32-core ceiling and the first sharer word.
 const (
 	fopRead = iota
 	fopWrite
@@ -34,7 +34,7 @@ const (
 	fopCount
 )
 
-var fuzzCPS = [4]int{2, 4, 8, 16}
+var fuzzCPS = [...]int{2, 4, 8, 16, 32}
 
 // fuzzOps builds one encoded input for a sockets x cps grid from
 // (kind, core, line) triples.
@@ -45,7 +45,7 @@ func fuzzOps(sockets, cps byte, ops ...[3]uint16) []byte {
 			sel = byte(i)
 		}
 	}
-	data := []byte{(sockets - 1) | sel<<2}
+	data := []byte{(sockets - 1) | (sel&3)<<2 | (sel&4)<<3}
 	for _, op := range ops {
 		data = append(data, byte(op[0]), byte(op[1]), byte(op[2]&0xFF), byte(op[2]>>8))
 	}
@@ -88,13 +88,21 @@ func FuzzCoherence(f *testing.F) {
 	f.Add(fuzzOps(4, 16,
 		[3]uint16{fopWrite, 40, l}, [3]uint16{fopRead, 0, l}, [3]uint16{fopWrite, 63, l},
 		[3]uint16{fopIFetch, 63, l + 1}, [3]uint16{fopPrefL2, 40, l + 1}, [3]uint16{fopWrite, 0, l}))
+	// A 4x32 grid, two sharer words per way: cores on both sides of the
+	// first word edge (63 on socket 1, 64 on socket 2) and the last core
+	// (127) share, write and evict.
+	f.Add(fuzzOps(4, 32,
+		[3]uint16{fopRead, 63, l}, [3]uint16{fopRead, 64, l}, [3]uint16{fopRead, 127, l},
+		[3]uint16{fopWrite, 64, l}, [3]uint16{fopPrefL1, 63, l + 1}, [3]uint16{fopWrite, 127, l + 1},
+		[3]uint16{fopIFetch, 96, l}, [3]uint16{fopRead, 0, l + 64}, [3]uint16{fopWrite, 65, l}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			t.Skip()
 		}
 		sockets := 1 + int(data[0]&3)
-		cfg := testSystemConfig(sockets, fuzzCPS[(data[0]>>2)&3])
+		sel := int((data[0]>>2)&3|(data[0]>>3)&4) % len(fuzzCPS)
+		cfg := testSystemConfig(sockets, fuzzCPS[sel])
 		if data[0]&0x10 != 0 {
 			cfg.Interconnect = topo.Ring
 		}
@@ -130,6 +138,11 @@ func FuzzCoherence(f *testing.F) {
 		}
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("final state incoherent: %v", err)
+		}
+		for c := 0; c < cores; c++ {
+			if err := s.Ctr(c).Conservation(); err != nil {
+				t.Fatalf("core %d: %v", c, err)
+			}
 		}
 	})
 }

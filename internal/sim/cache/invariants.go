@@ -66,18 +66,18 @@ func (s *System) CheckInvariants() error {
 					continue
 				}
 				la := l.tag - 1
-				ll := llc.probe(la, false)
-				if ll == nil {
+				w := llc.probe(la, false)
+				if w < 0 {
 					return fmt.Errorf("cache: inclusion violated: core %d %s holds line %#x absent from socket %d LLC",
 						c, pc.name, la, sock)
 				}
-				if !ll.sharers.contains(c) {
+				if sh := llc.sharers(w); !sh.contains(c) {
 					return fmt.Errorf("cache: sharer set stale: core %d %s holds line %#x but socket %d LLC sharers=%v",
-						c, pc.name, la, sock, ll.sharers.w)
+						c, pc.name, la, sock, sh.w)
 				}
-				if l.flags&flagExcl != 0 && ll.owner != int16(c) {
+				if owner := llc.lines[w].owner; l.flags&flagExcl != 0 && owner != int16(c) {
 					return fmt.Errorf("cache: exclusive without ownership: core %d %s holds line %#x with write permission but socket %d LLC owner=%d",
-						c, pc.name, la, sock, ll.owner)
+						c, pc.name, la, sock, owner)
 				}
 			}
 		}
@@ -93,7 +93,8 @@ func (s *System) CheckInvariants() error {
 				continue
 			}
 			la := l.tag - 1
-			for c := l.sharers.next(0); c >= 0; c = l.sharers.next(c + 1) {
+			sh := llc.sharers(i)
+			for c := sh.next(0); c >= 0; c = sh.next(c + 1) {
 				if c < localLo || c >= localHi {
 					return fmt.Errorf("cache: socket %d LLC line %#x lists foreign sharer core %d (local cores %d-%d)",
 						so, la, c, localLo, localHi-1)
@@ -106,9 +107,9 @@ func (s *System) CheckInvariants() error {
 			if o >= len(s.cores) || s.socketOf(o) != so {
 				return fmt.Errorf("cache: socket %d LLC line %#x owned by foreign core %d", so, la, o)
 			}
-			if !l.sharers.only(o) {
+			if !sh.only(o) {
 				return fmt.Errorf("cache: socket %d LLC line %#x owned Modified by core %d but sharers=%v (must be exclusive)",
-					so, la, o, l.sharers.w)
+					so, la, o, sh.w)
 			}
 			oc := &s.cores[o]
 			if !oc.l1d.Contains(la) && !oc.l2.Contains(la) {

@@ -42,15 +42,15 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		}},
 		{"stale-sharers", func(s *System) {
 			s.AccessData(0, 0x1000, false, false, 0)
-			s.llcs[0].probe(line, false).sharers = sharerSet{}
+			s.llcs[0].setSharers(s.llcs[0].probe(line, false), sharerSet{})
 		}},
 		{"foreign-sharer", func(s *System) {
 			s.AccessData(0, 0x1000, false, false, 0)
-			s.llcs[0].probe(line, false).sharers.add(2) // socket-1 core
+			s.llcs[0].addSharer(s.llcs[0].probe(line, false), 2) // socket-1 core
 		}},
 		{"owner-not-sharer", func(s *System) {
 			s.AccessData(0, 0x1000, true, false, 0)
-			s.llcs[0].probe(line, false).sharers = onlySharer(1)
+			s.llcs[0].setSharers(s.llcs[0].probe(line, false), onlySharer(1))
 			s.cores[1].l1d.insert(line, 0)
 			s.cores[0].l1d.invalidate(line)
 			s.cores[0].l2.invalidate(line)
@@ -66,7 +66,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		}},
 		{"exclusive-without-owner", func(s *System) {
 			s.AccessData(0, 0x1000, true, false, 0)
-			s.llcs[0].probe(line, false).owner = -1
+			s.llcs[0].peek(line).owner = -1
 		}},
 	}
 	for _, tc := range corrupt {
@@ -89,15 +89,15 @@ func TestCheckInvariantsDetectsCorruptionBeyond32Cores(t *testing.T) {
 	}{
 		{"stale-high-sharer", func(s *System) {
 			s.AccessData(40, 0x1000, false, false, 0) // socket 2, core 40
-			s.llcs[2].probe(line, false).sharers = sharerSet{}
+			s.llcs[2].setSharers(s.llcs[2].probe(line, false), sharerSet{})
 		}},
 		{"foreign-high-sharer", func(s *System) {
 			s.AccessData(0, 0x1000, false, false, 0)
-			s.llcs[0].probe(line, false).sharers.add(40)
+			s.llcs[0].addSharer(s.llcs[0].probe(line, false), 40)
 		}},
 		{"high-owner-not-exclusive", func(s *System) {
 			s.AccessData(40, 0x1000, true, false, 0)
-			s.llcs[2].probe(line, false).sharers.add(41)
+			s.llcs[2].addSharer(s.llcs[2].probe(line, false), 41)
 		}},
 		{"absent-high-owner", func(s *System) {
 			s.AccessData(63, 0x1000, true, false, 0)
@@ -116,12 +116,14 @@ func TestCheckInvariantsDetectsCorruptionBeyond32Cores(t *testing.T) {
 
 // TestInvariantsHoldOnRandomizedTopologies drives synthetic traffic
 // with the checker armed on every access across the widened design
-// space: one to four sockets, up to 64 cores, both interconnects. The
-// address pool is small so lines collide across cores and sockets
-// constantly — the densest possible sharing the directory must survive.
+// space: one to four sockets, up to 256 cores (one to four sharer words
+// per way), both interconnects. The address pool is small so lines
+// collide across cores and sockets constantly — the densest possible
+// sharing the directory must survive. Every core's counters must obey
+// the hierarchy flow laws afterwards.
 func TestInvariantsHoldOnRandomizedTopologies(t *testing.T) {
 	grids := []struct{ sockets, cps int }{
-		{1, 2}, {1, 16}, {2, 8}, {3, 4}, {4, 4}, {4, 16},
+		{1, 2}, {1, 16}, {2, 8}, {3, 4}, {4, 4}, {4, 16}, {4, 24}, {4, 64},
 	}
 	for _, kind := range []topo.Kind{topo.FullMesh, topo.Ring} {
 		for _, g := range grids {
@@ -145,6 +147,11 @@ func TestInvariantsHoldOnRandomizedTopologies(t *testing.T) {
 			}
 			if err := s.CheckInvariants(); err != nil {
 				t.Fatalf("%s %dx%d: %v", kind, g.sockets, g.cps, err)
+			}
+			for c := range s.cores {
+				if err := s.Ctr(c).Conservation(); err != nil {
+					t.Fatalf("%s %dx%d core %d: %v", kind, g.sockets, g.cps, c, err)
+				}
 			}
 		}
 	}

@@ -6,9 +6,11 @@ import (
 	"cloudsuite/internal/sim/checkpoint"
 )
 
-// sharerWords is the width of the directory's sharer vector in 64-bit
-// words. Four words track up to 256 cores — the ceiling of the scale-up
-// study's design space — without heap allocation per line.
+// sharerWords is the width of a sharerSet in 64-bit words. Four words
+// track up to 256 cores, the ceiling of the scale-up study's design
+// space. An LLC stores only the ceil(TotalCores/64) words its machine
+// can use per way (Cache.dir); sharerSet is the value its directory
+// reads and writes them through.
 const sharerWords = 4
 
 // MaxCores is the largest core count the LLC directory can track.
@@ -106,10 +108,15 @@ func (s sharerSet) save(w *checkpoint.Writer) {
 	}
 }
 
-// loadSharerSet reads a set written by save.
+// loadSharerSet reads a set written by save. A presence bit past
+// sharerWords fails the reader.
 func loadSharerSet(r *checkpoint.Reader) sharerSet {
 	var s sharerSet
 	mask := r.U8()
+	if mask>>sharerWords != 0 {
+		r.Failf("sharer set mask %#x names words beyond the %d-word vector", mask, sharerWords)
+		return s
+	}
 	for i := 0; i < sharerWords; i++ {
 		if mask&(1<<uint(i)) != 0 {
 			s.w[i] = r.U64()

@@ -16,7 +16,8 @@ import (
 // that warmed from cold.
 
 // SaveState serializes the cache's LRU clock and line array, including
-// the directory fields used by LLC instances. The encoding is sparse —
+// the directory state of LLC instances (private caches write an empty
+// sharer set per way). The encoding is sparse —
 // only valid ways are written, each prefixed by its array index — and
 // hand-rolled: an LLC holds hundreds of thousands of ways, typically
 // mostly empty at the warm boundary, and both a dense layout and a
@@ -41,17 +42,20 @@ func (c *Cache) SaveState(w *checkpoint.Writer) {
 		w.U32(uint32(i))
 		w.U64(l.tag)
 		w.U64(l.lru)
-		l.sharers.save(w)
+		c.sharers(i).save(w)
 		w.U16(uint16(l.owner))
 		w.U8(uint8(l.flags))
 	}
 }
 
 // LoadState restores state saved by SaveState into a cache of identical
-// geometry; a mismatch is reported through the reader. Ways absent from
-// the snapshot reset to invalid (their residual fields are dead state:
-// every read path checks validity first and insert overwrites a way
-// wholesale).
+// geometry; a mismatch is reported through the reader, as is a
+// directory entry naming a core the machine lacks (a sharer or a
+// Modified owner at or beyond dirCores; private caches track none),
+// which would otherwise index past the core arrays on the first
+// eviction or downgrade. Ways absent from the snapshot reset to invalid
+// (their residual fields are dead state: every read path checks
+// validity first and insert overwrites a way wholesale).
 func (c *Cache) LoadState(r *checkpoint.Reader) {
 	r.Expect("cache")
 	c.tick = r.U64()
@@ -59,9 +63,8 @@ func (c *Cache) LoadState(r *checkpoint.Reader) {
 		r.Failf("cache geometry mismatch: snapshot has %d ways, cache holds %d", n, len(c.lines))
 		return
 	}
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.lines)
+	clear(c.dir)
 	valid := int(r.U32())
 	if r.Err() == nil && valid > len(c.lines) {
 		r.Failf("cache snapshot has %d valid ways, cache holds %d", valid, len(c.lines))
@@ -79,9 +82,21 @@ func (c *Cache) LoadState(r *checkpoint.Reader) {
 		l := &c.lines[i]
 		l.tag = r.U64()
 		l.lru = r.U64()
-		l.sharers = loadSharerSet(r)
+		sh := loadSharerSet(r)
 		l.owner = int16(r.U16())
 		l.flags = lineFlags(r.U8())
+		if r.Err() != nil {
+			return
+		}
+		if core := sh.next(c.dirCores); core >= 0 {
+			r.Failf("cache snapshot way %d names sharer core %d; the directory tracks %d cores", i, core, c.dirCores)
+			return
+		}
+		if l.owner < -1 || int(l.owner) >= c.dirCores {
+			r.Failf("cache snapshot way %d names owner core %d; the directory tracks %d cores", i, l.owner, c.dirCores)
+			return
+		}
+		c.setSharers(i, sh)
 	}
 }
 

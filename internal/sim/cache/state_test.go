@@ -20,13 +20,11 @@ func snapshotSystem(t *testing.T, s *System) []byte {
 	return buf.Bytes()
 }
 
-// TestSystemStateRoundTrip64Cores proves the new sparse sharer-set
-// encoding round-trips on a four-socket 64-core machine: warm a system
-// past the old 32-core envelope, SaveState, LoadState into a fresh
-// system, and SaveState again — the two snapshots must be byte-equal
-// and the restored directory must satisfy every invariant.
-func TestSystemStateRoundTrip64Cores(t *testing.T) {
-	const sockets, cps = 4, 16
+// roundTrip warms a sockets x cps system with shared traffic, then
+// proves save -> load -> save is byte-identical and the restored
+// directory satisfies every invariant.
+func roundTrip(t *testing.T, sockets, cps int) {
+	t.Helper()
 	cfg := testSystemConfig(sockets, cps)
 	s := NewSystem(cfg)
 	rng := rand.New(rand.NewSource(7))
@@ -62,7 +60,93 @@ func TestSystemStateRoundTrip64Cores(t *testing.T) {
 		t.Fatalf("restored system violates invariants: %v", err)
 	}
 	if second := snapshotSystem(t, restored); !bytes.Equal(first, second) {
-		t.Fatal("save -> load -> save is not byte-identical at 4 sockets / 64 cores")
+		t.Fatalf("save -> load -> save is not byte-identical at %d sockets / %d cores", sockets, sockets*cps)
+	}
+}
+
+// TestSystemStateRoundTrip64Cores proves the sparse sharer-set encoding
+// round-trips on a four-socket 64-core machine, past the old 32-core
+// envelope.
+func TestSystemStateRoundTrip64Cores(t *testing.T) { roundTrip(t, 4, 16) }
+
+// TestSystemStateRoundTrip96Cores does the same on a machine whose
+// directory needs two sharer words per way.
+func TestSystemStateRoundTrip96Cores(t *testing.T) { roundTrip(t, 4, 24) }
+
+// forgedLLCImage returns a memory image of a fresh sockets x cps
+// system whose socket-0 LLC holds one valid way naming the given
+// sharers and owner, sealed as a real save would be.
+func forgedLLCImage(sockets, cps int, sharers sharerSet, owner int16) *checkpoint.Reader {
+	s := NewSystem(testSystemConfig(sockets, cps))
+	w := checkpoint.NewWriter()
+	w.Tag("mem")
+	w.U32(uint32(sockets))
+	w.U32(uint32(cps))
+	w.U64(0)
+	for i := range s.cores {
+		cc := &s.cores[i]
+		cc.l1i.SaveState(w)
+		cc.l1d.SaveState(w)
+		cc.l2.SaveState(w)
+		cc.stride.SaveState(w)
+		cc.dcu.SaveState(w)
+		w.Bool(cc.streamI != nil)
+		if cc.streamI != nil {
+			cc.streamI.SaveState(w)
+		}
+		s.ctrs[i].SaveState(w)
+	}
+	for so, llc := range s.llcs {
+		if so > 0 {
+			llc.SaveState(w)
+			continue
+		}
+		w.Tag("cache")
+		w.U64(1)
+		w.U32(uint32(len(llc.lines)))
+		w.U32(1)    // one valid way
+		w.U32(3)    // at index 3
+		w.U64(0x41) // tag
+		w.U64(1)    // lru
+		sharers.save(w)
+		w.U16(uint16(owner))
+		w.U8(0)
+	}
+	for _, m := range s.mems {
+		m.SaveState(w)
+	}
+	return w.Snapshot("forged").Reader()
+}
+
+// TestLoadRejectsForeignDirectoryIDs: a re-sealed image whose LLC names
+// a sharer or owner the machine lacks must fail to load. Accepted, it
+// indexes past the core arrays on the way's first eviction (sharers)
+// or downgrade (owner).
+func TestLoadRejectsForeignDirectoryIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		sockets, cps int
+		sharers      sharerSet
+		owner        int16
+		ok           bool
+	}{
+		{"in range", 1, 6, onlySharer(5), 5, true},
+		{"sharer word beyond the machine", 1, 6, onlySharer(200), -1, false},
+		{"sharer bit beyond the machine", 1, 6, onlySharer(6), -1, false},
+		{"sharer bit beyond a two-word machine", 4, 24, onlySharer(96), -1, false},
+		{"owner beyond the machine", 1, 6, onlySharer(5), 6, false},
+		{"owner below -1", 1, 6, onlySharer(5), -2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSystem(testSystemConfig(tc.sockets, tc.cps))
+			err := s.LoadState(forgedLLCImage(tc.sockets, tc.cps, tc.sharers, tc.owner))
+			if tc.ok && err != nil {
+				t.Fatalf("valid directory entry rejected: %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatal("image with a directory id beyond the machine loaded without error")
+			}
+		})
 	}
 }
 

@@ -194,7 +194,7 @@ func NewSystem(cfg SystemConfig) *System {
 	}
 	s.llcs = make([]*Cache, cfg.Sockets)
 	for i := range s.llcs {
-		s.llcs[i] = New(cfg.LLC)
+		s.llcs[i] = newDirectory(cfg.LLC, n)
 	}
 	s.hops = make([][]int, cfg.Sockets)
 	for a := range s.hops {
@@ -292,23 +292,23 @@ func (s *System) memWrite(lineAddr uint64, now int64) {
 // --- fill helpers -----------------------------------------------------
 
 // fillLLC inserts lineAddr into core's socket LLC, handling inclusive
-// back-invalidation and dirty writeback of the victim.
-func (s *System) fillLLC(core int, lineAddr uint64, fl lineFlags, now int64) *line {
-	llc := s.llcOf(core)
-	victim, evicted, slot := llc.insert(lineAddr, fl)
-	if evicted {
-		s.evictLLCVictim(core, victim, now)
+// back-invalidation and dirty writeback of the victim, and returns the
+// filled way.
+func (s *System) fillLLC(core int, lineAddr uint64, fl lineFlags, now int64) int {
+	slot, victim, victimSharers := s.llcOf(core).insert(lineAddr, fl)
+	if victim.valid() {
+		s.evictLLCVictim(core, victim, victimSharers, now)
 	}
 	return slot
 }
 
-func (s *System) evictLLCVictim(core int, victim line, now int64) {
+func (s *System) evictLLCVictim(core int, victim line, sharers sharerSet, now int64) {
 	ctr := s.ctrs[core]
 	victimAddr := victim.tag - 1
 	dirty := victim.flags&flagDirty != 0
 	// Inclusive hierarchy: remove all private copies; a modified private
 	// copy makes the line dirty regardless of the LLC's own dirty bit.
-	if s.invalidateSharers(victim.sharers, -1, victimAddr) {
+	if s.invalidateSharers(sharers, -1, victimAddr) {
 		dirty = true
 	}
 	if victim.owner >= 0 {
@@ -332,10 +332,10 @@ func (s *System) invalidateSharers(set sharerSet, except int, lineAddr uint64) (
 			continue
 		}
 		cc := &s.cores[c]
-		if was, ok := cc.l1d.invalidate(lineAddr); ok && was.flags&flagDirty != 0 {
+		if was, _ := cc.l1d.invalidate(lineAddr); was.flags&flagDirty != 0 {
 			dirty = true
 		}
-		if was, ok := cc.l2.invalidate(lineAddr); ok && was.flags&flagDirty != 0 {
+		if was, _ := cc.l2.invalidate(lineAddr); was.flags&flagDirty != 0 {
 			dirty = true
 		}
 		cc.l1i.invalidate(lineAddr)
@@ -348,10 +348,12 @@ func (s *System) invalidateSharers(set sharerSet, except int, lineAddr uint64) (
 // already dropped it.
 func (s *System) fillL2(core int, lineAddr uint64, fl lineFlags, now int64) {
 	cc := &s.cores[core]
-	victim, evicted, _ := cc.l2.insert(lineAddr, fl)
-	if evicted && victim.flags&flagDirty != 0 {
+	_, victim, _ := cc.l2.insert(lineAddr, fl)
+	if victim.valid() && victim.flags&flagDirty != 0 {
 		victimAddr := victim.tag - 1
-		if l := s.llcOf(core).probe(victimAddr, false); l != nil {
+		llc := s.llcOf(core)
+		if w := llc.probe(victimAddr, false); w >= 0 {
+			l := &llc.lines[w]
 			l.flags |= flagDirty
 			if l.owner == int16(core) {
 				l.owner = -1
@@ -359,8 +361,8 @@ func (s *System) fillL2(core int, lineAddr uint64, fl lineFlags, now int64) {
 				// the line; demote its write permission along with the
 				// lapsed ownership, or a later store would skip the
 				// directory claim the owner-less line now requires.
-				if dl := cc.l1d.probe(victimAddr, false); dl != nil {
-					dl.flags &^= flagExcl | flagDirty
+				if dw := cc.l1d.probe(victimAddr, false); dw >= 0 {
+					cc.l1d.lines[dw].flags &^= flagExcl | flagDirty
 				}
 			}
 		} else {
@@ -373,8 +375,8 @@ func (s *System) fillL2(core int, lineAddr uint64, fl lineFlags, now int64) {
 // fillL1D inserts into core's L1D; dirty victims spill to the L2.
 func (s *System) fillL1D(core int, lineAddr uint64, fl lineFlags, now int64) {
 	cc := &s.cores[core]
-	victim, evicted, _ := cc.l1d.insert(lineAddr, fl)
-	if evicted && victim.flags&flagDirty != 0 {
+	_, victim, _ := cc.l1d.insert(lineAddr, fl)
+	if victim.valid() && victim.flags&flagDirty != 0 {
 		s.fillL2(core, victim.tag-1, flagDirty, now)
 	}
 }
@@ -386,15 +388,17 @@ func (s *System) fillL1I(core int, lineAddr uint64) {
 
 // --- coherence helpers --------------------------------------------------
 
-// claimOwnership makes core the exclusive modified owner of lineAddr in
-// its socket's directory, invalidating all other private copies — on
-// its own socket and, because writing requires chip-wide exclusivity,
-// any copy held by another socket's LLC (and that socket's private
-// caches). It returns true when another core previously held the line
-// Modified (a read-write sharing event).
-func (s *System) claimOwnership(core int, lineAddr uint64, llcLine *line) (stolenFromOther bool) {
+// claimOwnership makes core the exclusive modified owner of lineAddr,
+// held in way w of its socket's LLC, invalidating all other private
+// copies — on its own socket and, because writing requires chip-wide
+// exclusivity, any copy held by another socket's LLC (and that socket's
+// private caches). It returns true when another core previously held
+// the line Modified (a read-write sharing event).
+func (s *System) claimOwnership(core int, lineAddr uint64, w int) (stolenFromOther bool) {
+	llc := s.llcOf(core)
+	llcLine := &llc.lines[w]
 	prevOwner := llcLine.owner
-	if s.invalidateSharers(llcLine.sharers, core, lineAddr) {
+	if s.invalidateSharers(llc.sharers(w), core, lineAddr) {
 		llcLine.flags |= flagDirty
 	}
 	home := s.socketOf(core)
@@ -402,13 +406,11 @@ func (s *System) claimOwnership(core int, lineAddr uint64, llcLine *line) (stole
 		if so == home {
 			continue
 		}
-		rl := s.llcs[so].probe(lineAddr, false)
-		if rl == nil {
+		victim, victimSharers := s.llcs[so].invalidate(lineAddr)
+		if !victim.valid() {
 			continue
 		}
-		victim := *rl
-		s.llcs[so].invalidate(lineAddr)
-		s.invalidateSharers(victim.sharers, -1, lineAddr)
+		s.invalidateSharers(victimSharers, -1, lineAddr)
 		// A dirty remote copy (owned, or downgraded-but-dirty) means a
 		// remote core modified the line most recently: count it like
 		// the write-miss snoop path does, so the sharing metric is
@@ -417,7 +419,7 @@ func (s *System) claimOwnership(core int, lineAddr uint64, llcLine *line) (stole
 			stolenFromOther = true
 		}
 	}
-	llcLine.sharers = onlySharer(core)
+	llc.setSharers(w, onlySharer(core))
 	llcLine.owner = int16(core)
 	llcLine.flags |= flagDirty
 	return stolenFromOther || (prevOwner >= 0 && prevOwner != int16(core))
@@ -431,8 +433,8 @@ func (s *System) claimOwnership(core int, lineAddr uint64, llcLine *line) (stole
 // modified data, so the Figure-6 metric does not depend on whether the
 // writer's private copy survived.
 func (s *System) upgradeOwnership(core int, lineAddr uint64, kernel bool) {
-	llcLine := s.llcOf(core).probe(lineAddr, false)
-	if llcLine == nil {
+	w := s.llcOf(core).probe(lineAddr, false)
+	if w < 0 {
 		return
 	}
 	ctr := s.ctrs[core]
@@ -445,7 +447,7 @@ func (s *System) upgradeOwnership(core int, lineAddr uint64, kernel bool) {
 	} else {
 		ctr.LLCHitUser++
 	}
-	if s.claimOwnership(core, lineAddr, llcLine) {
+	if s.claimOwnership(core, lineAddr, w) {
 		s.countSharedRW(core, lineAddr, kernel)
 	}
 }
@@ -471,11 +473,11 @@ func (s *System) countSharedRW(core int, lineAddr uint64, kernel bool) {
 func (s *System) downgradeOwner(lineAddr uint64, llcLine *line) {
 	if o := llcLine.owner; o >= 0 {
 		oc := &s.cores[o]
-		if l := oc.l1d.probe(lineAddr, false); l != nil {
-			l.flags &^= flagExcl | flagDirty
+		if w := oc.l1d.probe(lineAddr, false); w >= 0 {
+			oc.l1d.lines[w].flags &^= flagExcl | flagDirty
 		}
-		if l := oc.l2.probe(lineAddr, false); l != nil {
-			l.flags &^= flagExcl | flagDirty
+		if w := oc.l2.probe(lineAddr, false); w >= 0 {
+			oc.l2.lines[w].flags &^= flagExcl | flagDirty
 		}
 	}
 	llcLine.owner = -1
@@ -507,7 +509,7 @@ func (s *System) FetchInstr(core int, pc uint64, now int64, kernel bool) FetchRe
 	} else {
 		ctr.FetchL1IAccessUser++
 	}
-	if cc.l1i.probe(lineAddr, true) != nil {
+	if cc.l1i.probe(lineAddr, true) >= 0 {
 		return FetchResult{Done: now}
 	}
 	if kernel {
@@ -526,7 +528,7 @@ func (s *System) FetchInstr(core int, pc uint64, now int64, kernel bool) FetchRe
 		}
 	}
 	ctr.L2Access++
-	if l := cc.l2.probe(lineAddr, true); l != nil {
+	if cc.l2.probe(lineAddr, true) >= 0 {
 		ctr.L2Hit++
 		s.fillL1I(core, lineAddr)
 		return FetchResult{Done: now + int64(s.cfg.L2.LatencyCycles), L1Miss: true}
@@ -564,7 +566,8 @@ func (s *System) AccessData(core int, addr uint64, write, kernel bool, now int64
 	ctr := s.ctrs[core]
 	ctr.L1DAccess++
 
-	if l := cc.l1d.probe(lineAddr, true); l != nil {
+	if w := cc.l1d.probe(lineAddr, true); w >= 0 {
+		l := &cc.l1d.lines[w]
 		if l.flags&flagPrefetched != 0 {
 			ctr.PrefUseful++
 			l.flags &^= flagPrefetched
@@ -595,7 +598,8 @@ func (s *System) AccessData(core int, addr uint64, write, kernel bool, now int64
 			s.prefetchL2(core, p, kernel, now)
 		}
 	}
-	if l := cc.l2.probe(lineAddr, true); l != nil {
+	if w := cc.l2.probe(lineAddr, true); w >= 0 {
+		l := &cc.l2.lines[w]
 		ctr.L2Hit++
 		if l.flags&flagPrefetched != 0 {
 			ctr.PrefUseful++
@@ -639,7 +643,8 @@ func (s *System) accessShared(core int, lineAddr uint64, write, kernel, instr bo
 		}
 	}
 
-	if l := llc.probe(lineAddr, true); l != nil {
+	if w := llc.probe(lineAddr, true); w >= 0 {
+		l := &llc.lines[w]
 		ctr.LLCHit++
 		if kernel {
 			ctr.LLCHitOS++
@@ -656,7 +661,7 @@ func (s *System) accessShared(core int, lineAddr uint64, write, kernel, instr bo
 		}
 		sharedRW := false
 		if write && !instr {
-			sharedRW = s.claimOwnership(core, lineAddr, l)
+			sharedRW = s.claimOwnership(core, lineAddr, w)
 		} else if l.owner >= 0 && l.owner != int16(core) {
 			// Any read — including an instruction fetch — of a line
 			// another core holds Modified downgrades the owner; only
@@ -667,7 +672,7 @@ func (s *System) accessShared(core int, lineAddr uint64, write, kernel, instr bo
 		if sharedRW {
 			s.countSharedRW(core, lineAddr, kernel)
 		}
-		l.sharers.add(core)
+		llc.addSharer(w, core)
 		if write && !instr {
 			l.owner = int16(core)
 		}
@@ -694,10 +699,11 @@ func (s *System) accessShared(core int, lineAddr uint64, write, kernel, instr bo
 		if so == my {
 			continue
 		}
-		rl := s.llcs[so].probe(lineAddr, false)
-		if rl == nil {
+		rw := s.llcs[so].probe(lineAddr, false)
+		if rw < 0 {
 			continue
 		}
+		rl := &s.llcs[so].lines[rw]
 		h := s.hops[my][so]
 		if !remote || h < nearest {
 			nearest = h
@@ -711,9 +717,8 @@ func (s *System) accessShared(core int, lineAddr uint64, write, kernel, instr bo
 		}
 		if write {
 			// Invalidate the remote copy and all its private copies.
-			victim := *rl
-			s.llcs[so].invalidate(lineAddr)
-			s.invalidateSharers(victim.sharers, -1, lineAddr)
+			_, victimSharers := s.llcs[so].drop(rw)
+			s.invalidateSharers(victimSharers, -1, lineAddr)
 		} else if rl.owner >= 0 {
 			s.downgradeOwner(lineAddr, rl)
 		}
@@ -757,10 +762,11 @@ func (s *System) installShared(core int, lineAddr uint64, write, instr bool, now
 	if instr {
 		fl |= flagInstr
 	}
-	nl := s.fillLLC(core, lineAddr, fl, now)
-	nl.sharers = onlySharer(core)
+	w := s.fillLLC(core, lineAddr, fl, now)
+	llc := s.llcOf(core)
+	llc.setSharers(w, onlySharer(core))
 	if write && !instr {
-		nl.owner = int16(core)
+		llc.lines[w].owner = int16(core)
 	}
 }
 
@@ -773,24 +779,23 @@ func (s *System) installShared(core int, lineAddr uint64, write, instr bool, now
 // hand-copied snoop loops dormant-and-broken.
 func (s *System) prefetchLLC(core int, lineAddr uint64, fl lineFlags, kernel bool, now int64) {
 	llc := s.llcOf(core)
-	if l := llc.probe(lineAddr, true); l != nil {
-		if l.owner >= 0 && l.owner != int16(core) {
+	if w := llc.probe(lineAddr, true); w >= 0 {
+		if l := &llc.lines[w]; l.owner >= 0 && l.owner != int16(core) {
 			s.downgradeOwner(lineAddr, l)
 		}
-		l.sharers.add(core)
+		llc.addSharer(w, core)
 		return
 	}
 	for so := range s.llcs {
 		if so == s.socketOf(core) {
 			continue
 		}
-		if rl := s.llcs[so].probe(lineAddr, false); rl != nil {
-			if rl.owner >= 0 {
+		if rw := s.llcs[so].probe(lineAddr, false); rw >= 0 {
+			if rl := &s.llcs[so].lines[rw]; rl.owner >= 0 {
 				s.downgradeOwner(lineAddr, rl)
 			}
 			s.ctrs[core].RemoteSocketHit++
-			nl := s.fillLLC(core, lineAddr, fl, now)
-			nl.sharers.add(core)
+			llc.addSharer(s.fillLLC(core, lineAddr, fl, now), core)
 			return
 		}
 	}
@@ -800,8 +805,7 @@ func (s *System) prefetchLLC(core int, lineAddr uint64, fl lineFlags, kernel boo
 	} else {
 		s.ctrs[core].OffchipReadUser += LineBytes
 	}
-	nl := s.fillLLC(core, lineAddr, fl, now)
-	nl.sharers.add(core)
+	llc.addSharer(s.fillLLC(core, lineAddr, fl, now), core)
 }
 
 // prefetchInstr fetches an instruction line into core's L1-I without

@@ -238,7 +238,7 @@ func TestRemoteInstrFetchKeepsInstrFlag(t *testing.T) {
 	if got := s.Ctr(1).RemoteSocketHit; got != 1 {
 		t.Fatalf("RemoteSocketHit = %d, want 1", got)
 	}
-	l := s.llcs[1].probe(pc>>LineShift, false)
+	l := s.llcs[1].peek(pc >> LineShift)
 	if l == nil {
 		t.Fatal("remote instruction fetch did not fill the local LLC")
 	}
@@ -258,7 +258,7 @@ func TestRemoteDowngradeDemotesOwnerPrivates(t *testing.T) {
 	line := addr >> LineShift
 	s.AccessData(0, addr, true, false, 0)    // core 0 (socket 0) owns Modified
 	s.AccessData(1, addr, false, false, 100) // core 1 (socket 1) reads: downgrade
-	if l := s.cores[0].l1d.probe(line, false); l == nil || l.flags&flagExcl != 0 {
+	if l := s.cores[0].l1d.peek(line); l == nil || l.flags&flagExcl != 0 {
 		t.Fatal("owner's L1-D copy kept write permission across a remote read")
 	}
 	// The owner writes again: without its stale flagExcl it must go
@@ -289,7 +289,7 @@ func TestPrefetchInstrSnoopsRemoteSocket(t *testing.T) {
 	if got := s.Ctr(1).RemoteSocketHit; got != 1 {
 		t.Fatalf("instruction prefetch RemoteSocketHit = %d, want 1", got)
 	}
-	if rl := s.llcs[0].probe(line, false); rl == nil || rl.owner >= 0 {
+	if rl := s.llcs[0].peek(line); rl == nil || rl.owner >= 0 {
 		t.Fatal("remote owner not downgraded by instruction prefetch")
 	}
 	if !s.llcs[1].Contains(line) {
@@ -354,7 +354,7 @@ func TestCrossSocketWriteMissInvalidates(t *testing.T) {
 	if s.llcs[0].Contains(line) {
 		t.Fatal("remote write did not invalidate the previous socket's copy")
 	}
-	if l := s.llcs[1].probe(line, false); l == nil || l.owner != 1 {
+	if l := s.llcs[1].peek(line); l == nil || l.owner != 1 {
 		t.Fatal("stealing write did not take ownership in its own LLC")
 	}
 	if got := s.Ctr(1).SharedRWHitUser; got != 1 {
@@ -489,7 +489,7 @@ func TestQuickOwnerIsSharer(t *testing.T) {
 			if !l.valid() || l.owner < 0 {
 				continue
 			}
-			if !l.sharers.contains(int(l.owner)) {
+			if !s.llcs[0].sharers(li).contains(int(l.owner)) {
 				return false
 			}
 		}
@@ -537,7 +537,7 @@ func TestPrefetchLocalHitDowngradesOwner(t *testing.T) {
 	line := addr >> LineShift
 	s.AccessData(0, addr, true, false, 0) // core 0 owns Modified
 	s.prefetchL2(1, line, false, 100)     // core 1 prefetches the line
-	if l := s.llcs[0].probe(line, false); l == nil || l.owner >= 0 {
+	if l := s.llcs[0].peek(line); l == nil || l.owner >= 0 {
 		t.Fatal("prefetch hit did not downgrade the Modified owner")
 	}
 	// The owner's next store goes through the directory and invalidates
@@ -561,7 +561,7 @@ func TestInstrFetchDowngradesOwnerWithoutSharingCount(t *testing.T) {
 	line := addr >> LineShift
 	s.AccessData(0, addr, true, false, 0) // core 0 owns Modified
 	s.FetchInstr(1, addr, 100, false)     // core 1 fetches it as code
-	if l := s.llcs[0].probe(line, false); l == nil || l.owner >= 0 {
+	if l := s.llcs[0].peek(line); l == nil || l.owner >= 0 {
 		t.Fatal("instruction fetch did not downgrade the Modified owner")
 	}
 	if got := s.Ctr(1).SharedRWHitUser + s.Ctr(1).SharedRWHitOS; got != 0 {
@@ -590,5 +590,70 @@ func TestWriteHitAfterRemoteReadCountsSharing(t *testing.T) {
 	}
 	if s.llcs[0].Contains(addr >> LineShift) {
 		t.Fatal("write hit left the stale dirty copy in the remote LLC")
+	}
+}
+
+// TestSharerWordEdges tracks sharers on both sides of each 64-bit word
+// boundary of a multi-word directory, then checks that a write claims
+// the line from every other sharer and that an LLC eviction
+// back-invalidates every private copy.
+func TestSharerWordEdges(t *testing.T) {
+	for _, tc := range []struct {
+		cores int
+		edge  []int
+	}{
+		{65, []int{63, 64}},
+		{129, []int{127, 128}},
+		{256, []int{0, 191, 192, 255}},
+	} {
+		cfg := noPrefetchConfig(1, tc.cores)
+		s := NewSystem(cfg)
+		s.EnableInvariantChecks(1)
+		llc := s.llcs[0]
+		const line = 0x4000
+		addr := uint64(line) << LineShift
+		for _, c := range tc.edge {
+			s.AccessData(c, addr, false, false, 0)
+		}
+		w := llc.probe(line, false)
+		if sh := llc.sharers(w); sh.count() != len(tc.edge) {
+			t.Fatalf("%d cores: sharers %v, want cores %v", tc.cores, sh.w, tc.edge)
+		}
+		for _, c := range tc.edge {
+			if !llc.sharers(w).contains(c) {
+				t.Fatalf("%d cores: core %d missing from sharers", tc.cores, c)
+			}
+		}
+
+		// The highest edge core writes: every other copy goes.
+		writer := tc.edge[len(tc.edge)-1]
+		s.AccessData(writer, addr, true, false, 10)
+		if !llc.sharers(w).only(writer) || llc.lines[w].owner != int16(writer) {
+			t.Fatalf("%d cores: write by core %d left sharers %v owner %d",
+				tc.cores, writer, llc.sharers(w).w, llc.lines[w].owner)
+		}
+		for _, c := range tc.edge[:len(tc.edge)-1] {
+			if s.cores[c].l1d.Contains(line) || s.cores[c].l2.Contains(line) {
+				t.Fatalf("%d cores: core %d kept a copy after core %d's write", tc.cores, c, writer)
+			}
+		}
+
+		// Every edge core reads it back, then another core floods the
+		// line's LLC set: the eviction must reach every private copy.
+		for _, c := range tc.edge {
+			s.AccessData(c, addr, false, false, 20)
+		}
+		sets := uint64(cfg.LLC.Sets())
+		for k := uint64(1); k <= uint64(cfg.LLC.Assoc); k++ {
+			s.AccessData(1, (line+k*sets)<<LineShift, false, false, 30)
+		}
+		if llc.Contains(line) {
+			t.Fatalf("%d cores: flooding the set did not evict the line", tc.cores)
+		}
+		for _, c := range tc.edge {
+			if s.cores[c].l1d.Contains(line) || s.cores[c].l2.Contains(line) {
+				t.Fatalf("%d cores: core %d kept a copy after the LLC evicted the line", tc.cores, c)
+			}
+		}
 	}
 }

@@ -60,8 +60,11 @@ import (
 // their threads; v5 has one residue section per thread: the engine
 // fetches from the generator's lent batch, so the generator writes the
 // unfetched rest of that batch with its own residue and the lent count,
-// and the engine's fetch-buffer section is gone.
-const Version = 5
+// and the engine's fetch-buffer section is gone; v6 keeps v5's byte
+// layout but the cache's in-memory directory moved out of its ways into
+// a machine-sized per-LLC array, and restore rejects directory ids
+// beyond the machine.
+const Version = 6
 
 //simlint:ok globalrand write-once file-format magic, read-only after initialization
 var magic = [8]byte{'C', 'S', 'C', 'K', 'P', 'T', '0', '1'}

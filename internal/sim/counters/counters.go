@@ -132,11 +132,25 @@ func (c *Counters) LoadState(r *checkpoint.Reader) {
 	r.Struct(c)
 }
 
-// Conservation checks the cycle-accounting laws every core's block, and
-// every sum or window delta of such blocks, obeys: each cycle is either
-// committing or stalled and either user or OS, so those four counts sum
-// to Cycles; memory, MLP, and fetch-stall cycles are subsets of Cycles.
-// It returns the first violated law, or nil.
+// Conservation checks the laws every core's block, and every sum or
+// window delta of such blocks, obeys. It returns the first violated
+// law, or nil.
+//
+// Cycle accounting: each cycle is either committing or stalled and
+// either user or OS, so those four counts sum to Cycles; memory, MLP
+// and fetch-stall cycles are subsets of Cycles.
+//
+// Hierarchy flow: each law below relates counters that the memory
+// system increments within one call on one core's block, so it holds
+// per core and per window, not only in aggregate. Every L1 miss is one
+// L2 access; every LLC access is a hit or a miss, a data or an
+// instruction reference, and user or OS; every DRAM line read is 64
+// off-chip bytes; every LLC miss is serviced by a remote socket or by
+// DRAM (prefetch fills add more of both). Two plausible laws do not
+// hold and are deliberately absent: SharedRWHit <= LLCHit, because an
+// LLC miss whose snoop finds a remotely modified line counts a sharing
+// event, and PrefUseful <= PrefIssued, because a line prefetched during
+// warming can be used inside the window.
 func (c *Counters) Conservation() error {
 	if sum := c.CommitCyclesUser + c.CommitCyclesOS + c.StallCyclesUser + c.StallCyclesOS; sum != c.Cycles {
 		return fmt.Errorf("counters: commit+stall cycles %d != Cycles %d", sum, c.Cycles)
@@ -147,6 +161,35 @@ func (c *Counters) Conservation() error {
 	}{{"MemCycles", c.MemCycles}, {"MLPCycles", c.MLPCycles}, {"FetchStallCycles", c.FetchStallCycles}} {
 		if f.v > c.Cycles {
 			return fmt.Errorf("counters: %s %d > Cycles %d", f.name, f.v, c.Cycles)
+		}
+	}
+	for _, law := range []struct {
+		name        string
+		left, right uint64
+	}{
+		{"L2Access == L1IMissUser+L1IMissOS+L1DMiss", c.L2Access, c.L1IMissUser + c.L1IMissOS + c.L1DMiss},
+		{"LLCHit+LLCMiss == LLCAccess", c.LLCHit + c.LLCMiss, c.LLCAccess},
+		{"LLCHitUser+LLCHitOS == LLCHit", c.LLCHitUser + c.LLCHitOS, c.LLCHit},
+		{"LLCMissUser+LLCMissOS == LLCMiss", c.LLCMissUser + c.LLCMissOS, c.LLCMiss},
+		{"LLCDataRefs+LLCInstrRefs == LLCAccess", c.LLCDataRefs + c.LLCInstrRefs, c.LLCAccess},
+		{"OffchipReadUser+OffchipReadOS == 64*(DRAMReadLocal+DRAMReadRemote)",
+			c.OffchipReadUser + c.OffchipReadOS, 64 * (c.DRAMReadLocal + c.DRAMReadRemote)},
+	} {
+		if law.left != law.right {
+			return fmt.Errorf("counters: %s violated: %d != %d", law.name, law.left, law.right)
+		}
+	}
+	for _, law := range []struct {
+		name          string
+		small, bigger uint64
+	}{
+		{"LLCMiss <= RemoteSocketHit+DRAMReadLocal+DRAMReadRemote", c.LLCMiss, c.RemoteSocketHit + c.DRAMReadLocal + c.DRAMReadRemote},
+		{"L2Hit <= L2Access", c.L2Hit, c.L2Access},
+		{"L1DMiss <= L1DAccess", c.L1DMiss, c.L1DAccess},
+		{"L2IMissUser+L2IMissOS <= L1IMissUser+L1IMissOS", c.L2IMissUser + c.L2IMissOS, c.L1IMissUser + c.L1IMissOS},
+	} {
+		if law.small > law.bigger {
+			return fmt.Errorf("counters: %s violated: %d > %d", law.name, law.small, law.bigger)
 		}
 	}
 	return nil

@@ -130,16 +130,34 @@ func TestConservation(t *testing.T) {
 	ok := Counters{
 		Cycles: 100, CommitCyclesUser: 30, CommitCyclesOS: 10, StallCyclesUser: 50, StallCyclesOS: 10,
 		MemCycles: 60, MLPCycles: 40, FetchStallCycles: 5,
+		L1DAccess: 50, L1DMiss: 10, L1IMissUser: 4, L1IMissOS: 2, L2IMissUser: 3, L2IMissOS: 1,
+		L2Access: 16, L2Hit: 8,
+		LLCAccess: 9, LLCHit: 5, LLCMiss: 4, LLCHitUser: 3, LLCHitOS: 2, LLCMissUser: 3, LLCMissOS: 1,
+		LLCDataRefs: 6, LLCInstrRefs: 3,
+		RemoteSocketHit: 1, DRAMReadLocal: 3, DRAMReadRemote: 1,
+		OffchipReadUser: 192, OffchipReadOS: 64,
 	}
 	if err := ok.Conservation(); err != nil {
 		t.Fatalf("consistent block rejected: %v", err)
 	}
 	for name, broken := range map[string]func(*Counters){
-		"stall lost":    func(c *Counters) { c.StallCyclesOS-- },
-		"extra commit":  func(c *Counters) { c.CommitCyclesUser++ },
-		"mem > cycles":  func(c *Counters) { c.MemCycles = 101 },
-		"mlp > cycles":  func(c *Counters) { c.MLPCycles = 101 },
-		"fetch > cycle": func(c *Counters) { c.FetchStallCycles = 101 },
+		"stall lost":          func(c *Counters) { c.StallCyclesOS-- },
+		"extra commit":        func(c *Counters) { c.CommitCyclesUser++ },
+		"mem > cycles":        func(c *Counters) { c.MemCycles = 101 },
+		"mlp > cycles":        func(c *Counters) { c.MLPCycles = 101 },
+		"fetch > cycle":       func(c *Counters) { c.FetchStallCycles = 101 },
+		"l2 access lost":      func(c *Counters) { c.L2Access-- },
+		"l1i miss uncounted":  func(c *Counters) { c.L1IMissOS-- },
+		"llc access unsplit":  func(c *Counters) { c.LLCAccess, c.LLCDataRefs = 10, 7 },
+		"llc hit split":       func(c *Counters) { c.LLCHitOS++ },
+		"llc miss split":      func(c *Counters) { c.LLCMissUser++ },
+		"llc ref lost":        func(c *Counters) { c.LLCInstrRefs-- },
+		"offchip bytes":       func(c *Counters) { c.OffchipReadOS += 64 },
+		"dram read unpriced":  func(c *Counters) { c.DRAMReadRemote++ },
+		"llc miss unserviced": func(c *Counters) { c.LLCMiss, c.LLCMissUser, c.LLCAccess, c.LLCDataRefs = 6, 5, 11, 8 },
+		"l2 hit > access":     func(c *Counters) { c.L2Hit = 17 },
+		"l1d miss > access":   func(c *Counters) { c.L1DAccess = 9 },
+		"l2i miss > l1i miss": func(c *Counters) { c.L2IMissUser = 6 },
 	} {
 		c := ok
 		broken(&c)

@@ -131,14 +131,28 @@ func (s *Solver) newInstance(r *rng.Rand) *instance {
 		assign:  make([]int8, n),
 		level:   make([]int32, n),
 	}
-	for i := 0; i < m; i++ {
-		var c [3]int32
-		for k := 0; k < 3; k++ {
+	for i := range in.clauses {
+		for k := range in.clauses[i] {
 			v := int32(r.Intn(n))
-			c[k] = v<<1 | int32(r.Intn(2))
+			in.clauses[i][k] = v<<1 | int32(r.Intn(2))
 		}
-		in.clauses[i] = c
-		// Watch the first two literals.
+	}
+	// Watch each clause's first two literals. The lists are carved out
+	// of one backing array sized by a counting pass; each is capped at
+	// its own region, so a watch moved onto it during propagation
+	// reallocates it instead of overwriting the next literal's list.
+	count := make([]int, 2*n)
+	for _, c := range in.clauses {
+		count[c[0]]++
+		count[c[1]]++
+	}
+	backing := make([]int32, 2*m)
+	o := 0
+	for lit, k := range count {
+		in.watches[lit] = backing[o : o : o+k]
+		o += k
+	}
+	for i, c := range in.clauses {
 		in.watches[c[0]] = append(in.watches[c[0]], int32(i))
 		in.watches[c[1]] = append(in.watches[c[1]], int32(i))
 	}
