@@ -67,7 +67,7 @@
 // machine at the warm->measure boundary and later runs fork from the
 // image, byte-identically to warming from cold (DESIGN.md section 6):
 //
-//	cs, _ := cloudsuite.NewCheckpointStore(dir) // "" = in-memory
+//	cs, _ := cloudsuite.NewCheckpointStore(dir)
 //	r.SetCheckpoints(cs)
 package cloudsuite
 
@@ -143,7 +143,7 @@ var (
 	// (<= 0 selects GOMAXPROCS).
 	NewRunner = core.NewRunner
 	// NewCheckpointStore returns a warm-state checkpoint store backed
-	// by a directory ("" = in-memory only).
+	// by a directory.
 	NewCheckpointStore = core.NewCheckpointStore
 )
 

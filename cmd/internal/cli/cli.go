@@ -167,6 +167,6 @@ func reportStats(r *core.Runner) {
 		return
 	}
 	c := cs.Stats()
-	fmt.Fprintf(os.Stderr, "checkpoints: %d requests, %d memory hits, %d disk hits, %d saved, %d failures (%s)\n",
+	fmt.Fprintf(os.Stderr, "checkpoints: %d requests, %d joined in flight, %d disk hits, %d saved, %d failures (%s)\n",
 		c.Requests, c.MemoryHits, c.DiskHits, c.Saves, c.Failures, cs.Dir())
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"cloudsuite/internal/sim/checkpoint"
 	"cloudsuite/internal/workloads"
@@ -61,7 +62,7 @@ func TestCheckpointDifferentialHarness(t *testing.T) {
 				}
 				want := mustJSON(t, cold)
 
-				store, err := NewCheckpointStore("")
+				store, err := NewCheckpointStore(t.TempDir())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +78,7 @@ func TestCheckpointDifferentialHarness(t *testing.T) {
 						b.Name, sockets, sampled, want, got)
 				}
 
-				// Restored run: forks from the image.
+				// Restored run: forks from the image on disk.
 				restored, err := MeasureBench(b, o)
 				if err != nil {
 					t.Fatalf("%s sockets=%d sampled=%v: restore: %v", b.Name, sockets, sampled, err)
@@ -88,8 +89,8 @@ func TestCheckpointDifferentialHarness(t *testing.T) {
 				}
 
 				s := store.Stats()
-				if s.Saves != 1 || s.MemoryHits != 1 {
-					t.Fatalf("%s sockets=%d sampled=%v: store stats %+v, want 1 save and 1 memory hit",
+				if s.Saves != 1 || s.DiskHits != 1 || s.MemoryHits != 0 {
+					t.Fatalf("%s sockets=%d sampled=%v: store stats %+v, want 1 save and 1 disk hit",
 						b.Name, sockets, sampled, s)
 				}
 			}
@@ -117,7 +118,7 @@ func TestCheckpointCrossKnobFork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store, err := NewCheckpointStore("")
+	store, err := NewCheckpointStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +148,8 @@ func TestCheckpointCrossKnobFork(t *testing.T) {
 	if s.Saves != 1 {
 		t.Fatalf("three measurement-side variants saved %d warm images, want 1 shared", s.Saves)
 	}
-	if s.MemoryHits != 2 {
-		t.Fatalf("store stats %+v, want 2 memory hits", s)
+	if s.DiskHits != 2 {
+		t.Fatalf("store stats %+v, want 2 disk hits", s)
 	}
 }
 
@@ -207,7 +208,7 @@ func TestBenchNameKeysWarmImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := NewCheckpointStore("")
+	store, err := NewCheckpointStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +223,8 @@ func TestBenchNameKeysWarmImage(t *testing.T) {
 				b.Name, m.WarmSource(), m.IPC(), cold.IPC())
 		}
 	}
-	if s := store.Stats(); s.Saves != 2 || s.MemoryHits != 1 {
-		t.Fatalf("store stats %+v, want one image per bench name (2 saves, 1 memory hit)", s)
+	if s := store.Stats(); s.Saves != 2 || s.DiskHits != 1 {
+		t.Fatalf("store stats %+v, want one image per bench name (2 saves, 1 disk hit)", s)
 	}
 }
 
@@ -338,7 +339,7 @@ func TestCheckpointMismatchedImageRetriesCold(t *testing.T) {
 	// Capture a genuine snapshot under a different warm budget...
 	forged := diffOptions(1, false)
 	forged.WarmupInsts = 20_000
-	fstore, err := NewCheckpointStore("")
+	fstore, err := NewCheckpointStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,16 +347,14 @@ func TestCheckpointMismatchedImageRetriesCold(t *testing.T) {
 	if _, err := MeasureBench(b, forged); err != nil {
 		t.Fatal(err)
 	}
-	var snap *checkpoint.Snapshot
-	for _, cell := range fstore.cells {
-		snap = cell.snap
-	}
-	if snap == nil {
-		t.Fatal("no snapshot captured")
+	snap, err := checkpoint.LoadFile(fstore.path(checkpointKey(b.Name, canonicalize(forged))))
+	if err != nil {
+		t.Fatalf("no snapshot captured: %v", err)
 	}
 
-	// ...and plant it in a fresh store under o's key.
-	store, err := NewCheckpointStore("")
+	// ...and plant it in a fresh store as an in-flight image under o's
+	// key.
+	store, err := NewCheckpointStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,9 +382,10 @@ func TestCheckpointMismatchedImageRetriesCold(t *testing.T) {
 }
 
 // TestCheckpointSingleflight: concurrent measurements sharing a warm
-// key produce exactly one warm image; the waiter forks from it mid-run.
+// key produce exactly one warm image; the other run forks from it,
+// mid-run if it joined the warm-up in flight, else from disk.
 func TestCheckpointSingleflight(t *testing.T) {
-	store, err := NewCheckpointStore("")
+	store, err := NewCheckpointStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,8 +411,8 @@ func TestCheckpointSingleflight(t *testing.T) {
 	if s.Saves != 1 {
 		t.Fatalf("concurrent runs saved %d images, want 1", s.Saves)
 	}
-	if s.MemoryHits != 1 {
-		t.Fatalf("stats %+v, want exactly 1 memory hit", s)
+	if s.MemoryHits+s.DiskHits != 1 {
+		t.Fatalf("stats %+v, want exactly 1 fork", s)
 	}
 
 	// And the forked results match their cold counterparts.
@@ -431,7 +431,7 @@ func TestCheckpointSingleflight(t *testing.T) {
 // goroutines (run under -race in CI) to verify the singleflight
 // resolves exactly once per key with no data races.
 func TestCheckpointStoreConcurrentAcquire(t *testing.T) {
-	store, err := NewCheckpointStore("")
+	store, err := NewCheckpointStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,5 +518,96 @@ func TestCheckpointOldVersionImageRetriesCold(t *testing.T) {
 	}
 	if s := store2.Stats(); s.Failures == 0 || s.Saves != 1 {
 		t.Fatalf("stats %+v, want the stale version counted and a fresh image saved", s)
+	}
+}
+
+// TestCheckpointRequestCountedOnce: a waiter whose producer commits nil
+// races for the key again and becomes the new producer, and its request
+// is still counted once.
+func TestCheckpointRequestCountedOnce(t *testing.T) {
+	store, err := NewCheckpointStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, commitA := store.acquire("k")
+	if commitA == nil {
+		t.Fatal("first request got no commit obligation")
+	}
+	waiter := make(chan func(*checkpoint.Snapshot))
+	go func() {
+		snap, commitB := store.acquire("k")
+		if snap != nil {
+			t.Error("waiter forked from a failed producer")
+		}
+		waiter <- commitB
+	}()
+	// The request is counted under the same lock hold that finds the
+	// in-flight cell, so two requests mean the waiter has joined.
+	for store.Stats().Requests < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	commitA(nil)
+	commitB := <-waiter
+	if commitB == nil {
+		t.Fatal("waiter did not become the new producer")
+	}
+	commitB(nil)
+	if s := store.Stats(); s.Requests != 2 {
+		t.Fatalf("stats %+v, want 2 requests", s)
+	}
+}
+
+// TestCheckpointStoreHoldsNoResolvedImages: the directory is the
+// store's only tier. Once a sweep over several warm keys has returned,
+// no cell is left in memory, and a repeat request for one key is a disk
+// hit that forks byte-identically to a cold run.
+func TestCheckpointStoreHoldsNoResolvedImages(t *testing.T) {
+	store, err := NewCheckpointStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := mustBench("Data Serving")
+	var reqs []MeasureRequest
+	for seed := int64(1); seed <= 3; seed++ {
+		o := diffOptions(1, false)
+		o.Seed = seed
+		reqs = append(reqs, MeasureRequest{Bench: b, Options: o})
+	}
+	r := NewRunner(2)
+	r.SetCheckpoints(store)
+	if _, err := r.MeasureAll(reqs); err != nil {
+		t.Fatal(err)
+	}
+	store.mu.Lock()
+	cells := len(store.cells)
+	store.mu.Unlock()
+	if cells != 0 {
+		t.Fatalf("store holds %d cells after the sweep, want 0", cells)
+	}
+	if s := store.Stats(); s.Saves != 3 {
+		t.Fatalf("stats %+v, want 3 saved images", s)
+	}
+
+	o := reqs[0].Options
+	cold, err := MeasureBench(b, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Checkpoints = store
+	m, err := MeasureBench(b, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := store.Stats(); s.DiskHits != 1 || s.MemoryHits != 0 {
+		t.Fatalf("stats %+v, want the repeat request served from disk", s)
+	}
+	if mustJSON(t, m) != mustJSON(t, cold) {
+		t.Fatal("fork from a disk image differs from the cold run")
+	}
+}
+
+func TestNewCheckpointStoreRequiresDir(t *testing.T) {
+	if _, err := NewCheckpointStore(""); err == nil {
+		t.Fatal("a store without a directory was accepted")
 	}
 }

@@ -12,10 +12,10 @@ import (
 	"cloudsuite/internal/sim/checkpoint"
 )
 
-// This file implements the warm-state checkpoint cache: parameter
+// This file implements the warm-state checkpoint store: parameter
 // sweeps over the same warmed workload fork from one warm image instead
 // of re-executing functional warming per configuration (checkpointed
-// sampling à la SMARTS/TurboSMARTS live-points). The cache is keyed on
+// sampling à la SMARTS/TurboSMARTS live-points). The store is keyed on
 // the warm-relevant subset of the canonicalized options — everything
 // that shapes machine state at the warm->measure boundary (benchmark,
 // machine, placement, polluters, warm budget, seed) and nothing that
@@ -31,8 +31,9 @@ import (
 type CheckpointStats struct {
 	// Requests is the number of measurements that consulted the store.
 	Requests int64
-	// MemoryHits counts requests served by an image already resolved in
-	// this process (including waiting on an in-flight warm run).
+	// MemoryHits counts requests that joined another request's in-flight
+	// cell (a warm-up, disk load or save still under way) and forked
+	// from its image.
 	MemoryHits int64
 	// DiskHits counts images loaded from the checkpoint directory.
 	DiskHits int64
@@ -47,20 +48,24 @@ type CheckpointStats struct {
 	Failures int64
 }
 
-// ckptCell is one warm image, possibly still being computed. The first
-// requester warms the machine and commits the snapshot at the
-// warm->measure boundary; concurrent requesters for the same key wait
-// on done and then fork from the image (mid-run singleflight: the cell
-// resolves when the producer's warming finishes, not when its whole
-// measurement does).
+// ckptCell is one in-flight warm image. The first requester of a key
+// loads the image from disk or warms the machine and commits the
+// snapshot at the warm->measure boundary; concurrent requesters for the
+// same key wait on done and then fork from the image (mid-run
+// singleflight: the cell resolves when the producer's warming finishes,
+// not when its whole measurement does). The cell leaves the map once
+// its disk load has resolved or its save has returned, so the store
+// holds an image only while its load, warm-up or save is under way;
+// later requests for the key load it from disk.
 type ckptCell struct {
 	done chan struct{}
 	snap *checkpoint.Snapshot
 }
 
-// CheckpointStore caches warm-state snapshots in memory and, when a
-// directory is configured, on disk, so warm images persist across
-// processes. All methods are safe for concurrent use.
+// CheckpointStore keeps warm-state snapshots in a directory, so warm
+// images persist across runs and processes, and shares each in-flight
+// warm-up among concurrent requests for its key. All methods are safe
+// for concurrent use.
 type CheckpointStore struct {
 	dir string
 
@@ -77,7 +82,7 @@ type ckptMetrics struct {
 	diskHits  *obs.Counter
 	saves     *obs.Counter
 	failures  *obs.Counter
-	saveBytes *obs.Counter   // serialized image bytes written to disk or memory
+	saveBytes *obs.Counter   // serialized image bytes committed by producers
 	loadBytes *obs.Counter   // serialized image bytes loaded from disk
 	saveWall  *obs.Histogram // disk-write wall time per image
 	loadWall  *obs.Histogram // disk-load (read + hash verify) wall time per image
@@ -106,18 +111,19 @@ func (s *CheckpointStore) SetObserver(o *obs.Observer) {
 	s.mu.Unlock()
 }
 
-// NewCheckpointStore returns a store backed by dir; an empty dir keeps
-// images in memory only. The directory is created if missing.
+// NewCheckpointStore returns a store backed by dir, which is created if
+// missing. The directory is required: it is the store's only tier.
 func NewCheckpointStore(dir string) (*CheckpointStore, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("core: creating checkpoint dir: %w", err)
-		}
+	if dir == "" {
+		return nil, fmt.Errorf("core: checkpoint store needs a directory")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("core: creating checkpoint dir: %w", err)
 	}
 	return &CheckpointStore{dir: dir, cells: map[string]*ckptCell{}}, nil
 }
 
-// Dir returns the backing directory ("" for memory-only).
+// Dir returns the backing directory.
 func (s *CheckpointStore) Dir() string { return s.dir }
 
 // Stats returns a snapshot of the store's counters.
@@ -138,48 +144,53 @@ func (s *CheckpointStore) path(key string) string {
 // warm->measure boundary, or with nil if the run failed before reaching
 // it (which releases any waiters to warm on their own).
 func (s *CheckpointStore) acquire(key string) (snap *checkpoint.Snapshot, commit func(*checkpoint.Snapshot)) {
-	for {
-		s.mu.Lock()
-		s.stats.Requests++
-		if cell, ok := s.cells[key]; ok {
-			s.mu.Unlock()
-			<-cell.done
-			if cell.snap != nil {
-				s.mu.Lock()
-				s.stats.MemoryHits++
-				met := s.met
-				s.mu.Unlock()
-				met.memHits.Inc()
-				return cell.snap, nil
-			}
-			// The producer failed before the warm boundary and removed
-			// the cell; race for the key again.
-			continue
-		}
-		cell := &ckptCell{done: make(chan struct{})}
-		s.cells[key] = cell
+	s.mu.Lock()
+	s.stats.Requests++
+	for cell, ok := s.cells[key]; ok; cell, ok = s.cells[key] {
 		s.mu.Unlock()
-		// Disk probing happens outside the lock — the files are
-		// multi-MB and content-hashed on load, and holding the
-		// store-wide mutex across that would serialize unrelated
-		// acquires. The in-flight cell already parks other requesters
-		// for this key.
-		if s.dir != "" {
-			loadStart := obs.Now()
-			if loaded := s.tryDisk(key); loaded != nil {
-				s.mu.Lock()
-				cell.snap = loaded
-				s.stats.DiskHits++
-				met := s.met
-				s.mu.Unlock()
-				met.diskHits.Inc()
-				met.loadBytes.Add(int64(loaded.Size()))
-				met.loadWall.Observe(int64(obs.Since(loadStart)))
-				close(cell.done)
-				return loaded, nil
-			}
+		<-cell.done
+		if cell.snap != nil {
+			s.mu.Lock()
+			s.stats.MemoryHits++
+			met := s.met
+			s.mu.Unlock()
+			met.memHits.Inc()
+			return cell.snap, nil
 		}
-		return nil, func(snap *checkpoint.Snapshot) { s.commit(key, cell, snap) }
+		// The producer failed before the warm boundary and removed the
+		// cell; race for the key again.
+		s.mu.Lock()
+	}
+	cell := &ckptCell{done: make(chan struct{})}
+	s.cells[key] = cell
+	s.mu.Unlock()
+	// Disk probing happens outside the lock — the files are multi-MB and
+	// content-hashed on load, and holding the store-wide mutex across
+	// that would serialize unrelated acquires. The in-flight cell
+	// already parks other requesters for this key.
+	loadStart := obs.Now()
+	if loaded := s.tryDisk(key); loaded != nil {
+		s.mu.Lock()
+		cell.snap = loaded
+		s.drop(key, cell)
+		s.stats.DiskHits++
+		met := s.met
+		s.mu.Unlock()
+		met.diskHits.Inc()
+		met.loadBytes.Add(int64(loaded.Size()))
+		met.loadWall.Observe(int64(obs.Since(loadStart)))
+		close(cell.done)
+		return loaded, nil
+	}
+	return nil, func(snap *checkpoint.Snapshot) { s.commit(key, cell, snap) }
+}
+
+// drop removes a resolved cell from the in-flight table; s.mu must be
+// held. It is guarded by cell identity: an invalidation may already
+// have replaced this cell with a newer producer's, which must stay.
+func (s *CheckpointStore) drop(key string, cell *ckptCell) {
+	if s.cells[key] == cell {
+		delete(s.cells, key)
 	}
 }
 
@@ -218,15 +229,13 @@ func (s *CheckpointStore) tryDisk(key string) *checkpoint.Snapshot {
 }
 
 // commit resolves an in-flight cell with the produced snapshot (nil =
-// the producer failed before the warm boundary). The map delete is
-// guarded by cell identity: an invalidation may already have replaced
-// this cell with a newer producer's, which must not be evicted.
+// the producer failed before the warm boundary). Waiters are released
+// before the image is written; the cell stays joinable until the write
+// has returned, and later requests load the image from disk.
 func (s *CheckpointStore) commit(key string, cell *ckptCell, snap *checkpoint.Snapshot) {
 	s.mu.Lock()
 	if snap == nil {
-		if s.cells[key] == cell {
-			delete(s.cells, key)
-		}
+		s.drop(key, cell)
 		s.mu.Unlock()
 		close(cell.done)
 		return
@@ -238,24 +247,25 @@ func (s *CheckpointStore) commit(key string, cell *ckptCell, snap *checkpoint.Sn
 	close(cell.done)
 	met.saves.Inc()
 	met.saveBytes.Add(int64(snap.Size()))
-	if s.dir != "" {
-		saveStart := obs.Now()
-		err := snap.SaveFile(s.path(key))
-		met.saveWall.Observe(int64(obs.Since(saveStart)))
-		if err != nil {
-			s.recordFailure()
-		}
+	saveStart := obs.Now()
+	err := snap.SaveFile(s.path(key))
+	met.saveWall.Observe(int64(obs.Since(saveStart)))
+	s.mu.Lock()
+	s.drop(key, cell)
+	s.mu.Unlock()
+	if err != nil {
+		s.recordFailure()
 	}
 }
 
-// invalidate drops a cached image that failed to restore, so later
-// requests re-warm instead of retrying the same bad snapshot. Both the
-// cell eviction and the file removal are conditional on still holding
-// the offending image, so a fresh replacement from a concurrent
-// producer survives — guaranteed within this process (mutex-guarded),
-// best-effort across processes (the hash check and the remove are not
-// atomic; the worst outcome of losing that race is one redundant
-// re-warm, never a wrong result).
+// invalidate drops an image that failed to restore, so later requests
+// re-warm instead of retrying the same bad snapshot. Both the cell
+// eviction (the image may still be in flight) and the file removal are
+// conditional on still holding the offending image, so a fresh
+// replacement from a concurrent producer survives — guaranteed within
+// this process (mutex-guarded), best-effort across processes (the hash
+// check and the remove are not atomic; the worst outcome of losing that
+// race is one redundant re-warm, never a wrong result).
 func (s *CheckpointStore) invalidate(key string, bad *checkpoint.Snapshot) {
 	s.mu.Lock()
 	s.stats.Failures++
@@ -265,9 +275,6 @@ func (s *CheckpointStore) invalidate(key string, bad *checkpoint.Snapshot) {
 	}
 	s.mu.Unlock()
 	met.failures.Inc()
-	if s.dir == "" {
-		return
-	}
 	if onDisk, err := checkpoint.LoadFile(s.path(key)); err == nil && onDisk.Hash() == bad.Hash() {
 		os.Remove(s.path(key))
 	}

@@ -77,8 +77,8 @@ func TestObsArmedVsUnarmedByteIdentity(t *testing.T) {
 
 	// Armed, restored from checkpoint: one armed runner populates the
 	// store (cold runs, compared too), a second armed runner forks every
-	// run from the cached warm images.
-	store, err := NewCheckpointStore("")
+	// run from the warm images on disk.
+	store, err := NewCheckpointStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,8 @@ func TestObsArmedVsUnarmedByteIdentity(t *testing.T) {
 	if s.Histograms["engine.phase.ckpt_restore"].SumNS == 0 {
 		t.Fatal("armed restored runs recorded no ckpt_restore time")
 	}
-	if s.Counters["ckpt.hits.memory"] != n {
-		t.Fatalf("ckpt.hits.memory = %d, want %d", s.Counters["ckpt.hits.memory"], n)
+	if s.Counters["ckpt.hits.disk"] != n {
+		t.Fatalf("ckpt.hits.disk = %d, want %d", s.Counters["ckpt.hits.disk"], n)
 	}
 
 	// The plain armed sweep recorded a sane accounting: every request

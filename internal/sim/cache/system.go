@@ -164,10 +164,6 @@ type System struct {
 	// access (see invariants.go).
 	checkEvery int //simlint:ok checkpointcov observer configuration armed per run, never part of warm state
 	accesses   uint64
-
-	// debugSharing, when non-nil, histograms read-write-shared lines
-	// (see EnableDebugSharing).
-	debugSharing map[uint64]uint64 //simlint:ok checkpointcov debug observer enabled per run, excluded from measured state
 }
 
 // NewSystem builds the memory system.
@@ -448,20 +444,17 @@ func (s *System) upgradeOwnership(core int, lineAddr uint64, kernel bool) {
 		ctr.LLCHitUser++
 	}
 	if s.claimOwnership(core, lineAddr, w) {
-		s.countSharedRW(core, lineAddr, kernel)
+		s.countSharedRW(core, kernel)
 	}
 }
 
 // countSharedRW records one read-write sharing event by core (the
 // Figure-6 probe), attributed to the requesting mode.
-func (s *System) countSharedRW(core int, lineAddr uint64, kernel bool) {
+func (s *System) countSharedRW(core int, kernel bool) {
 	if kernel {
 		s.ctrs[core].SharedRWHitOS++
 	} else {
 		s.ctrs[core].SharedRWHitUser++
-	}
-	if s.debugSharing != nil {
-		s.debugSharing[lineAddr]++
 	}
 }
 
@@ -670,7 +663,7 @@ func (s *System) accessShared(core int, lineAddr uint64, write, kernel, instr bo
 			s.downgradeOwner(lineAddr, l)
 		}
 		if sharedRW {
-			s.countSharedRW(core, lineAddr, kernel)
+			s.countSharedRW(core, kernel)
 		}
 		llc.addSharer(w, core)
 		if write && !instr {
@@ -726,7 +719,7 @@ func (s *System) accessShared(core int, lineAddr uint64, write, kernel, instr bo
 	if remote {
 		ctr.RemoteSocketHit++
 		if modified && !instr {
-			s.countSharedRW(core, lineAddr, kernel)
+			s.countSharedRW(core, kernel)
 		}
 		s.installShared(core, lineAddr, write, instr, now)
 		routeHops := nearest
@@ -850,18 +843,3 @@ func (s *System) prefetchL1(core int, lineAddr uint64, kernel bool, now int64) {
 	s.prefetchLLC(core, lineAddr, flagPrefetched, kernel, now)
 	s.fillL1D(core, lineAddr, flagPrefetched, now)
 }
-
-// EnableDebugSharing makes the system histogram the lines that produce
-// read-write sharing hits (diagnostics only). The histogram is per
-// System — a package-level map here would be written concurrently by
-// every simulation of a parallel experiment Runner, a data race.
-func (s *System) EnableDebugSharing() {
-	if s.debugSharing == nil {
-		s.debugSharing = map[uint64]uint64{}
-	}
-}
-
-// DebugSharing returns the sharing histogram (nil unless
-// EnableDebugSharing was called). The map belongs to the System; it is
-// safe to read once the simulation driving the System has finished.
-func (s *System) DebugSharing() map[uint64]uint64 { return s.debugSharing }
