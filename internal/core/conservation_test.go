@@ -10,8 +10,7 @@ import (
 
 // checkConservation asserts the cycle-accounting laws on a measurement
 // and on each of its intervals, and that the interval deltas sum to the
-// measurement's counters. DRAMChannels is a machine constant, not a
-// delta, so it is excluded from the sum.
+// measurement's counters.
 func checkConservation(t *testing.T, name string, m *Measurement) {
 	t.Helper()
 	if err := m.Counters.Conservation(); err != nil {
@@ -30,7 +29,6 @@ func checkConservation(t *testing.T, name string, m *Measurement) {
 		sum.Add(&s.Counters)
 		cycles += s.WindowCycles
 	}
-	sum.DRAMChannels = m.DRAMChannels
 	if sum != m.Counters || cycles != m.WindowCycles {
 		t.Errorf("%s: interval deltas do not sum to the measurement:\nsum   %+v (%d cycles)\ntotal %+v (%d cycles)",
 			name, sum, cycles, m.Counters, m.WindowCycles)

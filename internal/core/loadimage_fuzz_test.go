@@ -9,7 +9,6 @@ import (
 
 	"cloudsuite/internal/sim/checkpoint"
 	"cloudsuite/internal/sim/engine"
-	"cloudsuite/internal/trace"
 )
 
 // imageSeed is one warm image FuzzLoadImage mutates: the run it was
@@ -24,52 +23,15 @@ type imageSeed struct {
 }
 
 // imageRun starts a fresh instance of the seed's workload, and the
-// polluters its options ask for, and returns the engine input of a
-// run over them plus every generator, for closing.
-func (s imageSeed) imageRun(tb testing.TB) (engine.RunConfig, []engine.Thread, []*trace.StepGen) {
+// polluters its options ask for, and returns the engine input of a run
+// over them, assembled exactly as measure assembles it.
+func (s imageSeed) imageRun(tb testing.TB) *runInput {
 	tb.Helper()
-	c := s.c
-	w := s.bench.New()
-	n := c.cores
-	if c.smt {
-		n *= 2
+	in, err := assemble(s.bench.New(), &s.c)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	gens := w.Start(n, c.seed)
-	var threads []engine.Thread
-	coreOf := make([]int, n)
-	for i, g := range gens {
-		coreOf[i] = i % c.cores
-		threads = append(threads, engine.Thread{Gen: g, Core: coreOf[i], Measured: true})
-	}
-	if c.polluteBytes > 0 {
-		pcores, err := polluterCores(coreOf, c.machine.Mem)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		for i, pc := range pcores {
-			g := startPolluter(c.polluteBytes/uint64(len(pcores)), uint64(i), c.seed+1000+int64(i))
-			gens = append(gens, g)
-			threads = append(threads, engine.Thread{Gen: g, Core: pc})
-		}
-	}
-	cfg := engine.RunConfig{
-		Core: c.machine.Core, Mem: c.machine.Mem,
-		WarmupInsts: c.warmupInsts, MeasureInsts: c.measureInsts, MaxCycles: c.measureInsts * int64(n) * 40,
-		SaveShared: w.SaveShared, LoadShared: w.LoadShared,
-	}
-	if c.sampling.Enabled() {
-		cfg.Intervals = c.sampling.Intervals
-		cfg.MeasureInsts = c.sampling.IntervalInsts
-		cfg.IntervalWarmInsts = c.sampling.FunctionalWarmInsts()
-		cfg.DetailWarmInsts = c.sampling.DetailWarmInsts()
-	}
-	return cfg, threads, gens
-}
-
-func closeAll(gens []*trace.StepGen) {
-	for _, g := range gens {
-		g.Close()
-	}
+	return in
 }
 
 // warmImage warms the bench called name under o and keeps the image
@@ -81,11 +43,11 @@ func warmImage(tb testing.TB, name string, o Options) imageSeed {
 		tb.Fatalf("no bench %q", name)
 	}
 	s := imageSeed{bench: b, c: canonicalize(o)}
-	cfg, threads, gens := s.imageRun(tb)
+	in := s.imageRun(tb)
 	var snap *checkpoint.Snapshot
-	cfg.Checkpoint = func(sn *checkpoint.Snapshot) { snap = sn }
-	_, err := engine.Run(cfg, threads)
-	closeAll(gens)
+	in.cfg.Checkpoint = func(sn *checkpoint.Snapshot) { snap = sn }
+	_, err := engine.Run(in.cfg, in.threads)
+	in.close()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -118,12 +80,12 @@ func (s imageSeed) restore(tb testing.TB, payload []byte) (uint64, error) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg, threads, gens := s.imageRun(tb)
-	defer closeAll(gens)
-	cfg.Restore = snap
+	in := s.imageRun(tb)
+	defer in.close()
+	in.cfg.Restore = snap
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err = engine.Restore(cfg, threads)
+	err = engine.Restore(in.cfg, in.threads)
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc, err
 }

@@ -12,6 +12,7 @@ import (
 	"cloudsuite/internal/sim/engine"
 	"cloudsuite/internal/sim/sample"
 	"cloudsuite/internal/trace"
+	"cloudsuite/internal/workloads"
 )
 
 // Sampling configures SMARTS-style interval sampling for a measurement:
@@ -285,90 +286,26 @@ func measure(b Bench, o Options) (*Measurement, error) {
 	// startup so setup time is attributed, finished on every exit path.
 	ro := o.Obs.StartRun(b.Name, c.label())
 	defer ro.Finish()
-	machine := &c.machine
-
-	// Thread placement.
-	nThreads := c.cores
-	if c.smt {
-		nThreads *= 2
+	in, err := assemble(w, &c)
+	if err != nil {
+		return nil, err
 	}
-	coreOf := make([]int, nThreads)
-	for i := range coreOf {
-		coreOf[i] = placeCore(i%c.cores, c.cores, c.splitSockets, machine.Mem)
-	}
-
-	gens := w.Start(nThreads, c.seed)
-	defer func() {
-		for _, g := range gens {
-			g.Close()
-		}
-	}()
-	threads := make([]engine.Thread, 0, nThreads+2)
-	for i, g := range gens {
-		threads = append(threads, engine.Thread{Gen: g, Core: coreOf[i], Measured: true})
-	}
-
-	// Cache polluters: dedicated cores traverse arrays sized to occupy
-	// PolluteBytes of LLC, shrinking the capacity available to the
-	// workload (Section 3.1). Every socket the workload runs on gets
-	// polluted — a multi-socket run has one LLC per socket.
-	var polluters []*trace.StepGen
-	if c.polluteBytes > 0 {
-		pcores, err := polluterCores(coreOf, machine.Mem)
-		if err != nil {
-			return nil, err
-		}
-		per := c.polluteBytes / uint64(len(pcores))
-		for i, pc := range pcores {
-			g := startPolluter(per, uint64(i), c.seed+1000+int64(i))
-			polluters = append(polluters, g)
-			threads = append(threads, engine.Thread{Gen: g, Core: pc, Measured: false})
-		}
-		defer func() {
-			for _, g := range polluters {
-				g.Close()
+	defer in.close()
+	cfg := in.cfg
+	cfg.CheckInvariantsEvery = o.InvariantChecks
+	cfg.Obs = ro
+	if c.sampling.Enabled() && c.sampling.TargetRelErr > 0 {
+		// Adaptive stopping on the target metric (IPC over the workload
+		// cores): deterministic, so the interval count a configuration
+		// settles on is a pure function of the options.
+		target := c.sampling.TargetRelErr
+		cfg.StopSampling = func(done []engine.IntervalResult) bool {
+			vals := make([]float64, len(done))
+			for i := range done {
+				agg := aggregateCores(done[i].PerCore, in.coreOf)
+				vals[i] = agg.IPC()
 			}
-		}()
-	}
-
-	cfg := engine.RunConfig{
-		Core:                 machine.Core,
-		Mem:                  machine.Mem,
-		WarmupInsts:          c.warmupInsts,
-		MeasureInsts:         c.measureInsts,
-		MaxCycles:            c.measureInsts * int64(nThreads) * 40,
-		CheckInvariantsEvery: o.InvariantChecks,
-		SaveShared:           w.SaveShared,
-		LoadShared:           w.LoadShared,
-		Obs:                  ro,
-	}
-	if c.sampling.Enabled() {
-		// Sampled mode: N timed intervals of IntervalInsts each, every
-		// interval preceded by WarmInsts of functional warming. The
-		// engine's per-window budget and safety net scale to the
-		// interval.
-		cfg.MeasureInsts = c.sampling.IntervalInsts
-		cfg.MaxCycles = c.sampling.IntervalInsts * int64(nThreads) * 40
-		cfg.Intervals = c.sampling.Intervals
-		// The warming budget splits into functional warming plus a
-		// detailed-warming tail (timed execution, counters frozen) so
-		// windows open on steady-state pipeline occupancy; the per-
-		// interval horizon stays WarmInsts + IntervalInsts.
-		cfg.IntervalWarmInsts = c.sampling.FunctionalWarmInsts()
-		cfg.DetailWarmInsts = c.sampling.DetailWarmInsts()
-		if c.sampling.TargetRelErr > 0 {
-			// Adaptive stopping on the target metric (IPC over the
-			// workload cores): deterministic, so the interval count a
-			// configuration settles on is a pure function of the options.
-			target := c.sampling.TargetRelErr
-			cfg.StopSampling = func(done []engine.IntervalResult) bool {
-				vals := make([]float64, len(done))
-				for i := range done {
-					agg := aggregateCores(done[i].PerCore, coreOf)
-					vals[i] = agg.IPC()
-				}
-				return sample.Stop(vals, target)
-			}
+			return sample.Stop(vals, target)
 		}
 	}
 	// Warm-state checkpointing: fork from a cached warm image when one
@@ -400,7 +337,7 @@ func measure(b Bench, o Options) (*Measurement, error) {
 		}
 	}
 	ro.SetSource(warmSource)
-	res, err := engine.Run(cfg, threads)
+	res, err := engine.Run(cfg, in.threads)
 	if err != nil {
 		if cfg.Restore != nil {
 			// Drop the bad image so later requests warm cold instead of
@@ -415,20 +352,103 @@ func measure(b Bench, o Options) (*Measurement, error) {
 	// Aggregate over the workload cores only: polluter cores are part of
 	// the machine but not of the measurement (Section 3.1 measures the
 	// cores under test).
-	total := aggregateCores(res.PerCore, coreOf)
+	total := aggregateCores(res.PerCore, in.coreOf)
 	// DRAM busy/span are chip-wide.
 	total.DRAMBusyCycles = res.Total.DRAMBusyCycles
 	total.DRAMTotalCycles = res.Total.DRAMTotalCycles
-	total.DRAMChannels = res.Total.DRAMChannels
 	m := &Measurement{Counters: total, WindowCycles: res.Cycles, BenchName: b.Name, Truncated: res.Truncated, warmSource: warmSource}
 	for _, iv := range res.Intervals {
-		agg := aggregateCores(iv.PerCore, coreOf)
+		agg := aggregateCores(iv.PerCore, in.coreOf)
 		agg.DRAMBusyCycles = iv.DRAMBusyCycles
 		agg.DRAMTotalCycles = uint64(iv.Cycles)
-		agg.DRAMChannels = res.Total.DRAMChannels
 		m.Samples = append(m.Samples, IntervalSample{Counters: agg, WindowCycles: iv.Cycles})
 	}
 	return m, nil
+}
+
+// runInput is the engine input of one run of a workload: its
+// configuration and threads, every generator it started, and the core
+// each workload thread runs on.
+type runInput struct {
+	cfg     engine.RunConfig
+	threads []engine.Thread
+	gens    []*trace.StepGen
+	coreOf  []int
+}
+
+// close closes every generator the run started.
+func (in *runInput) close() {
+	for _, g := range in.gens {
+		g.Close()
+	}
+}
+
+// assemble starts w's threads, and the polluters c asks for, and builds
+// the engine input of one run over them: thread placement, polluter
+// cores and the contiguous or sampled window budgets. measure adds its
+// observers, checks and checkpointing to the result; the warm-image
+// fuzz target restores into it, so its images are the ones measure
+// produces.
+func assemble(w workloads.Workload, c *canonicalOptions) (*runInput, error) {
+	mem := c.machine.Mem
+
+	// Thread placement.
+	nThreads := c.cores
+	if c.smt {
+		nThreads *= 2
+	}
+	coreOf := make([]int, nThreads)
+	for i := range coreOf {
+		coreOf[i] = placeCore(i%c.cores, c.cores, c.splitSockets, mem)
+	}
+	// Cache polluters: dedicated cores traverse arrays sized to occupy
+	// PolluteBytes of LLC, shrinking the capacity available to the
+	// workload (Section 3.1). Every socket the workload runs on gets
+	// polluted — a multi-socket run has one LLC per socket.
+	var pcores []int
+	if c.polluteBytes > 0 {
+		var err error
+		if pcores, err = polluterCores(coreOf, mem); err != nil {
+			return nil, err
+		}
+	}
+
+	in := &runInput{gens: w.Start(nThreads, c.seed), coreOf: coreOf}
+	in.threads = make([]engine.Thread, 0, nThreads+len(pcores))
+	for i, g := range in.gens {
+		in.threads = append(in.threads, engine.Thread{Gen: g, Core: coreOf[i], Measured: true})
+	}
+	for i, pc := range pcores {
+		g := startPolluter(c.polluteBytes/uint64(len(pcores)), uint64(i), c.seed+1000+int64(i))
+		in.gens = append(in.gens, g)
+		in.threads = append(in.threads, engine.Thread{Gen: g, Core: pc})
+	}
+
+	in.cfg = engine.RunConfig{
+		Core:         c.machine.Core,
+		Mem:          mem,
+		WarmupInsts:  c.warmupInsts,
+		MeasureInsts: c.measureInsts,
+		MaxCycles:    c.measureInsts * int64(nThreads) * 40,
+		SaveShared:   w.SaveShared,
+		LoadShared:   w.LoadShared,
+	}
+	if c.sampling.Enabled() {
+		// Sampled mode: N timed intervals of IntervalInsts each, every
+		// interval preceded by WarmInsts of functional warming. The
+		// engine's per-window budget and safety net scale to the
+		// interval.
+		in.cfg.MeasureInsts = c.sampling.IntervalInsts
+		in.cfg.MaxCycles = c.sampling.IntervalInsts * int64(nThreads) * 40
+		in.cfg.Intervals = c.sampling.Intervals
+		// The warming budget splits into functional warming plus a
+		// detailed-warming tail (timed execution, counters frozen) so
+		// windows open on steady-state pipeline occupancy; the per-
+		// interval horizon stays WarmInsts + IntervalInsts.
+		in.cfg.IntervalWarmInsts = c.sampling.FunctionalWarmInsts()
+		in.cfg.DetailWarmInsts = c.sampling.DetailWarmInsts()
+	}
+	return in, nil
 }
 
 // aggregateCores sums the counter blocks of the distinct workload cores

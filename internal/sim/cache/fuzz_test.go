@@ -95,6 +95,16 @@ func FuzzCoherence(f *testing.F) {
 		[3]uint16{fopRead, 63, l}, [3]uint16{fopRead, 64, l}, [3]uint16{fopRead, 127, l},
 		[3]uint16{fopWrite, 64, l}, [3]uint16{fopPrefL1, 63, l + 1}, [3]uint16{fopWrite, 127, l + 1},
 		[3]uint16{fopIFetch, 96, l}, [3]uint16{fopRead, 0, l + 64}, [3]uint16{fopWrite, 65, l}))
+	// A 3-socket ring with each line replicated in two remote LLCs
+	// (sockets 1 and 2, one copy dirty from a downgraded owner) before
+	// socket 0's L1-D and instruction prefetches read it, so the snoop
+	// visits every holder; socket 0's stores then invalidate both.
+	ring := fuzzOps(3, 2,
+		[3]uint16{fopWrite, 2, l}, [3]uint16{fopRead, 4, l}, [3]uint16{fopPrefL1, 0, l},
+		[3]uint16{fopWrite, 3, l + 1}, [3]uint16{fopRead, 5, l + 1}, [3]uint16{fopPrefInstr, 1, l + 1},
+		[3]uint16{fopWrite, 0, l}, [3]uint16{fopWrite, 1, l + 1})
+	ring[0] |= 0x10
+	f.Add(ring)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {

@@ -21,10 +21,10 @@ import "fmt"
 //     socket's own LLC entry.
 //  4. Owner validity — a directory owner is a core of the same socket,
 //     is the *only* sharer (Modified is exclusive: every read path,
-//     demand or prefetch, downgrades the owner before registering a
-//     new sharer), and still holds the line in its L1-D or L2 (losing
-//     the last private copy of a Modified line clears the owner as the
-//     dirty data is absorbed).
+//     demand or prefetch, goes through obtain, which downgrades the
+//     owner before registering a new sharer), and still holds the line
+//     in its L1-D or L2 (losing the last private copy of a Modified
+//     line clears the owner as the dirty data is absorbed).
 //  5. Single owner chip-wide — a line owned Modified in one socket's
 //     LLC exists in no other socket's LLC (read-only duplicates across
 //     sockets are legal; modified duplicates never are).

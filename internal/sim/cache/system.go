@@ -387,9 +387,10 @@ func (s *System) fillL1I(core int, lineAddr uint64) {
 // claimOwnership makes core the exclusive modified owner of lineAddr,
 // held in way w of its socket's LLC, invalidating all other private
 // copies — on its own socket and, because writing requires chip-wide
-// exclusivity, any copy held by another socket's LLC (and that socket's
-// private caches). It returns true when another core previously held
-// the line Modified (a read-write sharing event).
+// exclusivity, every other socket's copy (snoop). It returns true when
+// another core previously held the line Modified (a read-write sharing
+// event); a dirty remote copy counts too, so the sharing metric is
+// independent of whether the writer's private copy survived.
 func (s *System) claimOwnership(core int, lineAddr uint64, w int) (stolenFromOther bool) {
 	llc := s.llcOf(core)
 	llcLine := &llc.lines[w]
@@ -397,28 +398,11 @@ func (s *System) claimOwnership(core int, lineAddr uint64, w int) (stolenFromOth
 	if s.invalidateSharers(llc.sharers(w), core, lineAddr) {
 		llcLine.flags |= flagDirty
 	}
-	home := s.socketOf(core)
-	for so := range s.llcs {
-		if so == home {
-			continue
-		}
-		victim, victimSharers := s.llcs[so].invalidate(lineAddr)
-		if !victim.valid() {
-			continue
-		}
-		s.invalidateSharers(victimSharers, -1, lineAddr)
-		// A dirty remote copy (owned, or downgraded-but-dirty) means a
-		// remote core modified the line most recently: count it like
-		// the write-miss snoop path does, so the sharing metric is
-		// independent of whether the writer's private copy survived.
-		if victim.owner >= 0 || victim.flags&flagDirty != 0 {
-			stolenFromOther = true
-		}
-	}
+	_, remoteModified, _, _ := s.snoop(core, lineAddr, true)
 	llc.setSharers(w, onlySharer(core))
 	llcLine.owner = int16(core)
 	llcLine.flags |= flagDirty
-	return stolenFromOther || (prevOwner >= 0 && prevOwner != int16(core))
+	return remoteModified || (prevOwner >= 0 && prevOwner != int16(core))
 }
 
 // upgradeOwnership services a store that hit a private cache without
@@ -433,18 +417,37 @@ func (s *System) upgradeOwnership(core int, lineAddr uint64, kernel bool) {
 	if w < 0 {
 		return
 	}
-	ctr := s.ctrs[core]
-	ctr.LLCAccess++
-	ctr.LLCDataRefs++
-	ctr.LLCHit++
-	if kernel {
-		ctr.LLCDataRefsOS++
-		ctr.LLCHitOS++
-	} else {
-		ctr.LLCHitUser++
-	}
+	countLLC(s.ctrs[core], kernel, false, true)
 	if s.claimOwnership(core, lineAddr, w) {
 		s.countSharedRW(core, kernel)
+	}
+}
+
+// countLLC charges one LLC reference — an instruction or a data one,
+// user or kernel — and its hit or miss to ctr.
+func countLLC(ctr *counters.Counters, kernel, instr, hit bool) {
+	ctr.LLCAccess++
+	if instr {
+		ctr.LLCInstrRefs++
+	} else {
+		ctr.LLCDataRefs++
+		if kernel {
+			ctr.LLCDataRefsOS++
+		}
+	}
+	switch {
+	case hit && kernel:
+		ctr.LLCHit++
+		ctr.LLCHitOS++
+	case hit:
+		ctr.LLCHit++
+		ctr.LLCHitUser++
+	case kernel:
+		ctr.LLCMiss++
+		ctr.LLCMissOS++
+	default:
+		ctr.LLCMiss++
+		ctr.LLCMissUser++
 	}
 }
 
@@ -621,184 +624,123 @@ func (s *System) AccessData(core int, addr uint64, write, kernel bool, now int64
 	return DataResult{Done: done, L1Miss: true, OffCore: true}
 }
 
-// accessShared services an L2 miss from the LLC, a remote socket, or
-// DRAM, maintaining the directory. It returns the completion time.
+// accessShared services a demand L2 miss through obtain and does the
+// demand-side accounting: the LLC reference and its outcome, the first
+// use of a prefetched LLC line, and the Figure-6 sharing event (data
+// references only). It returns the completion time.
 func (s *System) accessShared(core int, lineAddr uint64, write, kernel, instr bool, now int64) int64 {
-	ctr := s.ctrs[core]
-	llc := s.llcOf(core)
-	ctr.LLCAccess++
+	fl := lineFlags(0)
 	if instr {
-		ctr.LLCInstrRefs++
-	} else {
-		ctr.LLCDataRefs++
-		if kernel {
-			ctr.LLCDataRefsOS++
-		}
+		fl = flagInstr
 	}
-
-	if w := llc.probe(lineAddr, true); w >= 0 {
-		l := &llc.lines[w]
-		ctr.LLCHit++
-		if kernel {
-			ctr.LLCHitOS++
-		} else {
-			ctr.LLCHitUser++
-		}
-		llcLat := int64(s.cfg.LLC.LatencyCycles)
-		if instr && s.cfg.LLCInstrLatencyCycles > 0 {
-			llcLat = int64(s.cfg.LLCInstrLatencyCycles)
-		}
-		if l.flags&flagPrefetched != 0 {
-			ctr.PrefUseful++
-			l.flags &^= flagPrefetched
-		}
-		sharedRW := false
-		if write && !instr {
-			sharedRW = s.claimOwnership(core, lineAddr, w)
-		} else if l.owner >= 0 && l.owner != int16(core) {
-			// Any read — including an instruction fetch — of a line
-			// another core holds Modified downgrades the owner; only
-			// data references count as sharing events (Figure 6).
-			sharedRW = !instr
-			s.downgradeOwner(lineAddr, l)
-		}
-		if sharedRW {
-			s.countSharedRW(core, kernel)
-		}
-		llc.addSharer(w, core)
-		if write && !instr {
-			l.owner = int16(core)
-		}
-		return now + llcLat
+	w, hit, stolen, done := s.obtain(core, lineAddr, write, fl, kernel, now)
+	ctr := s.ctrs[core]
+	countLLC(ctr, kernel, instr, hit)
+	if stolen && !instr {
+		s.countSharedRW(core, kernel)
 	}
-	ctr.LLCMiss++
-	if kernel {
-		ctr.LLCMissOS++
-	} else {
-		ctr.LLCMissUser++
-	}
-
-	// Snoop the other sockets. The sharing test must consider every
-	// remote holder — a dirty copy can coexist with clean replicas on
-	// other sockets. A write gains chip-wide exclusivity by invalidating
-	// every remote copy; a read downgrades the Modified owner, if any.
-	// Latency scales with hop distance on the interconnect: a read is
-	// serviced by the nearest holder, a write completes when the
-	// farthest holder has acknowledged its invalidation.
-	my := s.socketOf(core)
-	remote, modified := false, false
-	nearest, farthest := 0, 0
-	for so := range s.llcs {
-		if so == my {
-			continue
-		}
-		rw := s.llcs[so].probe(lineAddr, false)
-		if rw < 0 {
-			continue
-		}
-		rl := &s.llcs[so].lines[rw]
-		h := s.hops[my][so]
-		if !remote || h < nearest {
-			nearest = h
-		}
-		if h > farthest {
-			farthest = h
-		}
-		remote = true
-		if rl.owner >= 0 || rl.flags&flagDirty != 0 {
-			modified = true
-		}
-		if write {
-			// Invalidate the remote copy and all its private copies.
-			_, victimSharers := s.llcs[so].drop(rw)
-			s.invalidateSharers(victimSharers, -1, lineAddr)
-		} else if rl.owner >= 0 {
-			s.downgradeOwner(lineAddr, rl)
-		}
-	}
-	if remote {
-		ctr.RemoteSocketHit++
-		if modified && !instr {
-			s.countSharedRW(core, kernel)
-		}
-		s.installShared(core, lineAddr, write, instr, now)
-		routeHops := nearest
-		if write {
-			routeHops = farthest
-		}
-		return now + int64(s.cfg.RemoteHitCycles) + s.hopPenalty(routeHops)
-	}
-
-	// Off-chip.
-	done := s.memRead(core, lineAddr, now)
-	if kernel {
-		ctr.OffchipReadOS += LineBytes
-	} else {
-		ctr.OffchipReadUser += LineBytes
-	}
-	s.installShared(core, lineAddr, write, instr, now)
-	llcDone := now + int64(s.cfg.LLC.LatencyCycles)
-	if done < llcDone {
-		done = llcDone
+	if l := &s.llcOf(core).lines[w]; hit && l.flags&flagPrefetched != 0 {
+		ctr.PrefUseful++
+		l.flags &^= flagPrefetched
 	}
 	return done
 }
 
-// installShared fills an LLC miss, serviced by a remote socket or by
-// DRAM, into core's socket LLC with core as its only sharer and, on a
-// data write, its owner.
-func (s *System) installShared(core int, lineAddr uint64, write, instr bool, now int64) {
-	fl := lineFlags(0)
-	if write {
-		fl = flagDirty
-	}
-	if instr {
-		fl |= flagInstr
-	}
-	w := s.fillLLC(core, lineAddr, fl, now)
-	llc := s.llcOf(core)
-	llc.setSharers(w, onlySharer(core))
-	if write && !instr {
-		llc.lines[w].owner = int16(core)
-	}
-}
+// --- directory protocol ----------------------------------------------------
 
-// prefetchLLC obtains lineAddr in core's socket LLC for a prefetch: a
-// local hit, a remote-socket copy, or an off-chip fetch, registering
-// core as a sharer. Like the demand path, a prefetch is a read: a
-// Modified owner (local or remote) is downgraded, or the owner's
-// retained write permission and the prefetched copy would go
-// incoherent — exactly the divergence that left the original
-// hand-copied snoop loops dormant-and-broken.
-func (s *System) prefetchLLC(core int, lineAddr uint64, fl lineFlags, kernel bool, now int64) {
+// obtain is the one L2-miss directory protocol, for demand requests and
+// prefetches alike: it registers core as a holder of lineAddr in its
+// socket's LLC and, on a write, makes it the line's Modified owner. A
+// local hit claims ownership (write) or downgrades a foreign owner
+// (any read, fetches and prefetches included, or the owner's retained
+// write permission and the new copy would go incoherent). A local miss
+// snoops the other sockets, reads DRAM when none holds the line, and
+// fills the LLC with fl (dirty on a write) and core as the only sharer.
+//
+// It returns the line's LLC way, whether the local LLC hit, whether the
+// line was taken from a Modified holder (a read-write sharing event),
+// and the completion time: the LLC latency on a hit, the route to the
+// nearest holder (read) or the farthest invalidation (write) on a
+// remote hit, the DRAM read otherwise.
+func (s *System) obtain(core int, lineAddr uint64, write bool, fl lineFlags, kernel bool, now int64) (w int, hit, stolen bool, done int64) {
 	llc := s.llcOf(core)
-	if w := llc.probe(lineAddr, true); w >= 0 {
-		if l := &llc.lines[w]; l.owner >= 0 && l.owner != int16(core) {
+	if w = llc.probe(lineAddr, true); w >= 0 {
+		if l := &llc.lines[w]; write {
+			stolen = s.claimOwnership(core, lineAddr, w)
+		} else if l.owner >= 0 && l.owner != int16(core) {
 			s.downgradeOwner(lineAddr, l)
+			stolen = true
 		}
 		llc.addSharer(w, core)
-		return
+		lat := s.cfg.LLC.LatencyCycles
+		if fl&flagInstr != 0 && s.cfg.LLCInstrLatencyCycles > 0 {
+			lat = s.cfg.LLCInstrLatencyCycles
+		}
+		return w, true, stolen, now + int64(lat)
 	}
-	for so := range s.llcs {
-		if so == s.socketOf(core) {
+
+	remote, stolen, nearest, farthest := s.snoop(core, lineAddr, write)
+	if remote {
+		s.ctrs[core].RemoteSocketHit++
+		hops := nearest
+		if write {
+			hops = farthest
+		}
+		done = now + int64(s.cfg.RemoteHitCycles) + s.hopPenalty(hops)
+	} else {
+		done = max(s.memRead(core, lineAddr, now), now+int64(s.cfg.LLC.LatencyCycles))
+		if kernel {
+			s.ctrs[core].OffchipReadOS += LineBytes
+		} else {
+			s.ctrs[core].OffchipReadUser += LineBytes
+		}
+	}
+	if write {
+		fl |= flagDirty
+	}
+	w = s.fillLLC(core, lineAddr, fl, now)
+	llc.setSharers(w, onlySharer(core))
+	if write {
+		llc.lines[w].owner = int16(core)
+	}
+	return w, false, stolen, done
+}
+
+// snoop visits every other socket's LLC copy of lineAddr for core. A
+// write invalidates each copy and its private copies, gaining chip-wide
+// exclusivity; a read downgrades the Modified owner (by invariant 5 the
+// only copy when there is one). It reports whether any copy was found,
+// whether any was modified — owned, or downgraded but dirty, which can
+// coexist with clean replicas on other sockets — and the hop distances
+// to the nearest and the farthest holder.
+func (s *System) snoop(core int, lineAddr uint64, write bool) (found, modified bool, nearest, farthest int) {
+	my := s.socketOf(core)
+	for so, llc := range s.llcs {
+		if so == my {
 			continue
 		}
-		if rw := s.llcs[so].probe(lineAddr, false); rw >= 0 {
-			if rl := &s.llcs[so].lines[rw]; rl.owner >= 0 {
-				s.downgradeOwner(lineAddr, rl)
-			}
-			s.ctrs[core].RemoteSocketHit++
-			llc.addSharer(s.fillLLC(core, lineAddr, fl, now), core)
-			return
+		rw := llc.probe(lineAddr, false)
+		if rw < 0 {
+			continue
+		}
+		rl := &llc.lines[rw]
+		h := s.hops[my][so]
+		if !found || h < nearest {
+			nearest = h
+		}
+		farthest = max(farthest, h)
+		found = true
+		if rl.owner >= 0 || rl.flags&flagDirty != 0 {
+			modified = true
+		}
+		if write {
+			_, sharers := llc.drop(rw)
+			s.invalidateSharers(sharers, -1, lineAddr)
+		} else if rl.owner >= 0 {
+			s.downgradeOwner(lineAddr, rl)
 		}
 	}
-	s.memRead(core, lineAddr, now)
-	if kernel {
-		s.ctrs[core].OffchipReadOS += LineBytes
-	} else {
-		s.ctrs[core].OffchipReadUser += LineBytes
-	}
-	llc.addSharer(s.fillLLC(core, lineAddr, fl, now), core)
+	return found, modified, nearest, farthest
 }
 
 // prefetchInstr fetches an instruction line into core's L1-I without
@@ -813,7 +755,7 @@ func (s *System) prefetchInstr(core int, lineAddr uint64, kernel bool, now int64
 		s.fillL1I(core, lineAddr)
 		return
 	}
-	s.prefetchLLC(core, lineAddr, flagInstr, kernel, now)
+	s.obtain(core, lineAddr, false, flagInstr, kernel, now)
 	s.fillL2(core, lineAddr, flagInstr, now)
 	s.fillL1I(core, lineAddr)
 }
@@ -825,7 +767,7 @@ func (s *System) prefetchL2(core int, lineAddr uint64, kernel bool, now int64) {
 		return
 	}
 	s.ctrs[core].PrefIssued++
-	s.prefetchLLC(core, lineAddr, flagPrefetched, kernel, now)
+	s.obtain(core, lineAddr, false, flagPrefetched, kernel, now)
 	s.fillL2(core, lineAddr, flagPrefetched, now)
 }
 
@@ -840,6 +782,6 @@ func (s *System) prefetchL1(core int, lineAddr uint64, kernel bool, now int64) {
 		s.fillL1D(core, lineAddr, flagPrefetched, now)
 		return
 	}
-	s.prefetchLLC(core, lineAddr, flagPrefetched, kernel, now)
+	s.obtain(core, lineAddr, false, flagPrefetched, kernel, now)
 	s.fillL1D(core, lineAddr, flagPrefetched, now)
 }

@@ -106,7 +106,8 @@ type Counters struct {
 
 	// DRAM channel busy cycles (summed over channels and sockets) and
 	// cycle span, maintained by the memory controllers for bandwidth
-	// utilisation. DRAMChannels counts channels across all sockets.
+	// utilisation. DRAMChannels counts channels across all sockets; it
+	// is a machine constant, which Add and Sub keep.
 	DRAMBusyCycles  uint64
 	DRAMTotalCycles uint64
 	DRAMChannels    uint64
@@ -247,7 +248,11 @@ func (c *Counters) Add(o *Counters) {
 	c.PrefDemanded += o.PrefDemanded
 	c.DRAMBusyCycles += o.DRAMBusyCycles
 	c.DRAMTotalCycles += o.DRAMTotalCycles
-	c.DRAMChannels += o.DRAMChannels
+	// DRAMChannels is a configuration constant, not a count: a sum of
+	// blocks from one machine keeps it.
+	if c.DRAMChannels == 0 {
+		c.DRAMChannels = o.DRAMChannels
+	}
 	c.DRAMReadLocal += o.DRAMReadLocal
 	c.DRAMReadRemote += o.DRAMReadRemote
 }

@@ -701,7 +701,6 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 	// DRAM busy/span are chip-wide quantities, not per-core sums.
 	res.Total.DRAMBusyCycles = totalBusy
 	res.Total.DRAMTotalCycles = uint64(res.Cycles)
-	res.Total.DRAMChannels = uint64(mem.DRAMTotalChannels())
 	return res, cores, nil
 }
 

@@ -350,6 +350,46 @@ func TestSampledRunProducesIntervals(t *testing.T) {
 	}
 }
 
+// TestSampledRunKeepsDRAMChannels: the channel count is a machine
+// constant, so a run's totals, every per-core block and every window's
+// per-core delta report the machine's count, however many windows
+// were summed into them.
+func TestSampledRunKeepsDRAMChannels(t *testing.T) {
+	mem := cache.DefaultSystemConfig()
+	mem.Sockets = 2
+	cfg := RunConfig{
+		Core: DefaultCoreConfig(), Mem: mem,
+		WarmupInsts: 5_000, MeasureInsts: 1_000, MaxCycles: 10_000_000,
+		Intervals: 6, IntervalWarmInsts: 2_000,
+	}
+	res, err := Run(cfg, []Thread{
+		{Gen: loadStream(7, 8<<20, false, 50_000), Core: 0, Measured: true},
+		{Gen: loadStream(8, 8<<20, false, 50_000), Core: mem.CoresPerSocket, Measured: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(mem.DRAM.Channels * mem.Sockets)
+	if len(res.Intervals) != 6 {
+		t.Fatalf("got %d intervals, want 6", len(res.Intervals))
+	}
+	if res.Total.DRAMChannels != want {
+		t.Errorf("Total reports %d DRAM channels, want %d", res.Total.DRAMChannels, want)
+	}
+	for id, pc := range res.PerCore {
+		if pc != nil && pc.DRAMChannels != want {
+			t.Errorf("PerCore[%d] reports %d DRAM channels, want %d", id, pc.DRAMChannels, want)
+		}
+	}
+	for i, iv := range res.Intervals {
+		for id, pc := range iv.PerCore {
+			if pc != nil && pc.DRAMChannels != want {
+				t.Errorf("Intervals[%d].PerCore[%d] reports %d DRAM channels, want %d", i, id, pc.DRAMChannels, want)
+			}
+		}
+	}
+}
+
 // TestSampledMatchesContiguousShape: sampled and contiguous measurements
 // of the same stream must agree on coarse metrics (same workload, warm
 // state) while the sampled run measures far fewer instructions.

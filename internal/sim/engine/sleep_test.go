@@ -64,7 +64,7 @@ func TestSleepSMTContextDrainsEarly(t *testing.T) {
 	}
 	sleepRun(t, "smt-drain/contiguous", "98d8d39c2d3ab411065c8f540ab133e3386d6843b455ce862c5b0b2256a4c4ee",
 		RunConfig{MeasureInsts: 3_000, MaxCycles: 20_000_000}, threads())
-	sleepRun(t, "smt-drain/sampled", "11f12eab07d3a0c45185e60a13355bf1670ede3195192fc922003e703817cbd9",
+	sleepRun(t, "smt-drain/sampled", "8adf868687923d81425ece01d345befbe6fde58aaeab3d7f2c66bec47833b464",
 		RunConfig{MeasureInsts: 500, MaxCycles: 20_000_000,
 			Intervals: 4, IntervalWarmInsts: 1_000, DetailWarmInsts: 300}, threads())
 }
