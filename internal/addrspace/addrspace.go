@@ -11,7 +11,6 @@ package addrspace
 
 import (
 	"fmt"
-	"sync"
 
 	"cloudsuite/internal/sim/checkpoint"
 )
@@ -53,12 +52,11 @@ const (
 	CacheLine uint64 = 64
 )
 
-// Heap is a concurrency-safe bump allocator for a region of the
-// simulated address space. It never frees: workloads model steady-state
-// heaps by allocating once and reusing, which matches how the measured
-// applications pre-size their datasets.
+// Heap is a bump allocator for a region of the simulated address space.
+// It never frees: workloads model steady-state heaps by allocating once
+// and reusing, which matches how the measured applications pre-size
+// their datasets. It is workload state (see workloads.Workload).
 type Heap struct {
-	mu   sync.Mutex
 	base uint64
 	next uint64
 	end  uint64
@@ -85,8 +83,6 @@ func (h *Heap) Alloc(size uint64, align uint64) uint64 {
 	if align&(align-1) != 0 {
 		panic(fmt.Sprintf("addrspace: alignment %d is not a power of two", align))
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	addr := (h.next + align - 1) &^ (align - 1)
 	if addr+size > h.end {
 		panic(fmt.Sprintf("addrspace: heap %q exhausted (%d bytes requested)", h.name, size))
@@ -98,23 +94,11 @@ func (h *Heap) Alloc(size uint64, align uint64) uint64 {
 // AllocLines allocates size bytes aligned to a cache line.
 func (h *Heap) AllocLines(size uint64) uint64 { return h.Alloc(size, CacheLine) }
 
-// AllocPage allocates one page-aligned page.
-func (h *Heap) AllocPage() uint64 { return h.Alloc(PageSize, PageSize) }
-
-// Used reports the number of bytes allocated (including alignment waste).
-func (h *Heap) Used() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.next - h.base
-}
-
 // SaveState serializes the allocation cursor. The region geometry is
 // construction-time configuration; only the bump cursor moves at run
 // time (workloads that allocate per request, like the dataserving
 // memtable, advance it), so it is the only field a warm image carries.
 func (h *Heap) SaveState(w *checkpoint.Writer) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	w.Tag("heap")
 	w.U64(h.base)
 	w.U64(h.end)
@@ -124,8 +108,6 @@ func (h *Heap) SaveState(w *checkpoint.Writer) {
 // LoadState restores the cursor, validating that the heap geometry
 // matches the one the snapshot was taken under.
 func (h *Heap) LoadState(rd *checkpoint.Reader) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	rd.Expect("heap")
 	base, end := rd.U64(), rd.U64()
 	next := rd.U64()

@@ -1,7 +1,6 @@
 package addrspace
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -10,11 +9,10 @@ func TestHeapAlloc(t *testing.T) {
 	h := NewHeap("t", 0x1000, 0x1000)
 	a := h.Alloc(100, 0)
 	b := h.Alloc(100, 0)
-	if a < 0x1000 || b < a+100 {
-		t.Fatalf("allocations overlap: a=%#x b=%#x", a, b)
-	}
-	if h.Used() < 200 {
-		t.Fatalf("used = %d, want >= 200", h.Used())
+	// A bump allocator: the second object starts at the first one's end,
+	// rounded up to the default 8-byte alignment.
+	if a != 0x1000 || b != 0x1068 {
+		t.Fatalf("allocations at a=%#x b=%#x, want 0x1000 and 0x1068", a, b)
 	}
 }
 
@@ -24,7 +22,7 @@ func TestHeapAlignment(t *testing.T) {
 	if a%64 != 0 {
 		t.Fatalf("alloc not aligned: %#x", a)
 	}
-	p := h.AllocPage()
+	p := h.Alloc(PageSize, PageSize)
 	if p%PageSize != 0 {
 		t.Fatalf("page not aligned: %#x", p)
 	}
@@ -48,32 +46,6 @@ func TestHeapBadAlignmentPanics(t *testing.T) {
 	}()
 	h := NewHeap("t", 0, 1024)
 	h.Alloc(8, 3)
-}
-
-func TestHeapConcurrentAllocationsDisjoint(t *testing.T) {
-	h := NewUserHeap()
-	const goroutines, per = 8, 200
-	addrs := make([][]uint64, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				addrs[g] = append(addrs[g], h.Alloc(64, 64))
-			}
-		}(g)
-	}
-	wg.Wait()
-	seen := map[uint64]bool{}
-	for _, as := range addrs {
-		for _, a := range as {
-			if seen[a] {
-				t.Fatalf("duplicate allocation %#x", a)
-			}
-			seen[a] = true
-		}
-	}
 }
 
 func TestArray(t *testing.T) {

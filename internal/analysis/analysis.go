@@ -134,17 +134,32 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 // the same rule covers the real module ("cloudsuite/internal/sim/...")
 // and test fixtures ("internal/sim/streami").
 func simPackagePath(path string) bool {
-	for _, frag := range []string{
+	return pathHasFragment(path,
 		"internal/sim",
 		"internal/trace",
 		"internal/workloads",
 		"internal/core",
 		"internal/oskern",
+		"internal/addrspace",
+		"internal/rng",
 		// internal/obs is the audited wall-clock boundary: it is inside
 		// the analyzer's scope precisely so every clock read there must
 		// carry a reviewed //simlint:ok suppression.
 		"internal/obs",
-	} {
+	)
+}
+
+// simStatePackagePath reports whether path holds simulation state, which
+// lives on one simulation goroutine. internal/trace (its buffer pool),
+// internal/core (the Runner) and internal/obs are concurrent by design.
+func simStatePackagePath(path string) bool {
+	return pathHasFragment(path, "internal/sim", "internal/workloads", "internal/oskern", "internal/addrspace", "internal/rng")
+}
+
+// pathHasFragment reports whether path is, contains or ends in one of
+// the slash-separated fragments.
+func pathHasFragment(path string, frags ...string) bool {
+	for _, frag := range frags {
 		if path == frag || strings.Contains(path, frag+"/") ||
 			strings.HasSuffix(path, "/"+frag) || strings.Contains(path, "/"+frag+"/") {
 			return true

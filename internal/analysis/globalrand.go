@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // GlobalRand flags ambient nondeterminism and package-global mutable
@@ -26,9 +27,13 @@ import (
 //     parallel Runner until PR 5 moved it into the System struct.
 //     Genuinely immutable package-level values (a format magic, a
 //     lookup table written once) carry //simlint:ok globalrand <reason>.
+//   - sync and sync/atomic imports in simulation-state packages
+//     (simStatePackagePath): workload and simulator state is touched
+//     only on the simulation goroutine, so a lock or an atomic there
+//     guards nothing and implies a second concurrency model.
 var GlobalRand = &Analyzer{
 	Name: "globalrand",
-	Doc:  "flags process-global randomness, wall-clock reads, and package-level mutable state in simulator packages",
+	Doc:  "flags process-global randomness, wall-clock reads, package-level mutable state, and sync imports in simulation-state packages",
 	Run:  runGlobalRand,
 }
 
@@ -49,6 +54,15 @@ func runGlobalRand(pass *Pass) error {
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue
+		}
+		if simStatePackagePath(pass.Pkg.Path()) {
+			for _, imp := range f.Imports {
+				if path := strings.Trim(imp.Path.Value, `"`); path == "sync" || path == "sync/atomic" {
+					pass.Reportf(imp.Pos(),
+						"simulation state lives on the one simulation goroutine; %s guards nothing here (single-goroutine contract)",
+						path)
+				}
+			}
 		}
 		// Package-level vars.
 		for _, decl := range f.Decls {

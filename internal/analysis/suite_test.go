@@ -21,8 +21,9 @@ func TestMapOrder(t *testing.T) {
 
 func TestGlobalRand(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.GlobalRand,
-		"internal/sim/debugcache", // seeded DebugSharing package-global bug
-		"tools",                   // outside the guarded roots: must stay silent
+		"internal/sim/debugcache",        // seeded DebugSharing package-global bug
+		"internal/workloads/lockedstore", // locks and atomics in workload state
+		"tools",                          // outside the guarded roots: must stay silent
 	)
 }
 

@@ -31,8 +31,8 @@ const (
 	// PhaseSetup is everything not otherwise attributed: workload
 	// startup, machine construction, result aggregation.
 	PhaseSetup Phase = iota
-	// PhaseTraceGen is time inside trace-generator batch pulls
-	// (workload goroutine lockstep execution), wherever they occur.
+	// PhaseTraceGen is time inside trace-generator batch pulls (the
+	// workload Steps they run), wherever they occur.
 	PhaseTraceGen
 	// PhaseFuncWarm is functional warming: cold warm-up plus the
 	// between-interval warming of sampled runs.

@@ -15,17 +15,14 @@
 package oskern
 
 import (
-	"sync/atomic"
-
 	"cloudsuite/internal/addrspace"
 	"cloudsuite/internal/sim/checkpoint"
 	"cloudsuite/internal/trace"
 )
 
 // Kernel is one simulated operating-system instance, shared by all the
-// threads of a workload. The emission helpers are safe for concurrent
-// use by multiple emitter goroutines: mutable cursors are atomics and
-// all other state is read-only after construction.
+// threads of a workload. It is workload state (see workloads.Workload):
+// the connection counter and the heap cursor are its only moving parts.
 type Kernel struct {
 	heap *addrspace.Heap
 
@@ -48,61 +45,46 @@ type Kernel struct {
 	fnLockPath  *trace.Func //simlint:ok checkpointcov construction-time code layout
 
 	// Shared kernel data.
-	skbPool  addrspace.Array //simlint:ok checkpointcov socket-buffer pool geometry, fixed at construction
-	skbNext  atomic.Uint64
+	skbPool  addrspace.Array   //simlint:ok checkpointcov socket-buffer pool geometry, fixed at construction
 	rings    []addrspace.Array //simlint:ok checkpointcov construction-time allocation geometry
-	ringCur  []atomic.Uint64
-	stats    uint64          //simlint:ok checkpointcov construction-time allocation address
-	nicTail  []uint64        //simlint:ok checkpointcov construction-time allocation addresses
-	sockHash addrspace.Array //simlint:ok checkpointcov construction-time allocation geometry
-	runq     addrspace.Array //simlint:ok checkpointcov construction-time allocation geometry
-	pgCache  addrspace.Array //simlint:ok checkpointcov construction-time allocation geometry
-	pcpu     addrspace.Array //simlint:ok checkpointcov construction-time allocation geometry
-	connSeq  atomic.Uint64
+	stats    uint64            //simlint:ok checkpointcov construction-time allocation address
+	sockHash addrspace.Array   //simlint:ok checkpointcov construction-time allocation geometry
+	runq     addrspace.Array   //simlint:ok checkpointcov construction-time allocation geometry
+	pgCache  addrspace.Array   //simlint:ok checkpointcov construction-time allocation geometry
+	pcpu     addrspace.Array   //simlint:ok checkpointcov construction-time allocation geometry
+	connSeq  uint64
 }
 
-// SaveState serializes the kernel's mutable cursors and its heap cursor.
+// SaveState serializes the kernel's connection counter and heap cursor.
 // Code layout and the shared data arrays are construction-time state that
 // New rebuilds identically (the kernel's construction is deterministic in
-// its Config), so only the moving parts are written.
+// its Config), so only the moving parts are written, plus the NIC count
+// so that a restore onto a kernel of another geometry fails.
 func (k *Kernel) SaveState(w *checkpoint.Writer) {
 	w.Tag("oskern")
-	w.U64(k.connSeq.Load())
-	w.U64(k.skbNext.Load())
-	w.U32(uint32(len(k.ringCur)))
-	for i := range k.ringCur {
-		w.U64(k.ringCur[i].Load())
-	}
+	w.U64(k.connSeq)
+	w.U32(uint32(len(k.rings)))
 	k.heap.SaveState(w)
 }
 
-// LoadState restores cursors written by SaveState onto a freshly
+// LoadState restores state written by SaveState onto a freshly
 // constructed kernel with the same Config.
 func (k *Kernel) LoadState(rd *checkpoint.Reader) {
 	rd.Expect("oskern")
 	connSeq := rd.U64()
-	skbNext := rd.U64()
 	n := int(rd.U32())
 	if rd.Err() != nil {
 		return
 	}
-	if n != len(k.ringCur) {
-		rd.Failf("oskern: snapshot has %d NIC rings, kernel has %d", n, len(k.ringCur))
+	if n != len(k.rings) {
+		rd.Failf("oskern: snapshot has %d NIC rings, kernel has %d", n, len(k.rings))
 		return
-	}
-	cur := make([]uint64, n)
-	for i := range cur {
-		cur[i] = rd.U64()
 	}
 	k.heap.LoadState(rd)
 	if rd.Err() != nil {
 		return
 	}
-	k.connSeq.Store(connSeq)
-	k.skbNext.Store(skbNext)
-	for i := range cur {
-		k.ringCur[i].Store(cur[i])
-	}
+	k.connSeq = connSeq
 }
 
 // Config scales the kernel model.
@@ -192,26 +174,20 @@ func New(cfg Config) *Kernel {
 	pages := uint64(cfg.PageCacheMB) << 20 / addrspace.PageSize // page cache
 	k.pgCache = addrspace.NewArray(k.heap, pages, addrspace.PageSize)
 	k.rings = make([]addrspace.Array, cfg.NICs)
-	k.ringCur = make([]atomic.Uint64, cfg.NICs)
-	k.nicTail = make([]uint64, cfg.NICs)
 	for i := range k.rings {
 		k.rings[i] = addrspace.NewArray(k.heap, 512, 16)
-		k.nicTail[i] = k.heap.AllocLines(64)
+		k.heap.AllocLines(64) // NIC tail registers: nothing reads them; the allocation keeps the layout after it
 	}
 	return k
 }
-
-// OpenConn allocates kernel state for one connection, recycling socket
-// buffers from CPU pool 0. Prefer OpenConnOn for multi-threaded
-// workloads.
-func (k *Kernel) OpenConn() *Conn { return k.OpenConnOn(0) }
 
 // OpenConnOn allocates kernel state for one connection whose syscalls
 // run on the given CPU (software thread). Socket buffers recycle from a
 // small per-CPU slab window, like the kernel's per-CPU caches: the hot
 // set stays cache-resident and buffers never migrate between cores.
 func (k *Kernel) OpenConnOn(cpu int) *Conn {
-	id := k.connSeq.Add(1)
+	k.connSeq++
+	id := k.connSeq
 	const win = 16
 	lo := (uint64(cpu) * win) % k.skbPool.Len
 	return &Conn{

@@ -50,7 +50,7 @@ func TestSendEmitsKernelInstructions(t *testing.T) {
 	var conn *Conn
 	insts := runKernel(t, 20000, func(k *Kernel, e *trace.Emitter) {
 		if conn == nil {
-			conn = k.OpenConn()
+			conn = k.OpenConnOn(0)
 		}
 		k.Send(e, conn, 0x4000_0000, 1460)
 	})
@@ -69,7 +69,7 @@ func TestSendSegmentsBySize(t *testing.T) {
 		var conn *Conn
 		insts := runKernel(t, 30000, func(k *Kernel, e *trace.Emitter) {
 			if conn == nil {
-				conn = k.OpenConn()
+				conn = k.OpenConnOn(0)
 			}
 			k.Send(e, conn, 0x4000_0000, bytes)
 		})
@@ -92,7 +92,7 @@ func TestRecvTouchesUserBuffer(t *testing.T) {
 	var conn *Conn
 	insts := runKernel(t, 20000, func(k *Kernel, e *trace.Emitter) {
 		if conn == nil {
-			conn = k.OpenConn()
+			conn = k.OpenConnOn(0)
 		}
 		k.Recv(e, conn, userBuf, 1460)
 	})
@@ -151,7 +151,7 @@ func TestSkbPoolsArePerCPU(t *testing.T) {
 
 func TestConnControlBlocksDisjoint(t *testing.T) {
 	k := New(DefaultConfig())
-	a, b := k.OpenConn(), k.OpenConn()
+	a, b := k.OpenConnOn(0), k.OpenConnOn(0)
 	// The generic kernel work walks 6 lines from the hot address; the
 	// control blocks must be padded at least that far apart.
 	if b.tcb-a.tcb < 384 && a.tcb-b.tcb < 384 {
@@ -194,8 +194,7 @@ func TestKernelSaveLoadRoundTrip(t *testing.T) {
 			c.calls++
 		}
 	}
-	k.skbNext.Store(17)
-	k.ringCur[1].Store(9)
+	k.OpenConnOn(2) // a third connection, so connSeq differs from a fresh two-connection kernel's
 
 	var w checkpoint.Writer
 	k.SaveState(&w)
@@ -214,14 +213,8 @@ func TestKernelSaveLoadRoundTrip(t *testing.T) {
 	if err := rd.Err(); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if got := k2.connSeq.Load(); got != k.connSeq.Load() {
-		t.Fatalf("connSeq %d, want %d", got, k.connSeq.Load())
-	}
-	if got := k2.skbNext.Load(); got != 17 {
-		t.Fatalf("skbNext %d, want 17", got)
-	}
-	if got := k2.ringCur[1].Load(); got != 9 {
-		t.Fatalf("ringCur[1] %d, want 9", got)
+	if got := k2.connSeq; got != k.connSeq {
+		t.Fatalf("connSeq %d, want %d", got, k.connSeq)
 	}
 	for i := range conns {
 		if conns2[i].skbCur != conns[i].skbCur || conns2[i].calls != conns[i].calls {

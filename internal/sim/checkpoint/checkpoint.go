@@ -63,8 +63,10 @@ import (
 // and the engine's fetch-buffer section is gone; v6 keeps v5's byte
 // layout but the cache's in-memory directory moved out of its ways into
 // a machine-sized per-LLC array, and restore rejects directory ids
-// beyond the machine.
-const Version = 6
+// beyond the machine; v7's kernel section drops two cursors that never
+// advanced (the socket-buffer and NIC-ring cursors) and keeps the NIC
+// count, so a restore onto another NIC geometry still fails.
+const Version = 7
 
 //simlint:ok globalrand write-once file-format magic, read-only after initialization
 var magic = [8]byte{'C', 'S', 'C', 'K', 'P', 'T', '0', '1'}

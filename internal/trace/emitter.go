@@ -481,9 +481,7 @@ func (e *Emitter) LoadState(rd *checkpoint.Reader) int {
 // in exactly the order the (single-threaded) simulator pulls batches.
 // That ordering, plus the seeded emitter RNG, makes a run a
 // deterministic function of its seeds even when threads share data
-// structures — the same property the earlier goroutine-based generator
-// obtained through lockstep channels, now structural instead of
-// protocol-enforced.
+// structures, and why shared workload state needs no locks.
 type Program interface {
 	Step(e *Emitter) bool
 }
@@ -513,9 +511,8 @@ type Stateful interface {
 }
 
 // StepGen adapts a Program to the Generator interface, owning the
-// emitter the program emits into. It replaces the goroutine-per-thread
-// generator: there is no background goroutine, no channel protocol, and
-// the whole generator state is serializable when the program is
+// emitter the program emits into. There is no background goroutine,
+// and the whole generator state is serializable when the program is
 // Stateful.
 type StepGen struct {
 	e    *Emitter

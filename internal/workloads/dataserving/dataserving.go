@@ -13,9 +13,6 @@
 package dataserving
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"cloudsuite/internal/addrspace"
 	"cloudsuite/internal/oskern"
 	"cloudsuite/internal/rng"
@@ -84,14 +81,13 @@ type Store struct {
 	runs    []run
 	headers addrspace.Array // shared record headers marked by GC
 
-	mu       sync.RWMutex
 	memHead  *slNode
 	memLevel int
 	memCount int
 
 	logAddr uint64
-	logCur  atomic.Uint64
-	gcCur   atomic.Uint64
+	logCur  uint64
+	gcCur   uint64
 }
 
 // New builds the store and its dataset.
@@ -133,15 +129,6 @@ func New(cfg Config) *Store {
 	return s
 }
 
-// DatasetBytes reports the primary data footprint.
-func (s *Store) DatasetBytes() uint64 {
-	var t uint64
-	for i := range s.runs {
-		t += s.runs[i].recs.Bytes()
-	}
-	return t
-}
-
 // Start implements workloads.Workload.
 func (s *Store) Start(n int, seed int64) []*trace.StepGen {
 	gens := make([]*trace.StepGen, n)
@@ -161,11 +148,8 @@ func (s *Store) SaveShared(w *checkpoint.Writer) {
 	w.Tag("dataserving.shared")
 	s.kern.SaveState(w)
 	s.heap.SaveState(w)
-	w.U64(s.logCur.Load())
-	w.U64(s.gcCur.Load())
-
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	w.U64(s.logCur)
+	w.U64(s.gcCur)
 	w.U32(uint32(s.memLevel))
 	w.U32(uint32(s.memCount))
 	n := 0
@@ -186,11 +170,8 @@ func (s *Store) LoadShared(rd *checkpoint.Reader) {
 	rd.Expect("dataserving.shared")
 	s.kern.LoadState(rd)
 	s.heap.LoadState(rd)
-	s.logCur.Store(rd.U64())
-	s.gcCur.Store(rd.U64())
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.logCur = rd.U64()
+	s.gcCur = rd.U64()
 	memLevel := int(rd.U32())
 	memCount := int(rd.U32())
 	n := int(rd.U32())
@@ -226,32 +207,6 @@ func (s *Store) LoadShared(rd *checkpoint.Reader) {
 	s.memCount = memCount
 }
 
-// probeStep is one recorded step of a read-side skiplist traversal.
-type probeStep struct {
-	addr uint64
-	lvl  uint64
-	alu  bool
-}
-
-// chase is one recorded pointer chase of a write-side traversal.
-type chase struct {
-	addr uint64
-	lvl  uint64
-}
-
-// linkPair is one recorded per-level pointer update of an insert.
-type linkPair struct {
-	newAddr, predAddr uint64
-}
-
-// scratch is per-thread recording space for the snapshot-then-emit
-// paths, reused across requests so the hot loop does not allocate.
-type scratch struct {
-	path   []probeStep
-	walk   []chase
-	linked []linkPair
-}
-
 // thread is one server thread's resumable request loop: each Step emits
 // one request. All mutable draw state lives in the rng; the kernel-side
 // cursors live in conn; everything else is construction-time layout.
@@ -260,7 +215,6 @@ type thread struct {
 	tid     int             //simlint:ok checkpointcov construction-time identity
 	rnd     *rng.Rand       // request mix + insert heights
 	zipf    *workloads.Zipf //simlint:ok checkpointcov immutable params; draw state lives in rnd
-	sc      scratch         //simlint:ok checkpointcov transient per-request recording space
 	conn    *oskern.Conn
 	stack   uint64 //simlint:ok checkpointcov construction-time address
 	reqBuf  uint64 //simlint:ok checkpointcov construction-time address
@@ -295,10 +249,10 @@ func (t *thread) Step(e *trace.Emitter) bool {
 	s.bank.Exec(e, key*0x9e3779b9+uint64(t.tid), 22, s.cfg.FrameworkInsts, t.stack, 3)
 
 	if t.rnd.Float64() < s.cfg.ReadFrac {
-		s.read(e, key, t.respBuf, t.stack, &t.sc)
+		s.read(e, key, t.respBuf, t.stack)
 		s.kern.Send(e, t.conn, t.respBuf, int(s.cfg.RecordBytes))
 	} else {
-		s.write(e, key, t.rnd, t.stack, &t.sc)
+		s.write(e, key, t.rnd, t.stack)
 		s.kern.Send(e, t.conn, t.respBuf, 64)
 	}
 
@@ -329,32 +283,18 @@ func (t *thread) LoadState(rd *checkpoint.Reader) {
 }
 
 // read emits the full read path for key.
-func (s *Store) read(e *trace.Emitter, key uint64, respBuf, stack uint64, sc *scratch) {
-	// Memtable probe: pointer-chase down the skiplist. The traversal is
-	// recorded under the lock and emitted after releasing it: emitter
-	// calls can park the goroutine at a batch boundary (lockstep
-	// generation, see internal/trace), so no Go lock may be held across
-	// them.
-	sc.path = sc.path[:0]
-	s.mu.RLock()
-	node := s.memHead
-	head := node.addr
-	for lvl := s.memLevel - 1; lvl >= 0; lvl-- {
-		for node.next[lvl] != nil && node.next[lvl].key < key {
-			node = node.next[lvl]
-			sc.path = append(sc.path, probeStep{addr: node.addr, lvl: uint64(lvl)})
-		}
-		sc.path = append(sc.path, probeStep{alu: true})
-	}
-	s.mu.RUnlock()
+func (s *Store) read(e *trace.Emitter, key uint64, respBuf, stack uint64) {
+	// Memtable probe: pointer-chase down the skiplist, one dependent
+	// load per link followed and one compare per level.
 	e.InFunc(s.fnMemtable, func() {
-		v := e.Load(head, 8, trace.NoVal, false)
-		for _, st := range sc.path {
-			if st.alu {
-				v = e.ALU(v, trace.NoVal)
-			} else {
-				v = e.Load(st.addr+st.lvl*8, 8, v, true)
+		node := s.memHead
+		v := e.Load(node.addr, 8, trace.NoVal, false)
+		for lvl := s.memLevel - 1; lvl >= 0; lvl-- {
+			for node.next[lvl] != nil && node.next[lvl].key < key {
+				node = node.next[lvl]
+				v = e.Load(node.addr+uint64(lvl)*8, 8, v, true)
 			}
+			v = e.ALU(v, trace.NoVal)
 		}
 	})
 
@@ -438,61 +378,48 @@ func (s *Store) read(e *trace.Emitter, key uint64, respBuf, stack uint64, sc *sc
 
 // write emits the write path: a skiplist insert plus a commit-log
 // append.
-func (s *Store) write(e *trace.Emitter, key uint64, rnd *rng.Rand, stack uint64, sc *scratch) {
-	// Real skiplist insert. The structural update happens under the
-	// lock while recording the touched addresses; the instruction
-	// stream is emitted afterwards so no Go lock is held across emitter
-	// calls (which can park the goroutine, see the read path).
-	sc.walk, sc.linked = sc.walk[:0], sc.linked[:0]
-	s.mu.Lock()
-	head := s.memHead.addr
-	update := make([]*slNode, 16)
-	node := s.memHead
-	for lvl := s.memLevel - 1; lvl >= 0; lvl-- {
-		for node.next[lvl] != nil && node.next[lvl].key < key {
-			node = node.next[lvl]
-			sc.walk = append(sc.walk, chase{addr: node.addr, lvl: uint64(lvl)})
+func (s *Store) write(e *trace.Emitter, key uint64, rnd *rng.Rand, stack uint64) {
+	// Real skiplist insert: walk to the predecessors at every level,
+	// then link a node of random height after them, storing its forward
+	// pointers and the predecessors'.
+	e.InFunc(s.fnInsert, func() {
+		var update [16]*slNode
+		node := s.memHead
+		v := e.Load(node.addr, 8, trace.NoVal, false)
+		for lvl := s.memLevel - 1; lvl >= 0; lvl-- {
+			for node.next[lvl] != nil && node.next[lvl].key < key {
+				node = node.next[lvl]
+				v = e.Load(node.addr+uint64(lvl)*8, 8, v, true)
+			}
+			update[lvl] = node
 		}
-		update[lvl] = node
-	}
-	h := 1
-	for h < 16 && rnd.Intn(2) == 0 {
-		h++
-	}
-	if h > s.memLevel {
+		h := 1
+		for h < 16 && rnd.Intn(2) == 0 {
+			h++
+		}
 		for l := s.memLevel; l < h; l++ {
 			update[l] = s.memHead
 		}
-		s.memLevel = h
-	}
-	nn := &slNode{key: key, addr: s.heap.AllocLines(160), next: make([]*slNode, h)}
-	for l := 0; l < h; l++ {
-		nn.next[l] = update[l].next[l]
-		update[l].next[l] = nn
-		sc.linked = append(sc.linked, linkPair{newAddr: nn.addr + uint64(l)*8, predAddr: update[l].addr + uint64(l)*8})
-	}
-	s.memCount++
-	// Bound the memtable like a flush would: recycle by dropping
-	// (model only; the sorted runs remain the read target).
-	if s.memCount > 4096 {
-		s.memHead.next = make([]*slNode, 16)
-		s.memLevel = 1
-		s.memCount = 0
-	}
-	s.mu.Unlock()
-
-	e.InFunc(s.fnInsert, func() {
-		v := e.Load(head, 8, trace.NoVal, false)
-		for _, c := range sc.walk {
-			v = e.Load(c.addr+c.lvl*8, 8, v, true)
+		s.memLevel = max(s.memLevel, h)
+		nn := &slNode{key: key, addr: s.heap.AllocLines(160), next: make([]*slNode, h)}
+		for l := 0; l < h; l++ {
+			nn.next[l] = update[l].next[l]
+			update[l].next[l] = nn
+			e.Store(nn.addr+uint64(l)*8, 8, v, trace.NoVal)
+			e.Store(update[l].addr+uint64(l)*8, 8, trace.NoVal, trace.NoVal)
 		}
-		for _, c := range sc.linked {
-			e.Store(c.newAddr, 8, v, trace.NoVal)
-			e.Store(c.predAddr, 8, trace.NoVal, trace.NoVal)
+		s.memCount++
+		// Bound the memtable like a flush would: recycle by dropping
+		// (model only; the sorted runs remain the read target).
+		if s.memCount > 4096 {
+			s.memHead.next = make([]*slNode, 16)
+			s.memLevel = 1
+			s.memCount = 0
 		}
 	})
 	e.InFunc(s.fnCommitLog, func() {
-		pos := s.logCur.Add(s.cfg.RecordBytes) % (8 << 20)
+		s.logCur += s.cfg.RecordBytes
+		pos := s.logCur % (8 << 20)
 		for off := uint64(0); off < s.cfg.RecordBytes; off += 64 {
 			e.Store(s.logAddr+(pos+off)%(8<<20), 64, trace.NoVal, trace.NoVal)
 		}
@@ -507,7 +434,8 @@ func (s *Store) write(e *trace.Emitter, key uint64, rnd *rng.Rand, stack uint64,
 func (s *Store) gcQuantum(e *trace.Emitter) {
 	e.InFunc(s.fnGC, func() {
 		const chunk = 64
-		start := s.gcCur.Add(chunk) % s.cfg.Records
+		s.gcCur += chunk
+		start := s.gcCur % s.cfg.Records
 		var v trace.Val = trace.NoVal
 		for i := uint64(0); i < chunk; i++ {
 			idx := (start + i) % s.cfg.Records

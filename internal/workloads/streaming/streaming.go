@@ -17,8 +17,6 @@
 package streaming
 
 import (
-	"sync/atomic"
-
 	"cloudsuite/internal/addrspace"
 	"cloudsuite/internal/oskern"
 	"cloudsuite/internal/rng"
@@ -67,7 +65,7 @@ type Server struct {
 	fileBase  []uint64
 	fileSize  []uint64
 	statsAddr uint64 // global packet counters (shared, read-write)
-	sessSeq   atomic.Uint64
+	sessSeq   uint64
 }
 
 // New builds the server and its media library.
@@ -109,7 +107,7 @@ func (s *Server) SaveShared(w *checkpoint.Writer) {
 	w.Tag("streaming.shared")
 	s.kern.SaveState(w)
 	s.heap.SaveState(w)
-	w.U64(s.sessSeq.Load())
+	w.U64(s.sessSeq)
 }
 
 // LoadShared restores state written by SaveShared.
@@ -117,7 +115,7 @@ func (s *Server) LoadShared(rd *checkpoint.Reader) {
 	rd.Expect("streaming.shared")
 	s.kern.LoadState(rd)
 	s.heap.LoadState(rd)
-	s.sessSeq.Store(rd.U64())
+	s.sessSeq = rd.U64()
 }
 
 type session struct {
@@ -277,7 +275,7 @@ func (th *sthread) Step(e *trace.Emitter) bool {
 				e.Store(pktBuf, 64, v, trace.NoVal)
 				// Global packet counters: the shared-object bottleneck the
 				// paper describes (per-thread statistics would avoid it).
-				if p == 0 && s.sessSeq.Load()%4 == 0 {
+				if p == 0 && s.sessSeq%4 == 0 {
 					g := e.Load(s.statsAddr, 8, trace.NoVal, false)
 					e.Store(s.statsAddr, 8, g, trace.NoVal)
 				}
@@ -292,7 +290,8 @@ func (th *sthread) Step(e *trace.Emitter) bool {
 			}
 		}
 
-		if s.sessSeq.Add(1)%256 == 0 {
+		s.sessSeq++
+		if s.sessSeq%256 == 0 {
 			s.kern.SchedTick(e, tid)
 		}
 	}

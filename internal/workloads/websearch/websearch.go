@@ -16,8 +16,6 @@
 package websearch
 
 import (
-	"sync/atomic"
-
 	"cloudsuite/internal/addrspace"
 	"cloudsuite/internal/oskern"
 	"cloudsuite/internal/rng"
@@ -74,7 +72,7 @@ type Node struct {
 	docMeta  addrspace.Array // per-doc metadata
 	norms    addrspace.Array // per-doc length norms (scored sequentially)
 	headers  addrspace.Array // object headers for the GC quantum
-	gcCur    atomic.Uint64
+	gcCur    uint64
 }
 
 // New builds the index.
@@ -152,7 +150,7 @@ func (n *Node) SaveShared(w *checkpoint.Writer) {
 	w.Tag("websearch.shared")
 	n.kern.SaveState(w)
 	n.heap.SaveState(w)
-	w.U64(n.gcCur.Load())
+	w.U64(n.gcCur)
 }
 
 // LoadShared restores state written by SaveShared.
@@ -160,7 +158,7 @@ func (n *Node) LoadShared(rd *checkpoint.Reader) {
 	rd.Expect("websearch.shared")
 	n.kern.LoadState(rd)
 	n.heap.LoadState(rd)
-	n.gcCur.Store(rd.U64())
+	n.gcCur = rd.U64()
 }
 
 // qthread is one index-serving thread; each Step emits one query.
@@ -309,7 +307,8 @@ func (th *qthread) Step(e *trace.Emitter) bool {
 func (n *Node) gcQuantum(e *trace.Emitter) {
 	e.InFunc(n.fnGC, func() {
 		const chunk = 64
-		start := n.gcCur.Add(chunk) % n.cfg.Docs
+		n.gcCur += chunk
+		start := n.gcCur % n.cfg.Docs
 		for i := uint64(0); i < chunk; i++ {
 			idx := (start + i) % n.cfg.Docs
 			v := e.Load(n.headers.At(idx), 8, trace.NoVal, false)

@@ -53,7 +53,10 @@ func (c Class) String() string {
 
 // Workload is one benchmark: a factory for per-thread instruction
 // streams over a shared simulated dataset. It carries no name: the
-// core.Bench that constructs it is the benchmark's only identity.
+// core.Bench that constructs it is the benchmark's only identity. Its
+// state, kernel and heaps included, is touched only by the threads'
+// Steps, SaveShared and LoadShared, all on the simulation goroutine,
+// so it holds no locks or atomics.
 type Workload interface {
 	// Start launches n software threads and returns their generators.
 	// The caller owns closing them. Threads are step-driven programs
@@ -100,15 +103,6 @@ func NewCodeBank(layout *trace.CodeLayout, name string, nFuncs, instsPerFunc int
 		b.Funcs[i] = layout.Func(name, instsPerFunc)
 	}
 	return b
-}
-
-// FootprintBytes reports the static code footprint of the bank.
-func (b *CodeBank) FootprintBytes() uint64 {
-	var t uint64
-	for _, f := range b.Funcs {
-		t += f.Size * trace.InstBytes
-	}
-	return t
 }
 
 // Exec runs dynInsts instructions of framework code spread over calls

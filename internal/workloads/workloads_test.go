@@ -26,9 +26,10 @@ func TestCodeBankFootprint(t *testing.T) {
 	if len(b.Funcs) != 100 {
 		t.Fatalf("funcs = %d", len(b.Funcs))
 	}
-	want := uint64(100 * 900 * trace.InstBytes)
-	if b.FootprintBytes() != want {
-		t.Fatalf("footprint = %d, want %d", b.FootprintBytes(), want)
+	for i, f := range b.Funcs {
+		if f.Size != 900 {
+			t.Fatalf("func %d has %d insts, want 900", i, f.Size)
+		}
 	}
 }
 
