@@ -481,7 +481,7 @@ func (e *Emitter) LoadState(rd *checkpoint.Reader) int {
 // in exactly the order the (single-threaded) simulator pulls batches.
 // That ordering, plus the seeded emitter RNG, makes a run a
 // deterministic function of its seeds even when threads share data
-// structures, and why shared workload state needs no locks.
+// structures; it is also why shared workload state needs no locks.
 type Program interface {
 	Step(e *Emitter) bool
 }
