@@ -12,6 +12,10 @@
 // -json replaces the text tables with one machine-readable JSON object
 // (full operation mix, footprints, and dependence histogram) for
 // scripted comparisons across workloads.
+//
+// The histogram's top bucket, ">128", counts distances from 129 up to
+// 255: an instruction records its dependence distances saturated at
+// trace.MaxDepDist, so 255 stands for 255 or farther.
 package main
 
 import (
@@ -134,7 +138,9 @@ func (s *stats) add(insts []trace.Inst) {
 	}
 }
 
-func bucket(d int32) int {
+// bucket maps a dependence distance to its histogram bucket; the top
+// one holds 129 up to the saturated 255.
+func bucket(d uint8) int {
 	switch {
 	case d <= 1:
 		return 0

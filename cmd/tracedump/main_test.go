@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"cloudsuite/internal/trace"
 )
 
 // TestTextReport: the default text report profiles the requested
@@ -40,7 +42,25 @@ func TestJSONReport(t *testing.T) {
 		t.Errorf("operation mix sums to %.6f%%", sum)
 	}
 	if len(doc.DepHist) != 8 || doc.UserCode == 0 || doc.Data == 0 {
-		t.Errorf("incomplete profile: %d histogram buckets, %d code bytes, %d data bytes", len(doc.DepHist), doc.UserCode, doc.Data)
+		t.Fatalf("incomplete profile: %d histogram buckets, %d code bytes, %d data bytes", len(doc.DepHist), doc.UserCode, doc.Data)
+	}
+	// The top bucket counts distances from 129 up to the saturated 255,
+	// which stands for every producer 255 or more instructions back.
+	if top := doc.DepHist[7].Distance; top != ">128" {
+		t.Errorf("top dependence bucket %q, want >128", top)
+	}
+}
+
+// TestBucketEdges: each bucket ends where its label says, and the
+// saturated distance lands in the top bucket.
+func TestBucketEdges(t *testing.T) {
+	for _, c := range []struct {
+		d    uint8
+		want int
+	}{{1, 0}, {2, 1}, {4, 2}, {5, 3}, {16, 4}, {48, 5}, {128, 6}, {129, 7}, {trace.MaxDepDist, 7}} {
+		if got := bucket(c.d); got != c.want {
+			t.Errorf("distance %d in bucket %d, want %d", c.d, got, c.want)
+		}
 	}
 }
 

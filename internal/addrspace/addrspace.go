@@ -131,17 +131,14 @@ func (h *Heap) LoadState(rd *checkpoint.Reader) {
 // fixed-size elements.
 type Array struct {
 	Base   uint64
-	Elem   uint64
 	Len    uint64
-	stride uint64
+	stride uint64 // element size in bytes
 }
 
-// NewArray allocates an array of n elements of elemSize bytes, padding
-// each element to its natural alignment within the array.
+// NewArray allocates an array of n elements of elemSize bytes, packed
+// back to back from a cache-line boundary.
 func NewArray(h *Heap, n, elemSize uint64) Array {
-	stride := elemSize
-	base := h.AllocLines(n * stride)
-	return Array{Base: base, Elem: elemSize, Len: n, stride: stride}
+	return Array{Base: h.AllocLines(n * elemSize), Len: n, stride: elemSize}
 }
 
 // At returns the simulated address of element i.

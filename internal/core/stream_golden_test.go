@@ -42,16 +42,13 @@ const (
 )
 
 // appendInst appends the little-endian encoding of one instruction.
-// Each dependence distance is one byte that saturates at 255: no
-// instruction window can hold a producer 255 or more instructions back,
-// so that is every distance the timing model can tell apart.
+// Each dependence distance is its one saturated byte (trace.DepDist).
 func appendInst(b []byte, in *trace.Inst) []byte {
 	le := binary.LittleEndian
 	b = le.AppendUint64(b, in.PC)
 	b = le.AppendUint64(b, in.Addr)
 	b = le.AppendUint64(b, in.Target)
-	b = append(b, byte(min(in.DepA, 255)), byte(min(in.DepB, 255)))
-	b = append(b, in.Size, byte(in.Op))
+	b = append(b, in.DepA, in.DepB, in.Size, byte(in.Op))
 	for _, f := range []bool{in.Kernel, in.Taken, in.Uncond, in.AcquiresDep} {
 		var v byte
 		if f {

@@ -65,8 +65,11 @@ import (
 // a machine-sized per-LLC array, and restore rejects directory ids
 // beyond the machine; v7's kernel section drops two cursors that never
 // advanced (the socket-buffer and NIC-ring cursors) and keeps the NIC
-// count, so a restore onto another NIC geometry still fails.
-const Version = 7
+// count, so a restore onto another NIC geometry still fails; v8's
+// residue records are 32 bytes instead of 38, with each dependence
+// distance one byte saturated at 255 (trace.MaxDepDist), and
+// addrspace.Array drops its unread Elem field.
+const Version = 8
 
 //simlint:ok globalrand write-once file-format magic, read-only after initialization
 var magic = [8]byte{'C', 'S', 'C', 'K', 'P', 'T', '0', '1'}

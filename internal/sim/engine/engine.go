@@ -32,7 +32,9 @@ import (
 type CoreConfig struct {
 	// Width is the issue/retire width.
 	Width int
-	// ROB is the reorder-buffer capacity (shared between SMT contexts).
+	// ROB is the reorder-buffer capacity (shared between SMT contexts),
+	// at most trace.MaxDepDist: a longer window could hold a producer
+	// whose saturated dependence distance no longer locates it.
 	ROB int
 	// RS is the reservation-station count.
 	RS int
@@ -212,7 +214,8 @@ const (
 // behind producers that have not issued yet is threaded onto each
 // producer's consumer list (one edge per operand, so at most two) and
 // counts them in pending; readyAt is the latest completion among its
-// issued producers.
+// issued producers. An entry is 64 bytes, one host cache line, with the
+// 32-byte trace.Inst in its first half.
 type entry struct {
 	inst    trace.Inst
 	doneAt  int64
@@ -352,7 +355,7 @@ func (c *context) advance() { c.pos++ }
 // which is about to occupy absolute index seq. A producer that already
 // committed imposes nothing; one that issued raises readyAt to its
 // completion; one still waiting gets the operand on its consumer list.
-func (c *context) link(slot int, seq int64, k int, d int32) {
+func (c *context) link(slot int, seq int64, k int, d uint8) {
 	if d == 0 {
 		return
 	}
@@ -483,6 +486,9 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 	}
 	if cfg.Core.Width == 0 {
 		cfg.Core = DefaultCoreConfig()
+	}
+	if cfg.Core.ROB > trace.MaxDepDist {
+		return nil, nil, fmt.Errorf("engine: ROB %d exceeds %d entries, the farthest dependence distance an instruction records", cfg.Core.ROB, trace.MaxDepDist)
 	}
 	// An entirely-unspecified core grid selects the Table-1 machine; a
 	// partially- or badly-specified one is an error, not a silent

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"cloudsuite/internal/sim/cache"
 	"cloudsuite/internal/sim/topo"
@@ -29,11 +31,11 @@ func mkRun(t *testing.T, threads []Thread, measure int64) *Result {
 
 // aluStream builds a looped stream of ALU ops with the given dependence
 // distance (0 = independent). A single PC line avoids I-cache effects.
-func aluStream(dep int32, n int) trace.Generator {
+func aluStream(dep uint8, n int) trace.Generator {
 	insts := make([]trace.Inst, n)
 	for i := range insts {
 		d := dep
-		if int32(i) < dep {
+		if i < int(dep) {
 			d = 0
 		}
 		insts[i] = trace.Inst{PC: 0x400000, Op: trace.OpALU, DepA: d}
@@ -48,7 +50,7 @@ func loadStream(seed int64, span uint64, chained bool, n int) trace.Generator {
 	insts := make([]trace.Inst, n)
 	lines := span / 64
 	for i := range insts {
-		var d int32
+		var d uint8
 		if chained && i > 0 {
 			d = 1
 		}
@@ -485,6 +487,34 @@ func TestBudgetGuards(t *testing.T) {
 		if _, err := Run(cfg, []Thread{{Gen: g, Core: 0, Measured: true}}); err == nil {
 			t.Errorf("config %+v accepted, want budget error", cfg)
 		}
+	}
+}
+
+// TestROBBound: a ROB longer than trace.MaxDepDist is refused with an
+// error, not simulated with the dependences its saturated distances
+// would drop. The longest legal ROB runs.
+func TestROBBound(t *testing.T) {
+	cfg := RunConfig{
+		Core:         DefaultCoreConfig(),
+		Mem:          cache.DefaultSystemConfig(),
+		MeasureInsts: 10_000,
+		MaxCycles:    20_000_000,
+	}
+	cfg.Core.ROB = trace.MaxDepDist
+	if _, err := Run(cfg, []Thread{{Gen: aluStream(trace.MaxDepDist, 1000), Core: 0, Measured: true}}); err != nil {
+		t.Fatalf("ROB %d: %v", cfg.Core.ROB, err)
+	}
+	cfg.Core.ROB = trace.MaxDepDist + 1
+	_, err := Run(cfg, []Thread{{Gen: aluStream(trace.MaxDepDist, 1000), Core: 0, Measured: true}})
+	if err == nil || !strings.Contains(err.Error(), "ROB 256") {
+		t.Fatalf("ROB 256: error %v, want a ROB bound error", err)
+	}
+}
+
+// TestEntryFootprint pins a window entry at one 64-byte host cache line.
+func TestEntryFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 64 {
+		t.Errorf("a window entry is %d bytes, want 64", got)
 	}
 }
 

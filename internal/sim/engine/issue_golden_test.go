@@ -45,7 +45,8 @@ type mixSpec struct {
 	loadFrac, storeFrac, branchFrac, mulFrac, fpFrac float64
 	// depFrac is the share of instructions with a DepA drawn from
 	// [1, maxDep]; sameDepFrac of those also set DepB == DepA, and
-	// otherDepFrac draw an independent DepB.
+	// otherDepFrac draw an independent DepB. Drawn distances saturate
+	// as the emitter's do (trace.DepDist).
 	depFrac, sameDepFrac, otherDepFrac float64
 	maxDep                             int32
 	// chaseFrac is the share of loads chained on the previous load.
@@ -85,12 +86,12 @@ func (s mixSpec) gen() trace.Generator {
 			in.Op = trace.OpFP
 		}
 		if rng.Float64() < s.depFrac {
-			in.DepA = 1 + rng.Int31n(s.maxDep)
+			in.DepA = trace.DepDist(int64(1 + rng.Int31n(s.maxDep)))
 			switch r := rng.Float64(); {
 			case r < s.sameDepFrac:
 				in.DepB = in.DepA
 			case r < s.sameDepFrac+s.otherDepFrac:
-				in.DepB = 1 + rng.Int31n(s.maxDep)
+				in.DepB = trace.DepDist(int64(1 + rng.Int31n(s.maxDep)))
 			}
 		}
 		switch in.Op {
@@ -99,7 +100,7 @@ func (s mixSpec) gen() trace.Generator {
 			in.Size = 8
 			if in.Op == trace.OpLoad {
 				if lastLoad >= 0 && rng.Float64() < s.chaseFrac {
-					in.DepA = int32(i - lastLoad)
+					in.DepA = trace.DepDist(int64(i - lastLoad))
 					in.AcquiresDep = true
 				}
 				lastLoad = i

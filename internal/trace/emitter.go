@@ -157,7 +157,7 @@ func (e *Emitter) nextBlockLen() int {
 // part of the emitter's checkpointed state.
 func (e *Emitter) Rand() *rng.Rand { return e.rng }
 
-func (e *Emitter) dist(v Val) int32 {
+func (e *Emitter) dist(v Val) uint8 {
 	if v < 0 {
 		return 0
 	}
@@ -165,11 +165,7 @@ func (e *Emitter) dist(v Val) int32 {
 	if d <= 0 {
 		panic("trace: dependence on a not-yet-emitted value")
 	}
-	const maxDist = 1 << 24
-	if d > maxDist {
-		return 0 // far outside any realistic instruction window
-	}
-	return int32(d)
+	return DepDist(d)
 }
 
 // curFrame panics if no function is active: every instruction must belong
@@ -220,7 +216,7 @@ func (e *Emitter) autoBranch() {
 	}
 	pc := e.nextPC()
 	var taken bool
-	var dep int32
+	var dep uint8
 	if e.rng.Float64() < entropy {
 		// Data-dependent branch: weakly biased outcome that depends on a
 		// recent value (real data-dependent branches are rarely 50/50).

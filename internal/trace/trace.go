@@ -13,7 +13,10 @@
 // Dependences are encoded as backward distances in the dynamic stream:
 // DepA == 3 means this instruction consumes the value produced by the
 // instruction three slots earlier. Distance 0 means "no dependence".
-// This representation is position-independent, so generators can be
+// A distance is one byte that saturates at MaxDepDist: the engine's
+// instruction windows hold fewer entries, so a producer that far back
+// has always committed and the exact distance changes nothing. This
+// representation is position-independent, so generators can be
 // buffered, split into batches, and replayed without fix-ups.
 package trace
 
@@ -78,8 +81,9 @@ type Inst struct {
 	Addr uint64
 	// Target is the branch target for OpBranch when Taken.
 	Target uint64
-	// DepA and DepB are backward dependence distances (0 = none).
-	DepA, DepB int32
+	// DepA and DepB are backward dependence distances (0 = none),
+	// saturated at MaxDepDist (see DepDist).
+	DepA, DepB uint8
 	// Size is the access size in bytes for memory ops.
 	Size uint8
 	// Op is the instruction class.
@@ -97,6 +101,16 @@ type Inst struct {
 	// dependence; this flag lets tools compute chasing statistics cheaply.
 	AcquiresDep bool
 }
+
+// MaxDepDist is the largest encodable dependence distance. It stands
+// for "MaxDepDist or farther", so an instruction window of more than
+// MaxDepDist entries could not tell a saturated distance from the exact
+// one; the engine rejects such windows.
+const MaxDepDist = 255
+
+// DepDist encodes a backward dependence distance d >= 0 as an Inst
+// field, saturating at MaxDepDist.
+func DepDist(d int64) uint8 { return uint8(min(d, MaxDepDist)) }
 
 // Generator produces the dynamic instruction stream in batches.
 //

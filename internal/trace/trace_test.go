@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cloudsuite/internal/rng"
 	"cloudsuite/internal/sim/checkpoint"
@@ -163,6 +165,50 @@ func TestEmitterDependenceDistances(t *testing.T) {
 	}
 	if out[2].DepA != 2 {
 		t.Errorf("third inst DepA = %d, want 2", out[2].DepA)
+	}
+}
+
+// TestEmitterDependenceSaturates: a producer MaxDepDist or more
+// instructions back is recorded as MaxDepDist, never dropped to 0.
+func TestEmitterDependenceSaturates(t *testing.T) {
+	l := NewCodeLayout(0x400000, 1<<20)
+	f := l.Func("f", 64)
+	g := oneShot(EmitterConfig{Seed: 1, BlockLen: 1 << 20}, func(e *Emitter) {
+		e.InFunc(f, func() {
+			v := e.Load(0x1000, 8, NoVal, false)
+			for range MaxDepDist - 2 {
+				e.ALU(NoVal, NoVal)
+			}
+			e.ALU(v, NoVal) // distance 254
+			e.ALU(v, NoVal) // distance 255
+			e.ALU(v, v)     // distance 256, saturated
+		})
+	})
+	defer g.Close()
+	out := g.Batch(MaxDepDist + 2)
+	if len(out) != MaxDepDist+2 {
+		t.Fatalf("got %d insts, want %d", len(out), MaxDepDist+2)
+	}
+	for i, want := range []uint8{254, 255, 255} {
+		in := out[MaxDepDist-1+i]
+		if in.DepA != want {
+			t.Errorf("distance %d recorded as %d, want %d", MaxDepDist-1+i, in.DepA, want)
+		}
+	}
+	if out[MaxDepDist+1].DepB != MaxDepDist {
+		t.Errorf("saturated DepB = %d, want %d", out[MaxDepDist+1].DepB, MaxDepDist)
+	}
+}
+
+// TestInstFootprint pins the instruction record at 32 bytes, in memory
+// and as a checkpoint residue record: every emitter buffer, engine
+// window and warm image holds these by the thousand.
+func TestInstFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 32 {
+		t.Errorf("an Inst is %d bytes in memory, want 32", got)
+	}
+	if got := binary.Size(Inst{}); got != 32 {
+		t.Errorf("an Inst is %d bytes in a residue, want 32", got)
 	}
 }
 
@@ -445,8 +491,8 @@ func TestSliceLoopGenCursorRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: dependence distances never reference the future and are
-// always representable.
+// Property: dependence distances never reference the future or reach
+// before the start of the stream.
 func TestQuickDependenceDistanceValid(t *testing.T) {
 	l := NewCodeLayout(0x400000, 1<<26)
 	f := l.Func("f", 512)
@@ -465,10 +511,7 @@ func TestQuickDependenceDistanceValid(t *testing.T) {
 		out := make([]Inst, 4096)
 		n := g.Next(out)
 		for i := 0; i < n; i++ {
-			if out[i].DepA < 0 || out[i].DepB < 0 {
-				return false
-			}
-			if int64(out[i].DepA) > int64(i)+1<<24 {
+			if int(out[i].DepA) > i || int(out[i].DepB) > i {
 				return false
 			}
 		}
