@@ -94,7 +94,8 @@ func (s *Snapshot) Hash() [32]byte { return s.hash }
 func (s *Snapshot) Size() int { return len(s.payload) }
 
 // Writer accumulates a snapshot payload. All integers are encoded
-// little-endian; writes cannot fail (the buffer grows in memory).
+// little-endian; writes cannot fail (the buffer grows in memory). A
+// Writer is single-use: Snapshot hands its buffer to the snapshot.
 type Writer struct {
 	buf bytes.Buffer
 	tmp [8]byte
@@ -185,9 +186,13 @@ func (w *Writer) Struct(v any) {
 	w.buf.Write(b.Bytes())
 }
 
-// Snapshot finalizes the payload under the given identity key.
+// Snapshot finalizes the payload under the given identity key. The
+// snapshot takes the writer's buffer instead of copying it, so a warm
+// image is never held twice; the Writer is single-use and must not be
+// written to or snapshotted again.
 func (w *Writer) Snapshot(key string) *Snapshot {
-	payload := append([]byte(nil), w.buf.Bytes()...)
+	payload := w.buf.Bytes()
+	w.buf = bytes.Buffer{}
 	return &Snapshot{
 		version: Version,
 		key:     key,
