@@ -186,10 +186,9 @@ func (w *Writer) Struct(v any) {
 	w.buf.Write(b.Bytes())
 }
 
-// Snapshot finalizes the payload under the given identity key. The
-// snapshot takes the writer's buffer instead of copying it, so a warm
-// image is never held twice; the Writer is single-use and must not be
-// written to or snapshotted again.
+// Snapshot finalizes the payload under the given identity key. It
+// takes the writer's buffer instead of copying it, so a warm image is
+// never held twice; the Writer must not be used afterwards.
 func (w *Writer) Snapshot(key string) *Snapshot {
 	payload := w.buf.Bytes()
 	w.buf = bytes.Buffer{}

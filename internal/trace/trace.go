@@ -14,8 +14,9 @@
 // DepA == 3 means this instruction consumes the value produced by the
 // instruction three slots earlier. Distance 0 means "no dependence".
 // A distance is one byte that saturates at MaxDepDist: the engine's
-// instruction windows hold fewer entries, so a producer that far back
-// has always committed and the exact distance changes nothing. This
+// instruction windows hold at most MaxDepDist entries, so a producer
+// that far back has always committed and the exact distance changes
+// nothing. This
 // representation is position-independent, so generators can be
 // buffered, split into batches, and replayed without fix-ups.
 package trace
