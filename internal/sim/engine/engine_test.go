@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -518,28 +519,6 @@ func TestEntryFootprint(t *testing.T) {
 	}
 }
 
-// The LLC directory's sharers bitmask is 32 bits of global core ids;
-// larger machines must be rejected, not silently corrupted.
-func TestRunRejectsMoreThan32Cores(t *testing.T) {
-	cfg := RunConfig{Mem: cache.DefaultSystemConfig()}
-	cfg.Mem.Sockets, cfg.Mem.CoresPerSocket = 6, 6
-	fn := trace.NewCodeLayout(0x40_0000, 0x1_0000).Func("f", 64)
-	started := false
-	gen := trace.NewStepGen(trace.EmitterConfig{Seed: 1, BlockLen: 4}, trace.ProgFunc(func(e *trace.Emitter) bool {
-		if !started {
-			e.Call(fn)
-			started = true
-		}
-		e.ALUIndep(4)
-		return true
-	}))
-	defer gen.Close()
-	_, err := Run(cfg, []Thread{{Gen: gen, Core: 0, Measured: true}})
-	if err == nil {
-		t.Fatal("36-core machine must be rejected (32-bit sharers mask)")
-	}
-}
-
 // TestRunTopologyValidation covers the topology validation that
 // replaced the old blanket 32-core directory limit: malformed grids are
 // rejected with real errors, and grids past the old ceiling run.
@@ -560,8 +539,9 @@ func TestRunTopologyValidation(t *testing.T) {
 	if err := run(func(m *cache.SystemConfig) { m.CoresPerSocket = 0 }, 0); err == nil {
 		t.Error("zero cores per socket with nonzero sockets must be rejected")
 	}
-	if err := run(func(m *cache.SystemConfig) { m.Sockets, m.CoresPerSocket = 8, 64 }, 0); err == nil {
-		t.Errorf("a %d-core grid must exceed the %d-core sharer vector", 8*64, cache.MaxCores)
+	if err := run(func(m *cache.SystemConfig) { m.Sockets, m.CoresPerSocket = 8, 64 }, 0); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("%d-core directory", cache.MaxCores)) {
+		t.Errorf("a %d-core grid must be refused for the %d-core directory limit, got %v", 8*64, cache.MaxCores, err)
 	}
 	if err := run(func(m *cache.SystemConfig) { m.Interconnect = topo.Kind(200) }, 0); err == nil {
 		t.Error("unknown interconnect kind must be rejected")
