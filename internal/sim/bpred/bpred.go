@@ -25,8 +25,8 @@ func DefaultConfig() Config {
 // concurrent use; each hardware context owns one.
 type Predictor struct {
 	cfg     Config  //simlint:ok checkpointcov construction-time configuration; LoadState geometry-checks table sizes instead of restoring it
-	pht     []uint8 // 2-bit saturating counters
-	phtMask uint64  //simlint:ok checkpointcov derived from cfg.GshareBits at construction
+	pht     []uint8 // 2-bit saturating counters, four to a byte (see ctr)
+	phtMask uint64
 	history uint64
 	histMsk uint64 //simlint:ok checkpointcov derived from cfg.HistoryBits at construction
 	btbTag  []uint64
@@ -43,17 +43,38 @@ func New(cfg Config) *Predictor {
 	b := nextPow2(cfg.BTBEntries)
 	p := &Predictor{
 		cfg:     cfg,
-		pht:     make([]uint8, n),
+		pht:     make([]uint8, (n+3)/4),
 		phtMask: uint64(n - 1),
 		histMsk: (1 << cfg.HistoryBits) - 1,
 		btbTag:  make([]uint64, b),
 		btbTgt:  make([]uint64, b),
 		btbMask: uint64(b - 1),
 	}
-	for i := range p.pht {
-		p.pht[i] = 1 // weakly not-taken
-	}
+	p.resetPHT()
 	return p
+}
+
+// weakNotTaken is a PHT byte of four weakly not-taken counters.
+const weakNotTaken = 0x55
+
+// resetPHT sets every counter to weakly not-taken.
+func (p *Predictor) resetPHT() {
+	for i := range p.pht {
+		p.pht[i] = weakNotTaken
+	}
+}
+
+// phtLen is the number of PHT counters.
+func (p *Predictor) phtLen() int { return int(p.phtMask) + 1 }
+
+// ctr returns PHT counter i; counter i is bits 2(i%4)..2(i%4)+1 of
+// byte i/4.
+func (p *Predictor) ctr(i uint64) uint8 { return p.pht[i>>2] >> ((i & 3) * 2) & 3 }
+
+// setCtr sets PHT counter i to v (0..3).
+func (p *Predictor) setCtr(i uint64, v uint8) {
+	sh := (i & 3) * 2
+	p.pht[i>>2] = p.pht[i>>2]&^(3<<sh) | v<<sh
 }
 
 func nextPow2(n int) int {
@@ -75,16 +96,17 @@ func nextPow2(n int) int {
 func (p *Predictor) SaveState(w *checkpoint.Writer) {
 	w.Tag("bpred")
 	w.U64(p.history)
-	w.U32(uint32(len(p.pht)))
+	n := uint64(p.phtLen())
+	w.U32(uint32(n))
 	trained := uint32(0)
-	for _, v := range p.pht {
-		if v != 1 {
+	for i := uint64(0); i < n; i++ {
+		if p.ctr(i) != 1 {
 			trained++
 		}
 	}
 	w.U32(trained)
-	for i, v := range p.pht {
-		if v != 1 {
+	for i := uint64(0); i < n; i++ {
+		if v := p.ctr(i); v != 1 {
 			w.U32(uint32(i))
 			w.U8(v)
 		}
@@ -111,24 +133,27 @@ func (p *Predictor) SaveState(w *checkpoint.Writer) {
 func (p *Predictor) LoadState(r *checkpoint.Reader) {
 	r.Expect("bpred")
 	p.history = r.U64()
-	if n := int(r.U32()); r.Err() == nil && n != len(p.pht) {
-		r.Failf("bpred PHT size mismatch: snapshot has %d entries, predictor has %d", n, len(p.pht))
+	if n := int(r.U32()); r.Err() == nil && n != p.phtLen() {
+		r.Failf("bpred PHT size mismatch: snapshot has %d entries, predictor has %d", n, p.phtLen())
 		return
 	}
-	for i := range p.pht {
-		p.pht[i] = 1
-	}
+	p.resetPHT()
 	trained := int(r.U32())
 	for k := 0; k < trained; k++ {
 		i := int(r.U32())
+		v := r.U8()
 		if r.Err() != nil {
 			return
 		}
-		if i >= len(p.pht) {
-			r.Failf("bpred PHT index %d out of range (%d entries)", i, len(p.pht))
+		if i >= p.phtLen() {
+			r.Failf("bpred PHT index %d out of range (%d entries)", i, p.phtLen())
 			return
 		}
-		p.pht[i] = r.U8()
+		if v > 3 {
+			r.Failf("bpred PHT counter %d holds %d; a 2-bit counter holds 0..3", i, v)
+			return
+		}
+		p.setCtr(uint64(i), v)
 	}
 	if n := int(r.U32()); r.Err() == nil && n != len(p.btbTag) {
 		r.Failf("bpred BTB size mismatch: snapshot has %d entries, predictor has %d", n, len(p.btbTag))
@@ -161,8 +186,7 @@ func (p *Predictor) index(pc uint64) uint64 {
 // A predicted-taken branch with a BTB miss counts as a misprediction in
 // Predict, because the front-end cannot redirect without a target.
 func (p *Predictor) Lookup(pc uint64) (taken bool, target uint64, targetValid bool) {
-	ctr := p.pht[p.index(pc)]
-	taken = ctr >= 2
+	taken = p.ctr(p.index(pc)) >= 2
 	slot := (pc >> 2) & p.btbMask
 	if p.btbTag[slot] == pc {
 		return taken, p.btbTgt[slot], true
@@ -182,13 +206,13 @@ func (p *Predictor) Predict(pc uint64, taken bool, target uint64) (mispredict bo
 // Update trains the predictor with the resolved outcome.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
 	idx := p.index(pc)
-	ctr := p.pht[idx]
+	ctr := p.ctr(idx)
 	if taken {
 		if ctr < 3 {
-			p.pht[idx] = ctr + 1
+			p.setCtr(idx, ctr+1)
 		}
 	} else if ctr > 0 {
-		p.pht[idx] = ctr - 1
+		p.setCtr(idx, ctr-1)
 	}
 	p.history = ((p.history << 1) | b2u(taken)) & p.histMsk
 	if taken {

@@ -1,9 +1,13 @@
 package bpred
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"cloudsuite/internal/sim/checkpoint"
 )
 
 func TestLearnsBiasedBranch(t *testing.T) {
@@ -67,17 +71,30 @@ func TestBTBMissOnNewTakenBranch(t *testing.T) {
 	}
 }
 
-// Property: predictor state stays bounded (counters within [0,3]).
+// Property: training one counter never disturbs the three counters
+// packed beside it, and every counter stays within [0,3]. The packed
+// table is checked against a byte-per-counter model.
 func TestQuickCounterBounds(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := New(Config{GshareBits: 8, BTBEntries: 64, HistoryBits: 8})
+		model := make([]uint8, p.phtLen())
+		for i := range model {
+			model[i] = 1
+		}
 		for i := 0; i < 5000; i++ {
 			pc := uint64(rng.Intn(512)) * 4
-			p.Predict(pc, rng.Intn(2) == 0, pc+64)
+			taken := rng.Intn(2) == 0
+			idx := p.index(pc)
+			if taken && model[idx] < 3 {
+				model[idx]++
+			} else if !taken && model[idx] > 0 {
+				model[idx]--
+			}
+			p.Predict(pc, taken, pc+64)
 		}
-		for _, c := range p.pht {
-			if c > 3 {
+		for i, want := range model {
+			if p.ctr(uint64(i)) != want {
 				return false
 			}
 		}
@@ -85,5 +102,54 @@ func TestQuickCounterBounds(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFootprint pins the packed PHT: the default 64K counters take
+// 16 KB per core.
+func TestFootprint(t *testing.T) {
+	p := New(DefaultConfig())
+	if p.phtLen() != 64<<10 || len(p.pht) != 16<<10 {
+		t.Errorf("PHT holds %d counters in %d bytes, want 65536 in 16384", p.phtLen(), len(p.pht))
+	}
+}
+
+// TestStateRoundTrip checks that a trained predictor restores exactly,
+// and that an image naming a counter value past 3 is refused rather
+// than spilling into the neighbouring counters of its byte.
+func TestStateRoundTrip(t *testing.T) {
+	cfg := Config{GshareBits: 6, BTBEntries: 16, HistoryBits: 4}
+	p := New(cfg)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		pc := uint64(rng.Intn(64)) * 4
+		p.Predict(pc, rng.Intn(3) > 0, pc+64)
+	}
+	w := checkpoint.NewWriter()
+	p.SaveState(w)
+	img := w.Snapshot("bpred")
+
+	q := New(cfg)
+	r := img.Reader()
+	q.LoadState(r)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(q.pht, p.pht) || q.history != p.history ||
+		!slices.Equal(q.btbTag, p.btbTag) || !slices.Equal(q.btbTgt, p.btbTgt) {
+		t.Fatal("restored predictor differs from the saved one")
+	}
+
+	w = checkpoint.NewWriter()
+	w.Tag("bpred")
+	w.U64(0)
+	w.U32(uint32(q.phtLen()))
+	w.U32(1)
+	w.U32(5)
+	w.U8(4)
+	r = w.Snapshot("bad").Reader()
+	q.LoadState(r)
+	if r.Err() == nil {
+		t.Fatal("a counter value of 4 must be refused")
 	}
 }

@@ -11,6 +11,12 @@
 // disabled like the BIOS knobs used for Figure 5.
 package cache
 
+import (
+	"cmp"
+	"math"
+	"slices"
+)
+
 // LineBytes is the cache line size.
 const LineBytes = 64
 
@@ -50,12 +56,12 @@ const (
 	flagExcl
 )
 
-// line is one way's bookkeeping: 24 bytes. owner is used only in LLC
+// line is one way's bookkeeping: 16 bytes. owner is used only in LLC
 // instances; an LLC's sharer vectors live beside its ways in Cache.dir.
 type line struct {
 	tag   uint64 // line address + 1; 0 means invalid
-	lru   uint64
-	owner int16 // global core id holding the line Modified, or -1
+	lru   uint32 // the cache clock at the last touch; 0 in invalid ways
+	owner int16  // global core id holding the line Modified, or -1
 	flags lineFlags
 }
 
@@ -76,8 +82,9 @@ type Cache struct {
 	lines    []line
 	// dir holds way i's sharer vector at dir[i*dirWords:(i+1)*dirWords];
 	// nil in private caches.
-	dir  []uint64
-	tick uint64
+	dir []uint64
+	// tick is the LRU clock; stamp advances it.
+	tick uint32
 }
 
 // New returns an empty private cache, which holds no directory state.
@@ -111,8 +118,7 @@ func (c *Cache) probe(lineAddr uint64, touch bool) int {
 	for i := range ways {
 		if ways[i].tag == tag {
 			if touch {
-				c.tick++
-				ways[i].lru = c.tick
+				ways[i].lru = c.stamp()
 			}
 			return base + i
 		}
@@ -172,9 +178,46 @@ func (c *Cache) insert(lineAddr uint64, fl lineFlags) (slot int, victim line, vi
 	}
 	slot = base + vi
 	victim, victimSharers = c.drop(slot)
-	c.tick++
-	ways[vi] = line{tag: lineAddr + 1, lru: c.tick, flags: fl, owner: -1}
+	ways[vi] = line{tag: lineAddr + 1, lru: c.stamp(), flags: fl, owner: -1}
 	return slot, victim, victimSharers
+}
+
+// stamp advances the LRU clock and returns its new value, the stamp of
+// the way being touched. When the clock would wrap, it first rebases.
+// Stamps are compared only within a set, and a rebase keeps every
+// set's order (tied stamps stay tied), so no victim choice changes.
+func (c *Cache) stamp() uint32 {
+	if c.tick == math.MaxUint32 {
+		c.rebase()
+	}
+	c.tick++
+	return c.tick
+}
+
+// rebase renumbers the stamps of every set's valid ways densely from 1,
+// keeping their order, and sets the clock to the largest new stamp.
+func (c *Cache) rebase() {
+	c.tick = 0
+	order := make([]int, 0, c.assoc)
+	for base := 0; base < len(c.lines); base += c.assoc {
+		ways := c.lines[base : base+c.assoc]
+		order = order[:0]
+		for i := range ways {
+			if ways[i].valid() {
+				order = append(order, i)
+			}
+		}
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(ways[a].lru, ways[b].lru) })
+		rank, prev := uint32(0), uint32(0)
+		for _, i := range order {
+			if rank == 0 || ways[i].lru != prev {
+				rank++
+			}
+			prev = ways[i].lru
+			ways[i].lru = rank
+		}
+		c.tick = max(c.tick, rank)
+	}
 }
 
 // invalidate removes lineAddr if present and returns its prior state

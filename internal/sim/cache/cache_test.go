@@ -26,12 +26,12 @@ func (c *Cache) peek(lineAddr uint64) *line {
 	return nil
 }
 
-// TestFootprint pins the memory layout: a way is 24 bytes, private
+// TestFootprint pins the memory layout: a way is 16 bytes, private
 // caches carry no directory, and an LLC carries ceil(TotalCores/64)
 // sharer words per way.
 func TestFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(line{}); got != 24 {
-		t.Errorf("a way is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(line{}); got != 16 {
+		t.Errorf("a way is %d bytes, want 16", got)
 	}
 	for _, g := range []struct{ sockets, cps, words int }{
 		{1, 6, 1}, {4, 16, 1}, {1, 65, 2}, {4, 24, 2}, {3, 43, 3}, {4, 48, 3}, {4, 64, 4},

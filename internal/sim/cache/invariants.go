@@ -32,6 +32,9 @@ import "fmt"
 //     permission (flagExcl) belongs to the core the socket directory
 //     records as owner, so stores that skip the directory lookup are
 //     always covered by a directory claim.
+//  7. LRU stamps — every valid way of every cache carries a nonzero
+//     stamp no later than its cache's clock, as a clock rebase that
+//     renumbered nothing, or a clock that wrapped, would break.
 
 // EnableInvariantChecks makes the system run CheckInvariants after
 // every n-th access (1 = every access), panicking on the first
@@ -66,6 +69,10 @@ func (s *System) CheckInvariants() error {
 					continue
 				}
 				la := l.tag - 1
+				if l.lru == 0 || l.lru > pc.c.tick {
+					return fmt.Errorf("cache: core %d %s line %#x stamped %d, outside 1..%d (the clock)",
+						c, pc.name, la, l.lru, pc.c.tick)
+				}
 				w := llc.probe(la, false)
 				if w < 0 {
 					return fmt.Errorf("cache: inclusion violated: core %d %s holds line %#x absent from socket %d LLC",
@@ -93,6 +100,10 @@ func (s *System) CheckInvariants() error {
 				continue
 			}
 			la := l.tag - 1
+			if l.lru == 0 || l.lru > llc.tick {
+				return fmt.Errorf("cache: socket %d LLC line %#x stamped %d, outside 1..%d (the clock)",
+					so, la, l.lru, llc.tick)
+			}
 			sh := llc.sharers(i)
 			for c := sh.next(0); c >= 0; c = sh.next(c + 1) {
 				if c < localLo || c >= localHi {

@@ -68,6 +68,14 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			s.AccessData(0, 0x1000, true, false, 0)
 			s.llcs[0].peek(line).owner = -1
 		}},
+		{"stamp-past-clock", func(s *System) {
+			s.AccessData(0, 0x1000, false, false, 0)
+			s.llcs[0].peek(line).lru = s.llcs[0].tick + 1
+		}},
+		{"private-stamp-past-clock", func(s *System) {
+			s.AccessData(0, 0x1000, false, false, 0)
+			s.cores[0].l1d.peek(line).lru = s.cores[0].l1d.tick + 1
+		}},
 	}
 	for _, tc := range corrupt {
 		s := NewSystem(noPrefetchConfig(2, 2))

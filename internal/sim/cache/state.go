@@ -25,7 +25,7 @@ import (
 // cost (the payload is also content-hashed on every save and load).
 func (c *Cache) SaveState(w *checkpoint.Writer) {
 	w.Tag("cache")
-	w.U64(c.tick)
+	w.U32(c.tick)
 	w.U32(uint32(len(c.lines)))
 	valid := uint32(0)
 	for i := range c.lines {
@@ -41,7 +41,7 @@ func (c *Cache) SaveState(w *checkpoint.Writer) {
 		}
 		w.U32(uint32(i))
 		w.U64(l.tag)
-		w.U64(l.lru)
+		w.U32(l.lru)
 		c.sharers(i).save(w)
 		w.U16(uint16(l.owner))
 		w.U8(uint8(l.flags))
@@ -53,12 +53,14 @@ func (c *Cache) SaveState(w *checkpoint.Writer) {
 // directory entry naming a core the machine lacks (a sharer or a
 // Modified owner at or beyond dirCores; private caches track none),
 // which would otherwise index past the core arrays on the first
-// eviction or downgrade. Ways absent from the snapshot reset to invalid
-// (their residual fields are dead state: every read path checks
-// validity first and insert overwrites a way wholesale).
+// eviction or downgrade, and a way stamped past the cache clock, which
+// would outrank ways touched after the restore. Ways absent from the
+// snapshot reset to invalid (their residual fields are dead state:
+// every read path checks validity first and insert overwrites a way
+// wholesale).
 func (c *Cache) LoadState(r *checkpoint.Reader) {
 	r.Expect("cache")
-	c.tick = r.U64()
+	c.tick = r.U32()
 	if n := int(r.U32()); r.Err() == nil && n != len(c.lines) {
 		r.Failf("cache geometry mismatch: snapshot has %d ways, cache holds %d", n, len(c.lines))
 		return
@@ -81,11 +83,15 @@ func (c *Cache) LoadState(r *checkpoint.Reader) {
 		}
 		l := &c.lines[i]
 		l.tag = r.U64()
-		l.lru = r.U64()
+		l.lru = r.U32()
 		sh := loadSharerSet(r)
 		l.owner = int16(r.U16())
 		l.flags = lineFlags(r.U8())
 		if r.Err() != nil {
+			return
+		}
+		if l.lru > c.tick {
+			r.Failf("cache snapshot way %d has LRU stamp %d past the cache clock %d", i, l.lru, c.tick)
 			return
 		}
 		if core := sh.next(c.dirCores); core >= 0 {

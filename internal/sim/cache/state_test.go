@@ -74,9 +74,10 @@ func TestSystemStateRoundTrip64Cores(t *testing.T) { roundTrip(t, 4, 16) }
 func TestSystemStateRoundTrip96Cores(t *testing.T) { roundTrip(t, 4, 24) }
 
 // forgedLLCImage returns a memory image of a fresh sockets x cps
-// system whose socket-0 LLC holds one valid way naming the given
-// sharers and owner, sealed as a real save would be.
-func forgedLLCImage(sockets, cps int, sharers sharerSet, owner int16) *checkpoint.Reader {
+// system whose socket-0 LLC, at clock 1, holds one valid way naming the
+// given sharers and owner under the given LRU stamp, sealed as a real
+// save would be.
+func forgedLLCImage(sockets, cps int, sharers sharerSet, owner int16, lru uint32) *checkpoint.Reader {
 	s := NewSystem(testSystemConfig(sockets, cps))
 	w := checkpoint.NewWriter()
 	w.Tag("mem")
@@ -102,12 +103,12 @@ func forgedLLCImage(sockets, cps int, sharers sharerSet, owner int16) *checkpoin
 			continue
 		}
 		w.Tag("cache")
-		w.U64(1)
+		w.U32(1) // clock
 		w.U32(uint32(len(llc.lines)))
 		w.U32(1)    // one valid way
 		w.U32(3)    // at index 3
 		w.U64(0x41) // tag
-		w.U64(1)    // lru
+		w.U32(lru)
 		sharers.save(w)
 		w.U16(uint16(owner))
 		w.U8(0)
@@ -139,7 +140,7 @@ func TestLoadRejectsForeignDirectoryIDs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewSystem(testSystemConfig(tc.sockets, tc.cps))
-			err := s.LoadState(forgedLLCImage(tc.sockets, tc.cps, tc.sharers, tc.owner))
+			err := s.LoadState(forgedLLCImage(tc.sockets, tc.cps, tc.sharers, tc.owner, 1))
 			if tc.ok && err != nil {
 				t.Fatalf("valid directory entry rejected: %v", err)
 			}
@@ -147,6 +148,16 @@ func TestLoadRejectsForeignDirectoryIDs(t *testing.T) {
 				t.Fatal("image with a directory id beyond the machine loaded without error")
 			}
 		})
+	}
+}
+
+// TestLoadRejectsStampPastClock: a way stamped later than its cache's
+// clock would outrank the ways touched after the restore, so the load
+// fails.
+func TestLoadRejectsStampPastClock(t *testing.T) {
+	s := NewSystem(testSystemConfig(1, 6))
+	if err := s.LoadState(forgedLLCImage(1, 6, onlySharer(5), -1, 2)); err == nil {
+		t.Fatal("a way stamped 2 under clock 1 loaded without error")
 	}
 }
 

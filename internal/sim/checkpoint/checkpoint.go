@@ -68,8 +68,12 @@ import (
 // count, so a restore onto another NIC geometry still fails; v8's
 // residue records are 32 bytes instead of 38, with each dependence
 // distance one byte saturated at 255 (trace.MaxDepDist), and
-// addrspace.Array drops its unread Elem field.
-const Version = 8
+// addrspace.Array drops its unread Elem field; v9 stores cache LRU
+// stamps and clocks in 4 bytes instead of 8, keeps the branch
+// predictor's 2-bit counters four to a byte in memory (the sparse PHT
+// encoding is unchanged), and writes each residue record by hand
+// without the 4-byte block length that preceded a thread's residue.
+const Version = 9
 
 //simlint:ok globalrand write-once file-format magic, read-only after initialization
 var magic = [8]byte{'C', 'S', 'C', 'K', 'P', 'T', '0', '1'}

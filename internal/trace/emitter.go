@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -413,7 +412,47 @@ func (e *Emitter) SaveState(w *checkpoint.Writer, lent int) {
 	residue := e.buf[e.pos-lent:]
 	w.U32(uint32(len(residue)))
 	w.U32(uint32(lent))
-	w.Struct(residue)
+	for i := range residue {
+		saveInst(w, &residue[i])
+	}
+}
+
+// instRecordBytes is the size of one residue record.
+const instRecordBytes = 32
+
+// saveInst writes in as one residue record: its fields in declaration
+// order, little-endian, each flag one byte of 0 or 1.
+func saveInst(w *checkpoint.Writer, in *Inst) {
+	w.U64(in.PC)
+	w.U64(in.Addr)
+	w.U64(in.Target)
+	w.U8(in.DepA)
+	w.U8(in.DepB)
+	w.U8(in.Size)
+	w.U8(uint8(in.Op))
+	w.Bool(in.Kernel)
+	w.Bool(in.Taken)
+	w.Bool(in.Uncond)
+	w.Bool(in.AcquiresDep)
+}
+
+// loadInst reads a record written by saveInst into in, failing on an
+// Op this package does not define.
+func loadInst(rd *checkpoint.Reader, in *Inst) {
+	in.PC = rd.U64()
+	in.Addr = rd.U64()
+	in.Target = rd.U64()
+	in.DepA = rd.U8()
+	in.DepB = rd.U8()
+	in.Size = rd.U8()
+	in.Op = Op(rd.U8())
+	in.Kernel = rd.Bool()
+	in.Taken = rd.Bool()
+	in.Uncond = rd.Bool()
+	in.AcquiresDep = rd.Bool()
+	if rd.Err() == nil && in.Op >= numOps {
+		rd.Failf("emitter: residue instruction has op %d; ops end at %d", in.Op, numOps-1)
+	}
 }
 
 // LoadState restores state written by SaveState. The call stack is
@@ -453,7 +492,7 @@ func (e *Emitter) LoadState(rd *checkpoint.Reader) int {
 		}
 		e.funcs[i] = fr
 	}
-	k := rd.Count(binary.Size(Inst{}))
+	k := rd.Count(instRecordBytes)
 	lent := int(rd.U32())
 	if rd.Err() != nil {
 		return 0
@@ -464,7 +503,11 @@ func (e *Emitter) LoadState(rd *checkpoint.Reader) int {
 	}
 	e.buf = make([]Inst, k)
 	e.pos = 0
-	rd.Struct(e.buf)
+	for i := range e.buf {
+		if loadInst(rd, &e.buf[i]); rd.Err() != nil {
+			return 0
+		}
+	}
 	return lent
 }
 
