@@ -7,24 +7,32 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"testing"
 
-	"cloudsuite/internal/sim/checkpoint"
 	"cloudsuite/internal/sim/topo"
 )
 
 // This file pins the directory protocol's observable behaviour: a
 // seeded stream of loads, stores, instruction fetches and direct calls
 // to all three prefetchers, user and kernel, is replayed through one
-// System per machine shape, and the SHA-256 of the resulting SaveState
-// bytes plus the summed completion latencies must match the committed
+// System per machine shape, and the SHA-256 of the resulting machine
+// state plus the summed completion latencies must match the committed
 // digest. The machines span 1-4 sockets x {FullMesh, Ring} x
 // {IPrefNextLine, IPrefStream} with every data prefetcher on, so the
 // demand, prefetch and write-claim paths all meet on multi-hop
 // interconnects with remote copies in several sockets.
+//
+// The digest hashes the in-memory state that defines behaviour — each
+// valid way's index, tag, flags, owner and sharers, each set's LRU
+// order, and every core's counters — rather than SaveState bytes, so a
+// change to the checkpoint encoding or to raw stamp values (a clock
+// rebase) leaves it alone; only a change to what the protocol does
+// moves it.
 //
 // Regenerate (only when an intentional model change invalidates the
 // baseline — never to paper over a diff):
@@ -122,13 +130,56 @@ func protocolDigest(t *testing.T, cfg SystemConfig) string {
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	w := checkpoint.NewWriter()
-	s.SaveState(w)
-	state := w.Snapshot("protocol-golden").Hash()
 	h := sha256.New()
-	h.Write(state[:])
+	hashMachineState(h, s)
 	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(latency)))
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hashMachineState writes s's behaviour-defining cache and counter
+// state to h: for every cache in s.caches() order, each set's valid
+// ways as (way, tag, flags, owner, LRU rank, sharer words), then every
+// core's counter block. The LRU rank is the way's dense stamp rank
+// within its set (1 = oldest, tied stamps tied), so it records the
+// order replacement sees, not the clock values behind it.
+func hashMachineState(h hash.Hash, s *System) {
+	var buf []byte
+	var stamps []uint32
+	for _, c := range s.caches() {
+		for base := 0; base < len(c.lines); base += c.assoc {
+			ways := c.lines[base : base+c.assoc]
+			stamps = stamps[:0]
+			for i := range ways {
+				if ways[i].valid() {
+					stamps = append(stamps, ways[i].lru)
+				}
+			}
+			slices.Sort(stamps)
+			stamps = slices.Compact(stamps)
+			for i := range ways {
+				l := &ways[i]
+				if !l.valid() {
+					continue
+				}
+				rank, _ := slices.BinarySearch(stamps, l.lru)
+				buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(i))
+				buf = binary.LittleEndian.AppendUint64(buf, l.tag)
+				buf = append(buf, byte(l.flags))
+				buf = binary.LittleEndian.AppendUint16(buf, uint16(l.owner))
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(rank+1))
+				for _, word := range c.dir[(base+i)*c.dirWords : (base+i+1)*c.dirWords] {
+					buf = binary.LittleEndian.AppendUint64(buf, word)
+				}
+				h.Write(buf)
+			}
+			h.Write([]byte{0xff}) // set boundary
+		}
+	}
+	for _, ctr := range s.ctrs {
+		if err := binary.Write(h, binary.LittleEndian, ctr); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // TestProtocolGolden proves the directory protocol keeps producing the
