@@ -128,6 +128,19 @@ func FuzzLoadImage(f *testing.F) {
 		f.Add(uint8(i), n-64, []byte{0xff, 0xff, 0xff, 0x7f})
 		f.Add(uint8(i), n/3, []byte{0, 0, 0, 0x80, 1})
 	}
+	// Restore-validation seeds on the polluted image: the first TLB's
+	// clock and the first stride detector's clock zeroed under live
+	// stamps, and that detector's first stream given direction 5. Each
+	// section opens with its length-prefixed tag, then the 8-byte clock;
+	// a stream's direction follows its page and line offset.
+	p := seeds[1].payload()
+	if at := bytes.Index(p, []byte("\x03\x00\x00\x00tlb")); at >= 0 {
+		f.Add(uint8(1), uint32(at+7), make([]byte, 8))
+	}
+	if at := bytes.Index(p, []byte("\x06\x00\x00\x00stride")); at >= 0 {
+		f.Add(uint8(1), uint32(at+10), make([]byte, 8))
+		f.Add(uint8(1), uint32(at+10+8+4+8+4), []byte{5, 0, 0, 0})
+	}
 	f.Fuzz(func(t *testing.T, which uint8, at uint32, patch []byte) {
 		s := seeds[int(which)%len(seeds)]
 		payload := mutate(s.payload(), at, patch)

@@ -14,6 +14,7 @@ package cache
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -33,6 +34,10 @@ type Config struct {
 	// cache (not incremental over the previous level).
 	LatencyCycles int
 }
+
+// MaxAssoc is the largest associativity SystemConfig.Validate accepts:
+// victim selection packs a way's index into 32 bits.
+const MaxAssoc = math.MaxUint32
 
 // Sets returns the number of sets implied by the configuration.
 // Non-power-of-two set counts are allowed (the X5670's 12MB LLC has
@@ -147,40 +152,54 @@ func (c *Cache) addSharer(w, core int) {
 	c.dir[w*c.dirWords+core>>6] |= 1 << uint(core&63)
 }
 
-// insert places lineAddr into the cache, evicting a way if the set is
-// full. It returns the filled way and the victim's state and sharers,
-// so the caller can handle writebacks and back-invalidation; the victim
-// is invalid when nothing was evicted. If the line was already present
-// it is reused.
-//
-// Victim-selection order (pinned by TestVictimSelectionOrder): invalid
-// ways are always preferred over valid ones, taking the lowest-indexed
-// invalid way regardless of LRU stamps — in particular, a way freed by
-// invalidate (whose stamp resets to zero) is refilled by the next
-// insert into its set. Only when every way is valid does true-LRU pick
-// the smallest stamp.
+// insert places lineAddr into the cache unless it is already present,
+// in which case it refreshes the way's stamp and adds fl to its flags.
+// It returns the way holding the line and, as fill does, the victim.
+// Callers that have just seen lineAddr miss use fill directly.
 func (c *Cache) insert(lineAddr uint64, fl lineFlags) (slot int, victim line, victimSharers sharerSet) {
 	if w := c.probe(lineAddr, true); w >= 0 {
 		c.lines[w].flags |= fl
 		return w, line{}, sharerSet{}
 	}
+	return c.fill(lineAddr, fl)
+}
+
+// fill places lineAddr, which the cache must not hold, into its set's
+// victim way. It returns the filled way and the victim's state and
+// sharers, so the caller can handle writebacks and back-invalidation;
+// the victim is invalid when nothing was evicted.
+func (c *Cache) fill(lineAddr uint64, fl lineFlags) (slot int, victim line, victimSharers sharerSet) {
 	base := c.setBase(lineAddr)
-	ways := c.lines[base : base+c.assoc]
-	vi := 0
-	for i := range ways {
-		if !ways[i].valid() {
-			vi = i
-			break
-		}
-		if ways[i].lru < ways[vi].lru {
-			vi = i
-		}
-	}
-	slot = base + vi
+	slot = base + c.victimWay(base)
 	victim, victimSharers = c.drop(slot)
-	ways[vi] = line{tag: lineAddr + 1, lru: c.stamp(), flags: fl, owner: -1}
+	c.lines[slot] = line{tag: lineAddr + 1, lru: c.stamp(), flags: fl, owner: -1}
 	return slot, victim, victimSharers
 }
+
+// victimWay returns the way of the set at base that a fill replaces:
+// the first minimum of (stamp, way). Invalid ways hold stamp 0 and
+// valid ways 1..clock (invariant 7, which LoadState enforces), so this
+// is the lowest-indexed invalid way when the set has one — a way freed
+// by invalidate is refilled next — and otherwise the least recently
+// used way, the lowest-indexed among tied stamps (TestVictimSelectionOrder,
+// TestVictimWayMatchesReference).
+//
+// The scan is branch-free: stamps sit in random order within a set, so
+// a compare-and-branch mispredicts on a large share of ways. Each way's
+// key packs its stamp above its index, which fits the low 32 bits for
+// any associativity up to MaxAssoc, and a borrow mask keeps the
+// smaller key.
+func (c *Cache) victimWay(base int) int {
+	best := uint64(math.MaxUint64)
+	for i, l := range c.lines[base : base+c.assoc] {
+		d, less := bits.Sub64(victimKey(l.lru, i), best, 0)
+		best += d & -less
+	}
+	return int(uint32(best))
+}
+
+// victimKey orders ways by stamp, then by index.
+func victimKey(lru uint32, way int) uint64 { return uint64(lru)<<32 | uint64(way) }
 
 // stamp advances the LRU clock and returns its new value, the stamp of
 // the way being touched. When the clock would wrap, it first rebases.
@@ -229,11 +248,15 @@ func (c *Cache) invalidate(lineAddr uint64) (was line, wasSharers sharerSet) {
 	return line{}, sharerSet{}
 }
 
-// drop empties way w and returns its prior state and sharers.
-func (c *Cache) drop(w int) (line, sharerSet) {
-	was, sh := c.lines[w], c.sharers(w)
+// drop empties way w and returns its prior state and sharers (none in
+// a private cache).
+func (c *Cache) drop(w int) (was line, sh sharerSet) {
+	was = c.lines[w]
 	c.lines[w] = line{owner: -1}
-	c.setSharers(w, sharerSet{})
+	if c.dirWords > 0 {
+		sh = c.sharers(w)
+		c.setSharers(w, sharerSet{})
+	}
 	return was, sh
 }
 

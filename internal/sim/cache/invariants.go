@@ -34,7 +34,9 @@ import "fmt"
 //     always covered by a directory claim.
 //  7. LRU stamps — every valid way of every cache carries a nonzero
 //     stamp no later than its cache's clock, as a clock rebase that
-//     renumbered nothing, or a clock that wrapped, would break.
+//     renumbered nothing, or a clock that wrapped, would break, and
+//     every invalid way carries stamp 0. Victim selection relies on
+//     both halves: it takes the first minimum of (stamp, way).
 
 // EnableInvariantChecks makes the system run CheckInvariants after
 // every n-th access (1 = every access), panicking on the first
@@ -65,14 +67,13 @@ func (s *System) CheckInvariants() error {
 		}{{"L1-I", cc.l1i}, {"L1-D", cc.l1d}, {"L2", cc.l2}} {
 			for i := range pc.c.lines {
 				l := &pc.c.lines[i]
-				if !l.valid() {
+				if !l.valid() && l.lru == 0 {
 					continue
 				}
-				la := l.tag - 1
-				if l.lru == 0 || l.lru > pc.c.tick {
-					return fmt.Errorf("cache: core %d %s line %#x stamped %d, outside 1..%d (the clock)",
-						c, pc.name, la, l.lru, pc.c.tick)
+				if err := pc.c.checkStamp(i); err != nil {
+					return fmt.Errorf("cache: core %d %s %w", c, pc.name, err)
 				}
+				la := l.tag - 1
 				w := llc.probe(la, false)
 				if w < 0 {
 					return fmt.Errorf("cache: inclusion violated: core %d %s holds line %#x absent from socket %d LLC",
@@ -96,14 +97,13 @@ func (s *System) CheckInvariants() error {
 		localHi := localLo + s.cfg.CoresPerSocket
 		for i := range llc.lines {
 			l := &llc.lines[i]
-			if !l.valid() {
+			if !l.valid() && l.lru == 0 {
 				continue
 			}
-			la := l.tag - 1
-			if l.lru == 0 || l.lru > llc.tick {
-				return fmt.Errorf("cache: socket %d LLC line %#x stamped %d, outside 1..%d (the clock)",
-					so, la, l.lru, llc.tick)
+			if err := llc.checkStamp(i); err != nil {
+				return fmt.Errorf("cache: socket %d LLC %w", so, err)
 			}
+			la := l.tag - 1
 			sh := llc.sharers(i)
 			for c := sh.next(0); c >= 0; c = sh.next(c + 1) {
 				if c < localLo || c >= localHi {
@@ -133,6 +133,18 @@ func (s *System) CheckInvariants() error {
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// checkStamp checks invariant 7 on way i of c.
+func (c *Cache) checkStamp(i int) error {
+	l := &c.lines[i]
+	if !l.valid() {
+		return fmt.Errorf("invalid way %d stamped %d, not 0", i, l.lru)
+	}
+	if l.lru == 0 || l.lru > c.tick {
+		return fmt.Errorf("line %#x stamped %d, outside 1..%d (the clock)", l.tag-1, l.lru, c.tick)
 	}
 	return nil
 }

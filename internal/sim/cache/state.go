@@ -53,11 +53,13 @@ func (c *Cache) SaveState(w *checkpoint.Writer) {
 // directory entry naming a core the machine lacks (a sharer or a
 // Modified owner at or beyond dirCores; private caches track none),
 // which would otherwise index past the core arrays on the first
-// eviction or downgrade, and a way stamped past the cache clock, which
-// would outrank ways touched after the restore. Ways absent from the
-// snapshot reset to invalid (their residual fields are dead state:
-// every read path checks validity first and insert overwrites a way
-// wholesale).
+// eviction or downgrade, and a record that breaks invariant 7: a stamp
+// past the cache clock would outrank ways touched after the restore, a
+// stamp of 0 would make a valid way the victim ahead of an invalid one,
+// and a tag of 0 would make an invalid way with a live stamp. Ways
+// absent from the snapshot reset to invalid with stamp 0 (their other
+// residual fields are dead state: every read path checks validity
+// first and a fill overwrites a way wholesale).
 func (c *Cache) LoadState(r *checkpoint.Reader) {
 	r.Expect("cache")
 	c.tick = r.U32()
@@ -90,8 +92,12 @@ func (c *Cache) LoadState(r *checkpoint.Reader) {
 		if r.Err() != nil {
 			return
 		}
-		if l.lru > c.tick {
-			r.Failf("cache snapshot way %d has LRU stamp %d past the cache clock %d", i, l.lru, c.tick)
+		if !l.valid() {
+			r.Failf("cache snapshot way %d has tag 0, which marks an invalid way", i)
+			return
+		}
+		if l.lru == 0 || l.lru > c.tick {
+			r.Failf("cache snapshot way %d has LRU stamp %d outside 1..%d (the cache clock)", i, l.lru, c.tick)
 			return
 		}
 		if core := sh.next(c.dirCores); core >= 0 {

@@ -74,10 +74,15 @@ func TestSystemStateRoundTrip64Cores(t *testing.T) { roundTrip(t, 4, 16) }
 func TestSystemStateRoundTrip96Cores(t *testing.T) { roundTrip(t, 4, 24) }
 
 // forgedLLCImage returns a memory image of a fresh sockets x cps
-// system whose socket-0 LLC, at clock 1, holds one valid way naming the
-// given sharers and owner under the given LRU stamp, sealed as a real
-// save would be.
+// system whose socket-0 LLC, at clock 1, holds one way record with tag
+// 0x41 naming the given sharers and owner under the given LRU stamp,
+// sealed as a real save would be.
 func forgedLLCImage(sockets, cps int, sharers sharerSet, owner int16, lru uint32) *checkpoint.Reader {
+	return forgedLLCRecord(sockets, cps, 0x41, sharers, owner, lru)
+}
+
+// forgedLLCRecord is forgedLLCImage with the record's tag chosen too.
+func forgedLLCRecord(sockets, cps int, tag uint64, sharers sharerSet, owner int16, lru uint32) *checkpoint.Reader {
 	s := NewSystem(testSystemConfig(sockets, cps))
 	w := checkpoint.NewWriter()
 	w.Tag("mem")
@@ -105,9 +110,9 @@ func forgedLLCImage(sockets, cps int, sharers sharerSet, owner int16, lru uint32
 		w.Tag("cache")
 		w.U32(1) // clock
 		w.U32(uint32(len(llc.lines)))
-		w.U32(1)    // one valid way
-		w.U32(3)    // at index 3
-		w.U64(0x41) // tag
+		w.U32(1) // one valid way
+		w.U32(3) // at index 3
+		w.U64(tag)
 		w.U32(lru)
 		sharers.save(w)
 		w.U16(uint16(owner))
@@ -158,6 +163,26 @@ func TestLoadRejectsStampPastClock(t *testing.T) {
 	s := NewSystem(testSystemConfig(1, 6))
 	if err := s.LoadState(forgedLLCImage(1, 6, onlySharer(5), -1, 2)); err == nil {
 		t.Fatal("a way stamped 2 under clock 1 loaded without error")
+	}
+}
+
+// TestLoadRejectsZeroStamp: a valid way stamped 0 ranks with the
+// invalid ways, so victim selection would evict it ahead of a free way;
+// the load fails.
+func TestLoadRejectsZeroStamp(t *testing.T) {
+	s := NewSystem(testSystemConfig(1, 6))
+	if err := s.LoadState(forgedLLCImage(1, 6, onlySharer(5), -1, 0)); err == nil {
+		t.Fatal("a valid way stamped 0 loaded without error")
+	}
+}
+
+// TestLoadRejectsZeroTag: a record with tag 0 would restore as an
+// invalid way carrying a live stamp, which victim selection would then
+// rank behind the set's other free ways; the load fails.
+func TestLoadRejectsZeroTag(t *testing.T) {
+	s := NewSystem(testSystemConfig(1, 6))
+	if err := s.LoadState(forgedLLCRecord(1, 6, 0, sharerSet{}, -1, 1)); err == nil {
+		t.Fatal("a way record with tag 0 loaded without error")
 	}
 }
 

@@ -94,7 +94,8 @@ const (
 func (c SystemConfig) TotalCores() int { return c.Sockets * c.CoresPerSocket }
 
 // Validate checks that the core grid and interconnect describe a
-// machine the directory can track. It replaces the old blanket
+// machine the directory can track, and that every cache's
+// associativity lies in 1..MaxAssoc. It replaces the old blanket
 // "32-core limit" rejection with real topology validation.
 func (c SystemConfig) Validate() error {
 	if c.Sockets <= 0 {
@@ -106,6 +107,14 @@ func (c SystemConfig) Validate() error {
 	if n := c.TotalCores(); n > MaxCores {
 		return fmt.Errorf("cache: %d cores (%d sockets x %d) exceed the %d-core directory sharer vector",
 			n, c.Sockets, c.CoresPerSocket, MaxCores)
+	}
+	for _, cc := range []struct {
+		name string
+		cfg  Config
+	}{{"L1I", c.L1I}, {"L1D", c.L1D}, {"L2", c.L2}, {"LLC", c.LLC}} {
+		if a := cc.cfg.Assoc; a < 1 || uint64(a) > MaxAssoc {
+			return fmt.Errorf("cache: %s associativity %d outside 1..%d", cc.name, a, uint64(MaxAssoc))
+		}
 	}
 	if !c.Interconnect.Valid() {
 		return fmt.Errorf("cache: unknown interconnect %s", c.Interconnect)
@@ -287,11 +296,18 @@ func (s *System) memWrite(lineAddr uint64, now int64) {
 
 // --- fill helpers -----------------------------------------------------
 
-// fillLLC inserts lineAddr into core's socket LLC, handling inclusive
+// The fill helpers below run only after the caller has seen lineAddr
+// miss the cache they fill, with nothing in between that puts it
+// there, so they fill without probing again. Two fills probe anyway
+// (insert): the L1-D's dirty victim spills into an L2 that does not
+// include the L1-D and may still hold the line, and an L1-I fill may
+// follow an instruction prefetch of the same line.
+
+// fillLLC fills lineAddr into core's socket LLC, handling inclusive
 // back-invalidation and dirty writeback of the victim, and returns the
 // filled way.
 func (s *System) fillLLC(core int, lineAddr uint64, fl lineFlags, now int64) int {
-	slot, victim, victimSharers := s.llcOf(core).insert(lineAddr, fl)
+	slot, victim, victimSharers := s.llcOf(core).fill(lineAddr, fl)
 	if victim.valid() {
 		s.evictLLCVictim(core, victim, victimSharers, now)
 	}
@@ -339,41 +355,48 @@ func (s *System) invalidateSharers(set sharerSet, except int, lineAddr uint64) (
 	return dirty
 }
 
-// fillL2 inserts into core's L2; a dirty victim is absorbed by the
-// inclusive LLC (its dirty bit is set) or written back if the LLC has
-// already dropped it.
+// fillL2 fills lineAddr into core's L2.
 func (s *System) fillL2(core int, lineAddr uint64, fl lineFlags, now int64) {
+	_, victim, _ := s.cores[core].l2.fill(lineAddr, fl)
+	s.absorbL2Victim(core, victim, now)
+}
+
+// absorbL2Victim handles a line evicted from core's L2: a dirty victim
+// is absorbed by the inclusive LLC (its dirty bit is set) or written
+// back if the LLC has already dropped it.
+func (s *System) absorbL2Victim(core int, victim line, now int64) {
+	if !victim.valid() || victim.flags&flagDirty == 0 {
+		return
+	}
 	cc := &s.cores[core]
-	_, victim, _ := cc.l2.insert(lineAddr, fl)
-	if victim.valid() && victim.flags&flagDirty != 0 {
-		victimAddr := victim.tag - 1
-		llc := s.llcOf(core)
-		if w := llc.probe(victimAddr, false); w >= 0 {
-			l := &llc.lines[w]
-			l.flags |= flagDirty
-			if l.owner == int16(core) {
-				l.owner = -1
-				// The L1-D (non-inclusive with the L2) may still hold
-				// the line; demote its write permission along with the
-				// lapsed ownership, or a later store would skip the
-				// directory claim the owner-less line now requires.
-				if dw := cc.l1d.probe(victimAddr, false); dw >= 0 {
-					cc.l1d.lines[dw].flags &^= flagExcl | flagDirty
-				}
+	victimAddr := victim.tag - 1
+	llc := s.llcOf(core)
+	if w := llc.probe(victimAddr, false); w >= 0 {
+		l := &llc.lines[w]
+		l.flags |= flagDirty
+		if l.owner == int16(core) {
+			l.owner = -1
+			// The L1-D (non-inclusive with the L2) may still hold
+			// the line; demote its write permission along with the
+			// lapsed ownership, or a later store would skip the
+			// directory claim the owner-less line now requires.
+			if dw := cc.l1d.probe(victimAddr, false); dw >= 0 {
+				cc.l1d.lines[dw].flags &^= flagExcl | flagDirty
 			}
-		} else {
-			s.memWrite(victimAddr, now)
-			s.ctrs[core].OffchipWriteback += LineBytes
 		}
+	} else {
+		s.memWrite(victimAddr, now)
+		s.ctrs[core].OffchipWriteback += LineBytes
 	}
 }
 
-// fillL1D inserts into core's L1D; dirty victims spill to the L2.
+// fillL1D fills lineAddr into core's L1D; dirty victims spill to the L2.
 func (s *System) fillL1D(core int, lineAddr uint64, fl lineFlags, now int64) {
 	cc := &s.cores[core]
-	_, victim, _ := cc.l1d.insert(lineAddr, fl)
+	_, victim, _ := cc.l1d.fill(lineAddr, fl)
 	if victim.valid() && victim.flags&flagDirty != 0 {
-		s.fillL2(core, victim.tag-1, flagDirty, now)
+		_, l2victim, _ := cc.l2.insert(victim.tag-1, flagDirty)
+		s.absorbL2Victim(core, l2victim, now)
 	}
 }
 

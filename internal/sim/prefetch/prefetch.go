@@ -12,7 +12,11 @@
 // Figure 5 of the paper toggles exactly these units.
 package prefetch
 
-import "cloudsuite/internal/sim/checkpoint"
+import (
+	"math/bits"
+
+	"cloudsuite/internal/sim/checkpoint"
+)
 
 // AdjacentLine returns the buddy line of lineAddr within its aligned
 // 128-byte pair.
@@ -32,6 +36,12 @@ type Stride struct {
 	// before a stream starts prefetching.
 	Confidence int //simlint:ok checkpointcov construction-time configuration, identical for equal configs
 }
+
+// linesPerPage is the number of lines in the 4KB page a stream spans.
+const linesPerPage = 4096 / 64
+
+// maxConf is the confidence at which a stream's counter saturates.
+const maxConf = 8
 
 type stream struct {
 	page    uint64
@@ -69,7 +79,11 @@ func (s *Stride) SaveState(w *checkpoint.Writer) {
 }
 
 // LoadState restores state saved by SaveState into a detector with the
-// same stream count; a mismatch is reported through the reader.
+// same stream count; a mismatch is reported through the reader, as is a
+// stream Observe could not have left: one used past the clock (it
+// would outrank every stream touched after the restore), an offset
+// outside the page's 64 lines, a direction other than -1, 0 or +1, or a
+// confidence outside 0..8.
 func (s *Stride) LoadState(r *checkpoint.Reader) {
 	r.Expect("stride")
 	s.clock = r.U64()
@@ -85,6 +99,22 @@ func (s *Stride) LoadState(r *checkpoint.Reader) {
 		st.conf = int32(r.U32())
 		st.used = r.U64()
 		st.valid = r.Bool()
+		if r.Err() != nil {
+			return
+		}
+		switch {
+		case st.used > s.clock:
+			r.Failf("stride snapshot stream %d used at %d, past the clock %d", i, st.used, s.clock)
+		case st.lastOff < 0 || st.lastOff >= linesPerPage:
+			r.Failf("stride snapshot stream %d has line offset %d outside 0..%d", i, st.lastOff, linesPerPage-1)
+		case st.dir < -1 || st.dir > 1:
+			r.Failf("stride snapshot stream %d has direction %d", i, st.dir)
+		case st.conf < 0 || st.conf > maxConf:
+			r.Failf("stride snapshot stream %d has confidence %d outside 0..%d", i, st.conf, maxConf)
+		default:
+			continue
+		}
+		return
 	}
 }
 
@@ -92,26 +122,19 @@ func (s *Stride) LoadState(r *checkpoint.Reader) {
 // lines to prefetch (possibly none). The returned slice is valid until
 // the next call.
 func (s *Stride) Observe(lineAddr uint64) []uint64 {
-	const linesPerPage = 4096 / 64
 	page := lineAddr / linesPerPage
 	off := int32(lineAddr % linesPerPage)
 	s.clock++
 
 	var st *stream
-	victim := 0
 	for i := range s.streams {
 		if s.streams[i].valid && s.streams[i].page == page {
 			st = &s.streams[i]
 			break
 		}
-		if !s.streams[i].valid {
-			victim = i
-		} else if s.streams[victim].valid && s.streams[i].used < s.streams[victim].used {
-			victim = i
-		}
 	}
 	if st == nil {
-		s.streams[victim] = stream{page: page, lastOff: off, used: s.clock, valid: true}
+		s.streams[s.victim()] = stream{page: page, lastOff: off, used: s.clock, valid: true}
 		return nil
 	}
 	st.used = s.clock
@@ -129,7 +152,7 @@ func (s *Stride) Observe(lineAddr uint64) []uint64 {
 		return nil
 	}
 	if dir == st.dir {
-		if st.conf < 8 {
+		if st.conf < maxConf {
 			st.conf++
 		}
 	} else {
@@ -149,6 +172,28 @@ func (s *Stride) Observe(lineAddr uint64) []uint64 {
 	}
 	s.out = out
 	return out
+}
+
+// victim returns the stream a newly seen page replaces: the last
+// invalid stream while the table fills, then the least recently used
+// one, the lowest-indexed among tied stamps. The second scan is
+// branch-free: use stamps sit in random order, so a compare-and-branch
+// would mispredict; a borrow mask selects the older stamp instead.
+func (s *Stride) victim() int {
+	for i := len(s.streams) - 1; i >= 0; i-- {
+		if !s.streams[i].valid {
+			return i
+		}
+	}
+	victim, best := 0, s.streams[0].used
+	for i := 1; i < len(s.streams); i++ {
+		u := s.streams[i].used
+		_, older := bits.Sub64(u, best, 0)
+		m := -older
+		best ^= (best ^ u) & m
+		victim ^= (victim ^ i) & int(m)
+	}
+	return victim
 }
 
 // DCU is the L1-D streamer: after two consecutive ascending line

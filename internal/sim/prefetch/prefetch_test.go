@@ -1,8 +1,12 @@
 package prefetch
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"cloudsuite/internal/sim/checkpoint"
 )
 
 func TestAdjacentLine(t *testing.T) {
@@ -156,5 +160,106 @@ func TestStreamIBoundedHistory(t *testing.T) {
 	}
 	if len(s.next) > 16 {
 		t.Fatalf("history grew to %d entries, bound is 16", len(s.next))
+	}
+}
+
+// refObserveSlot is the branchy stream-table scan that Observe's match
+// loop and victim replaced, kept as the reference. It returns the
+// stream matching page, or -1 and the stream a miss replaces: the last
+// invalid stream, else the first with the smallest use stamp.
+func refObserveSlot(streams []stream, page uint64) (match, victim int) {
+	for i := range streams {
+		if streams[i].valid && streams[i].page == page {
+			return i, 0
+		}
+		if !streams[i].valid {
+			victim = i
+		} else if streams[victim].valid && streams[i].used < streams[victim].used {
+			victim = i
+		}
+	}
+	return -1, victim
+}
+
+// TestStrideSlotMatchesReference: on random tables with invalid
+// streams, tied stamps and full tables, at the machine's 16 streams and
+// other sizes, Observe updates the stream the reference matches or
+// replaces, and no other.
+func TestStrideSlotMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, n := range []int{1, 2, 4, 8, 16, 32} {
+		for trial := 0; trial < 2000; trial++ {
+			s := NewStride(n)
+			pInvalid := []int{0, 0, 4, 2}[rng.Intn(4)] // 1 in pInvalid streams invalid; 0: none
+			span := uint64(1 + rng.Intn(n))
+			for i := range s.streams {
+				if pInvalid > 0 && rng.Intn(pInvalid) == 0 {
+					continue
+				}
+				s.streams[i] = stream{page: uint64(rng.Intn(2 * n)), used: 1 + rng.Uint64()%span, valid: true}
+				s.clock = max(s.clock, s.streams[i].used)
+			}
+			page := uint64(rng.Intn(2 * n))
+			match, victim := refObserveSlot(s.streams, page)
+			if match < 0 {
+				match = victim
+			}
+			before := slices.Clone(s.streams)
+			s.Observe(page * 64)
+			for i := range s.streams {
+				if changed := s.streams[i] != before[i]; changed != (i == match) {
+					t.Fatalf("%d streams, page %d: stream %d changed=%v, the reference picks stream %d; table %+v",
+						n, page, i, changed, match, before)
+				}
+			}
+		}
+	}
+}
+
+// strideImage returns a one-stream detector image at clock 10 holding
+// st, sealed as a real save would be.
+func strideImage(st stream) *checkpoint.Reader {
+	w := checkpoint.NewWriter()
+	w.Tag("stride")
+	w.U64(10)
+	w.U32(1)
+	w.U64(st.page)
+	w.U32(uint32(st.lastOff))
+	w.U32(uint32(st.dir))
+	w.U32(uint32(st.conf))
+	w.U64(st.used)
+	w.Bool(st.valid)
+	return w.Snapshot("forged").Reader()
+}
+
+// TestStrideLoadRejectsImpossibleStreams: a stream Observe could not
+// have left fails to load — a use stamp past the clock would outrank
+// every stream touched after the restore, and an offset, direction or
+// confidence out of range would steer prefetches off the page's lines.
+func TestStrideLoadRejectsImpossibleStreams(t *testing.T) {
+	ok := stream{page: 3, lastOff: 63, dir: -1, conf: 8, used: 10, valid: true}
+	for _, tc := range []struct {
+		name string
+		edit func(*stream)
+		ok   bool
+	}{
+		{"in range", func(*stream) {}, true},
+		{"used past the clock", func(st *stream) { st.used = 11 }, false},
+		{"offset below the page", func(st *stream) { st.lastOff = -1 }, false},
+		{"offset past the page", func(st *stream) { st.lastOff = 64 }, false},
+		{"direction 2", func(st *stream) { st.dir = 2 }, false},
+		{"direction -2", func(st *stream) { st.dir = -2 }, false},
+		{"confidence 9", func(st *stream) { st.conf = 9 }, false},
+		{"confidence -1", func(st *stream) { st.conf = -1 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := ok
+			tc.edit(&st)
+			r := strideImage(st)
+			NewStride(1).LoadState(r)
+			if err := r.Err(); tc.ok != (err == nil) {
+				t.Fatalf("load error %v, want ok=%v", err, tc.ok)
+			}
+		})
 	}
 }

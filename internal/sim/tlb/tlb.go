@@ -5,7 +5,11 @@
 // the paper's accounting (Section 3.1).
 package tlb
 
-import "cloudsuite/internal/sim/checkpoint"
+import (
+	"math/bits"
+
+	"cloudsuite/internal/sim/checkpoint"
+)
 
 // Config sizes one TLB.
 type Config struct {
@@ -62,20 +66,34 @@ func New(cfg Config) *TLB {
 func (t *TLB) Lookup(addr uint64) bool {
 	page := addr >> 12
 	set := int(page&t.setMask) * t.assoc
+	tags := t.tags[set : set+t.assoc]
+	stamps := t.stamps[set : set+t.assoc]
 	t.tick++
-	victim, oldest := set, t.stamps[set]
-	for w := set; w < set+t.assoc; w++ {
-		if t.tags[w] == page+1 { // +1 so a zero tag is never valid
-			t.stamps[w] = t.tick
+	for w, tag := range tags {
+		if tag == page+1 { // +1 so a zero tag is never valid
+			stamps[w] = t.tick
 			return true
 		}
-		if t.stamps[w] < oldest {
-			victim, oldest = w, t.stamps[w]
-		}
 	}
-	t.tags[victim] = page + 1
-	t.stamps[victim] = t.tick
+	v := oldest(stamps)
+	tags[v] = page + 1
+	stamps[v] = t.tick
 	return false
+}
+
+// oldest returns the index of the first minimum of stamps. Empty
+// entries hold stamp 0, so they fill first. The scan is branch-free:
+// stamps sit in random order, so a compare-and-branch would mispredict;
+// a borrow mask selects the older stamp and its index instead.
+func oldest(stamps []uint64) int {
+	victim, best := 0, stamps[0]
+	for w := 1; w < len(stamps); w++ {
+		_, older := bits.Sub64(stamps[w], best, 0)
+		m := -older
+		best ^= (best ^ stamps[w]) & m
+		victim ^= (victim ^ w) & int(m)
+	}
+	return victim
 }
 
 // SaveState serializes the TLB's warm contents (tags, LRU stamps, and
@@ -88,12 +106,23 @@ func (t *TLB) SaveState(w *checkpoint.Writer) {
 }
 
 // LoadState restores state saved by SaveState into a TLB of identical
-// geometry; a mismatch is reported through the reader.
+// geometry; a mismatch is reported through the reader, as is a stamp
+// past the LRU clock, which would outrank every entry filled after the
+// restore.
 func (t *TLB) LoadState(r *checkpoint.Reader) {
 	r.Expect("tlb")
 	t.tick = r.U64()
 	r.U64s(t.tags)
 	r.U64s(t.stamps)
+	if r.Err() != nil {
+		return
+	}
+	for i, st := range t.stamps {
+		if st > t.tick {
+			r.Failf("tlb snapshot entry %d has LRU stamp %d past the clock %d", i, st, t.tick)
+			return
+		}
+	}
 }
 
 // Hierarchy bundles the first-level I/D TLBs with the shared second

@@ -2,8 +2,11 @@ package tlb
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"cloudsuite/internal/sim/checkpoint"
 )
 
 func TestLookupHitAfterInsert(t *testing.T) {
@@ -89,5 +92,103 @@ func TestQuickCapacityBound(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refLookup is the branchy Lookup that the match loop and oldest
+// replaced, kept as the reference: one pass that returns on a match
+// and otherwise tracks the first entry with the smallest stamp.
+func refLookup(t *TLB, addr uint64) bool {
+	page := addr >> 12
+	set := int(page&t.setMask) * t.assoc
+	t.tick++
+	victim, oldest := set, t.stamps[set]
+	for w := set; w < set+t.assoc; w++ {
+		if t.tags[w] == page+1 {
+			t.stamps[w] = t.tick
+			return true
+		}
+		if t.stamps[w] < oldest {
+			victim, oldest = w, t.stamps[w]
+		}
+	}
+	t.tags[victim] = page + 1
+	t.stamps[victim] = t.tick
+	return false
+}
+
+// TestLookupMatchesReference: from random states with empty entries,
+// tied stamps and full sets, at the hierarchy's associativity (4) and
+// others, Lookup and the reference agree on every outcome and leave
+// identical tags and stamps.
+func TestLookupMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, assoc := range []int{1, 2, 3, 4, 8, 16} {
+		for trial := 0; trial < 200; trial++ {
+			got := New(Config{Entries: 4 * assoc, Assoc: assoc})
+			span := uint64(1 + rng.Intn(2*assoc)) // narrow spans tie stamps
+			for i := range got.tags {
+				if rng.Intn(4) == 0 {
+					continue // empty: tag and stamp 0
+				}
+				got.tags[i] = uint64(rng.Intn(32)) + 1
+				got.stamps[i] = 1 + rng.Uint64()%span
+				got.tick = max(got.tick, got.stamps[i])
+			}
+			want := &TLB{sets: got.sets, assoc: got.assoc, setMask: got.setMask, tick: got.tick,
+				tags: append([]uint64(nil), got.tags...), stamps: append([]uint64(nil), got.stamps...)}
+			for op := 0; op < 64; op++ {
+				addr := uint64(rng.Intn(32)) << 12
+				if g, w := got.Lookup(addr), refLookup(want, addr); g != w {
+					t.Fatalf("assoc %d: Lookup(%#x) = %v, reference %v", assoc, addr, g, w)
+				}
+				if !slices.Equal(got.tags, want.tags) || !slices.Equal(got.stamps, want.stamps) {
+					t.Fatalf("assoc %d: after Lookup(%#x) tags %v stamps %v, reference %v %v",
+						assoc, addr, got.tags, got.stamps, want.tags, want.stamps)
+				}
+			}
+		}
+	}
+}
+
+// TestLoadStateRoundTrip: a warmed TLB restores to one that saves the
+// same bytes.
+func TestLoadStateRoundTrip(t *testing.T) {
+	tb := New(Config{Entries: 64, Assoc: 4})
+	for i := uint64(0); i < 200; i++ {
+		tb.Lookup(i * 7 << 12)
+	}
+	w := checkpoint.NewWriter()
+	tb.SaveState(w)
+	snap := w.Snapshot("tlb")
+	back := New(Config{Entries: 64, Assoc: 4})
+	r := snap.Reader()
+	back.LoadState(r)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	w2 := checkpoint.NewWriter()
+	back.SaveState(w2)
+	if w2.Snapshot("tlb").Hash() != snap.Hash() {
+		t.Fatal("save -> load -> save changed the TLB image")
+	}
+}
+
+// TestLoadRejectsStampPastClock: an entry stamped later than the clock
+// would outrank every entry filled after the restore, so the load
+// fails.
+func TestLoadRejectsStampPastClock(t *testing.T) {
+	tb := New(Config{Entries: 8, Assoc: 4})
+	w := checkpoint.NewWriter()
+	w.Tag("tlb")
+	w.U64(5) // clock
+	tags, stamps := make([]uint64, 8), make([]uint64, 8)
+	tags[2], stamps[2] = 0x42, 6
+	w.U64s(tags)
+	w.U64s(stamps)
+	r := w.Snapshot("forged").Reader()
+	tb.LoadState(r)
+	if r.Err() == nil {
+		t.Fatal("an entry stamped 6 under clock 5 loaded without error")
 	}
 }
