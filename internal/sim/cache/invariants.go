@@ -67,13 +67,17 @@ func (s *System) CheckInvariants() error {
 		}{{"L1-I", cc.l1i}, {"L1-D", cc.l1d}, {"L2", cc.l2}} {
 			for i := range pc.c.lines {
 				l := &pc.c.lines[i]
-				if !l.valid() && l.lru == 0 {
+				if !l.valid() {
+					if l.lru != 0 {
+						return fmt.Errorf("cache: core %d %s invalid way %d stamped %d, not 0", c, pc.name, i, l.lru)
+					}
 					continue
 				}
-				if err := pc.c.checkStamp(i); err != nil {
-					return fmt.Errorf("cache: core %d %s %w", c, pc.name, err)
-				}
 				la := l.tag - 1
+				if l.lru == 0 || l.lru > pc.c.tick {
+					return fmt.Errorf("cache: core %d %s line %#x stamped %d, outside 1..%d (the clock)",
+						c, pc.name, la, l.lru, pc.c.tick)
+				}
 				w := llc.probe(la, false)
 				if w < 0 {
 					return fmt.Errorf("cache: inclusion violated: core %d %s holds line %#x absent from socket %d LLC",
@@ -97,13 +101,17 @@ func (s *System) CheckInvariants() error {
 		localHi := localLo + s.cfg.CoresPerSocket
 		for i := range llc.lines {
 			l := &llc.lines[i]
-			if !l.valid() && l.lru == 0 {
+			if !l.valid() {
+				if l.lru != 0 {
+					return fmt.Errorf("cache: socket %d LLC invalid way %d stamped %d, not 0", so, i, l.lru)
+				}
 				continue
 			}
-			if err := llc.checkStamp(i); err != nil {
-				return fmt.Errorf("cache: socket %d LLC %w", so, err)
-			}
 			la := l.tag - 1
+			if l.lru == 0 || l.lru > llc.tick {
+				return fmt.Errorf("cache: socket %d LLC line %#x stamped %d, outside 1..%d (the clock)",
+					so, la, l.lru, llc.tick)
+			}
 			sh := llc.sharers(i)
 			for c := sh.next(0); c >= 0; c = sh.next(c + 1) {
 				if c < localLo || c >= localHi {
@@ -133,18 +141,6 @@ func (s *System) CheckInvariants() error {
 				}
 			}
 		}
-	}
-	return nil
-}
-
-// checkStamp checks invariant 7 on way i of c.
-func (c *Cache) checkStamp(i int) error {
-	l := &c.lines[i]
-	if !l.valid() {
-		return fmt.Errorf("invalid way %d stamped %d, not 0", i, l.lru)
-	}
-	if l.lru == 0 || l.lru > c.tick {
-		return fmt.Errorf("line %#x stamped %d, outside 1..%d (the clock)", l.tag-1, l.lru, c.tick)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cloudsuite/internal/sim/topo"
@@ -76,6 +77,14 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			s.AccessData(0, 0x1000, false, false, 0)
 			s.cores[0].l1d.peek(line).lru = s.cores[0].l1d.tick + 1
 		}},
+		{"invalid-way-stamped", func(s *System) {
+			s.AccessData(0, 0x1000, false, false, 0)
+			stampInvalidWay(s.cores[0].l2)
+		}},
+		{"invalid-llc-way-stamped", func(s *System) {
+			s.AccessData(0, 0x1000, false, false, 0)
+			stampInvalidWay(s.llcs[0])
+		}},
 	}
 	for _, tc := range corrupt {
 		s := NewSystem(noPrefetchConfig(2, 2))
@@ -84,6 +93,12 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			t.Errorf("%s: corruption not detected", tc.name)
 		}
 	}
+}
+
+// stampInvalidWay gives c's first invalid way the current clock as its
+// stamp, a value in range for a valid way but not for an invalid one.
+func stampInvalidWay(c *Cache) {
+	c.lines[slices.IndexFunc(c.lines, func(l line) bool { return !l.valid() })].lru = c.tick
 }
 
 // The same corruption shapes must be caught above the old 32-core

@@ -365,28 +365,27 @@ func (s *System) fillL2(core int, lineAddr uint64, fl lineFlags, now int64) {
 // is absorbed by the inclusive LLC (its dirty bit is set) or written
 // back if the LLC has already dropped it.
 func (s *System) absorbL2Victim(core int, victim line, now int64) {
-	if !victim.valid() || victim.flags&flagDirty == 0 {
-		return
-	}
 	cc := &s.cores[core]
-	victimAddr := victim.tag - 1
-	llc := s.llcOf(core)
-	if w := llc.probe(victimAddr, false); w >= 0 {
-		l := &llc.lines[w]
-		l.flags |= flagDirty
-		if l.owner == int16(core) {
-			l.owner = -1
-			// The L1-D (non-inclusive with the L2) may still hold
-			// the line; demote its write permission along with the
-			// lapsed ownership, or a later store would skip the
-			// directory claim the owner-less line now requires.
-			if dw := cc.l1d.probe(victimAddr, false); dw >= 0 {
-				cc.l1d.lines[dw].flags &^= flagExcl | flagDirty
+	if victim.valid() && victim.flags&flagDirty != 0 {
+		victimAddr := victim.tag - 1
+		llc := s.llcOf(core)
+		if w := llc.probe(victimAddr, false); w >= 0 {
+			l := &llc.lines[w]
+			l.flags |= flagDirty
+			if l.owner == int16(core) {
+				l.owner = -1
+				// The L1-D (non-inclusive with the L2) may still hold
+				// the line; demote its write permission along with the
+				// lapsed ownership, or a later store would skip the
+				// directory claim the owner-less line now requires.
+				if dw := cc.l1d.probe(victimAddr, false); dw >= 0 {
+					cc.l1d.lines[dw].flags &^= flagExcl | flagDirty
+				}
 			}
+		} else {
+			s.memWrite(victimAddr, now)
+			s.ctrs[core].OffchipWriteback += LineBytes
 		}
-	} else {
-		s.memWrite(victimAddr, now)
-		s.ctrs[core].OffchipWriteback += LineBytes
 	}
 }
 

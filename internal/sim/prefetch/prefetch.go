@@ -99,23 +99,17 @@ func (s *Stride) LoadState(r *checkpoint.Reader) {
 		st.conf = int32(r.U32())
 		st.used = r.U64()
 		st.valid = r.Bool()
-		if r.Err() != nil {
+		if r.Err() == nil && !st.possible(s.clock) {
+			r.Failf("stride snapshot stream %d %+v cannot arise under clock %d", i, *st, s.clock)
 			return
 		}
-		switch {
-		case st.used > s.clock:
-			r.Failf("stride snapshot stream %d used at %d, past the clock %d", i, st.used, s.clock)
-		case st.lastOff < 0 || st.lastOff >= linesPerPage:
-			r.Failf("stride snapshot stream %d has line offset %d outside 0..%d", i, st.lastOff, linesPerPage-1)
-		case st.dir < -1 || st.dir > 1:
-			r.Failf("stride snapshot stream %d has direction %d", i, st.dir)
-		case st.conf < 0 || st.conf > maxConf:
-			r.Failf("stride snapshot stream %d has confidence %d outside 0..%d", i, st.conf, maxConf)
-		default:
-			continue
-		}
-		return
 	}
+}
+
+// possible reports whether Observe can leave st under clock.
+func (st *stream) possible(clock uint64) bool {
+	return st.used <= clock && st.lastOff >= 0 && st.lastOff < linesPerPage &&
+		st.dir >= -1 && st.dir <= 1 && st.conf >= 0 && st.conf <= maxConf
 }
 
 // Observe feeds one demand line access to the detector and returns the

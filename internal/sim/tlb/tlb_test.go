@@ -151,29 +151,6 @@ func TestLookupMatchesReference(t *testing.T) {
 	}
 }
 
-// TestLoadStateRoundTrip: a warmed TLB restores to one that saves the
-// same bytes.
-func TestLoadStateRoundTrip(t *testing.T) {
-	tb := New(Config{Entries: 64, Assoc: 4})
-	for i := uint64(0); i < 200; i++ {
-		tb.Lookup(i * 7 << 12)
-	}
-	w := checkpoint.NewWriter()
-	tb.SaveState(w)
-	snap := w.Snapshot("tlb")
-	back := New(Config{Entries: 64, Assoc: 4})
-	r := snap.Reader()
-	back.LoadState(r)
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	w2 := checkpoint.NewWriter()
-	back.SaveState(w2)
-	if w2.Snapshot("tlb").Hash() != snap.Hash() {
-		t.Fatal("save -> load -> save changed the TLB image")
-	}
-}
-
 // TestLoadRejectsStampPastClock: an entry stamped later than the clock
 // would outrank every entry filled after the restore, so the load
 // fails.
