@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cloudsuite/internal/sim/checkpoint"
@@ -141,6 +142,15 @@ func FuzzLoadImage(f *testing.F) {
 		f.Add(uint8(1), uint32(at+10), make([]byte, 8))
 		f.Add(uint8(1), uint32(at+10+8+4+8+4), []byte{5, 0, 0, 0})
 	}
+	// Hostile v10 records on the first image, each checked to fail the
+	// restore with its own error before it is added.
+	for _, r := range recordRejections(f, seeds[0].payload()) {
+		_, err := seeds[0].restore(f, mutate(seeds[0].payload(), r.at, r.patch))
+		if err == nil || !strings.Contains(err.Error(), r.want) {
+			f.Fatalf("%s: restore error %v, want one naming %q", r.name, err, r.want)
+		}
+		f.Add(uint8(0), r.at, r.patch)
+	}
 	f.Fuzz(func(t *testing.T, which uint8, at uint32, patch []byte) {
 		s := seeds[int(which)%len(seeds)]
 		payload := mutate(s.payload(), at, patch)
@@ -151,4 +161,73 @@ func FuzzLoadImage(f *testing.F) {
 			t.Fatalf("restore allocated %d bytes, over the %d-byte bound for a %d-byte payload", alloc, limit, len(payload))
 		}
 	})
+}
+
+// rejection is a mutation of a warm image's payload (see mutate) and
+// the error its restore must fail with.
+type rejection struct {
+	name  string
+	at    uint32
+	patch []byte
+	want  string
+}
+
+// recordRejections returns mutations of payload that break the v10
+// varint records: in the first cache section (core 0's L1-I, a private
+// cache with valid ways) a truncated varint, an 11-byte varint, index
+// gaps of 0 and past the array, a stamp past 32 bits and an owner past
+// the directory, which tracks no core there; and in the first
+// emitter's residue, a record of op 7.
+func recordRejections(tb testing.TB, payload []byte) []rejection {
+	tb.Helper()
+	at := func(section string) int {
+		i := bytes.Index(payload, append(binary.LittleEndian.AppendUint32(nil, uint32(len(section))), section...))
+		if i < 0 {
+			tb.Fatalf("image has no %s section", section)
+		}
+		return i + 4 + len(section)
+	}
+	skip := func(i int) int { // past the varint at i
+		_, n := binary.Uvarint(payload[i:])
+		if n <= 0 {
+			tb.Fatalf("no varint at offset %d", i)
+		}
+		return i + n
+	}
+	// A cache section is clock, way count and valid count (4 bytes
+	// each), then records: index gap, tag, stamp, sharer mask (one 0
+	// byte for an empty set), owner+1 and flags.
+	gapAt := at("cache") + 12
+	tagAt := skip(gapAt)
+	stampAt := skip(tagAt)
+	maskAt := skip(stampAt)
+	if payload[tagAt] < 0x80 || payload[maskAt] != 0 {
+		tb.Fatal("the first L1-I record has a 1-byte tag or a sharer")
+	}
+	// An emitter section is block length, branch entropy and seed (20
+	// bytes), the tagged 4-word RNG state (39), sequence number, branch
+	// countdown and kernel depth (16), the frame count and frames (32
+	// bytes, a return flag, then 32 more bytes when it is set), residue
+	// and lent counts (8), and the residue records.
+	rec := at("emitter") + 20 + 39 + 16
+	frames := int(binary.LittleEndian.Uint32(payload[rec:]))
+	rec += 4
+	for range frames {
+		if rec += 33; payload[rec-1] != 0 {
+			rec += 32
+		}
+	}
+	if binary.LittleEndian.Uint32(payload[rec:]) == 0 {
+		tb.Fatal("the first emitter has no residue")
+	}
+	rec += 8
+	return []rejection{
+		{"truncated varint", uint32(tagAt + 1), nil, "truncated varint"},
+		{"11-byte varint", uint32(tagAt), append(bytes.Repeat([]byte{0x80}, 10), 1), "longer than 10 bytes"},
+		{"index gap 0", uint32(gapAt), []byte{0}, "index gap 0"},
+		{"index gap past the array", uint32(gapAt), binary.AppendUvarint(nil, 1<<32-1), "runs past"},
+		{"stamp past 32 bits", uint32(stampAt), binary.AppendUvarint(nil, 1<<32), "LRU stamp 4294967296"},
+		{"owner past the directory", uint32(maskAt + 1), []byte{1}, "names owner core 0"},
+		{"residue op 7", uint32(rec), []byte{payload[rec] | 7}, "op 7"},
+	}
 }

@@ -26,7 +26,7 @@ func DefaultConfig() Config {
 type Predictor struct {
 	cfg     Config  //simlint:ok checkpointcov construction-time configuration; LoadState geometry-checks table sizes instead of restoring it
 	pht     []uint8 // 2-bit saturating counters, four to a byte (see ctr)
-	phtMask uint64
+	phtMask uint64  //simlint:ok checkpointcov derived from cfg.GshareBits at construction; LoadState length-checks the packed PHT instead
 	history uint64
 	histMsk uint64 //simlint:ok checkpointcov derived from cfg.HistoryBits at construction
 	btbTag  []uint64
@@ -64,9 +64,6 @@ func (p *Predictor) resetPHT() {
 	}
 }
 
-// phtLen is the number of PHT counters.
-func (p *Predictor) phtLen() int { return int(p.phtMask) + 1 }
-
 // ctr returns PHT counter i; counter i is bits 2(i%4)..2(i%4)+1 of
 // byte i/4.
 func (p *Predictor) ctr(i uint64) uint8 { return p.pht[i>>2] >> ((i & 3) * 2) & 3 }
@@ -88,29 +85,16 @@ func nextPow2(n int) int {
 	return p
 }
 
-// SaveState serializes the predictor's trained state: pattern history
-// table, global history register, and BTB contents. Both tables are
-// sparse-encoded against their reset values (PHT counters at weakly
-// not-taken, BTB slots empty): warming trains a small fraction of the
-// 64K-entry PHT, and dense tables would dominate snapshot size.
+// SaveState serializes the predictor's trained state: global history
+// register, pattern history table and BTB contents. The PHT is written
+// densely as its packed bytes, 16 KB for the default 64K counters. The
+// BTB is sparse: each filled slot is a varint gap from the previous
+// filled slot, the varint tag (the branch PC) and the target as a
+// zigzag delta from the tag, since most branches jump nearby.
 func (p *Predictor) SaveState(w *checkpoint.Writer) {
 	w.Tag("bpred")
 	w.U64(p.history)
-	n := uint64(p.phtLen())
-	w.U32(uint32(n))
-	trained := uint32(0)
-	for i := uint64(0); i < n; i++ {
-		if p.ctr(i) != 1 {
-			trained++
-		}
-	}
-	w.U32(trained)
-	for i := uint64(0); i < n; i++ {
-		if v := p.ctr(i); v != 1 {
-			w.U32(uint32(i))
-			w.U8(v)
-		}
-	}
+	w.U8s(p.pht)
 	w.U32(uint32(len(p.btbTag)))
 	filled := uint32(0)
 	for _, t := range p.btbTag {
@@ -119,62 +103,41 @@ func (p *Predictor) SaveState(w *checkpoint.Writer) {
 		}
 	}
 	w.U32(filled)
+	prev := -1
 	for i, t := range p.btbTag {
 		if t != 0 {
-			w.U32(uint32(i))
-			w.U64(t)
-			w.U64(p.btbTgt[i])
+			w.Uvarint(uint64(i - prev))
+			w.Uvarint(t)
+			w.Varint(int64(p.btbTgt[i] - t))
+			prev = i
 		}
 	}
 }
 
 // LoadState restores state saved by SaveState into a predictor of
 // identical configuration; a mismatch is reported through the reader.
+// Every PHT byte is four valid 2-bit counters, so the table needs no
+// check beyond its length.
 func (p *Predictor) LoadState(r *checkpoint.Reader) {
 	r.Expect("bpred")
 	p.history = r.U64()
-	if n := int(r.U32()); r.Err() == nil && n != p.phtLen() {
-		r.Failf("bpred PHT size mismatch: snapshot has %d entries, predictor has %d", n, p.phtLen())
-		return
-	}
-	p.resetPHT()
-	trained := int(r.U32())
-	for k := 0; k < trained; k++ {
-		i := int(r.U32())
-		v := r.U8()
-		if r.Err() != nil {
-			return
-		}
-		if i >= p.phtLen() {
-			r.Failf("bpred PHT index %d out of range (%d entries)", i, p.phtLen())
-			return
-		}
-		if v > 3 {
-			r.Failf("bpred PHT counter %d holds %d; a 2-bit counter holds 0..3", i, v)
-			return
-		}
-		p.setCtr(uint64(i), v)
-	}
+	r.U8s(p.pht)
 	if n := int(r.U32()); r.Err() == nil && n != len(p.btbTag) {
 		r.Failf("bpred BTB size mismatch: snapshot has %d entries, predictor has %d", n, len(p.btbTag))
 		return
 	}
-	for i := range p.btbTag {
-		p.btbTag[i] = 0
-		p.btbTgt[i] = 0
-	}
-	filled := int(r.U32())
-	for k := 0; k < filled; k++ {
-		i := int(r.U32())
+	clear(p.btbTag)
+	clear(p.btbTgt)
+	// A filled slot takes at least three 1-byte varints.
+	filled := r.Count(3)
+	for k, i := 0, -1; k < filled; k++ {
+		i = r.NextIndex(i, len(p.btbTag))
+		tag := r.Uvarint()
+		tgt := tag + uint64(r.Varint())
 		if r.Err() != nil {
 			return
 		}
-		if i >= len(p.btbTag) {
-			r.Failf("bpred BTB index %d out of range (%d entries)", i, len(p.btbTag))
-			return
-		}
-		p.btbTag[i] = r.U64()
-		p.btbTgt[i] = r.U64()
+		p.btbTag[i], p.btbTgt[i] = tag, tgt
 	}
 }
 

@@ -10,6 +10,9 @@ import (
 	"cloudsuite/internal/sim/checkpoint"
 )
 
+// phtLen is the number of PHT counters.
+func (p *Predictor) phtLen() int { return int(p.phtMask) + 1 }
+
 func TestLearnsBiasedBranch(t *testing.T) {
 	p := New(DefaultConfig())
 	pc, tgt := uint64(0x400100), uint64(0x400200)
@@ -115,8 +118,8 @@ func TestFootprint(t *testing.T) {
 }
 
 // TestStateRoundTrip checks that a trained predictor restores exactly,
-// and that an image naming a counter value past 3 is refused rather
-// than spilling into the neighbouring counters of its byte.
+// and that an image whose PHT is one byte short or long is refused
+// rather than restored onto a table of another size.
 func TestStateRoundTrip(t *testing.T) {
 	cfg := Config{GshareBits: 6, BTBEntries: 16, HistoryBits: 4}
 	p := New(cfg)
@@ -125,6 +128,7 @@ func TestStateRoundTrip(t *testing.T) {
 		pc := uint64(rng.Intn(64)) * 4
 		p.Predict(pc, rng.Intn(3) > 0, pc+64)
 	}
+	p.Update(0xffff_fff0, true, 0x40) // a target far below its branch
 	w := checkpoint.NewWriter()
 	p.SaveState(w)
 	img := w.Snapshot("bpred")
@@ -140,16 +144,35 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatal("restored predictor differs from the saved one")
 	}
 
-	w = checkpoint.NewWriter()
-	w.Tag("bpred")
-	w.U64(0)
-	w.U32(uint32(q.phtLen()))
-	w.U32(1)
-	w.U32(5)
-	w.U8(4)
-	r = w.Snapshot("bad").Reader()
-	q.LoadState(r)
-	if r.Err() == nil {
-		t.Fatal("a counter value of 4 must be refused")
+	for _, n := range []int{len(q.pht) - 1, len(q.pht) + 1} {
+		w = checkpoint.NewWriter()
+		w.Tag("bpred")
+		w.U64(0)
+		w.U8s(make([]uint8, n))
+		w.U32(uint32(len(q.btbTag)))
+		w.U32(0)
+		r = w.Snapshot("bad").Reader()
+		q.LoadState(r)
+		if r.Err() == nil {
+			t.Fatalf("a %d-byte PHT loaded into a %d-byte table", n, len(q.pht))
+		}
+	}
+}
+
+// TestPHTImageSize pins the PHT's share of an image: the default 64K
+// counters are written as their 16 KB of packed bytes plus a 4-byte
+// length, however the predictor was trained.
+func TestPHTImageSize(t *testing.T) {
+	p := New(DefaultConfig())
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		p.Update(uint64(rng.Intn(1<<16))*4, false, 0) // not taken: the BTB stays empty
+	}
+	w := checkpoint.NewWriter()
+	p.SaveState(w)
+	// Tag, history, then the BTB's size and filled count around the PHT.
+	const rest = 4 + len("bpred") + 8 + 4 + 4
+	if got := w.Snapshot("k").Size() - rest; got != 4+16<<10 {
+		t.Errorf("the PHT takes %d bytes of the image, want %d", got, 4+16<<10)
 	}
 }

@@ -17,12 +17,15 @@ import (
 
 // SaveState serializes the cache's LRU clock and line array, including
 // the directory state of LLC instances (private caches write an empty
-// sharer set per way). The encoding is sparse —
-// only valid ways are written, each prefixed by its array index — and
-// hand-rolled: an LLC holds hundreds of thousands of ways, typically
-// mostly empty at the warm boundary, and both a dense layout and a
-// reflection-based encoder would dominate checkpoint size and restore
-// cost (the payload is also content-hashed on every save and load).
+// sharer set per way). The encoding is sparse — only valid ways are
+// written — and hand-rolled: an LLC holds hundreds of thousands of
+// ways, typically mostly empty at the warm boundary, and both a dense
+// layout and a reflection-based encoder would dominate checkpoint size
+// and restore cost (the payload is also content-hashed on every save
+// and load). Each valid way is one record: the varint gap from the
+// previous valid way's index (from -1 for the first), the varint tag,
+// the varint LRU stamp, the sharer set, the varint owner+1 (0 for no
+// owner) and the flags byte.
 func (c *Cache) SaveState(w *checkpoint.Writer) {
 	w.Tag("cache")
 	w.U32(c.tick)
@@ -34,32 +37,36 @@ func (c *Cache) SaveState(w *checkpoint.Writer) {
 		}
 	}
 	w.U32(valid)
+	prev := -1
 	for i := range c.lines {
 		l := &c.lines[i]
 		if !l.valid() {
 			continue
 		}
-		w.U32(uint32(i))
-		w.U64(l.tag)
-		w.U32(l.lru)
+		w.Uvarint(uint64(i - prev))
+		w.Uvarint(l.tag)
+		w.Uvarint(uint64(l.lru))
 		c.sharers(i).save(w)
-		w.U16(uint16(l.owner))
+		w.Uvarint(uint64(int64(l.owner) + 1))
 		w.U8(uint8(l.flags))
+		prev = i
 	}
 }
 
 // LoadState restores state saved by SaveState into a cache of identical
-// geometry; a mismatch is reported through the reader, as is a
-// directory entry naming a core the machine lacks (a sharer or a
-// Modified owner at or beyond dirCores; private caches track none),
-// which would otherwise index past the core arrays on the first
-// eviction or downgrade, and a record that breaks invariant 7: a stamp
-// past the cache clock would outrank ways touched after the restore, a
-// stamp of 0 would make a valid way the victim ahead of an invalid one,
-// and a tag of 0 would make an invalid way with a live stamp. Ways
-// absent from the snapshot reset to invalid with stamp 0 (their other
-// residual fields are dead state: every read path checks validity
-// first and a fill overwrites a way wholesale).
+// geometry; a mismatch is reported through the reader. Each record's
+// fields are range-checked as they are read, before any is narrowed to
+// its in-memory width. A record fails the load when its index gap is 0
+// or runs past the array, when it names a directory entry the machine
+// lacks (a sharer or a Modified owner at or beyond dirCores; private
+// caches track none), which would otherwise index past the core arrays
+// on the first eviction or downgrade, or when it breaks invariant 7: a
+// stamp past the cache clock would outrank ways touched after the
+// restore, a stamp of 0 would make a valid way the victim ahead of an
+// invalid one, and a tag of 0 would make an invalid way with a live
+// stamp. Ways absent from the snapshot reset to invalid with stamp 0
+// (their other residual fields are dead state: every read path checks
+// validity first and a fill overwrites a way wholesale).
 func (c *Cache) LoadState(r *checkpoint.Reader) {
 	r.Expect("cache")
 	c.tick = r.U32()
@@ -74,38 +81,30 @@ func (c *Cache) LoadState(r *checkpoint.Reader) {
 		r.Failf("cache snapshot has %d valid ways, cache holds %d", valid, len(c.lines))
 		return
 	}
-	for k := 0; k < valid; k++ {
-		i := int(r.U32())
-		if r.Err() != nil {
-			return
-		}
-		if i >= len(c.lines) {
-			r.Failf("cache snapshot way index %d out of range (%d ways)", i, len(c.lines))
+	for k, i := 0, -1; k < valid; k++ {
+		if i = r.NextIndex(i, len(c.lines)); r.Err() != nil {
 			return
 		}
 		l := &c.lines[i]
-		l.tag = r.U64()
-		l.lru = r.U32()
+		if l.tag = r.Uvarint(); r.Err() == nil && !l.valid() {
+			r.Failf("cache snapshot way %d has tag 0, which marks an invalid way", i)
+		}
+		if stamp := r.Uvarint(); r.Err() == nil && (stamp == 0 || stamp > uint64(c.tick)) {
+			r.Failf("cache snapshot way %d has LRU stamp %d outside 1..%d (the cache clock)", i, stamp, c.tick)
+		} else {
+			l.lru = uint32(stamp)
+		}
 		sh := loadSharerSet(r)
-		l.owner = int16(r.U16())
+		if core := sh.next(c.dirCores); r.Err() == nil && core >= 0 {
+			r.Failf("cache snapshot way %d names sharer core %d; the directory tracks %d cores", i, core, c.dirCores)
+		}
+		if owner := r.Uvarint(); r.Err() == nil && owner > uint64(c.dirCores) {
+			r.Failf("cache snapshot way %d names owner core %d; the directory tracks %d cores", i, owner-1, c.dirCores)
+		} else {
+			l.owner = int16(owner) - 1
+		}
 		l.flags = lineFlags(r.U8())
 		if r.Err() != nil {
-			return
-		}
-		if !l.valid() {
-			r.Failf("cache snapshot way %d has tag 0, which marks an invalid way", i)
-			return
-		}
-		if l.lru == 0 || l.lru > c.tick {
-			r.Failf("cache snapshot way %d has LRU stamp %d outside 1..%d (the cache clock)", i, l.lru, c.tick)
-			return
-		}
-		if core := sh.next(c.dirCores); core >= 0 {
-			r.Failf("cache snapshot way %d names sharer core %d; the directory tracks %d cores", i, core, c.dirCores)
-			return
-		}
-		if l.owner < -1 || int(l.owner) >= c.dirCores {
-			r.Failf("cache snapshot way %d names owner core %d; the directory tracks %d cores", i, l.owner, c.dirCores)
 			return
 		}
 		c.setSharers(i, sh)

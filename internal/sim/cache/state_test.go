@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cloudsuite/internal/sim/checkpoint"
@@ -73,16 +74,24 @@ func TestSystemStateRoundTrip64Cores(t *testing.T) { roundTrip(t, 4, 16) }
 // directory needs two sharer words per way.
 func TestSystemStateRoundTrip96Cores(t *testing.T) { roundTrip(t, 4, 24) }
 
-// forgedLLCImage returns a memory image of a fresh sockets x cps
-// system whose socket-0 LLC, at clock 1, holds one way record with tag
-// 0x41 naming the given sharers and owner under the given LRU stamp,
-// sealed as a real save would be.
-func forgedLLCImage(sockets, cps int, sharers sharerSet, owner int16, lru uint32) *checkpoint.Reader {
-	return forgedLLCRecord(sockets, cps, 0x41, sharers, owner, lru)
+// wayRecord is one forged LLC way record, field by field as
+// Cache.SaveState writes it.
+type wayRecord struct {
+	gap     uint64 // index gap from -1
+	tag     uint64
+	stamp   uint64
+	sharers sharerSet
+	owner   int64 // written as owner+1
 }
 
-// forgedLLCRecord is forgedLLCImage with the record's tag chosen too.
-func forgedLLCRecord(sockets, cps int, tag uint64, sharers sharerSet, owner int16, lru uint32) *checkpoint.Reader {
+// validRecord is a record every machine accepts: way 3 holding tag
+// 0x41, stamped 1, with no sharer and no owner.
+var validRecord = wayRecord{gap: 4, tag: 0x41, stamp: 1, owner: -1}
+
+// forgedLLCImage returns a memory image of a fresh sockets x cps
+// system whose socket-0 LLC, at clock 1, holds the one way record rec,
+// sealed as a real save would be.
+func forgedLLCImage(sockets, cps int, rec wayRecord) *checkpoint.Reader {
 	s := NewSystem(testSystemConfig(sockets, cps))
 	w := checkpoint.NewWriter()
 	w.Tag("mem")
@@ -111,11 +120,11 @@ func forgedLLCRecord(sockets, cps int, tag uint64, sharers sharerSet, owner int1
 		w.U32(1) // clock
 		w.U32(uint32(len(llc.lines)))
 		w.U32(1) // one valid way
-		w.U32(3) // at index 3
-		w.U64(tag)
-		w.U32(lru)
-		sharers.save(w)
-		w.U16(uint16(owner))
+		w.Uvarint(rec.gap)
+		w.Uvarint(rec.tag)
+		w.Uvarint(rec.stamp)
+		rec.sharers.save(w)
+		w.Uvarint(uint64(rec.owner + 1))
 		w.U8(0)
 	}
 	for _, m := range s.mems {
@@ -133,7 +142,7 @@ func TestLoadRejectsForeignDirectoryIDs(t *testing.T) {
 		name         string
 		sockets, cps int
 		sharers      sharerSet
-		owner        int16
+		owner        int64
 		ok           bool
 	}{
 		{"in range", 1, 6, onlySharer(5), 5, true},
@@ -142,10 +151,13 @@ func TestLoadRejectsForeignDirectoryIDs(t *testing.T) {
 		{"sharer bit beyond a two-word machine", 4, 24, onlySharer(96), -1, false},
 		{"owner beyond the machine", 1, 6, onlySharer(5), 6, false},
 		{"owner below -1", 1, 6, onlySharer(5), -2, false},
+		{"owner past 16 bits", 1, 6, onlySharer(5), 1<<16 + 5, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			rec := validRecord
+			rec.sharers, rec.owner = tc.sharers, tc.owner
 			s := NewSystem(testSystemConfig(tc.sockets, tc.cps))
-			err := s.LoadState(forgedLLCImage(tc.sockets, tc.cps, tc.sharers, tc.owner, 1))
+			err := s.LoadState(forgedLLCImage(tc.sockets, tc.cps, rec))
 			if tc.ok && err != nil {
 				t.Fatalf("valid directory entry rejected: %v", err)
 			}
@@ -156,34 +168,53 @@ func TestLoadRejectsForeignDirectoryIDs(t *testing.T) {
 	}
 }
 
+// loadRecord loads validRecord, as edited, on a 1x6 machine and fails
+// unless the load is refused with an error naming want, or, for an
+// empty want, succeeds. The record's fields are each checked as they
+// are read, so each forgery meets its own check.
+func loadRecord(t *testing.T, edit func(*wayRecord), want string) {
+	t.Helper()
+	rec := validRecord
+	edit(&rec)
+	err := NewSystem(testSystemConfig(1, 6)).LoadState(forgedLLCImage(1, 6, rec))
+	if want == "" && err != nil {
+		t.Errorf("record %+v rejected: %v", rec, err)
+	}
+	if want != "" && (err == nil || !strings.Contains(err.Error(), want)) {
+		t.Errorf("record %+v: load error %v, want one naming %q", rec, err, want)
+	}
+}
+
 // TestLoadRejectsStampPastClock: a way stamped later than its cache's
 // clock would outrank the ways touched after the restore, so the load
-// fails.
+// fails, also for a stamp past 32 bits that narrowing would wrap.
 func TestLoadRejectsStampPastClock(t *testing.T) {
-	s := NewSystem(testSystemConfig(1, 6))
-	if err := s.LoadState(forgedLLCImage(1, 6, onlySharer(5), -1, 2)); err == nil {
-		t.Fatal("a way stamped 2 under clock 1 loaded without error")
-	}
+	loadRecord(t, func(r *wayRecord) { r.stamp = 2 }, "LRU stamp 2 outside 1..1")
+	loadRecord(t, func(r *wayRecord) { r.stamp = 1<<32 + 1 }, "LRU stamp 4294967297 outside 1..1")
 }
 
 // TestLoadRejectsZeroStamp: a valid way stamped 0 ranks with the
 // invalid ways, so victim selection would evict it ahead of a free way;
 // the load fails.
 func TestLoadRejectsZeroStamp(t *testing.T) {
-	s := NewSystem(testSystemConfig(1, 6))
-	if err := s.LoadState(forgedLLCImage(1, 6, onlySharer(5), -1, 0)); err == nil {
-		t.Fatal("a valid way stamped 0 loaded without error")
-	}
+	loadRecord(t, func(r *wayRecord) { r.stamp = 0 }, "LRU stamp 0 outside")
 }
 
 // TestLoadRejectsZeroTag: a record with tag 0 would restore as an
 // invalid way carrying a live stamp, which victim selection would then
 // rank behind the set's other free ways; the load fails.
 func TestLoadRejectsZeroTag(t *testing.T) {
-	s := NewSystem(testSystemConfig(1, 6))
-	if err := s.LoadState(forgedLLCRecord(1, 6, 0, sharerSet{}, -1, 1)); err == nil {
-		t.Fatal("a way record with tag 0 loaded without error")
-	}
+	loadRecord(t, func(r *wayRecord) { r.tag = 0 }, "tag 0")
+}
+
+// TestLoadRejectsBadIndexGaps: way records list strictly increasing
+// indices inside the array, so a gap of 0 (a way written twice) or one
+// past the last way fails the load, and a gap to the last way loads.
+func TestLoadRejectsBadIndexGaps(t *testing.T) {
+	ways := uint64(len(NewSystem(testSystemConfig(1, 6)).llcs[0].lines))
+	loadRecord(t, func(r *wayRecord) { r.gap = ways }, "")
+	loadRecord(t, func(r *wayRecord) { r.gap = 0 }, "index gap 0")
+	loadRecord(t, func(r *wayRecord) { r.gap = ways + 1 }, "runs past")
 }
 
 // TestSystemLoadRejectsGeometryMismatch: a snapshot of one grid must not

@@ -300,6 +300,38 @@ func TestPrefetchInstrSnoopsRemoteSocket(t *testing.T) {
 	}
 }
 
+// TestStreamPrefetchOfMissingLineFillsOnce: on an L1-I miss, a stream
+// I-prefetcher whose successor list names the missing line itself
+// prefetches that line into the L1-I ahead of the demand fill, so the
+// demand fill must find it there (fillL1I probes first) instead of
+// filling a second way with the same line.
+func TestStreamPrefetchOfMissingLineFillsOnce(t *testing.T) {
+	cfg := testSystemConfig(1, 1)
+	cfg.IPrefetch = IPrefStream
+	s := NewSystem(cfg)
+	x := uint64(0x4000_0000) >> LineShift
+	// The sixth miss records x's window: x -> [x+1, x, x+2, x+3]. The
+	// successors lie in other L1-I sets, so x's set keeps a free way.
+	for _, l := range []uint64{x, x + 1, x, x + 2, x + 3, x + 4} {
+		s.cores[0].streamI.OnMiss(l)
+	}
+	if r := s.FetchInstr(0, x<<LineShift, 0, false); !r.L1Miss {
+		t.Fatal("the first fetch of the line hit the L1-I")
+	}
+	if s.Ctr(0).PrefIssued == 0 {
+		t.Fatal("the miss issued no stream prefetch")
+	}
+	ways := 0
+	for _, l := range s.cores[0].l1i.lines {
+		if l.tag == x+1 {
+			ways++
+		}
+	}
+	if ways != 1 {
+		t.Fatalf("the L1-I holds the fetched line in %d ways, want 1", ways)
+	}
+}
+
 // L2 prefetches serviced by the other socket count as remote hits,
 // like every other remotely-serviced request.
 func TestPrefetchL2RemoteHitAccounting(t *testing.T) {

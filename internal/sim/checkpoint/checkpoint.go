@@ -72,8 +72,12 @@ import (
 // stamps and clocks in 4 bytes instead of 8, keeps the branch
 // predictor's 2-bit counters four to a byte in memory (the sparse PHT
 // encoding is unchanged), and writes each residue record by hand
-// without the 4-byte block length that preceded a thread's residue.
-const Version = 9
+// without the 4-byte block length that preceded a thread's residue;
+// v10 delta-codes each residue record against the one before it
+// (header and presence bytes, then varints of only the fields
+// present), writes the PHT densely as its packed bytes, and gap-codes
+// cache way records with varint index gap, tag, stamp and owner.
+const Version = 10
 
 //simlint:ok globalrand write-once file-format magic, read-only after initialization
 var magic = [8]byte{'C', 'S', 'C', 'K', 'P', 'T', '0', '1'}
@@ -102,7 +106,7 @@ func (s *Snapshot) Size() int { return len(s.payload) }
 // Writer is single-use: Snapshot hands its buffer to the snapshot.
 type Writer struct {
 	buf bytes.Buffer
-	tmp [8]byte
+	tmp [binary.MaxVarintLen64]byte
 }
 
 // NewWriter returns an empty payload writer.
@@ -153,6 +157,13 @@ func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 // parameters) feeds back into instruction streams, so even one ULP of
 // drift would break restore determinism.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
+
+// Uvarint writes v as an unsigned LEB128 varint of 1 to 10 bytes.
+func (w *Writer) Uvarint(v uint64) { w.buf.Write(binary.AppendUvarint(w.tmp[:0], v)) }
+
+// Varint writes v zigzag-coded as a varint, so small magnitudes of
+// either sign take few bytes.
+func (w *Writer) Varint(v int64) { w.buf.Write(binary.AppendVarint(w.tmp[:0], v)) }
 
 // U64s writes a length-prefixed []uint64.
 func (w *Writer) U64s(vs []uint64) {
@@ -293,6 +304,53 @@ func (r *Reader) U64() uint64 {
 
 // I64 reads an int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
+
+// Uvarint reads a varint written by Writer.Uvarint. It fails on a
+// varint cut off by the end of the payload and on one longer than 10
+// bytes or past 64 bits. Callers narrowing the value check its range
+// first.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf[r.pos:])
+	switch {
+	case n == 0:
+		r.fail("truncated varint at offset %d of %d", r.pos, len(r.buf))
+		return 0
+	case n < 0:
+		r.fail("varint at offset %d is longer than %d bytes or overflows 64 bits", r.pos, binary.MaxVarintLen64)
+		return 0
+	}
+	r.pos += n
+	return v
+}
+
+// NextIndex reads the varint gap from index prev (-1 before the first)
+// to the next entry of a sparse list over an n-entry array, written as
+// Uvarint(next - prev), and returns that index. It fails, returning -1,
+// unless the gap is at least 1 and the index lies inside the array, so
+// a list's indices strictly increase and never leave it.
+func (r *Reader) NextIndex(prev, n int) int {
+	gap := r.Uvarint()
+	switch {
+	case r.err != nil:
+		return -1
+	case gap == 0:
+		r.fail("index gap 0 after index %d", prev)
+		return -1
+	case gap >= uint64(n-prev):
+		r.fail("index gap %d after index %d runs past the %d-entry array", gap, prev, n)
+		return -1
+	}
+	return prev + int(gap)
+}
+
+// Varint reads a zigzag varint written by Writer.Varint.
+func (r *Reader) Varint() int64 {
+	u := r.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
 
 // Count reads a uint32 element count for a decoder that allocates from
 // it. It fails, returning 0, when that many elements of at least

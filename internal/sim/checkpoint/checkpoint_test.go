@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -110,6 +112,105 @@ func TestReaderCountBounded(t *testing.T) {
 	}
 	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("want count error, got %v", err)
+	}
+}
+
+// TestVarintRoundTrip: every width of varint, signed and unsigned,
+// reads back exactly, and each takes the bytes encoding/binary gives.
+func TestVarintRoundTrip(t *testing.T) {
+	us := []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<32 - 1, 1 << 32, 1<<63 - 1, 1 << 63, math.MaxUint64}
+	is := []int64{0, 1, -1, 63, -64, 64, -65, math.MaxInt32, math.MinInt32, math.MaxInt64, math.MinInt64}
+	w := NewWriter()
+	want := 0
+	for _, v := range us {
+		w.Uvarint(v)
+		want += len(binary.AppendUvarint(nil, v))
+	}
+	for _, v := range is {
+		w.Varint(v)
+		want += len(binary.AppendVarint(nil, v))
+	}
+	s := w.Snapshot("k")
+	if s.Size() != want {
+		t.Fatalf("varints took %d bytes, want %d", s.Size(), want)
+	}
+	r := s.Reader()
+	for _, v := range us {
+		if got := r.Uvarint(); got != v {
+			t.Errorf("Uvarint = %d, want %d", got, v)
+		}
+	}
+	for _, v := range is {
+		if got := r.Varint(); got != v {
+			t.Errorf("Varint = %d, want %d", got, v)
+		}
+	}
+	if err := r.Err(); err != nil || r.pos != len(r.buf) {
+		t.Fatalf("read %d of %d bytes, err %v", r.pos, len(r.buf), err)
+	}
+}
+
+// TestVarintRejectsMalformed: a varint cut off by the end of the
+// payload, one of 11 bytes and one whose tenth byte overflows 64 bits
+// each fail the reader, and the first error sticks.
+func TestVarintRejectsMalformed(t *testing.T) {
+	ten := bytes.Repeat([]byte{0x80}, 9)
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want string
+	}{
+		{"empty", nil, "truncated varint"},
+		{"cut off", []byte{0x80, 0x80}, "truncated varint"},
+		{"11 bytes", append(bytes.Repeat([]byte{0x80}, 10), 1), "longer than 10 bytes"},
+		{"past 64 bits", append(ten, 2), "longer than 10 bytes"},
+	} {
+		w := NewWriter()
+		w.buf.Write(tc.raw)
+		r := w.Snapshot("k").Reader()
+		if v := r.Uvarint(); v != 0 || r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
+			t.Errorf("%s: Uvarint = %d, err %v; want 0 and %q", tc.name, v, r.Err(), tc.want)
+		}
+		if v := r.Varint(); v != 0 {
+			t.Errorf("%s: read after error = %d, want 0", tc.name, v)
+		}
+	}
+	w := NewWriter()
+	w.buf.Write(append(ten, 1))
+	if v := w.Snapshot("k").Reader().Uvarint(); v != 1<<63 {
+		t.Errorf("10-byte varint = %#x, want 1<<63", v)
+	}
+}
+
+// TestNextIndex: gaps walk a sparse list up to the array's last entry;
+// a gap of 0 or one that runs past the array fails the reader.
+func TestNextIndex(t *testing.T) {
+	w := NewWriter()
+	for _, gap := range []uint64{1, 3, 300, 3} { // indices 0, 3, 303, 306
+		w.Uvarint(gap)
+	}
+	r := w.Snapshot("k").Reader()
+	i := -1
+	for _, want := range []int{0, 3, 303, 306} {
+		if i = r.NextIndex(i, 307); i != want || r.Err() != nil {
+			t.Fatalf("NextIndex = %d, %v; want %d", i, r.Err(), want)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		prev, gap int
+		want      string
+	}{
+		{"gap 0", 5, 0, "index gap 0"},
+		{"past the array", 5, 2, "runs past"},
+		{"first past the array", -1, 8, "runs past"},
+	} {
+		w := NewWriter()
+		w.Uvarint(uint64(tc.gap))
+		r := w.Snapshot("k").Reader()
+		if i := r.NextIndex(tc.prev, 7); i != -1 || r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
+			t.Errorf("%s: NextIndex = %d, %v; want -1 and %q", tc.name, i, r.Err(), tc.want)
+		}
 	}
 }
 

@@ -412,47 +412,142 @@ func (e *Emitter) SaveState(w *checkpoint.Writer, lent int) {
 	residue := e.buf[e.pos-lent:]
 	w.U32(uint32(len(residue)))
 	w.U32(uint32(lent))
-	for i := range residue {
-		saveInst(w, &residue[i])
+	saveResidue(w, residue)
+}
+
+// saveResidue writes insts as consecutive residue records.
+func saveResidue(w *checkpoint.Writer, insts []Inst) {
+	var c instCoder
+	for i := range insts {
+		c.save(w, &insts[i])
 	}
 }
 
-// instRecordBytes is the size of one residue record.
-const instRecordBytes = 32
-
-// saveInst writes in as one residue record: its fields in declaration
-// order, little-endian, each flag one byte of 0 or 1.
-func saveInst(w *checkpoint.Writer, in *Inst) {
-	w.U64(in.PC)
-	w.U64(in.Addr)
-	w.U64(in.Target)
-	w.U8(in.DepA)
-	w.U8(in.DepB)
-	w.U8(in.Size)
-	w.U8(uint8(in.Op))
-	w.Bool(in.Kernel)
-	w.Bool(in.Taken)
-	w.Bool(in.Uncond)
-	w.Bool(in.AcquiresDep)
+// loadResidue reads len(dst) residue records written by saveResidue
+// into dst, stopping at the first error.
+func loadResidue(rd *checkpoint.Reader, dst []Inst) {
+	var c instCoder
+	for i := range dst {
+		if c.load(rd, &dst[i]); rd.Err() != nil {
+			return
+		}
+	}
 }
 
-// loadInst reads a record written by saveInst into in, failing on an
-// Op this package does not define.
-func loadInst(rd *checkpoint.Reader, in *Inst) {
-	in.PC = rd.U64()
-	in.Addr = rd.U64()
-	in.Target = rd.U64()
-	in.DepA = rd.U8()
-	in.DepB = rd.U8()
-	in.Size = rd.U8()
-	in.Op = Op(rd.U8())
-	in.Kernel = rd.Bool()
-	in.Taken = rd.Bool()
-	in.Uncond = rd.Bool()
-	in.AcquiresDep = rd.Bool()
-	if rd.Err() == nil && in.Op >= numOps {
-		rd.Failf("emitter: residue instruction has op %d; ops end at %d", in.Op, numOps-1)
+// A residue record is delta-coded against the record before it (the
+// first against a zero Inst). It is a header byte, a presence byte,
+// and then only the fields present, in this order:
+//
+//   - the PC, unless it is the previous PC + InstBytes: a zigzag varint
+//     delta from the previous PC;
+//   - DepA, DepB and Size, one byte each, when nonzero;
+//   - Addr, when nonzero: a zigzag varint delta from the last Addr
+//     present;
+//   - Target, when nonzero: a zigzag varint delta from the record's PC.
+//
+// Deltas wrap modulo 2^64, so every Inst round-trips. Most records are
+// a sequential ALU or memory op and take 2 to 4 bytes.
+const (
+	recOp     = 7 // header bits 0-2: Op
+	recKernel = 1 << 3
+	recTaken  = 1 << 4
+	recUncond = 1 << 5
+	recAcqDep = 1 << 6
+	recSeqPC  = 1 << 7 // PC = previous PC + InstBytes
+)
+
+// Presence bits: which optional fields follow the header.
+const (
+	hasDepA = 1 << iota
+	hasDepB
+	hasSize
+	hasAddr
+	hasTarget
+	hasAll = hasDepA | hasDepB | hasSize | hasAddr | hasTarget
+)
+
+// instCoder holds what a residue record is coded against: the previous
+// record's PC and the last Addr present.
+type instCoder struct{ pc, addr uint64 }
+
+// bit returns b if v is set, else 0.
+func bit(v bool, b uint8) uint8 {
+	if v {
+		return b
 	}
+	return 0
+}
+
+// save writes in as the next residue record. in.Op must be a defined
+// Op: the header has three bits for it.
+func (c *instCoder) save(w *checkpoint.Writer, in *Inst) {
+	hdr := uint8(in.Op) | bit(in.Kernel, recKernel) | bit(in.Taken, recTaken) |
+		bit(in.Uncond, recUncond) | bit(in.AcquiresDep, recAcqDep) | bit(in.PC == c.pc+InstBytes, recSeqPC)
+	has := bit(in.DepA != 0, hasDepA) | bit(in.DepB != 0, hasDepB) | bit(in.Size != 0, hasSize) |
+		bit(in.Addr != 0, hasAddr) | bit(in.Target != 0, hasTarget)
+	w.U8(hdr)
+	w.U8(has)
+	if hdr&recSeqPC == 0 {
+		w.Varint(int64(in.PC - c.pc))
+	}
+	if has&hasDepA != 0 {
+		w.U8(in.DepA)
+	}
+	if has&hasDepB != 0 {
+		w.U8(in.DepB)
+	}
+	if has&hasSize != 0 {
+		w.U8(in.Size)
+	}
+	if has&hasAddr != 0 {
+		w.Varint(int64(in.Addr - c.addr))
+		c.addr = in.Addr
+	}
+	if has&hasTarget != 0 {
+		w.Varint(int64(in.Target - in.PC))
+	}
+	c.pc = in.PC
+}
+
+// load reads the next residue record into in, failing on an Op this
+// package does not define or a presence bit it does not know.
+func (c *instCoder) load(rd *checkpoint.Reader, in *Inst) {
+	hdr, has := rd.U8(), rd.U8()
+	if rd.Err() != nil {
+		return
+	}
+	op := Op(hdr & recOp)
+	if op >= numOps {
+		rd.Failf("emitter: residue instruction has op %d; ops end at %d", op, numOps-1)
+		return
+	}
+	if has&^hasAll != 0 {
+		rd.Failf("emitter: residue presence byte %#x names no field", has)
+		return
+	}
+	*in = Inst{Op: op, Kernel: hdr&recKernel != 0, Taken: hdr&recTaken != 0,
+		Uncond: hdr&recUncond != 0, AcquiresDep: hdr&recAcqDep != 0}
+	in.PC = c.pc + InstBytes
+	if hdr&recSeqPC == 0 {
+		in.PC = c.pc + uint64(rd.Varint())
+	}
+	if has&hasDepA != 0 {
+		in.DepA = rd.U8()
+	}
+	if has&hasDepB != 0 {
+		in.DepB = rd.U8()
+	}
+	if has&hasSize != 0 {
+		in.Size = rd.U8()
+	}
+	if has&hasAddr != 0 {
+		in.Addr = c.addr + uint64(rd.Varint())
+		c.addr = in.Addr
+	}
+	if has&hasTarget != 0 {
+		in.Target = in.PC + uint64(rd.Varint())
+	}
+	c.pc = in.PC
 }
 
 // LoadState restores state written by SaveState. The call stack is
@@ -492,7 +587,8 @@ func (e *Emitter) LoadState(rd *checkpoint.Reader) int {
 		}
 		e.funcs[i] = fr
 	}
-	k := rd.Count(instRecordBytes)
+	// A residue record takes at least its header and presence bytes.
+	k := rd.Count(2)
 	lent := int(rd.U32())
 	if rd.Err() != nil {
 		return 0
@@ -503,10 +599,8 @@ func (e *Emitter) LoadState(rd *checkpoint.Reader) int {
 	}
 	e.buf = make([]Inst, k)
 	e.pos = 0
-	for i := range e.buf {
-		if loadInst(rd, &e.buf[i]); rd.Err() != nil {
-			return 0
-		}
+	if loadResidue(rd, e.buf); rd.Err() != nil {
+		return 0
 	}
 	return lent
 }

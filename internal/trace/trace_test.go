@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/binary"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -200,58 +199,12 @@ func TestEmitterDependenceSaturates(t *testing.T) {
 	}
 }
 
-// TestInstFootprint pins the instruction record at 32 bytes, in memory
-// and as a checkpoint residue record: every emitter buffer, engine
-// window and warm image holds these by the thousand.
+// TestInstFootprint pins the instruction record at 32 bytes in
+// memory: every emitter buffer and engine window holds these by the
+// thousand.
 func TestInstFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(Inst{}); got != 32 {
 		t.Errorf("an Inst is %d bytes in memory, want 32", got)
-	}
-	w := checkpoint.NewWriter()
-	saveInst(w, &Inst{})
-	if got := w.Snapshot("k").Size(); got != 32 {
-		t.Errorf("an Inst is %d bytes in a residue, want 32", got)
-	}
-}
-
-// TestResidueRecordRoundTrip: a residue record restores every field,
-// and a record whose Op the package does not define fails the load.
-func TestResidueRecordRoundTrip(t *testing.T) {
-	want := Inst{PC: 0x400123, Addr: 0x7f00_0000_1238, Target: 0x400800, DepA: 3, DepB: MaxDepDist,
-		Size: 8, Op: OpStore, Kernel: true, Taken: true, Uncond: true, AcquiresDep: true}
-	for _, tc := range []struct {
-		name string
-		in   Inst
-		ok   bool
-	}{
-		{"every field", want, true},
-		{"zero", Inst{}, true},
-		{"last op", Inst{Op: numOps - 1}, true},
-		{"undefined op", Inst{Op: numOps}, false},
-	} {
-		w := checkpoint.NewWriter()
-		saveInst(w, &tc.in)
-		img := w.Snapshot("k")
-		rd := img.Reader()
-		var got Inst
-		loadInst(rd, &got)
-		if tc.ok {
-			// The record keeps encoding/binary's layout of Inst.
-			ref, _ := binary.Append(nil, binary.LittleEndian, tc.in)
-			rd := img.Reader()
-			for i, b := range ref {
-				if v := rd.U8(); v != b {
-					t.Errorf("%s: record byte %d is %#x, want %#x", tc.name, i, v, b)
-					break
-				}
-			}
-		}
-		if tc.ok && (rd.Err() != nil || got != tc.in) {
-			t.Errorf("%s: restored %+v (err %v), want %+v", tc.name, got, rd.Err(), tc.in)
-		}
-		if !tc.ok && rd.Err() == nil {
-			t.Errorf("%s: op %d loaded without error", tc.name, tc.in.Op)
-		}
 	}
 }
 
