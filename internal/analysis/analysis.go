@@ -1,14 +1,14 @@
 // Package analysis is the project's static-analysis suite (simlint):
-// four analyzers that enforce, at vet time, the contracts every result
+// analyzers that enforce, at lint time, the contracts every result
 // in this repository rests on — bit-determinism of measurements
 // (serial == parallel), checkpoint field coverage (restore == cold),
 // and memo-key completeness (no cache aliasing between distinct
 // configurations).
 //
-// The analyzers run from cmd/simlint, both standalone
-// (go run ./cmd/simlint ./...) and as a `go vet -vettool` backend, so
-// CI enforces the contracts on every change. Each analyzer documents
-// the historical bug class that motivated it; the suite exists because
+// The analyzers run from cmd/simlint (go run ./cmd/simlint), which
+// loads the module through Loader, so CI enforces the contracts on
+// every change. Each analyzer documents the historical bug class that
+// motivated it; the suite exists because
 // all three contract breaks to date (the StreamI randomized
 // map-iteration eviction, the DebugSharing package-global data race,
 // the negative-budget uint64-wrap hang) were mechanically detectable
@@ -71,8 +71,7 @@ type Diagnostic struct {
 }
 
 // A Package is the driver-side unit of work: one parsed and
-// type-checked package, however it was loaded (from a vet.cfg in
-// -vettool mode, or from source in tests).
+// type-checked package, as Loader returns it.
 type Package struct {
 	Fset  *token.FileSet
 	Files []*ast.File

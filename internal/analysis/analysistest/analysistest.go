@@ -20,11 +20,7 @@ package analysistest
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -36,13 +32,19 @@ import (
 )
 
 // Run loads each fixture package under testdata/src and applies the
-// analyzer, comparing diagnostics to // want expectations.
+// analyzer, comparing diagnostics to // want expectations. Fixtures load
+// through analysis.Loader with an empty import-path prefix, so an
+// import resolves first against sibling fixture packages under the same
+// testdata/src root (fixtures can model cross-package contracts like
+// the obs boundary), then against the standard library, type-checked
+// from GOROOT source.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
+	l := analysis.NewLoader(filepath.Join(testdata, "src"), "")
 	for _, path := range pkgPaths {
 		t.Run(path, func(t *testing.T) {
 			t.Helper()
-			pkg, err := LoadPackage(filepath.Join(testdata, "src", path), path)
+			pkg, err := l.Load(path)
 			if err != nil {
 				t.Fatalf("loading fixture %s: %v", path, err)
 			}
@@ -50,91 +52,6 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 			check(t, pkg.Fset, pkg.Files, diags)
 		})
 	}
-}
-
-// LoadPackage parses and type-checks the fixture package in dir under
-// the given import path. Imports resolve first against sibling fixture
-// packages under the same testdata/src root (so fixtures can model
-// cross-package contracts like the obs boundary), then against the
-// standard library (type-checked from GOROOT source), which keeps the
-// harness dependency-free.
-func LoadPackage(dir, path string) (*analysis.Package, error) {
-	root := strings.TrimSuffix(filepath.ToSlash(dir), "/"+path)
-	fset := token.NewFileSet()
-	im := &fixtureImporter{
-		fset: fset,
-		root: filepath.FromSlash(root),
-		std:  importer.ForCompiler(fset, "source", nil),
-		pkgs: map[string]*types.Package{},
-	}
-	files, info, tpkg, err := im.load(dir, path)
-	if err != nil {
-		return nil, err
-	}
-	return &analysis.Package{Fset: fset, Files: files, Pkg: tpkg, Info: info}, nil
-}
-
-// fixtureImporter resolves import paths to fixture directories under
-// testdata/src, falling back to the source importer for everything else
-// (the standard library).
-type fixtureImporter struct {
-	fset *token.FileSet
-	root string
-	std  types.Importer
-	pkgs map[string]*types.Package
-}
-
-func (im *fixtureImporter) Import(path string) (*types.Package, error) {
-	if p := im.pkgs[path]; p != nil {
-		return p, nil
-	}
-	dir := filepath.Join(im.root, filepath.FromSlash(path))
-	if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
-		_, _, tpkg, err := im.load(dir, path)
-		if err != nil {
-			return nil, err
-		}
-		return tpkg, nil
-	}
-	return im.std.Import(path)
-}
-
-// load parses and type-checks one fixture directory, caching the result
-// for diamond imports.
-func (im *fixtureImporter) load(dir, path string) ([]*ast.File, *types.Info, *types.Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(im.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil, nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: im}
-	tpkg, err := conf.Check(path, im.fset, files, info)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	im.pkgs[path] = tpkg
-	return files, info, tpkg, nil
 }
 
 // expectation is one // want regexp at a file:line.

@@ -1,7 +1,7 @@
 package analysis
 
 // All is the simlint suite in reporting order: the analyzers cmd/simlint
-// runs by default, standalone and under `go vet -vettool`.
+// runs over every package.
 var All = []*Analyzer{
 	MapOrder, GlobalRand, CheckpointCov, MemoKey,
 	LockField, AtomicMix, ObsPure, ClockTaint,

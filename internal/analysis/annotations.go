@@ -14,10 +14,11 @@ import (
 // hole:
 //
 //	//simlint:ok <analyzer> <reason>
-//	    Suppresses diagnostics of <analyzer> on the annotation's own
-//	    line and on the line directly below it (so the annotation can
-//	    sit either at the end of the offending line or on its own line
-//	    above it, doc-comment style).
+//	    Suppresses diagnostics of <analyzer> on one line: at the end of
+//	    a line of code it covers that line only; on a line of its own
+//	    it covers the line directly below (doc-comment style). A
+//	    trailing annotation on one struct field therefore never
+//	    exempts the field declared on the next line.
 //
 // An annotation with a missing reason is itself a diagnostic: an
 // unexplained exemption is exactly the kind of drift the suite exists
@@ -29,6 +30,8 @@ type okAnn struct {
 	analyzer string
 	line     int
 	file     string
+	// trailing is set when code precedes the annotation on its line.
+	trailing bool
 	pos      token.Pos
 	// used is set when the annotation suppresses at least one diagnostic
 	// of a run; an unused annotation is stale and itself reported (see
@@ -68,6 +71,7 @@ func collectAnnotations(fset *token.FileSet, files []*ast.File) *annotations {
 					analyzer: fields[0],
 					line:     pos.Line,
 					file:     pos.Filename,
+					trailing: codeBefore(fset, f, c),
 					pos:      c.Pos(),
 				})
 			}
@@ -87,15 +91,43 @@ func (a *annotations) suppresses(fset *token.FileSet, pos token.Pos, analyzer st
 	hit := false
 	for i := range a.ok {
 		ann := &a.ok[i]
-		if ann.file != p.Filename || ann.analyzer != analyzer {
-			continue
-		}
-		if ann.line == p.Line || ann.line == p.Line-1 {
+		if ann.analyzer == analyzer && ann.file == p.Filename &&
+			(ann.line == p.Line || !ann.trailing && ann.line == p.Line-1) {
 			ann.used = true
 			hit = true
 		}
 	}
 	return hit
+}
+
+// codeBefore reports whether a token of f precedes the comment c on
+// c's line. Every token is either the start or the end of some node,
+// so it suffices to find a node starting or ending between the line's
+// start and c, descending only into nodes that span that stretch.
+func codeBefore(fset *token.FileSet, f *ast.File, c *ast.Comment) bool {
+	tf := fset.File(c.Pos())
+	lineStart := tf.LineStart(tf.Line(c.Pos()))
+	found := false
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil || found || n.End() <= lineStart || n.Pos() >= c.Pos() {
+			return false
+		}
+		if _, ok := n.(*ast.CommentGroup); ok {
+			return false
+		}
+		found = n.Pos() >= lineStart || n.End() <= c.Pos()
+		return !found
+	})
+	return found
+}
+
+// Exempted returns the suppression rule Run applies to diagnostics, for
+// tools that honour //simlint:ok outside an analyzer run: whether a
+// well-formed annotation for analyzer covers a position in pkg. statefp
+// leaves the checkpointcov-exempted fields out of the schema with it.
+func Exempted(pkg *Package, analyzer string) func(token.Pos) bool {
+	anns := collectAnnotations(pkg.Fset, pkg.Files)
+	return func(pos token.Pos) bool { return anns.suppresses(pkg.Fset, pos, analyzer) }
 }
 
 // staleSuppressions reports the //simlint:ok annotations that excused

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -56,8 +57,9 @@ var leaked = map[int]int{}
 	}
 }
 
-// A well-formed annotation suppresses only its own analyzer, on its own
-// line or the line below.
+// A well-formed annotation suppresses only its own analyzer, on the
+// line below when it stands on a line of its own and on its own line
+// only when it trails code.
 func TestSuppressionScope(t *testing.T) {
 	pkg := loadSrc(t, "internal/sim/x", `package x
 
@@ -65,13 +67,40 @@ func TestSuppressionScope(t *testing.T) {
 var table = [2]int{1, 2}
 
 var unexcused = map[int]int{}
+
+var trailed = [1]int{3} //simlint:ok globalrand immutable, written by nobody
+var below = [1]int{4}
 `)
 	diags := Run(pkg, []*Analyzer{GlobalRand})
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "unexcused") {
-		t.Fatalf("want exactly the unexcused finding, got %v", diags)
+	if len(diags) != 2 || !strings.Contains(diags[0].Message, "unexcused") || !strings.Contains(diags[1].Message, "below") {
+		t.Fatalf("want exactly the unexcused and below findings, got %v", diags)
 	}
 	// The same annotation must not silence a different analyzer.
 	if got := Run(pkg, []*Analyzer{MapOrder}); len(got) != 0 {
 		t.Fatalf("maporder should have nothing to say here, got %v", got)
+	}
+}
+
+// An annotation after code on its line is trailing wherever that code
+// ends, a closing brace included; one on a line of its own is not.
+func TestAnnotationTrailing(t *testing.T) {
+	pkg := loadSrc(t, "x", `package x
+
+func f(m map[int]int) int {
+	s := 0
+	//simlint:ok maporder on its own line
+	for k := range m { //simlint:ok maporder after an opening brace
+		s += k
+	} //simlint:ok maporder after a closing brace
+	return s
+}
+`)
+	anns := collectAnnotations(pkg.Fset, pkg.Files)
+	var got []bool
+	for _, ann := range anns.ok {
+		got = append(got, ann.trailing)
+	}
+	if want := []bool{false, true, true}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("trailing = %v, want %v", got, want)
 	}
 }

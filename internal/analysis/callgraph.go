@@ -7,7 +7,7 @@ import (
 
 // This file builds the package-closure call graph the interprocedural
 // analyzers stand on. The unit of analysis is still one type-checked
-// package (the vettool protocol hands us exactly that), so the graph's
+// package (analysis.Run takes one at a time), so the graph's
 // nodes are the package's own function and method declarations and its
 // edges are the statically-resolvable calls between them: direct calls
 // to package-level functions, method calls whose receiver has a named

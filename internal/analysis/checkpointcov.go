@@ -68,17 +68,14 @@ func runCheckpointCov(pass *Pass) error {
 			continue
 		}
 		covered := fieldsTouched(pass, tn, ms, freeFuncs)
-		fieldDecl := structFieldDecls(pass, tn, st)
 		for i := 0; i < st.NumFields(); i++ {
 			fv := st.Field(i)
 			if covered[fv] {
 				continue
 			}
-			pos := tn.Pos()
-			if af := fieldDecl[fv]; af != nil {
-				pos = af.Pos()
-			}
-			pass.Reportf(pos,
+			// Reported at the field itself, the position statefp tests
+			// against the same //simlint:ok rule (analysis.Exempted).
+			pass.Reportf(fv.Pos(),
 				"field %s.%s is not covered by SaveState/LoadState: serialize it, or annotate //simlint:ok checkpointcov <reason>",
 				tn.Name(), fv.Name())
 		}
@@ -215,34 +212,4 @@ func exprIsObj(pass *Pass, e ast.Expr, obj types.Object) bool {
 func sameReceiver(pass *Pass, fd *ast.FuncDecl, tn *types.TypeName) bool {
 	named := receiverType(pass.TypesInfo, fd.Recv.List[0])
 	return named != nil && named.Obj() == tn
-}
-
-// structFieldDecls maps tn's field objects to their declaring ast.Field
-// so annotations and positions can be read off the syntax. Matching is
-// by source position — a field *Var's Pos lies inside its declaring
-// ast.Field for named and embedded fields alike.
-func structFieldDecls(pass *Pass, tn *types.TypeName, st *types.Struct) map[*types.Var]*ast.Field {
-	out := map[*types.Var]*ast.Field{}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok || pass.TypesInfo.Defs[ts.Name] != tn {
-				return true
-			}
-			astSt, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range astSt.Fields.List {
-				for i := 0; i < st.NumFields(); i++ {
-					fv := st.Field(i)
-					if fv.Pos() >= field.Pos() && fv.Pos() <= field.End() {
-						out[fv] = field
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
 }

@@ -96,17 +96,12 @@ func runMemoKey(pass *Pass) error {
 		})
 	}
 
-	fieldDecl := structFieldDecls(pass, optionsTN, st)
 	for i := 0; i < st.NumFields(); i++ {
 		fv := st.Field(i)
 		if covered[fv] {
 			continue
 		}
-		pos := optionsTN.Pos()
-		if af := fieldDecl[fv]; af != nil {
-			pos = af.Pos()
-		}
-		pass.Reportf(pos,
+		pass.Reportf(fv.Pos(),
 			"Options.%s does not reach canonicalize: two configurations differing only in it would alias one memo slot; key it or annotate //simlint:ok memokey <reason>",
 			fv.Name())
 	}

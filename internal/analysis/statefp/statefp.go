@@ -24,12 +24,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
 	"os"
 	"sort"
 	"strings"
+
+	"cloudsuite/internal/analysis"
 )
 
 // versionPackage is the module-relative package whose Version constant
@@ -56,20 +58,21 @@ type TypeSchema struct {
 // Compute loads the module rooted at root and fingerprints every
 // checkpointed type in it.
 func Compute(root string) (*Schema, error) {
-	l, err := newLoader(root)
+	l, err := analysis.ModuleLoader(root)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("statefp: %w", err)
 	}
-	pkgs, err := l.loadAll()
+	pkgs, err := l.LoadAll()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("statefp: %w", err)
 	}
 	s := &Schema{Types: map[string]TypeSchema{}}
 	if ver, ok := checkpointVersion(l); ok {
 		s.Version = ver
 	}
-	for _, info := range pkgs {
-		scope := info.pkg.Scope()
+	for _, pkg := range pkgs {
+		exempt := analysis.Exempted(pkg, analysis.CheckpointCov.Name)
+		scope := pkg.Pkg.Scope()
 		names := scope.Names()
 		sort.Strings(names)
 		for _, name := range names {
@@ -81,8 +84,8 @@ func Compute(root string) (*Schema, error) {
 			if !ok || !isCheckpointed(tn.Type()) {
 				continue
 			}
-			key := info.path + "." + tn.Name()
-			s.Types[key] = fingerprintType(l, info, tn, st)
+			key := pkg.Pkg.Path() + "." + tn.Name()
+			s.Types[key] = fingerprintType(l, exempt, key, st)
 		}
 	}
 	return s, nil
@@ -90,12 +93,12 @@ func Compute(root string) (*Schema, error) {
 
 // checkpointVersion reads the Version constant out of the module's
 // checkpoint package, if it has one.
-func checkpointVersion(l *loader) (int64, bool) {
-	info, err := l.load(l.module + "/" + versionPackage)
+func checkpointVersion(l *analysis.Loader) (int64, bool) {
+	pkg, err := l.Load(l.Prefix + "/" + versionPackage)
 	if err != nil {
 		return 0, false
 	}
-	c, ok := info.pkg.Scope().Lookup("Version").(*types.Const)
+	c, ok := pkg.Pkg.Scope().Lookup("Version").(*types.Const)
 	if !ok {
 		return 0, false
 	}
@@ -126,20 +129,21 @@ func isCheckpointed(t types.Type) bool {
 	return save && load
 }
 
-// fingerprintType builds the canonical description of tn's serialized
-// fields and hashes it.
-func fingerprintType(l *loader, info *pkgInfo, tn *types.TypeName, st *types.Struct) TypeSchema {
-	excluded := excludedFields(info, tn, st)
+// fingerprintType builds the canonical description of the serialized
+// fields of the struct st, named key, and hashes it. A field is left
+// out when exempt covers it: the //simlint:ok checkpointcov rule
+// checkpointcov applies at the field's position.
+func fingerprintType(l *analysis.Loader, exempt func(token.Pos) bool, key string, st *types.Struct) TypeSchema {
 	var canon strings.Builder
-	fmt.Fprintf(&canon, "type %s.%s\n", info.path, tn.Name())
+	fmt.Fprintf(&canon, "type %s\n", key)
 	var fields []string
 	for i := 0; i < st.NumFields(); i++ {
 		fv := st.Field(i)
-		if excluded[fv] {
+		if exempt(fv.Pos()) {
 			continue
 		}
 		fields = append(fields, fv.Name()+" "+types.TypeString(fv.Type(), pkgPathQualifier))
-		fmt.Fprintf(&canon, "%s %s\n", fv.Name(), l.canonType(fv.Type(), map[*types.Named]bool{}))
+		fmt.Fprintf(&canon, "%s %s\n", fv.Name(), canonType(l, fv.Type(), map[*types.Named]bool{}))
 	}
 	sum := sha256.Sum256([]byte(canon.String()))
 	return TypeSchema{Fingerprint: hex.EncodeToString(sum[:]), Fields: fields}
@@ -151,25 +155,25 @@ func pkgPathQualifier(p *types.Package) string { return p.Path() }
 // types are expanded structurally (so nested field changes propagate
 // into every containing fingerprint), cycles fall back to the qualified
 // name, everything else uses the fully-qualified type string.
-func (l *loader) canonType(t types.Type, seen map[*types.Named]bool) string {
+func canonType(l *analysis.Loader, t types.Type, seen map[*types.Named]bool) string {
 	switch u := t.(type) {
 	case *types.Pointer:
-		return "*" + l.canonType(u.Elem(), seen)
+		return "*" + canonType(l, u.Elem(), seen)
 	case *types.Slice:
-		return "[]" + l.canonType(u.Elem(), seen)
+		return "[]" + canonType(l, u.Elem(), seen)
 	case *types.Array:
-		return fmt.Sprintf("[%d]%s", u.Len(), l.canonType(u.Elem(), seen))
+		return fmt.Sprintf("[%d]%s", u.Len(), canonType(l, u.Elem(), seen))
 	case *types.Map:
-		return fmt.Sprintf("map[%s]%s", l.canonType(u.Key(), seen), l.canonType(u.Elem(), seen))
+		return fmt.Sprintf("map[%s]%s", canonType(l, u.Key(), seen), canonType(l, u.Elem(), seen))
 	case *types.Named:
 		name := types.TypeString(u, pkgPathQualifier)
 		pkg := u.Obj().Pkg()
-		if pkg == nil || !l.inModule(pkg.Path()) || seen[u] {
+		if pkg == nil || !l.Local(pkg.Path()) || seen[u] {
 			return name
 		}
 		st, ok := u.Underlying().(*types.Struct)
 		if !ok {
-			return name + "=" + l.canonType(u.Underlying(), seen)
+			return name + "=" + canonType(l, u.Underlying(), seen)
 		}
 		seen[u] = true
 		var b strings.Builder
@@ -182,7 +186,7 @@ func (l *loader) canonType(t types.Type, seen map[*types.Named]bool) string {
 			}
 			b.WriteString(fv.Name())
 			b.WriteString(" ")
-			b.WriteString(l.canonType(fv.Type(), seen))
+			b.WriteString(canonType(l, fv.Type(), seen))
 		}
 		b.WriteString("}")
 		delete(seen, u)
@@ -197,62 +201,13 @@ func (l *loader) canonType(t types.Type, seen map[*types.Named]bool) string {
 			}
 			b.WriteString(fv.Name())
 			b.WriteString(" ")
-			b.WriteString(l.canonType(fv.Type(), seen))
+			b.WriteString(canonType(l, fv.Type(), seen))
 		}
 		b.WriteString("}")
 		return b.String()
 	default:
 		return types.TypeString(t, pkgPathQualifier)
 	}
-}
-
-// excludedFields maps tn's fields that are annotated out of
-// serialization with //simlint:ok checkpointcov.
-func excludedFields(info *pkgInfo, tn *types.TypeName, st *types.Struct) map[*types.Var]bool {
-	out := map[*types.Var]bool{}
-	for _, f := range info.files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok || ts.Name.Name != tn.Name() || ts.Name.Pos() != tn.Pos() {
-				return true
-			}
-			astSt, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range astSt.Fields.List {
-				if !fieldExcluded(field) {
-					continue
-				}
-				for i := 0; i < st.NumFields(); i++ {
-					fv := st.Field(i)
-					if fv.Pos() >= field.Pos() && fv.Pos() <= field.End() {
-						out[fv] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// fieldExcluded reports whether the field carries a serialization
-// exclusion annotation in its doc or line comment.
-func fieldExcluded(field *ast.Field) bool {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
-			if strings.HasPrefix(text, "simlint:ok checkpointcov") {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Diff compares the current schema against the committed golden and

@@ -1,6 +1,6 @@
 // Package obs is the simulator's observability layer: a lightweight
-// metrics registry (counters, gauges, wall-time histograms), a
-// structured trace emitter producing Chrome trace_event JSON, and the
+// metrics registry (counters and wall-time histograms), a structured
+// trace emitter producing Chrome trace_event JSON, and the
 // profiling plumbing behind the CLIs' -pprof/-obs-out flags.
 //
 // The package exists under one hard contract: observability is a PURE

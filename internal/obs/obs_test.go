@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeHistogram(t *testing.T) {
+func TestCounterHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
 	c.Inc()
@@ -18,12 +18,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 	if r.Counter("c") != c {
 		t.Fatal("Counter is not get-or-create")
-	}
-	g := r.Gauge("g")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
 	}
 	h := r.Histogram("h")
 	for _, v := range []int64{100, 300, 200, -50} {
@@ -120,7 +114,6 @@ func TestNilSafety(t *testing.T) {
 	var o *Observer
 	var r *Registry
 	o.Registry().Counter("x").Inc()
-	o.Registry().Gauge("x").Set(1)
 	o.Registry().Histogram("x").Observe(1)
 	r.Counter("x").Add(1)
 	_ = r.Snapshot()

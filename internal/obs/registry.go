@@ -11,11 +11,11 @@ import (
 
 // This file implements the metrics registry. Design constraints:
 //
-//   - Zero-allocation hot path. Recording (Counter.Add, Gauge.Set,
-//     Histogram.Observe) touches only pre-allocated atomics — no maps,
+//   - Zero-allocation hot path. Recording (Counter.Add, Histogram.Observe)
+//     touches only pre-allocated atomics — no maps,
 //     no locks, no interface boxing. Handles are resolved once by name
 //     (a locked map lookup) and then held by the instrumented layer.
-//   - Nil-safe handles. A nil Counter/Gauge/Histogram no-ops, so call
+//   - Nil-safe handles. A nil Counter/Histogram no-ops, so call
 //     sites record unconditionally and disarmed runs pay one nil check.
 //   - Snapshot/diff. A Snapshot is a plain-data copy of every metric;
 //     Diff subtracts a baseline so a caller can isolate one sweep's
@@ -41,31 +41,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a last-value-wins instantaneous measurement.
-type Gauge struct{ v atomic.Int64 }
-
-// Set records the gauge's current value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adjusts the gauge by n (e.g. live in-flight counts).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value (0 when nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // histBuckets is the histogram resolution: power-of-two buckets over
@@ -128,13 +103,12 @@ func bucketOf(v int64) int {
 	return bits.Len64(uint64(v)) - 1
 }
 
-// Registry holds named metrics. Handle resolution (Counter, Gauge,
+// Registry holds named metrics. Handle resolution (Counter,
 // Histogram) is get-or-create under a lock; the returned handles are
 // stable for the registry's lifetime and record lock-free.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -142,7 +116,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -161,21 +134,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -222,7 +180,6 @@ func (h HistogramSnapshot) Mean() float64 {
 // metrics file is a Snapshot.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -233,7 +190,6 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
 		Histograms: map[string]HistogramSnapshot{},
 	}
 	if r == nil {
@@ -244,10 +200,6 @@ func (r *Registry) Snapshot() Snapshot {
 	//simlint:ok maporder builds a map; order-insensitive, and JSON emission sorts keys
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
-	}
-	//simlint:ok maporder builds a map; order-insensitive, and JSON emission sorts keys
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
 	}
 	//simlint:ok maporder builds a map; order-insensitive, and JSON emission sorts keys
 	for name, h := range r.hists {
@@ -274,22 +226,16 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Diff returns the activity between base and s: counters and histogram
-// counts/sums/buckets subtract, gauges keep s's current value, and
-// histogram min/max keep s's values (extrema are not differentiable).
+// counts/sums/buckets subtract, and histogram min/max keep s's values (extrema are not differentiable).
 // Metrics absent from base diff against zero.
 func (s Snapshot) Diff(base Snapshot) Snapshot {
 	d := Snapshot{
 		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
 		Histograms: map[string]HistogramSnapshot{},
 	}
 	//simlint:ok maporder builds a map; order-insensitive, and JSON emission sorts keys
 	for name, v := range s.Counters {
 		d.Counters[name] = v - base.Counters[name]
-	}
-	//simlint:ok maporder builds a map; order-insensitive, and JSON emission sorts keys
-	for name, v := range s.Gauges {
-		d.Gauges[name] = v
 	}
 	//simlint:ok maporder builds a map; order-insensitive, and JSON emission sorts keys
 	for name, h := range s.Histograms {

@@ -46,7 +46,7 @@ type Kernel struct {
 
 	// Shared kernel data.
 	skbPool  addrspace.Array   //simlint:ok checkpointcov socket-buffer pool geometry, fixed at construction
-	rings    []addrspace.Array //simlint:ok checkpointcov construction-time allocation geometry
+	rings    []addrspace.Array // one per NIC; the count is saved and checked on load
 	stats    uint64            //simlint:ok checkpointcov construction-time allocation address
 	sockHash addrspace.Array   //simlint:ok checkpointcov construction-time allocation geometry
 	runq     addrspace.Array   //simlint:ok checkpointcov construction-time allocation geometry

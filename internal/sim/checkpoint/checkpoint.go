@@ -76,8 +76,12 @@ import (
 // v10 delta-codes each residue record against the one before it
 // (header and presence bytes, then varints of only the fields
 // present), writes the PHT densely as its packed bytes, and gap-codes
-// cache way records with varint index gap, tag, stamp and owner.
-const Version = 10
+// cache way records with varint index gap, tag, stamp and owner; v11
+// keeps v10's byte layout, but the kernel's NIC rings, whose count
+// every image since v7 carries, join the statefp schema (their
+// checkpointcov exemption was stale, kept alive only by the field
+// below it).
+const Version = 11
 
 //simlint:ok globalrand write-once file-format magic, read-only after initialization
 var magic = [8]byte{'C', 'S', 'C', 'K', 'P', 'T', '0', '1'}
