@@ -64,17 +64,7 @@ func run(args []string, out io.Writer) int {
 		}
 		fmt.Fprintf(out, "statefp: wrote %s (%d types, version %d)\n", goldenPath, len(cur.Types), cur.Version)
 	case *check:
-		old, err := statefp.Load(goldenPath)
-		if err != nil {
-			return fail(err)
-		}
-		if problems := statefp.Diff(old, cur); len(problems) > 0 {
-			for _, p := range problems {
-				fmt.Fprintln(os.Stderr, "statefp:", p)
-			}
-			return 1
-		}
-		fmt.Fprintf(out, "statefp: schema matches golden (%d types, version %d)\n", len(cur.Types), cur.Version)
+		return gate(cur, goldenPath, out)
 	default:
 		data, err := statefp.Marshal(cur)
 		if err != nil {
@@ -82,5 +72,23 @@ func run(args []string, out io.Writer) int {
 		}
 		out.Write(data)
 	}
+	return 0
+}
+
+// gate checks cur against the golden at goldenPath, reporting as run
+// does, and returns run's exit status.
+func gate(cur *statefp.Schema, goldenPath string, out io.Writer) int {
+	old, err := statefp.Load(goldenPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "statefp:", err)
+		return 2
+	}
+	if problems := statefp.Diff(old, cur); len(problems) > 0 {
+		for _, p := range problems {
+			fmt.Fprintln(os.Stderr, "statefp:", p)
+		}
+		return 1
+	}
+	fmt.Fprintf(out, "statefp: schema matches golden (%d types, version %d)\n", len(cur.Types), cur.Version)
 	return 0
 }

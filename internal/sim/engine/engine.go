@@ -304,7 +304,7 @@ type core struct {
 	offcore []int64 // completion times of outstanding off-core data reqs
 	tlbBusy int64
 
-	nextCtx int // round-robin pointer for SMT fairness
+	nextCtx int // round-robin pointer for SMT fairness, in [0, len(ctxs))
 
 	// sleeping is set after an idle cycle whose next event is more than
 	// one cycle away: runUntil skips the core until idle.wake, and charge
@@ -446,6 +446,26 @@ func (c *context) wakeConsumers(slot int, now int64) {
 	pe.waiters = -1
 }
 
+// newCore builds core id running threads[ti] for every ti in ts, one
+// SMT context each, splitting the ROB evenly between them.
+func newCore(id int, cfg RunConfig, threads []Thread, ts []int) *core {
+	co := &core{id: id, cfg: cfg.Core, bp: bpred.New(bpred.DefaultConfig()), tlbs: tlb.NewHierarchy()}
+	winPer := cfg.Core.ROB / len(ts)
+	for _, ti := range ts {
+		t := threads[ti]
+		co.ctxs = append(co.ctxs, &context{
+			gen:      t.Gen,
+			measured: t.Measured, tid: ti,
+			window:        make([]entry, winPer),
+			ready:         make([]uint64, (winPer+63)/64),
+			timers:        make([]wake, 0, winPer),
+			pendingBranch: -1,
+			ro:            cfg.Obs,
+		})
+	}
+	return co
+}
+
 // Run simulates threads under cfg and returns the measured counters.
 func Run(cfg RunConfig, threads []Thread) (*Result, error) {
 	res, _, err := run(cfg, threads)
@@ -521,22 +541,7 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 		if !ok {
 			continue
 		}
-		co := &core{id: id, cfg: cfg.Core, bp: bpred.New(bpred.DefaultConfig()), tlbs: tlb.NewHierarchy()}
-		winPer := cfg.Core.ROB / len(ts)
-		for _, ti := range ts {
-			t := threads[ti]
-			ctx := &context{
-				gen:      t.Gen,
-				measured: t.Measured, tid: ti,
-				window:        make([]entry, winPer),
-				ready:         make([]uint64, (winPer+63)/64),
-				timers:        make([]wake, 0, winPer),
-				pendingBranch: -1,
-				ro:            cfg.Obs,
-			}
-			co.ctxs = append(co.ctxs, ctx)
-		}
-		cores = append(cores, co)
+		cores = append(cores, newCore(id, cfg, threads, ts))
 	}
 
 	// Functional warm-up: stream instructions through caches, TLBs and
@@ -757,8 +762,8 @@ func runUntil(cores []*core, mem *cache.System, clock, maxCycles int64, done fun
 
 // charge bills a sleeping core's skipped cycles, idle.at+1 through last,
 // with its idle cycle's classification and wakes it. Advancing nextCtx
-// once per skipped cycle keeps the SMT round-robin where ticking would
-// have left it.
+// once per skipped cycle, modulo the context count, keeps the SMT
+// round-robin where ticking would have left it.
 func (co *core) charge(ctr *counters.Counters, last int64) {
 	k := uint64(last - co.idle.at)
 	ctr.Cycles += k
@@ -777,7 +782,7 @@ func (co *core) charge(ctr *counters.Counters, last int64) {
 		ctr.MLPSum += k * co.idle.superQ
 		ctr.MLPCycles += k
 	}
-	co.nextCtx += int(k)
+	co.nextCtx = int((uint64(co.nextCtx) + k) % uint64(len(co.ctxs)))
 	co.sleeping = false
 }
 
@@ -1013,6 +1018,18 @@ func expire(q []int64, now int64) []int64 {
 	return q[:w]
 }
 
+// rr returns the context i < len(co.ctxs) places after nextCtx in the
+// SMT round-robin. Both are below the context count, so one subtraction
+// wraps the sum, and the rotation, which runs on every context visit of
+// every cycle, needs no integer division.
+func (co *core) rr(i int) *context {
+	j := co.nextCtx + i
+	if j >= len(co.ctxs) {
+		j -= len(co.ctxs)
+	}
+	return co.ctxs[j]
+}
+
 // commit retires up to Width instructions across contexts, oldest head
 // first, and returns the mode of the first retiree.
 func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool) {
@@ -1022,7 +1039,7 @@ func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool)
 		// fairness between SMT contexts.
 		var pick *context
 		for i := 0; i < len(co.ctxs); i++ {
-			ctx := co.ctxs[(co.nextCtx+i)%len(co.ctxs)]
+			ctx := co.rr(i)
 			if ctx.count == 0 {
 				continue
 			}
@@ -1067,7 +1084,9 @@ func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool)
 		pick.baseSeq++
 		budget--
 	}
-	co.nextCtx++
+	if co.nextCtx++; co.nextCtx == len(co.ctxs) {
+		co.nextCtx = 0
+	}
 	return kernelMode, any
 }
 
@@ -1082,7 +1101,7 @@ func (co *core) issue(now int64, mem *cache.System, ctr *counters.Counters) bool
 	}
 	budget := co.cfg.Width
 	for i := 0; i < len(co.ctxs) && budget > 0; i++ {
-		ctx := co.ctxs[(co.nextCtx+i)%len(co.ctxs)]
+		ctx := co.rr(i)
 		// Program order from the head: slots [head, len) then [0, head).
 		// Bits are re-read after every issue, so a consumer an issue makes
 		// ready at once (a zero-latency producer) is seen further on.
@@ -1172,7 +1191,7 @@ func (co *core) frontend(now int64, mem *cache.System, ctr *counters.Counters) (
 	budget := co.cfg.Width
 	i := 0
 	for ; i < len(co.ctxs) && budget > 0; i++ {
-		ctx := co.ctxs[(co.nextCtx+i)%len(co.ctxs)]
+		ctx := co.rr(i)
 		for budget > 0 {
 			if ctx.fetchBlockedUntil > now || ctx.redirectUntil > now || ctx.pendingBranch >= 0 {
 				break

@@ -188,26 +188,49 @@ func (e *Emitter) nextPC() uint64 {
 	return pc
 }
 
-func (e *Emitter) push(i Inst) Val {
-	i.Kernel = e.kernelDepth > 0
-	e.buf = append(e.buf, i)
+// add appends a slot for the next instruction and returns it. The slot
+// may hold a stale instruction from a recycled buffer, so the caller
+// writes every field of it. Writing in place rather than building an
+// Inst and appending a copy took about a fifth off trace generation
+// (BenchmarkEmit).
+func (e *Emitter) add() *Inst {
+	if n := len(e.buf); n < cap(e.buf) {
+		e.buf = e.buf[:n+1]
+	} else {
+		e.buf = append(e.buf, Inst{})
+	}
+	return &e.buf[len(e.buf)-1]
+}
+
+// pushed does the bookkeeping for the non-branch instruction just
+// written into the slot add returned: it assigns the instruction's Val
+// and counts down to the next auto branch.
+func (e *Emitter) pushed() Val {
 	v := Val(e.seq)
 	e.seq++
-
 	// Interleave synthetic control flow. The branch belongs to the same
 	// function and usually falls through; sometimes it jumps backwards a
 	// short distance (loop) which keeps the footprint identical.
-	if i.Op != OpBranch {
-		e.untilBranch--
-		if e.untilBranch <= 0 {
-			e.untilBranch = e.nextBlockLen()
-			e.autoBranch()
-		}
+	if e.untilBranch--; e.untilBranch <= 0 {
+		e.autoBranch()
 	}
 	return v
 }
 
+// branch emits a branch at pc to target, consuming the value dep
+// instructions back (0 for none).
+func (e *Emitter) branch(pc, target uint64, taken, uncond bool, dep uint8) {
+	in := e.add()
+	in.PC, in.Addr, in.Target = pc, 0, target
+	in.DepA, in.DepB, in.Size, in.Op = dep, 0, 0, OpBranch
+	in.Kernel, in.Taken, in.Uncond, in.AcquiresDep = e.kernelDepth > 0, taken, uncond, false
+	e.seq++
+}
+
+// autoBranch ends a basic block: it draws the next block's length, then
+// emits the block's closing branch.
 func (e *Emitter) autoBranch() {
+	e.untilBranch = e.nextBlockLen()
 	fr := e.curFrame()
 	entropy := e.cfg.BranchEntropy
 	if fr.fn.BranchEntropy >= 0 {
@@ -251,8 +274,7 @@ func (e *Emitter) autoBranch() {
 			fr.pc = fr.fn.Entry
 		}
 	}
-	e.buf = append(e.buf, Inst{PC: pc, Op: OpBranch, Taken: taken, Target: target, DepA: dep, Kernel: e.kernelDepth > 0})
-	e.seq++
+	e.branch(pc, target, taken, false, dep)
 }
 
 // Call enters fn: it emits the call branch and redirects the PC stream to
@@ -260,9 +282,7 @@ func (e *Emitter) autoBranch() {
 func (e *Emitter) Call(fn *Func) {
 	if len(e.funcs) > 0 {
 		fr := e.curFrame()
-		pc := e.nextPC()
-		e.buf = append(e.buf, Inst{PC: pc, Op: OpBranch, Taken: true, Uncond: true, Target: fn.Entry, Kernel: e.kernelDepth > 0})
-		e.seq++
+		e.branch(e.nextPC(), fn.Entry, true, true, 0)
 		e.funcs = append(e.funcs, frame{fn: fn, pc: fn.Entry, ret: frameRet{fn: fr.fn, pc: fr.pc}})
 		return
 	}
@@ -277,9 +297,7 @@ func (e *Emitter) Ret() {
 	fr := e.funcs[len(e.funcs)-1]
 	e.funcs = e.funcs[:len(e.funcs)-1]
 	if fr.ret.fn != nil {
-		pc := fr.pc
-		e.buf = append(e.buf, Inst{PC: pc, Op: OpBranch, Taken: true, Uncond: true, Target: fr.ret.pc, Kernel: e.kernelDepth > 0})
-		e.seq++
+		e.branch(fr.pc, fr.ret.pc, true, true, 0)
 	}
 }
 
@@ -302,28 +320,40 @@ func (e *Emitter) InKernel(fn *Func, body func()) {
 // computation consumes (NoVal for none); chase marks address-generating
 // dependences (pointer chasing), which serialise memory-level parallelism.
 func (e *Emitter) Load(addr uint64, size int, dep Val, chase bool) Val {
-	return e.push(Inst{
-		PC: e.nextPC(), Op: OpLoad, Addr: addr, Size: uint8(size),
-		DepA: e.dist(dep), AcquiresDep: chase && dep >= 0,
-	})
+	pc, d := e.nextPC(), e.dist(dep)
+	in := e.add()
+	in.PC, in.Addr, in.Target = pc, addr, 0
+	in.DepA, in.DepB, in.Size, in.Op = d, 0, uint8(size), OpLoad
+	in.Kernel, in.Taken, in.Uncond, in.AcquiresDep = e.kernelDepth > 0, false, false, chase && dep >= 0
+	return e.pushed()
 }
 
 // Store emits a store of size bytes to addr, consuming up to two values.
 func (e *Emitter) Store(addr uint64, size int, a, b Val) {
-	e.push(Inst{
-		PC: e.nextPC(), Op: OpStore, Addr: addr, Size: uint8(size),
-		DepA: e.dist(a), DepB: e.dist(b),
-	})
+	pc, da, db := e.nextPC(), e.dist(a), e.dist(b)
+	in := e.add()
+	in.PC, in.Addr, in.Target = pc, addr, 0
+	in.DepA, in.DepB, in.Size, in.Op = da, db, uint8(size), OpStore
+	in.Kernel, in.Taken, in.Uncond, in.AcquiresDep = e.kernelDepth > 0, false, false, false
+	e.pushed()
 }
 
 // ALU emits one integer op consuming a and b.
-func (e *Emitter) ALU(a, b Val) Val {
-	return e.push(Inst{PC: e.nextPC(), Op: OpALU, DepA: e.dist(a), DepB: e.dist(b)})
-}
+func (e *Emitter) ALU(a, b Val) Val { return e.compute(OpALU, a, b) }
 
 // FP emits one floating-point op consuming a and b.
-func (e *Emitter) FP(a, b Val) Val {
-	return e.push(Inst{PC: e.nextPC(), Op: OpFP, DepA: e.dist(a), DepB: e.dist(b)})
+func (e *Emitter) FP(a, b Val) Val { return e.compute(OpFP, a, b) }
+
+// compute emits one register-only op consuming a and b. ALU and FP stay
+// small enough to inline, so ALUChain and its kin make one call per
+// instruction.
+func (e *Emitter) compute(op Op, a, b Val) Val {
+	pc, da, db := e.nextPC(), e.dist(a), e.dist(b)
+	in := e.add()
+	in.PC, in.Addr, in.Target = pc, 0, 0
+	in.DepA, in.DepB, in.Size, in.Op = da, db, 0, op
+	in.Kernel, in.Taken, in.Uncond, in.AcquiresDep = e.kernelDepth > 0, false, false, false
+	return e.pushed()
 }
 
 // ALUChain emits n serially dependent integer ops seeded by dep and
@@ -377,7 +407,7 @@ func (e *Emitter) Branch(taken bool, dep Val) {
 			fr.pc = fr.fn.Entry
 		}
 	}
-	e.push(Inst{PC: pc, Op: OpBranch, Taken: taken, Target: target, DepA: e.dist(dep)})
+	e.branch(pc, target, taken, false, e.dist(dep))
 }
 
 // SaveState serializes the complete emitter state: configuration, RNG
