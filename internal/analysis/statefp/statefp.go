@@ -154,7 +154,10 @@ func pkgPathQualifier(p *types.Package) string { return p.Path() }
 // canonType renders t canonically for hashing: in-module named struct
 // types are expanded structurally (so nested field changes propagate
 // into every containing fingerprint), cycles fall back to the qualified
-// name, everything else uses the fully-qualified type string.
+// name, everything else uses the fully-qualified type string. A nested
+// type that is checkpointed itself renders by name: its own entry
+// guards its layout and honours its checkpointcov exemptions, which a
+// structural expansion here would not.
 func canonType(l *analysis.Loader, t types.Type, seen map[*types.Named]bool) string {
 	switch u := t.(type) {
 	case *types.Pointer:
@@ -168,7 +171,7 @@ func canonType(l *analysis.Loader, t types.Type, seen map[*types.Named]bool) str
 	case *types.Named:
 		name := types.TypeString(u, pkgPathQualifier)
 		pkg := u.Obj().Pkg()
-		if pkg == nil || !l.Local(pkg.Path()) || seen[u] {
+		if pkg == nil || !l.Local(pkg.Path()) || seen[u] || isCheckpointed(u) {
 			return name
 		}
 		st, ok := u.Underlying().(*types.Struct)

@@ -159,6 +159,37 @@ func TestNestedStructChangePropagates(t *testing.T) {
 	}
 }
 
+// An exempted field added to a nested type that is checkpointed itself
+// changes no image byte, so it must move neither the nested type's
+// fingerprint nor its container's. A serialized field moves the nested
+// type's own entry, which is what gates it.
+func TestNestedCheckpointedExemptionIgnored(t *testing.T) {
+	dir := t.TempDir()
+	writeModule(t, dir, 3, "")
+	nested := filepath.Join(dir, "state", "nested.go")
+	write := func(field string) map[string]TypeSchema {
+		t.Helper()
+		body := "package state\n\ntype Cache struct {\n\tWays []uint64\n" + field + "\n}\n\n" +
+			"func (c *Cache) SaveState() {}\nfunc (c *Cache) LoadState() {}\n\n" +
+			"type System struct {\n\tL1 *Cache\n}\n\n" +
+			"func (s *System) SaveState() {}\nfunc (s *System) LoadState() {}\n"
+		if err := os.WriteFile(nested, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return compute(t, dir).Types
+	}
+	before := write("")
+	exempt := write("\tprobeScratch int //simlint:ok checkpointcov per-call scratch")
+	for _, k := range []string{"tmpmod/state.Cache", "tmpmod/state.System"} {
+		if before[k].Fingerprint != exempt[k].Fingerprint {
+			t.Errorf("exempted field on nested checkpointed Cache changed %s's fingerprint", k)
+		}
+	}
+	if served := write("\tHits uint64"); before["tmpmod/state.Cache"].Fingerprint == served["tmpmod/state.Cache"].Fingerprint {
+		t.Error("serialized field on Cache left its fingerprint unchanged")
+	}
+}
+
 // TestRepoGolden is the in-tree gate: the committed golden must match
 // the live schema, so `go test ./...` catches checkpoint-format drift
 // even without the vet wiring.
