@@ -248,14 +248,6 @@ func (s *System) DRAMBusyCycles() uint64 {
 	return t
 }
 
-// DRAMSetSpanStart marks the beginning of a measurement window on every
-// controller.
-func (s *System) DRAMSetSpanStart(cycle int64) {
-	for _, m := range s.mems {
-		m.SetSpanStart(cycle)
-	}
-}
-
 // DRAMResetQueues discards channel backlog on every controller.
 func (s *System) DRAMResetQueues(cycle int64) {
 	for _, m := range s.mems {

@@ -80,8 +80,9 @@ import (
 // keeps v10's byte layout, but the kernel's NIC rings, whose count
 // every image since v7 carries, join the statefp schema (their
 // checkpointcov exemption was stale, kept alive only by the field
-// below it).
-const Version = 11
+// below it); v12's DRAM section drops the controller's observation
+// span (start and last-transfer cycles), which no result read.
+const Version = 12
 
 //simlint:ok globalrand write-once file-format magic, read-only after initialization
 var magic = [8]byte{'C', 'S', 'C', 'K', 'P', 'T', '0', '1'}

@@ -29,13 +29,11 @@ func DefaultConfig() Config {
 // Controller is the memory controller. It is used single-threaded by the
 // simulator's cycle loop.
 type Controller struct {
-	cfg       Config  //simlint:ok checkpointcov construction-time configuration; LoadState geometry-checks channel count instead of restoring it
-	freeAt    []int64 // per-channel time the channel becomes free
-	busy      []int64 // per-channel cumulative busy cycles
-	start     int64
-	lastCycle int64
-	reads     uint64
-	writes    uint64
+	cfg    Config  //simlint:ok checkpointcov construction-time configuration; LoadState geometry-checks channel count instead of restoring it
+	freeAt []int64 // per-channel time the channel becomes free
+	busy   []int64 // per-channel cumulative busy cycles
+	reads  uint64
+	writes uint64
 }
 
 // New returns an idle controller.
@@ -54,14 +52,12 @@ func New(cfg Config) *Controller {
 func (c *Controller) Config() Config { return c.cfg }
 
 // SaveState serializes the controller's queues (per-channel free
-// times), busy-cycle accounting, observation span, and read/write
-// counts into a checkpoint.
+// times), busy-cycle accounting, and read/write counts into a
+// checkpoint.
 func (c *Controller) SaveState(w *checkpoint.Writer) {
 	w.Tag("dram")
 	w.I64s(c.freeAt)
 	w.I64s(c.busy)
-	w.I64(c.start)
-	w.I64(c.lastCycle)
 	w.U64(c.reads)
 	w.U64(c.writes)
 }
@@ -72,8 +68,6 @@ func (c *Controller) LoadState(r *checkpoint.Reader) {
 	r.Expect("dram")
 	r.I64s(c.freeAt)
 	r.I64s(c.busy)
-	c.start = r.I64()
-	c.lastCycle = r.I64()
 	c.reads = r.U64()
 	c.writes = r.U64()
 }
@@ -105,12 +99,6 @@ func (c *Controller) transfer(line uint64, now int64, read bool) int64 {
 	end := start + int64(c.cfg.TransferCycles)
 	c.freeAt[ch] = end
 	c.busy[ch] += int64(c.cfg.TransferCycles)
-	// The observation span extends to the transfer's completion, not
-	// its arrival: ending the span at the last request's start would
-	// overstate busy/span utilization (beyond 1.0 under backlog).
-	if end > c.lastCycle {
-		c.lastCycle = end
-	}
 	if read {
 		c.reads++
 		return start + int64(c.cfg.AccessCycles)
@@ -127,19 +115,6 @@ func (c *Controller) BusyCycles() uint64 {
 	}
 	return t
 }
-
-// Span returns the number of cycles the controller has been observed
-// over (the completion time of the latest transfer minus the
-// observation start).
-func (c *Controller) Span() uint64 {
-	if c.lastCycle <= c.start {
-		return 0
-	}
-	return uint64(c.lastCycle - c.start)
-}
-
-// SetSpanStart marks the beginning of a measurement window.
-func (c *Controller) SetSpanStart(cycle int64) { c.start = cycle }
 
 // ResetQueues discards channel backlog, making every channel free at
 // the given cycle. The simulator calls this between the functional
@@ -158,13 +133,3 @@ func (c *Controller) Reads() uint64 { return c.reads }
 
 // Writes returns the number of line writebacks accepted.
 func (c *Controller) Writes() uint64 { return c.writes }
-
-// Utilization returns busy share across channels over the window ending
-// at cycle now.
-func (c *Controller) Utilization(now int64) float64 {
-	span := now - c.start
-	if span <= 0 {
-		return 0
-	}
-	return float64(c.BusyCycles()) / (float64(span) * float64(c.cfg.Channels))
-}

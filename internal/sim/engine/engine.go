@@ -652,7 +652,6 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 			sum, _ := measuredProgress(cores)
 			done = quantumDone(cores, sum+uint64(cfg.MeasureInsts)*uint64(nMeasured))
 		}
-		mem.DRAMSetSpanStart(clock)
 		mem.DRAMResetQueues(clock)
 		dramBusyStart := mem.DRAMBusyCycles()
 
