@@ -4,14 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // This file computes per-field access-context facts: for every struct
-// field access in a package's non-test code, which mutexes are held,
-// whether the access is a read or a write, and whether it goes through
-// sync/atomic. The lockfield and atomicmix analyzers are queries over
-// these facts.
+// field access in a package's non-test code, which mutexes are held and
+// whether the access is a read or a write. The lockfield analyzer is a
+// query over these facts.
 //
 // Lock tracking is a forward walk over each function body: x.mu.Lock()
 // adds the mutex *field* (identified by its types.Var, shared across
@@ -67,13 +65,12 @@ func (l lockset) equal(o lockset) bool {
 
 // A fieldAccess is one read or write of a struct field.
 type fieldAccess struct {
-	field  *types.Var
-	pos    token.Pos
-	write  bool
-	atomic bool    // performed through a sync/atomic call on &field
-	locks  lockset // mutex fields held at the access
-	node   *funcNode
-	fresh  bool // base object is freshly allocated in this function
+	field *types.Var
+	pos   token.Pos
+	write bool
+	locks lockset // mutex fields held at the access
+	node  *funcNode
+	fresh bool // base object is freshly allocated in this function
 }
 
 // accessFacts is the package-wide fact base.
@@ -422,19 +419,6 @@ func (w *lockWalker) lockCall(call *ast.CallExpr) (mu *types.Var, locks bool) {
 	return fv, locks
 }
 
-// atomicCallee returns the sync/atomic function a call invokes, if any.
-func atomicCallee(pass *Pass, call *ast.CallExpr) *types.Func {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return nil
-	}
-	return fn
-}
-
 func (w *lockWalker) expr(e ast.Expr, held lockset, write bool) {
 	switch v := e.(type) {
 	case nil:
@@ -446,7 +430,7 @@ func (w *lockWalker) expr(e ast.Expr, held lockset, write bool) {
 	case *ast.SelectorExpr:
 		if fv, ok := w.pass.TypesInfo.ObjectOf(v.Sel).(*types.Var); ok && fv.IsField() {
 			if _, isMutex := w.facts.mutexFields[fv]; !isMutex && !isMutexType(fv.Type()) {
-				w.recordAccess(fv, v.Sel.Pos(), write, false, held, v)
+				w.recordAccess(fv, v.Sel.Pos(), write, held, v)
 			}
 		}
 		w.expr(v.X, held, false)
@@ -490,28 +474,6 @@ func (w *lockWalker) expr(e ast.Expr, held lockset, write bool) {
 				}
 			}
 		}
-		if fn := atomicCallee(w.pass, v); fn != nil {
-			isStore := strings.HasPrefix(fn.Name(), "Store") ||
-				strings.HasPrefix(fn.Name(), "Add") ||
-				strings.HasPrefix(fn.Name(), "Swap") ||
-				strings.HasPrefix(fn.Name(), "CompareAnd") ||
-				strings.HasPrefix(fn.Name(), "Or") ||
-				strings.HasPrefix(fn.Name(), "And")
-			for _, arg := range v.Args {
-				if un, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && un.Op == token.AND {
-					if sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr); ok {
-						if fv, ok := w.pass.TypesInfo.ObjectOf(sel.Sel).(*types.Var); ok && fv.IsField() {
-							w.recordAccess(fv, sel.Sel.Pos(), isStore, true, held, sel)
-							w.expr(sel.X, held, false)
-							continue
-						}
-					}
-				}
-				w.expr(arg, held, false)
-			}
-			w.expr(v.Fun, held, false)
-			return
-		}
 		w.expr(v.Fun, held, false)
 		for _, arg := range v.Args {
 			w.expr(arg, held, false)
@@ -525,7 +487,7 @@ func (w *lockWalker) expr(e ast.Expr, held lockset, write bool) {
 	}
 }
 
-func (w *lockWalker) recordAccess(fv *types.Var, pos token.Pos, write, atomicAcc bool, held lockset, sel *ast.SelectorExpr) {
+func (w *lockWalker) recordAccess(fv *types.Var, pos token.Pos, write bool, held lockset, sel *ast.SelectorExpr) {
 	if !w.record {
 		return
 	}
@@ -536,13 +498,12 @@ func (w *lockWalker) recordAccess(fv *types.Var, pos token.Pos, write, atomicAcc
 		}
 	}
 	w.facts.accesses = append(w.facts.accesses, &fieldAccess{
-		field:  fv,
-		pos:    pos,
-		write:  write,
-		atomic: atomicAcc,
-		locks:  held.clone(),
-		node:   w.node,
-		fresh:  fresh,
+		field: fv,
+		pos:   pos,
+		write: write,
+		locks: held.clone(),
+		node:  w.node,
+		fresh: fresh,
 	})
 }
 

@@ -148,10 +148,23 @@ func simPackagePath(path string) bool {
 	)
 }
 
-// simStatePackagePath reports whether path holds simulation state, which
-// lives on one simulation goroutine. internal/trace (its buffer pool),
-// internal/core (the Runner) and internal/obs are concurrent by design.
-func simStatePackagePath(path string) bool {
+// obsPackagePath reports whether path is the observability layer.
+func obsPackagePath(path string) bool {
+	return pathHasFragment(path, "internal/obs")
+}
+
+// observedPackagePath is the simulator proper minus the observer: the
+// packages whose state obs must never touch and whose behaviour a wall
+// clock must never steer.
+func observedPackagePath(path string) bool {
+	return simPackagePath(path) && !obsPackagePath(path)
+}
+
+// singleGoroutinePackagePath reports whether path holds simulation
+// state, which lives on the one simulation goroutine: the simulator
+// proper minus internal/trace (its buffer pool), internal/core (the
+// Runner) and internal/obs, which are concurrent by design.
+func singleGoroutinePackagePath(path string) bool {
 	return pathHasFragment(path, "internal/sim", "internal/workloads", "internal/oskern", "internal/addrspace", "internal/rng")
 }
 

@@ -4,7 +4,7 @@ package analysis
 // runs over every package.
 var All = []*Analyzer{
 	MapOrder, GlobalRand, CheckpointCov, MemoKey,
-	LockField, AtomicMix, ObsPure, ClockTaint,
+	LockField, ObsPure, ClockTaint,
 }
 
 // ByName returns the analyzer with the given name, or nil.

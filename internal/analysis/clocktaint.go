@@ -37,7 +37,7 @@ var ClockTaint = &Analyzer{
 }
 
 func runClockTaint(pass *Pass) error {
-	if !simStatePath(pass.Pkg.Path()) {
+	if !observedPackagePath(pass.Pkg.Path()) {
 		return nil
 	}
 	cg := buildCallGraph(pass)

@@ -28,12 +28,17 @@ import (
 //     Genuinely immutable package-level values (a format magic, a
 //     lookup table written once) carry //simlint:ok globalrand <reason>.
 //   - sync and sync/atomic imports in simulation-state packages
-//     (simStatePackagePath): workload and simulator state is touched
+//     (singleGoroutinePackagePath): workload and simulator state is touched
 //     only on the simulation goroutine, so a lock or an atomic there
 //     guards nothing and implies a second concurrency model.
+//   - calls to sync/atomic's package-level functions (atomic.AddInt64,
+//     atomic.LoadUint64, ...): they make atomicity a convention that a
+//     plain access to the same field silently breaks. The typed
+//     wrappers (atomic.Int64 fields, as internal/obs uses) force every
+//     access through their methods and stay legal.
 var GlobalRand = &Analyzer{
 	Name: "globalrand",
-	Doc:  "flags process-global randomness, wall-clock reads, package-level mutable state, and sync imports in simulation-state packages",
+	Doc:  "flags process-global randomness, wall-clock reads, package-level mutable state, call-style sync/atomic, and sync imports in simulation-state packages",
 	Run:  runGlobalRand,
 }
 
@@ -55,7 +60,7 @@ func runGlobalRand(pass *Pass) error {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
-		if simStatePackagePath(pass.Pkg.Path()) {
+		if singleGoroutinePackagePath(pass.Pkg.Path()) {
 			for _, imp := range f.Imports {
 				if path := strings.Trim(imp.Path.Value, `"`); path == "sync" || path == "sync/atomic" {
 					pass.Reportf(imp.Pos(),
@@ -96,7 +101,7 @@ func runGlobalRand(pass *Pass) error {
 				return true
 			}
 			if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-				return true // methods (e.g. (*rand.Rand).Intn) are fine
+				return true // methods (e.g. (*rand.Rand).Intn, (*atomic.Int64).Add) are fine
 			}
 			switch fn.Pkg().Path() {
 			case "math/rand", "math/rand/v2":
@@ -112,6 +117,10 @@ func runGlobalRand(pass *Pass) error {
 						"time.%s reads the wall clock; simulated time lives in cycle counters (determinism contract)",
 						fn.Name())
 				}
+			case "sync/atomic":
+				pass.Reportf(sel.Pos(),
+					"atomic.%s is call-style sync/atomic, atomic only where every access remembers to be; use a typed field (atomic.Int64, ...) instead",
+					fn.Name())
 			}
 			return true
 		})

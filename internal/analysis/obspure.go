@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"strconv"
-	"strings"
 )
 
 // ObsPure proves the PR-8 pure-observer contract in both directions:
@@ -35,20 +34,6 @@ var ObsPure = &Analyzer{
 	Run:  runObsPure,
 }
 
-// obsPackagePath reports whether path is the observability layer,
-// matched by fragment like simPackagePath so fixtures participate.
-func obsPackagePath(path string) bool {
-	frag := "internal/obs"
-	return path == frag || strings.Contains(path, frag+"/") ||
-		strings.HasSuffix(path, "/"+frag) || strings.Contains(path, "/"+frag+"/")
-}
-
-// simStatePath is the simulator-proper scope minus the observer itself:
-// the packages whose state obs must never touch.
-func simStatePath(path string) bool {
-	return simPackagePath(path) && !obsPackagePath(path)
-}
-
 // obsArmedFuncs is the armed-side package-level API, callable from cmd/
 // only.
 var obsArmedFuncs = map[string]bool{
@@ -65,7 +50,7 @@ func runObsPure(pass *Pass) error {
 	switch {
 	case obsPackagePath(pass.Pkg.Path()):
 		return runObsSide(pass)
-	case simStatePath(pass.Pkg.Path()):
+	case observedPackagePath(pass.Pkg.Path()):
 		return runSimSide(pass)
 	}
 	return nil
@@ -84,7 +69,7 @@ func runObsSide(pass *Pass) error {
 			if err != nil {
 				continue
 			}
-			if simStatePath(path) {
+			if observedPackagePath(path) {
 				pass.Reportf(imp.Pos(),
 					"internal/obs is a pure observer and must not import simulator package %q (pure-observer contract)", path)
 			}
@@ -114,7 +99,7 @@ func runObsSide(pass *Pass) error {
 						fv.Pkg().Name(), fv.Name(), entry)
 				}
 			case *ast.CallExpr:
-				if fn := externalCallee(pass, v); fn != nil && fn.Pkg() != nil && simStatePath(fn.Pkg().Path()) {
+				if fn := externalCallee(pass, v); fn != nil && fn.Pkg() != nil && observedPackagePath(fn.Pkg().Path()) {
 					pass.Reportf(v.Pos(),
 						"observer code calls simulator function %s.%s (reachable from %s); observers must never feed back into the simulation",
 						fn.Pkg().Name(), fn.Name(), entry)
@@ -137,7 +122,7 @@ func simStateField(pass *Pass, lhs ast.Expr) *types.Var {
 	if !ok || !fv.IsField() || fv.Pkg() == nil {
 		return nil
 	}
-	if !simStatePath(fv.Pkg().Path()) {
+	if !observedPackagePath(fv.Pkg().Path()) {
 		return nil
 	}
 	return fv

@@ -5,10 +5,11 @@
 // LoadState methods) contributes one fingerprint: a SHA-256 over the
 // canonical description of its serialized fields, with in-module named
 // struct types expanded transitively so a field added three levels down
-// still changes the hash. Fields excluded from serialization with
-// `//simlint:ok checkpointcov` (construction-time configuration) are
-// excluded from the fingerprint too: they are not part of the on-disk
-// format.
+// still changes the hash. A nested type that is checkpointed itself is
+// named instead of expanded: its own fingerprint gates it. Fields
+// excluded from serialization with `//simlint:ok checkpointcov`
+// (construction-time configuration) are excluded from the fingerprint
+// too: they are not part of the on-disk format.
 //
 // The fingerprints are diffed against a committed golden
 // (internal/sim/checkpoint/testdata/schema_golden.json). Schema drift

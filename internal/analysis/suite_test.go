@@ -23,6 +23,7 @@ func TestGlobalRand(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.GlobalRand,
 		"internal/sim/debugcache",        // seeded DebugSharing package-global bug
 		"internal/workloads/lockedstore", // locks and atomics in workload state
+		"internal/core/atomiccall",       // call-style sync/atomic outside simulation state
 		"tools",                          // outside the guarded roots: must stay silent
 	)
 }
@@ -38,12 +39,6 @@ func TestMemoKey(t *testing.T) {
 func TestLockField(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.LockField,
 		"internal/core/lockrepro", // seeded RunnerStats unpaired-transition race
-	)
-}
-
-func TestAtomicMix(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.AtomicMix,
-		"internal/sim/atomix",
 	)
 }
 
