@@ -156,9 +156,3 @@ func (a Array) Bytes() uint64 { return a.Len * a.stride }
 func StackFor(tid int) uint64 {
 	return StackBase - uint64(tid)*StackStride
 }
-
-// LineOf returns the cache-line base address containing addr.
-func LineOf(addr uint64) uint64 { return addr &^ (CacheLine - 1) }
-
-// PageOf returns the page base address containing addr.
-func PageOf(addr uint64) uint64 { return addr &^ (PageSize - 1) }

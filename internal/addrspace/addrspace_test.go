@@ -79,15 +79,6 @@ func TestStacksDisjoint(t *testing.T) {
 	}
 }
 
-func TestLineAndPageHelpers(t *testing.T) {
-	if LineOf(0x1234) != 0x1200 {
-		t.Fatalf("LineOf(0x1234) = %#x", LineOf(0x1234))
-	}
-	if PageOf(0x12345) != 0x12000 {
-		t.Fatalf("PageOf(0x12345) = %#x", PageOf(0x12345))
-	}
-}
-
 // Property: allocations are disjoint and within the heap region.
 func TestQuickAllocDisjoint(t *testing.T) {
 	check := func(sizes []uint16) bool {

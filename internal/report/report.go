@@ -19,15 +19,6 @@ type Table struct {
 // Add appends one row.
 func (t *Table) Add(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// AddF appends one row with a label and formatted float cells.
-func (t *Table) AddF(label string, format string, vals ...float64) {
-	cells := []string{label}
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf(format, v))
-	}
-	t.Rows = append(t.Rows, cells)
-}
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.Header))
@@ -83,33 +74,6 @@ func Bar(val, max float64, width int) string {
 		n = width
 	}
 	return strings.Repeat("#", n)
-}
-
-// StackedBar renders segments (each with a rune) against max.
-func StackedBar(max float64, width int, segs ...Segment) string {
-	if max <= 0 {
-		return ""
-	}
-	var b strings.Builder
-	used := 0
-	for _, s := range segs {
-		n := int(s.Val / max * float64(width))
-		if used+n > width {
-			n = width - used
-		}
-		if n < 0 {
-			n = 0
-		}
-		b.WriteString(strings.Repeat(string(s.Glyph), n))
-		used += n
-	}
-	return b.String()
-}
-
-// Segment is one component of a stacked bar.
-type Segment struct {
-	Val   float64
-	Glyph rune
 }
 
 // Pct formats a fraction as a percentage.

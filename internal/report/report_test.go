@@ -8,7 +8,7 @@ import (
 func TestTableRender(t *testing.T) {
 	tab := Table{Title: "T", Header: []string{"a", "metric"}}
 	tab.Add("row-one", "1.5")
-	tab.AddF("row-two", "%.2f", 3.14159)
+	tab.Add("row-two", "3.14")
 	var b strings.Builder
 	tab.Render(&b)
 	out := b.String()
@@ -32,17 +32,6 @@ func TestBar(t *testing.T) {
 	}
 	if Bar(1, 0, 10) != "" || Bar(-1, 10, 10) != "" {
 		t.Error("degenerate inputs must render empty")
-	}
-}
-
-func TestStackedBar(t *testing.T) {
-	got := StackedBar(10, 10, Segment{Val: 5, Glyph: 'A'}, Segment{Val: 5, Glyph: 'B'})
-	if got != "AAAAABBBBB" {
-		t.Errorf("StackedBar = %q", got)
-	}
-	over := StackedBar(10, 10, Segment{Val: 8, Glyph: 'A'}, Segment{Val: 8, Glyph: 'B'})
-	if len(over) > 10 {
-		t.Errorf("stacked bar exceeds width: %q", over)
 	}
 }
 

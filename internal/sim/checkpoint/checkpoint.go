@@ -136,12 +136,6 @@ func (w *Writer) Bool(v bool) {
 	}
 }
 
-// U16 writes a uint16.
-func (w *Writer) U16(v uint16) {
-	binary.LittleEndian.PutUint16(w.tmp[:2], v)
-	w.buf.Write(w.tmp[:2])
-}
-
 // U32 writes a uint32.
 func (w *Writer) U32(v uint32) {
 	binary.LittleEndian.PutUint32(w.tmp[:4], v)
@@ -279,15 +273,6 @@ func (r *Reader) U8() uint8 {
 
 // Bool reads a bool.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// U16 reads a uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
 
 // U32 reads a uint32.
 func (r *Reader) U32() uint32 {

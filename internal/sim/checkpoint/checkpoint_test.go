@@ -15,7 +15,6 @@ func sampleSnapshot(t *testing.T) *Snapshot {
 	w.Tag("head")
 	w.U8(7)
 	w.Bool(true)
-	w.U16(0xBEEF)
 	w.U32(0xDEADBEEF)
 	w.U64(1<<63 + 5)
 	w.I64(-42)
@@ -35,9 +34,6 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	}
 	if !r.Bool() {
 		t.Fatal("Bool = false")
-	}
-	if v := r.U16(); v != 0xBEEF {
-		t.Fatalf("U16 = %#x", v)
 	}
 	if v := r.U32(); v != 0xDEADBEEF {
 		t.Fatalf("U32 = %#x", v)

@@ -412,9 +412,3 @@ func (c *Counters) RemoteDRAMFrac() float64 {
 func (c *Counters) OffchipBytes() uint64 {
 	return c.OffchipReadUser + c.OffchipReadOS + c.OffchipWriteback
 }
-
-// OSCycleShare returns the fraction of attributed cycles spent in OS
-// mode (committing or stalled on OS instructions).
-func (c *Counters) OSCycleShare() float64 {
-	return ratio(c.CommitCyclesOS+c.StallCyclesOS, c.Cycles)
-}

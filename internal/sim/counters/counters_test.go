@@ -107,7 +107,6 @@ func TestZeroValueIsSafe(t *testing.T) {
 	_ = c.SharedRWFracUser()
 	_ = c.MispredictRate()
 	_ = c.DRAMUtilization()
-	_ = c.OSCycleShare()
 	if c.MLP() != 1 {
 		t.Errorf("MLP of a miss-free block should be 1, got %f", c.MLP())
 	}

@@ -157,13 +157,6 @@ func (s Spec) FunctionalWarmInsts() int64 {
 	return f
 }
 
-// HorizonInsts is the per-thread execution span the schedule covers:
-// warming plus measurement over all intervals (excluding the initial
-// ramp-up, which both modes share).
-func (s Spec) HorizonInsts() int64 {
-	return int64(s.Intervals) * (s.WarmInsts + s.IntervalInsts)
-}
-
 // Estimate is a sample statistic of one metric over the measurement
 // intervals: the mean, its standard error, and the half-width of the
 // 95% confidence interval (Student's t, n-1 degrees of freedom).

@@ -18,8 +18,8 @@ func TestSpecEnabledAndNormalize(t *testing.T) {
 	}
 	// The default schedule spans the contiguous horizon while measuring
 	// a sixth of it by schedule.
-	if n.HorizonInsts() != 120_000 {
-		t.Errorf("horizon %d, want 120000", n.HorizonInsts())
+	if h := int64(n.Intervals) * (n.WarmInsts + n.IntervalInsts); h != 120_000 {
+		t.Errorf("horizon %d, want 120000", h)
 	}
 	if n.MeasuredInsts() != 20_000 {
 		t.Errorf("measured %d, want 20000", n.MeasuredInsts())

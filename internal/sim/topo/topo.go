@@ -38,17 +38,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("topo.Kind(%d)", uint8(k))
 }
 
-// ParseKind resolves a topology name as spelled by Kind.String.
-func ParseKind(name string) (Kind, error) {
-	switch name {
-	case "mesh", "fullmesh", "":
-		return FullMesh, nil
-	case "ring":
-		return Ring, nil
-	}
-	return 0, fmt.Errorf("topo: unknown topology %q (mesh, ring)", name)
-}
-
 // Hops returns the link distance from socket a to socket b on a
 // machine of the given socket count. Same-socket distance is zero.
 func Hops(k Kind, a, b, sockets int) int {
@@ -66,19 +55,6 @@ func Hops(k Kind, a, b, sockets int) int {
 		}
 		return d
 	default: // FullMesh and anything unknown: direct link.
-		return 1
-	}
-}
-
-// Diameter returns the largest pairwise hop distance on the machine.
-func Diameter(k Kind, sockets int) int {
-	if sockets <= 1 {
-		return 0
-	}
-	switch k {
-	case Ring:
-		return sockets / 2
-	default:
 		return 1
 	}
 }

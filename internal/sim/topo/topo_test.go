@@ -37,42 +37,33 @@ func TestHops(t *testing.T) {
 	}
 }
 
+// The diameter, the largest pairwise Hops, is one hop on a full mesh
+// of two or more sockets and half the socket count on a ring.
 func TestDiameter(t *testing.T) {
 	for sockets := 1; sockets <= 8; sockets++ {
 		for _, k := range []Kind{FullMesh, Ring} {
-			want := 0
+			got := 0
 			for a := 0; a < sockets; a++ {
 				for b := 0; b < sockets; b++ {
-					if h := Hops(k, a, b, sockets); h > want {
-						want = h
-					}
+					got = max(got, Hops(k, a, b, sockets))
 				}
 			}
-			if got := Diameter(k, sockets); got != want {
-				t.Errorf("Diameter(%v, %d) = %d, want %d (max pairwise Hops)",
-					k, sockets, got, want)
+			want := min(sockets-1, 1)
+			if k == Ring {
+				want = sockets / 2
+			}
+			if got != want {
+				t.Errorf("diameter of %v with %d sockets = %d, want %d", k, sockets, got, want)
 			}
 		}
 	}
 }
 
-func TestParseKind(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		want Kind
-	}{{"mesh", FullMesh}, {"fullmesh", FullMesh}, {"", FullMesh}, {"ring", Ring}} {
-		got, err := ParseKind(c.name)
-		if err != nil || got != c.want {
-			t.Errorf("ParseKind(%q) = %v, %v; want %v", c.name, got, err, c.want)
-		}
-	}
-	if _, err := ParseKind("torus"); err == nil {
-		t.Error("ParseKind accepted an unknown topology")
-	}
+func TestKindValidAndString(t *testing.T) {
 	if !FullMesh.Valid() || !Ring.Valid() || Kind(250).Valid() {
 		t.Error("Kind.Valid misclassifies")
 	}
 	if FullMesh.String() != "mesh" || Ring.String() != "ring" {
-		t.Error("Kind.String names drifted from ParseKind spellings")
+		t.Error("Kind.String names drifted")
 	}
 }
