@@ -1,6 +1,7 @@
 // Command simlint runs the project's static-analysis suite
 // (internal/analysis) over every package of a module: maporder,
-// globalrand, checkpointcov, memokey, lockfield, obspure and clocktaint — the enforcement of the determinism, checkpoint-coverage,
+// globalrand, checkpointcov, memokey, lockfield, obspure and
+// clocktaint — the enforcement of the determinism, checkpoint-coverage,
 // memo-key and observer-purity contracts.
 //
 // Usage:
