@@ -28,9 +28,9 @@ import (
 //     Genuinely immutable package-level values (a format magic, a
 //     lookup table written once) carry //simlint:ok globalrand <reason>.
 //   - sync and sync/atomic imports in simulation-state packages
-//     (singleGoroutinePackagePath): workload and simulator state is touched
-//     only on the simulation goroutine, so a lock or an atomic there
-//     guards nothing and implies a second concurrency model.
+//     (singleGoroutinePackagePath): workload and simulator state is
+//     touched only on the simulation goroutine, so a lock or an atomic
+//     there guards nothing and implies a second concurrency model.
 //   - calls to sync/atomic's package-level functions (atomic.AddInt64,
 //     atomic.LoadUint64, ...): they make atomicity a convention that a
 //     plain access to the same field silently breaks. The typed
@@ -119,7 +119,7 @@ func runGlobalRand(pass *Pass) error {
 				}
 			case "sync/atomic":
 				pass.Reportf(sel.Pos(),
-					"atomic.%s is call-style sync/atomic, atomic only where every access remembers to be; use a typed field (atomic.Int64, ...) instead",
+					"atomic.%s is call-style sync/atomic: a plain access to the same field races it; use a typed field (atomic.Int64, ...) instead",
 					fn.Name())
 			}
 			return true
