@@ -77,14 +77,6 @@ func (o *Observer) Registry() *Registry {
 	return o.reg
 }
 
-// Tracer returns the observer's trace emitter (nil when disarmed).
-func (o *Observer) Tracer() *Tracer {
-	if o == nil {
-		return nil
-	}
-	return o.tracer
-}
-
 // stamp returns nanoseconds since the trace epoch — the observer's
 // internal monotonic clock, used for both phase attribution and trace
 // timestamps so metrics and spans line up exactly.

@@ -17,10 +17,9 @@ import (
 //     (a locked map lookup) and then held by the instrumented layer.
 //   - Nil-safe handles. A nil Counter/Histogram no-ops, so call
 //     sites record unconditionally and disarmed runs pay one nil check.
-//   - Snapshot/diff. A Snapshot is a plain-data copy of every metric;
-//     Diff subtracts a baseline so a caller can isolate one sweep's
-//     activity out of a long-lived process. Snapshots marshal to
-//     deterministic JSON (encoding/json sorts map keys).
+//   - Snapshots. A Snapshot is a plain-data copy of every metric, and
+//     PhaseBreakdown attributes its engine phase time. Snapshots
+//     marshal to deterministic JSON (encoding/json sorts map keys).
 
 // Counter is a monotonically-increasing count.
 type Counter struct{ v atomic.Int64 }
@@ -167,14 +166,6 @@ type HistogramSnapshot struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Mean returns the average observed value (0 when empty).
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.SumNS) / float64(h.Count)
-}
-
 // Snapshot is a point-in-time copy of a registry's metrics. It
 // marshals to deterministic JSON (map keys sort) — the -obs-out
 // metrics file is a Snapshot.
@@ -223,41 +214,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = hs
 	}
 	return s
-}
-
-// Diff returns the activity between base and s: counters and histogram
-// counts/sums/buckets subtract, and histogram min/max keep s's values (extrema are not differentiable).
-// Metrics absent from base diff against zero.
-func (s Snapshot) Diff(base Snapshot) Snapshot {
-	d := Snapshot{
-		Counters:   map[string]int64{},
-		Histograms: map[string]HistogramSnapshot{},
-	}
-	//simlint:ok maporder builds a map; order-insensitive, and JSON emission sorts keys
-	for name, v := range s.Counters {
-		d.Counters[name] = v - base.Counters[name]
-	}
-	//simlint:ok maporder builds a map; order-insensitive, and JSON emission sorts keys
-	for name, h := range s.Histograms {
-		b := base.Histograms[name]
-		dh := HistogramSnapshot{
-			Count: h.Count - b.Count,
-			SumNS: h.SumNS - b.SumNS,
-			MinNS: h.MinNS,
-			MaxNS: h.MaxNS,
-		}
-		baseBuckets := map[int64]int64{}
-		for _, bk := range b.Buckets {
-			baseBuckets[bk.Lo] = bk.Count
-		}
-		for _, bk := range h.Buckets {
-			if n := bk.Count - baseBuckets[bk.Lo]; n > 0 {
-				dh.Buckets = append(dh.Buckets, Bucket{Lo: bk.Lo, Count: n})
-			}
-		}
-		d.Histograms[name] = dh
-	}
-	return d
 }
 
 // PhaseBreakdown sums the engine phase histograms of the snapshot and

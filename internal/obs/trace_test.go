@@ -33,7 +33,7 @@ func TestTraceJSONSchema(t *testing.T) {
 	ro.Finish()
 
 	var buf bytes.Buffer
-	if err := o.Tracer().WriteJSON(&buf); err != nil {
+	if err := o.tracer.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -107,9 +107,6 @@ func newDirectory(cfg Config, cores int) *Cache {
 	return c
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 func (c *Cache) setBase(lineAddr uint64) int {
 	return int(lineAddr%uint64(c.sets)) * c.assoc
 }
@@ -258,15 +255,4 @@ func (c *Cache) drop(w int) (was line, sh sharerSet) {
 		c.setSharers(w, sharerSet{})
 	}
 	return was, sh
-}
-
-// FootprintLines reports the number of valid lines (tests).
-func (c *Cache) FootprintLines() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid() {
-			n++
-		}
-	}
-	return n
 }

@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"testing"
-
-	"cloudsuite/internal/sim/topo"
-)
+import "testing"
 
 // FuzzCoherence replays arbitrary access/prefetch/write sequences over
 // a one- to four-socket memory system of up to 64 cores with the
@@ -25,7 +21,7 @@ import (
 
 // Fuzz op encoding: one topology byte — sockets in bits 0-1 (1-4),
 // cores-per-socket selector in bits 2-3 and 5 ({2,4,8,16,32}, taken
-// modulo five), interconnect in bit 4 (mesh/ring) — then 4-byte ops
+// modulo five), bit 4 ignored — then 4-byte ops
 // [kind+mode, core, addrLo, addrHi]. The grid reaches 4x32 = 128
 // cores, crossing the old 32-core ceiling and the first sharer word.
 const (
@@ -99,16 +95,14 @@ func FuzzCoherence(f *testing.F) {
 		[3]uint16{fopRead, 63, l}, [3]uint16{fopRead, 64, l}, [3]uint16{fopRead, 127, l},
 		[3]uint16{fopWrite, 64, l}, [3]uint16{fopPrefL1, 63, l + 1}, [3]uint16{fopWrite, 127, l + 1},
 		[3]uint16{fopIFetch, 96, l}, [3]uint16{fopRead, 0, l + 64}, [3]uint16{fopWrite, 65, l}))
-	// A 3-socket ring with each line replicated in two remote LLCs
+	// A 3-socket machine with each line replicated in two remote LLCs
 	// (sockets 1 and 2, one copy dirty from a downgraded owner) before
 	// socket 0's L1-D and instruction prefetches read it, so the snoop
 	// visits every holder; socket 0's stores then invalidate both.
-	ring := fuzzOps(3, 2,
+	f.Add(fuzzOps(3, 2,
 		[3]uint16{fopWrite, 2, l}, [3]uint16{fopRead, 4, l}, [3]uint16{fopPrefL1, 0, l},
 		[3]uint16{fopWrite, 3, l + 1}, [3]uint16{fopRead, 5, l + 1}, [3]uint16{fopPrefInstr, 1, l + 1},
-		[3]uint16{fopWrite, 0, l}, [3]uint16{fopWrite, 1, l + 1})
-	ring[0] |= 0x10
-	f.Add(ring)
+		[3]uint16{fopWrite, 0, l}, [3]uint16{fopWrite, 1, l + 1}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
@@ -117,13 +111,10 @@ func FuzzCoherence(f *testing.F) {
 		sockets := 1 + int(data[0]&3)
 		sel := int((data[0]>>2)&3|(data[0]>>3)&4) % len(fuzzCPS)
 		cfg := testSystemConfig(sockets, fuzzCPS[sel])
-		if data[0]&0x10 != 0 {
-			cfg.Interconnect = topo.Ring
-		}
 		s := NewSystem(cfg)
 		clocksNearWrap(s, func(i int) uint32 { return 16 << (i % 9) })
 		s.EnableInvariantChecks(1)
-		cores := s.Config().TotalCores()
+		cores := cfg.TotalCores()
 		now := int64(0)
 		for i := 1; i+4 <= len(data) && now < 4096; i += 4 {
 			kind := int(data[i] % fopCount)

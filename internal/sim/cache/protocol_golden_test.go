@@ -13,8 +13,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-
-	"cloudsuite/internal/sim/topo"
 )
 
 // This file pins the directory protocol's observable behaviour: a
@@ -22,10 +20,9 @@ import (
 // to all three prefetchers, user and kernel, is replayed through one
 // System per machine shape, and the SHA-256 of the resulting machine
 // state plus the summed completion latencies must match the committed
-// digest. The machines span 1-4 sockets x {FullMesh, Ring} x
-// {IPrefNextLine, IPrefStream} with every data prefetcher on, so the
-// demand, prefetch and write-claim paths all meet on multi-hop
-// interconnects with remote copies in several sockets.
+// digest. The machines span 1-4 sockets x {IPrefNextLine, IPrefStream}
+// with every data prefetcher on, so the demand, prefetch and
+// write-claim paths all meet with remote copies in several sockets.
 //
 // The digest hashes the in-memory state that defines behaviour — each
 // valid way's index, tag, flags, owner and sharers, each set's LRU
@@ -45,21 +42,19 @@ var updateProtocolGolden = flag.Bool("update-protocol-golden", false,
 const protocolGoldenPath = "testdata/protocol_golden.json"
 
 // protocolMachines enumerates the golden machine shapes by a stable
-// name; the names are the comparison keys.
+// name; the names are the comparison keys. "mesh" names the one-hop
+// socket interconnect every machine has.
 func protocolMachines() map[string]SystemConfig {
 	out := make(map[string]SystemConfig)
 	for sockets := 1; sockets <= 4; sockets++ {
-		for _, ic := range []topo.Kind{topo.FullMesh, topo.Ring} {
-			for _, ip := range []struct {
-				name string
-				mode IPrefMode
-			}{{"nextline", IPrefNextLine}, {"stream", IPrefStream}} {
-				cfg := testSystemConfig(sockets, 2)
-				cfg.Interconnect = ic
-				cfg.IPrefetch = ip.mode
-				cfg.AdjacentLine, cfg.HWPrefetcher, cfg.DCUStreamer = true, true, true
-				out[fmt.Sprintf("sockets=%d/%s/%s", sockets, ic, ip.name)] = cfg
-			}
+		for _, ip := range []struct {
+			name string
+			mode IPrefMode
+		}{{"nextline", IPrefNextLine}, {"stream", IPrefStream}} {
+			cfg := testSystemConfig(sockets, 2)
+			cfg.IPrefetch = ip.mode
+			cfg.AdjacentLine, cfg.HWPrefetcher, cfg.DCUStreamer = true, true, true
+			out[fmt.Sprintf("sockets=%d/mesh/%s", sockets, ip.name)] = cfg
 		}
 	}
 	return out

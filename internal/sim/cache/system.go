@@ -6,13 +6,13 @@ import (
 	"cloudsuite/internal/sim/counters"
 	"cloudsuite/internal/sim/dram"
 	"cloudsuite/internal/sim/prefetch"
-	"cloudsuite/internal/sim/topo"
 )
 
 // SystemConfig describes the full memory system of the simulated
 // machine: per-core private caches, one shared LLC per socket, the
-// socket interconnect, the prefetcher enable bits, and the DRAM
-// controller.
+// cross-socket latencies, the prefetcher enable bits, and the DRAM
+// controller. Every remote socket is one interconnect hop away, as on
+// the measured machine's point-to-point QPI links.
 type SystemConfig struct {
 	// Sockets x CoresPerSocket is the machine's core grid. The LLC
 	// directory tracks private copies in a per-line sharer vector wide
@@ -55,19 +55,6 @@ type SystemConfig struct {
 	// pages are interleaved across sockets at 4KB granularity.
 	RemoteMemCycles int
 
-	// Interconnect selects the point-to-point socket topology. The
-	// zero value is topo.FullMesh — every remote socket one hop away —
-	// which on one- and two-socket machines is exactly the original
-	// QPI model.
-	Interconnect topo.Kind
-
-	// HopCycles is the extra latency per interconnect hop beyond the
-	// first on a multi-hop route (forwarding through an intermediate
-	// socket: link traversal plus router). The first hop is already
-	// priced into RemoteHitCycles / RemoteMemCycles, so this only
-	// matters past two sockets on non-mesh topologies.
-	HopCycles int
-
 	// DRAM configures one socket's memory controller. A multi-socket
 	// system instantiates one controller per socket, so aggregate
 	// channel count and bandwidth scale with the socket count, as on
@@ -93,10 +80,8 @@ const (
 // TotalCores returns the number of cores in the system.
 func (c SystemConfig) TotalCores() int { return c.Sockets * c.CoresPerSocket }
 
-// Validate checks that the core grid and interconnect describe a
-// machine the directory can track, and that every cache's
-// associativity lies in 1..MaxAssoc. It replaces the old blanket
-// "32-core limit" rejection with real topology validation.
+// Validate checks that the core grid describes a machine the directory
+// can track, and that every cache's associativity lies in 1..MaxAssoc.
 func (c SystemConfig) Validate() error {
 	if c.Sockets <= 0 {
 		return fmt.Errorf("cache: %d sockets; a machine needs at least one", c.Sockets)
@@ -115,12 +100,6 @@ func (c SystemConfig) Validate() error {
 		if a := cc.cfg.Assoc; a < 1 || uint64(a) > MaxAssoc {
 			return fmt.Errorf("cache: %s associativity %d outside 1..%d", cc.name, a, uint64(MaxAssoc))
 		}
-	}
-	if !c.Interconnect.Valid() {
-		return fmt.Errorf("cache: unknown interconnect %s", c.Interconnect)
-	}
-	if c.HopCycles < 0 {
-		return fmt.Errorf("cache: negative HopCycles %d", c.HopCycles)
 	}
 	return nil
 }
@@ -141,10 +120,7 @@ func DefaultSystemConfig() SystemConfig {
 		DCUStreamer:     true,
 		RemoteHitCycles: 110,
 		RemoteMemCycles: 90,
-		// An extra forwarding hop re-pays roughly the link share of the
-		// 110-cycle remote hit (110 = 29 LLC + ~80 link and snoop).
-		HopCycles: 70,
-		DRAM:      dram.DefaultConfig(),
+		DRAM:            dram.DefaultConfig(),
 	}
 }
 
@@ -166,8 +142,6 @@ type System struct {
 	llcs  []*Cache
 	mems  []*dram.Controller // one controller per socket
 	ctrs  []*counters.Counters
-	//simlint:ok checkpointcov precomputed from cfg's topology at construction, identical for equal configs
-	hops [][]int // pairwise socket hop distances (Interconnect)
 
 	// checkEvery, when positive, runs CheckInvariants after every n-th
 	// access (see invariants.go).
@@ -201,37 +175,11 @@ func NewSystem(cfg SystemConfig) *System {
 	for i := range s.llcs {
 		s.llcs[i] = newDirectory(cfg.LLC, n)
 	}
-	s.hops = make([][]int, cfg.Sockets)
-	for a := range s.hops {
-		s.hops[a] = make([]int, cfg.Sockets)
-		for b := range s.hops[a] {
-			s.hops[a][b] = topo.Hops(cfg.Interconnect, a, b, cfg.Sockets)
-		}
-	}
 	return s
 }
 
-// hopPenalty converts a hop distance into the extra cycles beyond the
-// one-hop latencies already priced into the remote costs.
-func (s *System) hopPenalty(hops int) int64 {
-	if hops <= 1 {
-		return 0
-	}
-	return int64(hops-1) * int64(s.cfg.HopCycles)
-}
-
-// Config returns the system configuration.
-func (s *System) Config() SystemConfig { return s.cfg }
-
 // Ctr returns the counter block events triggered by core are charged to.
 func (s *System) Ctr(core int) *counters.Counters { return s.ctrs[core] }
-
-// DRAM exposes socket 0's memory controller (the whole machine's on a
-// single-socket system).
-func (s *System) DRAM() *dram.Controller { return s.mems[0] }
-
-// DRAMOf exposes one socket's memory controller.
-func (s *System) DRAMOf(socket int) *dram.Controller { return s.mems[socket] }
 
 // DRAMTotalChannels counts memory channels across all sockets.
 func (s *System) DRAMTotalChannels() int {
@@ -266,17 +214,16 @@ func (s *System) homeSocket(lineAddr uint64) int {
 }
 
 // memRead fetches a line from its home socket's memory controller,
-// charging the interconnect route when the requesting core is on
-// another socket: the first hop at RemoteMemCycles, each further hop
-// at HopCycles.
+// charging the one interconnect hop (RemoteMemCycles) when the
+// requesting core is on another socket.
 func (s *System) memRead(core int, lineAddr uint64, now int64) int64 {
 	home := s.homeSocket(lineAddr)
 	done := s.mems[home].Read(lineAddr, now)
-	if my := s.socketOf(core); home == my {
+	if home == s.socketOf(core) {
 		s.ctrs[core].DRAMReadLocal++
 	} else {
 		s.ctrs[core].DRAMReadRemote++
-		done += int64(s.cfg.RemoteMemCycles) + s.hopPenalty(s.hops[my][home])
+		done += int64(s.cfg.RemoteMemCycles)
 	}
 	return done
 }
@@ -412,7 +359,7 @@ func (s *System) claimOwnership(core int, lineAddr uint64, w int) (stolenFromOth
 	if s.invalidateSharers(llc.sharers(w), core, lineAddr) {
 		llcLine.flags |= flagDirty
 	}
-	_, remoteModified, _, _ := s.snoop(core, lineAddr, true)
+	_, remoteModified := s.snoop(core, lineAddr, true)
 	llc.setSharers(w, onlySharer(core))
 	llcLine.owner = int16(core)
 	llcLine.flags |= flagDirty
@@ -673,9 +620,9 @@ func (s *System) accessShared(core int, lineAddr uint64, write, kernel, instr bo
 //
 // It returns the line's LLC way, whether the local LLC hit, whether the
 // line was taken from a Modified holder (a read-write sharing event),
-// and the completion time: the LLC latency on a hit, the route to the
-// nearest holder (read) or the farthest invalidation (write) on a
-// remote hit, the DRAM read otherwise.
+// and the completion time: the LLC latency on a hit, RemoteHitCycles
+// on a remote hit (every remote socket is one hop away), the DRAM read
+// otherwise.
 func (s *System) obtain(core int, lineAddr uint64, write bool, fl lineFlags, kernel bool, now int64) (w int, hit, stolen bool, done int64) {
 	llc := s.llcOf(core)
 	if w = llc.probe(lineAddr, true); w >= 0 {
@@ -693,14 +640,10 @@ func (s *System) obtain(core int, lineAddr uint64, write bool, fl lineFlags, ker
 		return w, true, stolen, now + int64(lat)
 	}
 
-	remote, stolen, nearest, farthest := s.snoop(core, lineAddr, write)
+	remote, stolen := s.snoop(core, lineAddr, write)
 	if remote {
 		s.ctrs[core].RemoteSocketHit++
-		hops := nearest
-		if write {
-			hops = farthest
-		}
-		done = now + int64(s.cfg.RemoteHitCycles) + s.hopPenalty(hops)
+		done = now + int64(s.cfg.RemoteHitCycles)
 	} else {
 		done = max(s.memRead(core, lineAddr, now), now+int64(s.cfg.LLC.LatencyCycles))
 		if kernel {
@@ -724,10 +667,9 @@ func (s *System) obtain(core int, lineAddr uint64, write bool, fl lineFlags, ker
 // write invalidates each copy and its private copies, gaining chip-wide
 // exclusivity; a read downgrades the Modified owner (by invariant 5 the
 // only copy when there is one). It reports whether any copy was found,
-// whether any was modified — owned, or downgraded but dirty, which can
-// coexist with clean replicas on other sockets — and the hop distances
-// to the nearest and the farthest holder.
-func (s *System) snoop(core int, lineAddr uint64, write bool) (found, modified bool, nearest, farthest int) {
+// and whether any was modified — owned, or downgraded but dirty, which
+// can coexist with clean replicas on other sockets.
+func (s *System) snoop(core int, lineAddr uint64, write bool) (found, modified bool) {
 	my := s.socketOf(core)
 	for so, llc := range s.llcs {
 		if so == my {
@@ -738,11 +680,6 @@ func (s *System) snoop(core int, lineAddr uint64, write bool) (found, modified b
 			continue
 		}
 		rl := &llc.lines[rw]
-		h := s.hops[my][so]
-		if !found || h < nearest {
-			nearest = h
-		}
-		farthest = max(farthest, h)
 		found = true
 		if rl.owner >= 0 || rl.flags&flagDirty != 0 {
 			modified = true
@@ -754,7 +691,7 @@ func (s *System) snoop(core int, lineAddr uint64, write bool) (found, modified b
 			s.downgradeOwner(lineAddr, rl)
 		}
 	}
-	return found, modified, nearest, farthest
+	return found, modified
 }
 
 // prefetchInstr fetches an instruction line into core's L1-I without

@@ -157,8 +157,9 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	if got := s.Ctr(0).OffchipWriteback; got != LineBytes {
 		t.Fatalf("OffchipWriteback = %d, want %d", got, LineBytes)
 	}
-	if s.DRAM().Writes() != 1 {
-		t.Fatalf("DRAM writes = %d, want 1", s.DRAM().Writes())
+	// Three line fills and the one writeback each occupy a channel.
+	if got, want := s.DRAMBusyCycles(), uint64(4*cfg.DRAM.TransferCycles); got != want {
+		t.Fatalf("DRAM busy cycles = %d, want %d (three reads, one writeback)", got, want)
 	}
 }
 
@@ -295,8 +296,12 @@ func TestPrefetchInstrSnoopsRemoteSocket(t *testing.T) {
 	if !s.llcs[1].Contains(line) {
 		t.Fatal("instruction prefetch did not fill the local LLC")
 	}
-	if s.DRAM().Reads()+s.DRAMOf(1).Reads() != 1 {
+	if c := s.Ctr(1); c.DRAMReadLocal+c.DRAMReadRemote != 0 {
 		t.Fatal("prefetch serviced remotely must not also read DRAM")
+	}
+	// Only socket 0's write miss reached a memory controller.
+	if got := s.DRAMBusyCycles(); got != uint64(testSystemConfig(2, 1).DRAM.TransferCycles) {
+		t.Fatalf("DRAM busy cycles = %d, want one transfer", got)
 	}
 }
 
@@ -406,8 +411,9 @@ func TestPerSocketDRAMRouting(t *testing.T) {
 	page1 := uint64(4096)
 	rl := s.AccessData(0, page0, false, false, 0)
 	rr := s.AccessData(0, page1, false, false, 0)
-	if s.DRAMOf(0).Reads() != 1 || s.DRAMOf(1).Reads() != 1 {
-		t.Fatalf("reads routed %d/%d, want 1/1", s.DRAMOf(0).Reads(), s.DRAMOf(1).Reads())
+	// One transfer on each socket's controller.
+	if b0, b1 := s.mems[0].BusyCycles(), s.mems[1].BusyCycles(); b0 != b1 || b0 != uint64(cfg.DRAM.TransferCycles) {
+		t.Fatalf("busy cycles routed %d/%d, want one transfer each", b0, b1)
 	}
 	if got := rr.Done - rl.Done; got != 70 {
 		t.Fatalf("remote DRAM penalty = %d cycles, want 70", got)

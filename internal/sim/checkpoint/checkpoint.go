@@ -81,8 +81,11 @@ import (
 // every image since v7 carries, join the statefp schema (their
 // checkpointcov exemption was stale, kept alive only by the field
 // below it); v12's DRAM section drops the controller's observation
-// span (start and last-transfer cycles), which no result read.
-const Version = 12
+// span (start and last-transfer cycles), which no result read; v13's
+// DRAM section also drops the controller's read and write counts,
+// which the per-core counters already carry, and the cache system no
+// longer holds a socket hop matrix.
+const Version = 13
 
 //simlint:ok globalrand write-once file-format magic, read-only after initialization
 var magic = [8]byte{'C', 'S', 'C', 'K', 'P', 'T', '0', '1'}

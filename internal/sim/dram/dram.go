@@ -32,8 +32,6 @@ type Controller struct {
 	cfg    Config  //simlint:ok checkpointcov construction-time configuration; LoadState geometry-checks channel count instead of restoring it
 	freeAt []int64 // per-channel time the channel becomes free
 	busy   []int64 // per-channel cumulative busy cycles
-	reads  uint64
-	writes uint64
 }
 
 // New returns an idle controller.
@@ -52,14 +50,11 @@ func New(cfg Config) *Controller {
 func (c *Controller) Config() Config { return c.cfg }
 
 // SaveState serializes the controller's queues (per-channel free
-// times), busy-cycle accounting, and read/write counts into a
-// checkpoint.
+// times) and busy-cycle accounting into a checkpoint.
 func (c *Controller) SaveState(w *checkpoint.Writer) {
 	w.Tag("dram")
 	w.I64s(c.freeAt)
 	w.I64s(c.busy)
-	w.U64(c.reads)
-	w.U64(c.writes)
 }
 
 // LoadState restores state saved by SaveState into a controller of
@@ -68,8 +63,6 @@ func (c *Controller) LoadState(r *checkpoint.Reader) {
 	r.Expect("dram")
 	r.I64s(c.freeAt)
 	r.I64s(c.busy)
-	c.reads = r.U64()
-	c.writes = r.U64()
 }
 
 func (c *Controller) channel(line uint64) int {
@@ -100,10 +93,8 @@ func (c *Controller) transfer(line uint64, now int64, read bool) int64 {
 	c.freeAt[ch] = end
 	c.busy[ch] += int64(c.cfg.TransferCycles)
 	if read {
-		c.reads++
 		return start + int64(c.cfg.AccessCycles)
 	}
-	c.writes++
 	return start
 }
 
@@ -127,9 +118,3 @@ func (c *Controller) ResetQueues(cycle int64) {
 		}
 	}
 }
-
-// Reads returns the number of line reads serviced.
-func (c *Controller) Reads() uint64 { return c.reads }
-
-// Writes returns the number of line writebacks accepted.
-func (c *Controller) Writes() uint64 { return c.writes }

@@ -40,8 +40,13 @@ func TestWritesArePosted(t *testing.T) {
 	if start != 50 {
 		t.Fatalf("posted write accepted at %d, want 50", start)
 	}
-	if c.Writes() != 1 || c.Reads() != 0 {
-		t.Fatalf("write/read counts wrong: %d/%d", c.Writes(), c.Reads())
+	if b := c.BusyCycles(); b != 10 {
+		t.Fatalf("posted write occupied the channel %d cycles, want one transfer (10)", b)
+	}
+	// The channel is busy until 60: a read issued at 50 queues behind
+	// the write.
+	if done := c.Read(1, 50); done != 160 {
+		t.Fatalf("read behind the posted write completes at %d, want 160", done)
 	}
 }
 

@@ -134,10 +134,6 @@ func (s Spec) Normalize(contiguousInsts int64) Spec {
 	return n
 }
 
-// MeasuredInsts is the per-thread instruction total spent in timed
-// windows when all Intervals run.
-func (s Spec) MeasuredInsts() int64 { return int64(s.Intervals) * s.IntervalInsts }
-
 // DetailWarmInsts is the detailed-warming quantum preceding each
 // measured window: the tail of the warming budget runs through the
 // detailed timing model with counters still frozen, so a window does

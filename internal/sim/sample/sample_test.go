@@ -21,8 +21,8 @@ func TestSpecEnabledAndNormalize(t *testing.T) {
 	if h := int64(n.Intervals) * (n.WarmInsts + n.IntervalInsts); h != 120_000 {
 		t.Errorf("horizon %d, want 120000", h)
 	}
-	if n.MeasuredInsts() != 20_000 {
-		t.Errorf("measured %d, want 20000", n.MeasuredInsts())
+	if m := int64(n.Intervals) * n.IntervalInsts; m != 20_000 {
+		t.Errorf("measured %d, want 20000", m)
 	}
 	// TargetRelErr alone enables sampling with defaults.
 	a := Spec{TargetRelErr: 0.05}.Normalize(120_000)

@@ -151,11 +151,6 @@ func (e *Emitter) nextBlockLen() int {
 	return bl/2 + 1 + e.rng.Intn(bl)
 }
 
-// Rand returns the emitter's private random stream, for workloads that
-// need reproducible randomness tied to the thread seed. The stream is
-// part of the emitter's checkpointed state.
-func (e *Emitter) Rand() *rng.Rand { return e.rng }
-
 func (e *Emitter) dist(v Val) uint8 {
 	if v < 0 {
 		return 0

@@ -341,7 +341,7 @@ func (p *statefulProg) Step(e *Emitter) bool {
 		p.n++
 		addr := 0x2000_0000 + (p.n%512)*64
 		v := e.Load(addr, 8, NoVal, false)
-		e.ALUChain(int(e.Rand().Intn(4)), v)
+		e.ALUChain(int(e.rng.Intn(4)), v)
 		e.Store(addr+8, 8, v, NoVal)
 	}
 	return true
