@@ -81,13 +81,15 @@ func (r *Rand) Int63n(n int64) int64 {
 	if n <= 0 {
 		panic("rng: Int63n with non-positive bound")
 	}
-	// Unbiased rejection sampling over the top 63 bits.
-	max := uint64(1)<<63 - 1
-	limit := max - max%uint64(n)
+	// Unbiased rejection sampling over the top 63 bits: accept v when
+	// the whole block of n values holding it fits in [0, max], which is
+	// v < max-max%n with one division instead of two.
+	const max = uint64(1)<<63 - 1
 	for {
 		v := r.Uint64() >> 1
-		if v < limit {
-			return int64(v % uint64(n))
+		rem := v % uint64(n)
+		if v-rem <= max-uint64(n) {
+			return int64(rem)
 		}
 	}
 }

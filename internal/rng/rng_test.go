@@ -138,3 +138,39 @@ func TestZipfDeterministicThroughRand(t *testing.T) {
 		}
 	}
 }
+
+// int63nTwoDivisions is the rejection rule Int63n used before it
+// dropped to one division per draw, kept as the reference it must
+// match draw for draw.
+func int63nTwoDivisions(r *Rand, n int64) int64 {
+	max := uint64(1)<<63 - 1
+	limit := max - max%uint64(n)
+	for {
+		v := r.Uint64() >> 1
+		if v < limit {
+			return int64(v % uint64(n))
+		}
+	}
+}
+
+// TestInt63nMatchesTwoDivisionRule: Int63n accepts exactly the draws
+// the two-division rule accepts, so every stream keeps its values and
+// its position. The bounds near 2^62 and 2^63 reject often, so both
+// branches of the rule run.
+func TestInt63nMatchesTwoDivisionRule(t *testing.T) {
+	bounds := []int64{1, 2, 3, 7, 1e12, 1<<62 - 1, 1<<62 + 1, math.MaxInt64}
+	for k := 0; k < 63; k++ {
+		bounds = append(bounds, 1<<k)
+	}
+	for _, n := range bounds {
+		got, want := New(n), New(n)
+		for i := 0; i < 2000; i++ {
+			if g, w := got.Int63n(n), int63nTwoDivisions(want, n); g != w {
+				t.Fatalf("n=%d draw %d: Int63n = %d, two-division rule = %d", n, i, g, w)
+			}
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Fatalf("n=%d: streams consumed different numbers of draws", n)
+		}
+	}
+}
