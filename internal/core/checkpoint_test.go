@@ -6,9 +6,9 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"cloudsuite/internal/sim/checkpoint"
+	"cloudsuite/internal/sim/engine"
 	"cloudsuite/internal/workloads"
 	"cloudsuite/internal/workloads/websearch"
 )
@@ -89,7 +89,7 @@ func TestCheckpointDifferentialHarness(t *testing.T) {
 				}
 
 				s := store.Stats()
-				if s.Saves != 1 || s.DiskHits != 1 || s.MemoryHits != 0 {
+				if s.Saves != 1 || s.DiskHits != 1 {
 					t.Fatalf("%s sockets=%d sampled=%v: store stats %+v, want 1 save and 1 disk hit",
 						b.Name, sockets, sampled, s)
 				}
@@ -336,32 +336,34 @@ func TestCheckpointMismatchedImageRetriesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Capture a genuine snapshot under a different warm budget...
+	// Warm a run under a different warm budget and plant its image on
+	// disk under o's key.
 	forged := diffOptions(1, false)
 	forged.WarmupInsts = 20_000
-	fstore, err := NewCheckpointStore(t.TempDir())
+	c := canonicalize(forged)
+	in, err := assemble(b.New(), &c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged.Checkpoints = fstore
-	if _, err := MeasureBench(b, forged); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := checkpoint.LoadFile(fstore.path(checkpointKey(b.Name, canonicalize(forged))))
-	if err != nil {
-		t.Fatalf("no snapshot captured: %v", err)
-	}
-
-	// ...and plant it in a fresh store as an in-flight image under o's
-	// key.
+	defer in.close()
 	store, err := NewCheckpointStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := checkpointKey("Web Search", canonicalize(o))
-	cell := &ckptCell{done: make(chan struct{}), snap: snap}
-	close(cell.done)
-	store.cells[key] = cell
+	key := checkpointKey(b.Name, canonicalize(o))
+	var snap *checkpoint.Snapshot
+	cfg := in.cfg
+	cfg.CheckpointKey = key
+	cfg.Checkpoint = func(s *checkpoint.Snapshot) { snap = s }
+	if _, err := engine.Run(cfg, in.threads); err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil {
+		t.Fatal("no snapshot captured")
+	}
+	if err := snap.SaveFile(store.path(key)); err != nil {
+		t.Fatal(err)
+	}
 
 	// Measure through a Runner: the cold retry stays one run.
 	r := NewRunner(1)
@@ -373,97 +375,98 @@ func TestCheckpointMismatchedImageRetriesCold(t *testing.T) {
 	if mustJSON(t, m) != mustJSON(t, cold) {
 		t.Fatal("fallback measurement differs from cold run")
 	}
-	if s := store.Stats(); s.Failures == 0 {
-		t.Fatalf("stats %+v, want the restore failure counted", s)
+	if s := store.Stats(); s.DiskHits != 1 || s.Failures == 0 {
+		t.Fatalf("stats %+v, want the planted image loaded and its restore failure counted", s)
 	}
 	if s := runnerStats(t, r); s.Runs != 1 {
 		t.Fatalf("runner stats %+v, want the cold retry counted as one run", s)
 	}
 }
 
-// TestCheckpointSingleflight: concurrent measurements sharing a warm
-// key produce exactly one warm image; the other run forks from it,
-// mid-run if it joined the warm-up in flight, else from disk.
-func TestCheckpointSingleflight(t *testing.T) {
-	store, err := NewCheckpointStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := FindBench("Media Streaming")
-	r := NewRunner(2)
-	r.SetCheckpoints(store)
-
+// TestCheckpointSameWarmKey: two requests that differ only in
+// MeasureInsts share one warm key. Run at once on two workers, each
+// either warms and saves the image or forks from it on disk, and the
+// directory ends up holding one image; run one after the other, the
+// second forks from the first's image. Every result equals its cold
+// run.
+func TestCheckpointSameWarmKey(t *testing.T) {
+	b := mustBench("Media Streaming")
 	oA := diffOptions(1, false)
 	oB := diffOptions(1, false)
 	oB.MeasureInsts = 12_000 // distinct memo key, same warm key
-
-	ms, err := r.MeasureAll([]MeasureRequest{
-		{Bench: b, Options: oA},
-		{Bench: b, Options: oB},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 2 || ms[0] == nil || ms[1] == nil {
-		t.Fatal("missing results")
-	}
-	s := store.Stats()
-	if s.Saves != 1 {
-		t.Fatalf("concurrent runs saved %d images, want 1", s.Saves)
-	}
-	if s.MemoryHits+s.DiskHits != 1 {
-		t.Fatalf("stats %+v, want exactly 1 fork", s)
+	reqs := []MeasureRequest{{Bench: b, Options: oA}, {Bench: b, Options: oB}}
+	var cold []string
+	for _, req := range reqs {
+		m, err := MeasureBench(req.Bench, req.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold = append(cold, mustJSON(t, m))
 	}
 
-	// And the forked results match their cold counterparts.
-	coldB, err := MeasureBench(b, Options{
-		Cores: 4, WarmupInsts: 40_000, MeasureInsts: 12_000, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mustJSON(t, ms[1]) != mustJSON(t, coldB) {
-		t.Fatal("singleflight fork differs from cold run")
+	for _, workers := range []int{2, 1} {
+		dir := t.TempDir()
+		store, err := NewCheckpointStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(workers)
+		r.SetCheckpoints(store)
+		ms, err := r.MeasureAll(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range ms {
+			if mustJSON(t, m) != cold[i] {
+				t.Fatalf("%d workers: request %d differs from its cold run", workers, i)
+			}
+		}
+		s := store.Stats()
+		if s.Failures != 0 || s.Saves+s.DiskHits != 2 {
+			t.Fatalf("%d workers: stats %+v, want no failures and 2 saves plus disk hits", workers, s)
+		}
+		if workers == 1 && s.DiskHits != 1 {
+			t.Fatalf("1 worker: stats %+v, want the second request served from disk", s)
+		}
+		if files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(files) != 1 {
+			t.Fatalf("%d workers: directory holds %d images, want 1", workers, len(files))
+		}
 	}
 }
 
-// TestCheckpointStoreConcurrentAcquire hammers the store from many
-// goroutines (run under -race in CI) to verify the singleflight
-// resolves exactly once per key with no data races.
-func TestCheckpointStoreConcurrentAcquire(t *testing.T) {
-	store, err := NewCheckpointStore(t.TempDir())
+// TestCheckpointStoreConcurrentSaveLoad hammers one key from many
+// goroutines at once (run under -race in CI): every load sees no image
+// or a whole verified one, and the atomic rename leaves no temp file.
+func TestCheckpointStoreConcurrentSaveLoad(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewCheckpointStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 16
+	const key = "shared-key"
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	produced := 0
-	for i := 0; i < n; i++ {
+	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			snap, commit := store.acquire("shared-key")
-			if commit != nil {
-				w := checkpoint.NewWriter()
-				w.U64(42)
-				commit(w.Snapshot("shared-key"))
-				mu.Lock()
-				produced++
-				mu.Unlock()
-				return
+			check := func() {
+				if snap := store.load(key); snap != nil && snap.Key() != key {
+					t.Errorf("load returned an image with key %q", snap.Key())
+				}
 			}
-			if snap == nil {
-				t.Error("acquire returned neither snapshot nor commit")
-			}
+			check()
+			w := checkpoint.NewWriter()
+			w.U64(42)
+			store.save(key, w.Snapshot(key))
+			check()
 		}()
 	}
 	wg.Wait()
-	if produced != 1 {
-		t.Fatalf("%d producers resolved the key, want exactly 1", produced)
+	if s := store.Stats(); s.Failures != 0 || s.Saves != 8 || s.Requests != 16 {
+		t.Fatalf("stats %+v, want 8 saves, 16 requests and no failures", s)
 	}
-	if s := store.Stats(); s.Requests != n {
-		t.Fatalf("stats %+v, want %d requests", s, n)
+	if tmp, _ := filepath.Glob(filepath.Join(dir, ".ckpt-*")); len(tmp) != 0 {
+		t.Fatalf("temp files left behind: %v", tmp)
 	}
 }
 
@@ -521,47 +524,10 @@ func TestCheckpointOldVersionImageRetriesCold(t *testing.T) {
 	}
 }
 
-// TestCheckpointRequestCountedOnce: a waiter whose producer commits nil
-// races for the key again and becomes the new producer, and its request
-// is still counted once.
-func TestCheckpointRequestCountedOnce(t *testing.T) {
-	store, err := NewCheckpointStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, commitA := store.acquire("k")
-	if commitA == nil {
-		t.Fatal("first request got no commit obligation")
-	}
-	waiter := make(chan func(*checkpoint.Snapshot))
-	go func() {
-		snap, commitB := store.acquire("k")
-		if snap != nil {
-			t.Error("waiter forked from a failed producer")
-		}
-		waiter <- commitB
-	}()
-	// The request is counted under the same lock hold that finds the
-	// in-flight cell, so two requests mean the waiter has joined.
-	for store.Stats().Requests < 2 {
-		time.Sleep(time.Millisecond)
-	}
-	commitA(nil)
-	commitB := <-waiter
-	if commitB == nil {
-		t.Fatal("waiter did not become the new producer")
-	}
-	commitB(nil)
-	if s := store.Stats(); s.Requests != 2 {
-		t.Fatalf("stats %+v, want 2 requests", s)
-	}
-}
-
-// TestCheckpointStoreHoldsNoResolvedImages: the directory is the
-// store's only tier. Once a sweep over several warm keys has returned,
-// no cell is left in memory, and a repeat request for one key is a disk
-// hit that forks byte-identically to a cold run.
-func TestCheckpointStoreHoldsNoResolvedImages(t *testing.T) {
+// TestCheckpointRepeatRequestIsDiskHit: after a sweep over several
+// warm keys has returned, a repeat request for one key is a disk hit
+// that forks byte-identically to a cold run.
+func TestCheckpointRepeatRequestIsDiskHit(t *testing.T) {
 	store, err := NewCheckpointStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -578,12 +544,6 @@ func TestCheckpointStoreHoldsNoResolvedImages(t *testing.T) {
 	if _, err := r.MeasureAll(reqs); err != nil {
 		t.Fatal(err)
 	}
-	store.mu.Lock()
-	cells := len(store.cells)
-	store.mu.Unlock()
-	if cells != 0 {
-		t.Fatalf("store holds %d cells after the sweep, want 0", cells)
-	}
 	if s := store.Stats(); s.Saves != 3 {
 		t.Fatalf("stats %+v, want 3 saved images", s)
 	}
@@ -598,7 +558,7 @@ func TestCheckpointStoreHoldsNoResolvedImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := store.Stats(); s.DiskHits != 1 || s.MemoryHits != 0 {
+	if s := store.Stats(); s.DiskHits != 1 {
 		t.Fatalf("stats %+v, want the repeat request served from disk", s)
 	}
 	if mustJSON(t, m) != mustJSON(t, cold) {

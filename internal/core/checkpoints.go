@@ -31,10 +31,6 @@ import (
 type CheckpointStats struct {
 	// Requests is the number of measurements that consulted the store.
 	Requests int64
-	// MemoryHits counts requests that joined another request's in-flight
-	// cell (a warm-up, disk load or save still under way) and forked
-	// from its image.
-	MemoryHits int64
 	// DiskHits counts images loaded from the checkpoint directory.
 	DiskHits int64
 	// Saves counts warm images captured by this process.
@@ -48,29 +44,15 @@ type CheckpointStats struct {
 	Failures int64
 }
 
-// ckptCell is one in-flight warm image. The first requester of a key
-// loads the image from disk or warms the machine and commits the
-// snapshot at the warm->measure boundary; concurrent requesters for the
-// same key wait on done and then fork from the image (mid-run
-// singleflight: the cell resolves when the producer's warming finishes,
-// not when its whole measurement does). The cell leaves the map once
-// its disk load has resolved or its save has returned, so the store
-// holds an image only while its load, warm-up or save is under way;
-// later requests for the key load it from disk.
-type ckptCell struct {
-	done chan struct{}
-	snap *checkpoint.Snapshot
-}
-
 // CheckpointStore keeps warm-state snapshots in a directory, so warm
-// images persist across runs and processes, and shares each in-flight
-// warm-up among concurrent requests for its key. All methods are safe
-// for concurrent use.
+// images persist across runs and processes. The directory is its only
+// state: it holds no image in memory, and two runs that warm one key at
+// once both save it, writing identical bytes through an atomic rename.
+// All methods are safe for concurrent use.
 type CheckpointStore struct {
 	dir string
 
 	mu    sync.Mutex
-	cells map[string]*ckptCell
 	stats CheckpointStats
 	met   ckptMetrics
 }
@@ -78,11 +60,10 @@ type CheckpointStore struct {
 // ckptMetrics holds the store's pre-resolved metric handles. All fields
 // are nil until SetObserver arms them; nil handles no-op.
 type ckptMetrics struct {
-	memHits   *obs.Counter
 	diskHits  *obs.Counter
 	saves     *obs.Counter
 	failures  *obs.Counter
-	saveBytes *obs.Counter   // serialized image bytes committed by producers
+	saveBytes *obs.Counter   // serialized image bytes saved
 	loadBytes *obs.Counter   // serialized image bytes loaded from disk
 	saveWall  *obs.Histogram // disk-write wall time per image
 	loadWall  *obs.Histogram // disk-load (read + hash verify) wall time per image
@@ -99,7 +80,6 @@ func (s *CheckpointStore) SetObserver(o *obs.Observer) {
 	reg := o.Registry()
 	s.mu.Lock()
 	s.met = ckptMetrics{
-		memHits:   reg.Counter("ckpt.hits.memory"),
 		diskHits:  reg.Counter("ckpt.hits.disk"),
 		saves:     reg.Counter("ckpt.saves"),
 		failures:  reg.Counter("ckpt.failures"),
@@ -112,7 +92,7 @@ func (s *CheckpointStore) SetObserver(o *obs.Observer) {
 }
 
 // NewCheckpointStore returns a store backed by dir, which is created if
-// missing. The directory is required: it is the store's only tier.
+// missing. The directory is required: it is the store's only state.
 func NewCheckpointStore(dir string) (*CheckpointStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("core: checkpoint store needs a directory")
@@ -120,7 +100,7 @@ func NewCheckpointStore(dir string) (*CheckpointStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating checkpoint dir: %w", err)
 	}
-	return &CheckpointStore{dir: dir, cells: map[string]*ckptCell{}}, nil
+	return &CheckpointStore{dir: dir}, nil
 }
 
 // Dir returns the backing directory.
@@ -138,143 +118,66 @@ func (s *CheckpointStore) path(key string) string {
 	return filepath.Join(s.dir, hex.EncodeToString(sum[:])+".ckpt")
 }
 
-// acquire resolves key to either an existing warm image (snap != nil)
-// or a commit obligation: the caller must warm the machine itself and
-// invoke commit exactly once — with the snapshot taken at the
-// warm->measure boundary, or with nil if the run failed before reaching
-// it (which releases any waiters to warm on their own).
-func (s *CheckpointStore) acquire(key string) (snap *checkpoint.Snapshot, commit func(*checkpoint.Snapshot)) {
+// count bumps one of the store's stats under its lock and returns the
+// metric handles to update outside it.
+func (s *CheckpointStore) count(field *int64) ckptMetrics {
 	s.mu.Lock()
-	s.stats.Requests++
-	for cell, ok := s.cells[key]; ok; cell, ok = s.cells[key] {
-		s.mu.Unlock()
-		<-cell.done
-		if cell.snap != nil {
-			s.mu.Lock()
-			s.stats.MemoryHits++
-			met := s.met
-			s.mu.Unlock()
-			met.memHits.Inc()
-			return cell.snap, nil
-		}
-		// The producer failed before the warm boundary and removed the
-		// cell; race for the key again.
-		s.mu.Lock()
-	}
-	cell := &ckptCell{done: make(chan struct{})}
-	s.cells[key] = cell
-	s.mu.Unlock()
-	// Disk probing happens outside the lock — the files are multi-MB and
-	// content-hashed on load, and holding the store-wide mutex across
-	// that would serialize unrelated acquires. The in-flight cell
-	// already parks other requesters for this key.
-	loadStart := obs.Now()
-	if loaded := s.tryDisk(key); loaded != nil {
-		s.mu.Lock()
-		cell.snap = loaded
-		s.drop(key, cell)
-		s.stats.DiskHits++
-		met := s.met
-		s.mu.Unlock()
-		met.diskHits.Inc()
-		met.loadBytes.Add(int64(loaded.Size()))
-		met.loadWall.Observe(int64(obs.Since(loadStart)))
-		close(cell.done)
-		return loaded, nil
-	}
-	return nil, func(snap *checkpoint.Snapshot) { s.commit(key, cell, snap) }
-}
-
-// drop removes a resolved cell from the in-flight table; s.mu must be
-// held. It is guarded by cell identity: an invalidation may already
-// have replaced this cell with a newer producer's, which must stay.
-func (s *CheckpointStore) drop(key string, cell *ckptCell) {
-	if s.cells[key] == cell {
-		delete(s.cells, key)
-	}
-}
-
-// recordFailure counts one snapshot load/store/restore problem in both
-// the store's stats and, when armed, the observer's registry.
-func (s *CheckpointStore) recordFailure() {
-	s.mu.Lock()
-	s.stats.Failures++
+	*field++
 	met := s.met
 	s.mu.Unlock()
-	met.failures.Inc()
+	return met
 }
 
-// tryDisk loads and verifies an on-disk image for key. Missing files
+// load counts a request for key and returns its verified on-disk image,
+// or nil when the caller must warm the machine itself. Missing files
 // are ordinary misses; corrupt or mismatched files (bad magic, content
 // hash, unsupported format version, foreign key) count as failures and
 // are deleted — an image that failed verification once will fail it on
 // every later probe, so leaving it would re-pay the multi-MB read and
 // hash on every process until a fresh save happened to overwrite it.
-func (s *CheckpointStore) tryDisk(key string) *checkpoint.Snapshot {
+func (s *CheckpointStore) load(key string) *checkpoint.Snapshot {
+	s.count(&s.stats.Requests)
+	start := obs.Now()
 	snap, err := checkpoint.LoadFile(s.path(key))
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.recordFailure()
-			os.Remove(s.path(key))
-		}
+	if os.IsNotExist(err) {
 		return nil
 	}
-	if snap.Key() != key {
-		// A hash collision or a foreign file; never restore from it.
-		s.recordFailure()
+	if err != nil || snap.Key() != key {
+		// A bad image, or a hash collision or foreign file; never
+		// restore from it.
+		s.count(&s.stats.Failures).failures.Inc()
 		os.Remove(s.path(key))
 		return nil
 	}
+	met := s.count(&s.stats.DiskHits)
+	met.diskHits.Inc()
+	met.loadBytes.Add(int64(snap.Size()))
+	met.loadWall.Observe(int64(obs.Since(start)))
 	return snap
 }
 
-// commit resolves an in-flight cell with the produced snapshot (nil =
-// the producer failed before the warm boundary). Waiters are released
-// before the image is written; the cell stays joinable until the write
-// has returned, and later requests load the image from disk.
-func (s *CheckpointStore) commit(key string, cell *ckptCell, snap *checkpoint.Snapshot) {
-	s.mu.Lock()
-	if snap == nil {
-		s.drop(key, cell)
-		s.mu.Unlock()
-		close(cell.done)
-		return
-	}
-	cell.snap = snap
-	s.stats.Saves++
-	met := s.met
-	s.mu.Unlock()
-	close(cell.done)
+// save writes the image taken at key's warm->measure boundary (temp
+// file, fsync, rename), so later requests load it from disk.
+func (s *CheckpointStore) save(key string, snap *checkpoint.Snapshot) {
+	met := s.count(&s.stats.Saves)
 	met.saves.Inc()
 	met.saveBytes.Add(int64(snap.Size()))
-	saveStart := obs.Now()
+	start := obs.Now()
 	err := snap.SaveFile(s.path(key))
-	met.saveWall.Observe(int64(obs.Since(saveStart)))
-	s.mu.Lock()
-	s.drop(key, cell)
-	s.mu.Unlock()
+	met.saveWall.Observe(int64(obs.Since(start)))
 	if err != nil {
-		s.recordFailure()
+		s.count(&s.stats.Failures).failures.Inc()
 	}
 }
 
 // invalidate drops an image that failed to restore, so later requests
-// re-warm instead of retrying the same bad snapshot. Both the cell
-// eviction (the image may still be in flight) and the file removal are
-// conditional on still holding the offending image, so a fresh
-// replacement from a concurrent producer survives — guaranteed within
-// this process (mutex-guarded), best-effort across processes (the hash
-// check and the remove are not atomic; the worst outcome of losing that
-// race is one redundant re-warm, never a wrong result).
+// re-warm instead of retrying the same bad snapshot. The file is removed
+// only while it still holds the offending image, so a fresh replacement
+// saved meanwhile survives — best-effort (the hash check and the remove
+// are not atomic; the worst outcome of losing that race is one redundant
+// re-warm, never a wrong result).
 func (s *CheckpointStore) invalidate(key string, bad *checkpoint.Snapshot) {
-	s.mu.Lock()
-	s.stats.Failures++
-	met := s.met
-	if cell, ok := s.cells[key]; ok && cell.snap == bad {
-		delete(s.cells, key)
-	}
-	s.mu.Unlock()
-	met.failures.Inc()
+	s.count(&s.stats.Failures).failures.Inc()
 	if onDisk, err := checkpoint.LoadFile(s.path(key)); err == nil && onDisk.Hash() == bad.Hash() {
 		os.Remove(s.path(key))
 	}

@@ -308,32 +308,19 @@ func measure(b Bench, o Options) (*Measurement, error) {
 			return sample.Stop(vals, target)
 		}
 	}
-	// Warm-state checkpointing: fork from a cached warm image when one
-	// exists for this configuration's warm key, or capture one at the
-	// warm->measure boundary for later runs (and for concurrent runs
-	// waiting on this warm-up — the store is a mid-run singleflight).
+	// Warm-state checkpointing: fork from the warm image on disk when
+	// one exists for this configuration's warm key, or save one at the
+	// warm->measure boundary for later runs.
 	var ckptKey string
 	warmSource := "cold"
-	if o.Checkpoints != nil {
+	if store := o.Checkpoints; store != nil {
 		ckptKey = checkpointKey(b.Name, c)
-		snap, commit := o.Checkpoints.acquire(ckptKey)
-		if snap != nil {
+		if snap := store.load(ckptKey); snap != nil {
 			cfg.Restore = snap
 			warmSource = "checkpoint-fork"
 		} else {
 			cfg.CheckpointKey = ckptKey
-			committed := false
-			cfg.Checkpoint = func(s *checkpoint.Snapshot) {
-				committed = true
-				commit(s)
-			}
-			// A run that errors before the warm boundary still owes the
-			// store a resolution, or waiters would block forever.
-			defer func() {
-				if !committed {
-					commit(nil)
-				}
-			}()
+			cfg.Checkpoint = func(s *checkpoint.Snapshot) { store.save(ckptKey, s) }
 		}
 	}
 	ro.SetSource(warmSource)

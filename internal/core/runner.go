@@ -256,9 +256,9 @@ func (r *Runner) SetProgress(f ProgressFunc) {
 
 // SetCheckpoints routes the Runner's measurements through a warm-state
 // checkpoint store: configurations that differ only in measurement-side
-// knobs fork from one warm image, and (with a disk-backed store) warm
-// images persist across processes. Requests whose Options already carry
-// a store keep it. Pass nil to disable. Restored runs are byte-
+// knobs fork from one warm image, and warm images persist across
+// processes in the store's directory. Requests whose Options already
+// carry a store keep it. Pass nil to disable. Restored runs are byte-
 // identical to cold ones, so the store never changes results — only
 // wall-clock time.
 func (r *Runner) SetCheckpoints(cs *CheckpointStore) {
@@ -456,10 +456,7 @@ func (r *Runner) measureOne(req MeasureRequest) (*Measurement, runResult, error)
 
 	// A slot is held only while the simulation executes — never while
 	// waiting on another cell — so the Runner-wide bound cannot
-	// deadlock. (A run may park briefly on the checkpoint store while a
-	// sibling finishes warming the shared image; the warmer holds its
-	// own slot and resolves the wait at its warm boundary, never the
-	// other way around, so that wait cannot cycle either.)
+	// deadlock.
 	r.slots <- struct{}{}
 	runStart := obs.Now()
 	cell.m, cell.err = MeasureBench(req.Bench, opts)
@@ -502,7 +499,7 @@ func (r *Runner) MeasureBench(b Bench, o Options) (*Measurement, error) {
 // MeasureAll batch and returns out[c][i], entries[i] under opts[c]. It
 // is the substrate the figure drivers stand on: each enumerates its
 // whole request matrix up front, so the worker pool sees all the
-// parallelism at once.
+// parallelism at once. Like Validate, it rejects a truncated window.
 func (r *Runner) grid(entries []Entry, opts ...Options) ([][]*EntryResult, error) {
 	var reqs []MeasureRequest
 	for _, o := range opts {
@@ -514,6 +511,9 @@ func (r *Runner) grid(entries []Entry, opts ...Options) ([][]*EntryResult, error
 	}
 	ms, err := r.MeasureAll(reqs)
 	if err != nil {
+		return nil, err
+	}
+	if err := untruncated(reqs, ms); err != nil {
 		return nil, err
 	}
 	out := make([][]*EntryResult, len(opts))

@@ -119,9 +119,9 @@ func (r *Runner) Validate(o Options) ([]Claim, error) {
 	return claims, nil
 }
 
-// untruncated rejects a claim check fed by a measurement whose timed
-// window hit the MaxCycles cap: a verdict on a partial window is not a
-// result.
+// untruncated rejects a claim check or figure fed by a measurement
+// whose timed window hit the MaxCycles cap: a number from a partial
+// window is not a result.
 func untruncated(reqs []MeasureRequest, ms []*Measurement) error {
 	for i, m := range ms {
 		if m.Truncated {

@@ -76,9 +76,8 @@ func (l *line) valid() bool { return l.tag != 0 }
 // instance also holds the socket's directory: one sharer vector per
 // way, sized to the machine rather than to MaxCores.
 type Cache struct {
-	cfg   Config //simlint:ok checkpointcov construction-time configuration; LoadState geometry-checks against it instead of restoring it
-	sets  int    //simlint:ok checkpointcov derived from cfg at construction, geometry-checked by LoadState
-	assoc int    //simlint:ok checkpointcov derived from cfg at construction, geometry-checked by LoadState
+	sets  int //simlint:ok checkpointcov construction-time geometry; LoadState checks the image's way count against len(lines)
+	assoc int //simlint:ok checkpointcov construction-time geometry; LoadState checks the image's way count against len(lines)
 	// dirCores is the number of cores the directory tracks (the
 	// machine's TotalCores; 0 in private caches) and dirWords its
 	// sharer-vector width, ceil(dirCores/64) words.
@@ -99,7 +98,7 @@ func New(cfg Config) *Cache { return newDirectory(cfg, 0) }
 // directory state of a machine of cores cores: an LLC.
 func newDirectory(cfg Config, cores int) *Cache {
 	sets := cfg.Sets()
-	c := &Cache{cfg: cfg, sets: sets, assoc: cfg.Assoc, dirCores: cores, dirWords: (cores + 63) / 64}
+	c := &Cache{sets: sets, assoc: cfg.Assoc, dirCores: cores, dirWords: (cores + 63) / 64}
 	c.lines = make([]line, sets*cfg.Assoc)
 	if c.dirWords > 0 {
 		c.dir = make([]uint64, len(c.lines)*c.dirWords)
