@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -40,6 +42,23 @@ func diffOptions(sockets int, sampled bool) Options {
 	return o
 }
 
+// diffOutcome measures b under o and returns what the harness compares:
+// the serialized measurement, or the text of the refusal of a timed
+// window cut short at MaxCycles. A refused run still saves or forks its
+// warm image, so its cold, warm and restored runs must be refused
+// alike.
+func diffOutcome(t *testing.T, name string, b Bench, o Options) string {
+	t.Helper()
+	m, err := MeasureBench(b, o)
+	if err != nil {
+		if !strings.Contains(err.Error(), "MaxCycles") {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return err.Error()
+	}
+	return mustJSON(t, m)
+}
+
 // mustJSON serializes a measurement for byte comparison.
 func mustJSON(t *testing.T, m *Measurement) string {
 	t.Helper()
@@ -55,12 +74,8 @@ func TestCheckpointDifferentialHarness(t *testing.T) {
 		for _, sockets := range []int{1, 2} {
 			for _, sampled := range []bool{false, true} {
 				o := diffOptions(sockets, sampled)
-
-				cold, err := MeasureBench(b, o)
-				if err != nil {
-					t.Fatalf("%s sockets=%d sampled=%v: cold: %v", b.Name, sockets, sampled, err)
-				}
-				want := mustJSON(t, cold)
+				name := fmt.Sprintf("%s sockets=%d sampled=%v", b.Name, sockets, sampled)
+				want := diffOutcome(t, name+": cold", b, o)
 
 				store, err := NewCheckpointStore(t.TempDir())
 				if err != nil {
@@ -69,29 +84,18 @@ func TestCheckpointDifferentialHarness(t *testing.T) {
 				o.Checkpoints = store
 
 				// Warm run: saves the image at the warm->measure boundary.
-				saved, err := MeasureBench(b, o)
-				if err != nil {
-					t.Fatalf("%s sockets=%d sampled=%v: warm: %v", b.Name, sockets, sampled, err)
-				}
-				if got := mustJSON(t, saved); got != want {
-					t.Fatalf("%s sockets=%d sampled=%v: taking a checkpoint changed the measurement\ncold = %s\nwarm = %s",
-						b.Name, sockets, sampled, want, got)
+				if got := diffOutcome(t, name+": warm", b, o); got != want {
+					t.Fatalf("%s: taking a checkpoint changed the measurement\ncold = %s\nwarm = %s", name, want, got)
 				}
 
 				// Restored run: forks from the image on disk.
-				restored, err := MeasureBench(b, o)
-				if err != nil {
-					t.Fatalf("%s sockets=%d sampled=%v: restore: %v", b.Name, sockets, sampled, err)
-				}
-				if got := mustJSON(t, restored); got != want {
-					t.Fatalf("%s sockets=%d sampled=%v: restored measurement differs from cold\ncold     = %s\nrestored = %s",
-						b.Name, sockets, sampled, want, got)
+				if got := diffOutcome(t, name+": restore", b, o); got != want {
+					t.Fatalf("%s: restored measurement differs from cold\ncold     = %s\nrestored = %s", name, want, got)
 				}
 
 				s := store.Stats()
 				if s.Saves != 1 || s.DiskHits != 1 {
-					t.Fatalf("%s sockets=%d sampled=%v: store stats %+v, want 1 save and 1 disk hit",
-						b.Name, sockets, sampled, s)
+					t.Fatalf("%s: store stats %+v, want 1 save and 1 disk hit", name, s)
 				}
 			}
 		}
@@ -368,11 +372,11 @@ func TestCheckpointMismatchedImageRetriesCold(t *testing.T) {
 	// Measure through a Runner: the cold retry stays one run.
 	r := NewRunner(1)
 	r.SetCheckpoints(store)
-	m, err := r.MeasureBench(b, o)
+	ms, err := r.MeasureAll([]MeasureRequest{{Bench: b, Options: o}})
 	if err != nil {
 		t.Fatalf("mismatched image must fall back to cold warming: %v", err)
 	}
-	if mustJSON(t, m) != mustJSON(t, cold) {
+	if mustJSON(t, ms[0]) != mustJSON(t, cold) {
 		t.Fatal("fallback measurement differs from cold run")
 	}
 	if s := store.Stats(); s.DiskHits != 1 || s.Failures == 0 {

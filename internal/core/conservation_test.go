@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -39,31 +38,6 @@ func checkConservation(t *testing.T, name string, m *Measurement) {
 	}
 }
 
-// TestTruncationSurfaces: a truncated measurement says so in JSON and
-// fails the claim check's gate; an untruncated one keeps its JSON bytes
-// free of the flag.
-func TestTruncationSurfaces(t *testing.T) {
-	b, ok := FindBench("Web Search")
-	if !ok {
-		t.Fatal("Web Search not registered")
-	}
-	reqs := []MeasureRequest{{Bench: b, Options: DefaultOptions()}}
-	m := &Measurement{BenchName: b.Name, WindowCycles: 10}
-	if err := untruncated(reqs, []*Measurement{m}); err != nil {
-		t.Fatalf("untruncated measurement rejected: %v", err)
-	}
-	if js, _ := json.Marshal(m); strings.Contains(string(js), "truncated") {
-		t.Fatalf("untruncated JSON carries the flag: %s", js)
-	}
-	m.Truncated = true
-	if err := untruncated(reqs, []*Measurement{m}); err == nil || !strings.Contains(err.Error(), "Web Search") {
-		t.Fatalf("truncated measurement not rejected by name: %v", err)
-	}
-	if js, _ := json.Marshal(m); !strings.Contains(string(js), `"truncated":true`) {
-		t.Fatalf("truncated JSON lacks the flag: %s", js)
-	}
-}
-
 // chaseWorkload runs one pointer chase per thread: every instruction is
 // a load whose address depends on the previous load and misses to
 // DRAM, so a timed window runs far past the MaxCycles cap.
@@ -97,22 +71,30 @@ func (p *chaseProg) Step(e *trace.Emitter) bool {
 	return true
 }
 
-// TestGridRejectsTruncatedWindow: a figure driver errors, naming the
-// bench, instead of reporting a timed window cut short at MaxCycles.
-func TestGridRejectsTruncatedWindow(t *testing.T) {
+// TestTruncatedWindowRefused: a timed window cut short at MaxCycles is
+// an error naming the bench at every entry point — MeasureBench, a
+// Runner's MeasureAll and a figure driver — never a result.
+func TestTruncatedWindowRefused(t *testing.T) {
 	chase := Bench{Name: "Pointer Chase", Class: workloads.ScaleOut, New: func() workloads.Workload {
 		return &chaseWorkload{fn: trace.NewCodeLayout(0x40_0000, 1<<20).Func("chase", 64)}
 	}}
 	o := Options{Cores: 1, WarmupInsts: 10_000, MeasureInsts: 4_000, Seed: 1}
-	m, err := MeasureBench(chase, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Truncated {
-		t.Fatalf("pointer chase ran %d cycles for %d commits without truncating", m.WindowCycles, m.Commits())
-	}
-	_, err = NewRunner(1).Figure1([]Entry{{Label: "chase", Members: []Bench{chase}}}, o)
-	if err == nil || !strings.Contains(err.Error(), chase.Name) {
-		t.Fatalf("Figure1 over a truncated window returned %v, want an error naming %q", err, chase.Name)
+	for _, e := range []struct {
+		name string
+		run  func() error
+	}{
+		{"MeasureBench", func() error { _, err := MeasureBench(chase, o); return err }},
+		{"MeasureAll", func() error {
+			_, err := NewRunner(1).MeasureAll([]MeasureRequest{{Bench: chase, Options: o}})
+			return err
+		}},
+		{"Figure1", func() error {
+			_, err := NewRunner(1).Figure1([]Entry{{Label: "chase", Members: []Bench{chase}}}, o)
+			return err
+		}},
+	} {
+		if err := e.run(); err == nil || !strings.Contains(err.Error(), chase.Name) || !strings.Contains(err.Error(), "MaxCycles") {
+			t.Errorf("%s over a truncated window returned %v, want a MaxCycles error naming %q", e.name, err, chase.Name)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // TestOptionsValidate is the front door's table: every row is an
 // Options value Validate must reject, naming the offending field, and
-// MeasureBench and Runner.MeasureBench must refuse it the same way
+// MeasureBench and Runner.MeasureAll must refuse it the same way
 // before any simulation starts.
 func TestOptionsValidate(t *testing.T) {
 	huge := ScaledMachine(4, 128)
@@ -57,7 +57,10 @@ func TestOptionsValidate(t *testing.T) {
 			}{
 				{"Validate", o.Validate},
 				{"MeasureBench", func() error { _, err := MeasureBench(b, o); return err }},
-				{"Runner.MeasureBench", func() error { _, err := r.MeasureBench(b, o); return err }},
+				{"Runner.MeasureAll", func() error {
+					_, err := r.MeasureAll([]MeasureRequest{{Bench: b, Options: o}})
+					return err
+				}},
 			}
 			for _, e := range entries {
 				var oe *OptionError
@@ -101,16 +104,13 @@ func TestRunnerRejectsInvalidWithoutMemoSlot(t *testing.T) {
 	if _, err := r.MeasureAll([]MeasureRequest{{Bench: b, Options: bad}, {Bench: b, Options: bad}}); err == nil {
 		t.Fatal("invalid batch accepted")
 	}
-	if _, err := r.MeasureBench(b, bad); err == nil {
-		t.Fatal("invalid request accepted")
-	}
 	r.mu.Lock()
-	slots := len(r.cache)
+	slots := len(r.memo)
 	r.mu.Unlock()
 	if slots != 0 {
 		t.Fatalf("invalid requests took %d memo slots", slots)
 	}
-	if _, err := r.MeasureBench(b, fastOptions()); err != nil {
+	if _, err := r.MeasureAll([]MeasureRequest{{Bench: b, Options: fastOptions()}}); err != nil {
 		t.Fatal(err)
 	}
 	if s := runnerStats(t, r); s.Requests != 1 || s.Runs != 1 || s.Errors != 0 {

@@ -220,10 +220,6 @@ type Measurement struct {
 	// aggregated over the workload cores exactly like the top-level
 	// Counters (nil for contiguous measurements).
 	Samples []IntervalSample
-	// Truncated reports that a timed window hit the engine's MaxCycles
-	// cap before its instruction budget, so the counters cover a partial
-	// window. Omitted from JSON when false.
-	Truncated bool `json:"truncated,omitempty"`
 
 	// warmSource records how the run reached its warm state ("cold" or
 	// "checkpoint-fork"). Unexported — and therefore JSON-invisible — on
@@ -336,6 +332,12 @@ func measure(b Bench, o Options) (*Measurement, error) {
 		}
 		return nil, err
 	}
+	// A window cut short at the safety net is not a measurement: the
+	// paper counts whole windows only (Section 3.1).
+	if res.Truncated {
+		return nil, fmt.Errorf("core: %s (%s): a timed window hit the %d-cycle MaxCycles cap; its counters cover a partial window",
+			b.Name, c.label(), cfg.MaxCycles)
+	}
 	// Aggregate over the workload cores only: polluter cores are part of
 	// the machine but not of the measurement (Section 3.1 measures the
 	// cores under test).
@@ -343,7 +345,7 @@ func measure(b Bench, o Options) (*Measurement, error) {
 	// DRAM busy/span are chip-wide.
 	total.DRAMBusyCycles = res.Total.DRAMBusyCycles
 	total.DRAMTotalCycles = res.Total.DRAMTotalCycles
-	m := &Measurement{Counters: total, WindowCycles: res.Cycles, BenchName: b.Name, Truncated: res.Truncated, warmSource: warmSource}
+	m := &Measurement{Counters: total, WindowCycles: res.Cycles, BenchName: b.Name, warmSource: warmSource}
 	for _, iv := range res.Intervals {
 		agg := aggregateCores(iv.PerCore, in.coreOf)
 		agg.DRAMBusyCycles = iv.DRAMBusyCycles
@@ -573,7 +575,8 @@ func (e *restoreError) Error() string {
 
 func (e *restoreError) Unwrap() error { return e.err }
 
-// MeasureBench creates a fresh instance of b and measures it. If a
+// MeasureBench creates a fresh instance of b and measures it. A timed
+// window cut short at MaxCycles is an error, never a result. If a
 // cached warm image fails to restore (a corrupt or incompatible
 // snapshot that slipped past the integrity checks), measure has
 // already dropped the image; the measurement is retried on a fresh

@@ -33,17 +33,17 @@ type ProgressEvent struct {
 	// Done and Total count completed vs submitted requests of the
 	// current MeasureAll call.
 	Done, Total int
-	// Cached marks requests satisfied from the memoization cache (or by
-	// waiting on an identical in-flight run) rather than by a fresh
+	// Cached marks requests satisfied from the memo, the finished
+	// result of an earlier run of the same key, rather than by a fresh
 	// simulation.
 	Cached bool
-	// Source says where the result came from: "memo" (cache or in-flight
-	// duplicate), "checkpoint-fork" (fresh run restored from a warm
-	// image), or "cold" (fresh run warmed from scratch). Empty when the
-	// request errored before its source was established.
+	// Source says where the result came from: "memo" (an earlier run's
+	// finished result), "checkpoint-fork" (fresh run restored from a
+	// warm image), or "cold" (fresh run warmed from scratch). Empty when
+	// the request errored before its source was established.
 	Source string
 	// Duration is the request's wall-clock resolution time: simulation
-	// time for fresh runs, wait time for memoized ones. Observer-side
+	// time for fresh runs, lookup time for memoized ones. Observer-side
 	// provenance only (stamped through internal/obs) — it never feeds
 	// back into scheduling or results.
 	Duration time.Duration
@@ -159,37 +159,36 @@ func (c *canonicalOptions) label() string {
 	return s
 }
 
-// cacheCell is one memoized measurement. The first requester computes
-// it; concurrent requesters for the same key wait on done (a
-// single-flight, so identical configurations never run twice).
-type cacheCell struct {
-	done chan struct{}
-	m    *Measurement
-	err  error
+// memoEntry is the finished result of one run: its measurement or its
+// error.
+type memoEntry struct {
+	m   *Measurement
+	err error
 }
 
-// Runner orchestrates measurements: a worker pool bounded by a
-// configurable width plus a memoization cache keyed on (bench,
-// canonicalized options). One Runner can be shared by many experiment
-// drivers — cmd/figures submits all selected figures through a single
-// Runner so baseline configurations measured by several figures run
-// once. All methods are safe for concurrent use, and the width bounds
-// the Runner as a whole: concurrent MeasureAll calls share the same
-// simulation slots rather than multiplying them.
+// Runner orchestrates measurements: each MeasureAll call runs a worker
+// pool of at most the configured width, and a memo keyed on (bench,
+// canonicalized options) holds every finished result. One Runner can
+// be shared by many experiment drivers — cmd/figures submits all
+// selected figures through a single Runner so baseline configurations
+// measured by several figures run once. All methods are safe for
+// concurrent use. The width bounds each MeasureAll call, not the
+// Runner: concurrent calls run their pools side by side, and a key
+// that two of them request before either has finished may be
+// simulated by both, to identical results.
 type Runner struct {
 	workers  int
-	slots    chan struct{} // Runner-wide semaphore on executing simulations
 	progress ProgressFunc
 	progMu   sync.Mutex // serializes progress emission Runner-wide
 
 	mu    sync.Mutex
-	cache map[measureKey]*cacheCell
+	memo  map[measureKey]memoEntry
 	ckpts *CheckpointStore
 	ob    *obs.Observer
 	met   runnerMetrics
 
 	// statsMu guards stats alone, so Stats() snapshots are consistent
-	// without contending on the cache lock, and every transition happens
+	// without contending on the memo lock, and every transition happens
 	// in one critical section: any snapshot satisfies
 	// Requests == Runs + CacheHits exactly (the -race hammer test in
 	// obs_test.go holds the Runner to this).
@@ -237,11 +236,7 @@ func NewRunner(workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{
-		workers: workers,
-		slots:   make(chan struct{}, workers),
-		cache:   map[measureKey]*cacheCell{},
-	}
+	return &Runner{workers: workers, memo: map[measureKey]memoEntry{}}
 }
 
 // Workers reports the worker-pool width.
@@ -319,10 +314,11 @@ func (r *Runner) emit(ev ProgressEvent) {
 	}
 }
 
-// MeasureAll measures every request, fanning them out across the worker
-// pool, and returns results in request order: results[i] belongs to
-// reqs[i]. Duplicate requests (and requests matching earlier cached
-// runs) are satisfied from the memoization cache. On error the first
+// MeasureAll measures every request, fanning them out across a worker
+// pool of at most Workers goroutines, and returns results in request
+// order: results[i] belongs to reqs[i]. Each key runs at most once per
+// call: duplicate requests, and requests matching runs that finished
+// earlier, are satisfied from the memo. On error the first
 // failure in request order is returned; because measurements are
 // deterministic, which error that is does not depend on scheduling.
 func (r *Runner) MeasureAll(reqs []MeasureRequest) ([]*Measurement, error) {
@@ -346,10 +342,9 @@ func (r *Runner) MeasureAll(reqs []MeasureRequest) ([]*Measurement, error) {
 		r.progMu.Unlock()
 	}
 
-	// Dispatch only the first occurrence of each key to the pool: a
-	// duplicate would park its worker on the identical in-flight run
-	// instead of picking up distinct queued work. Duplicates resolve
-	// against the cache once the unique set has completed.
+	// Dispatch only the first occurrence of each key to the pool, so no
+	// key runs twice in this call. Duplicates resolve against the memo
+	// once the unique set has completed.
 	seen := map[measureKey]bool{}
 	var uniq, dups []int
 	for i, req := range reqs {
@@ -405,9 +400,10 @@ func (r *Runner) MeasureAll(reqs []MeasureRequest) ([]*Measurement, error) {
 	return results, nil
 }
 
-// measureOne resolves one request against the cache, running the
-// simulation if this is the first request for its key. It reports how
-// the result was obtained (cache vs fresh, warm source, wall time).
+// measureOne resolves one request against the memo, running the
+// simulation if no run of its key has finished yet, and writing the
+// memo when it completes. It reports how the result was obtained
+// (memo vs fresh, warm source, wall time).
 func (r *Runner) measureOne(req MeasureRequest) (*Measurement, runResult, error) {
 	// The front door: an invalid request fails before it is keyed, so it
 	// takes no memo slot and leaves the stats untouched.
@@ -417,89 +413,67 @@ func (r *Runner) measureOne(req MeasureRequest) (*Measurement, runResult, error)
 	start := obs.Now()
 	key := measureKey{bench: req.Bench.Name, opt: canonicalize(req.Options)}
 	r.mu.Lock()
-	met := r.met
-	ob := r.ob
-	cell, ok := r.cache[key]
-	if ok {
-		r.mu.Unlock()
-		r.statsMu.Lock()
-		r.stats.Requests++
-		r.stats.CacheHits++
-		r.statsMu.Unlock()
-		met.requests.Inc()
-		met.memoHits.Inc()
-		<-cell.done
-		rr := runResult{cached: true, source: "memo", dur: obs.Since(start)}
-		if cell.err != nil {
-			return nil, rr, cell.err
-		}
-		m := *cell.m // copy so callers cannot corrupt the cache
-		return &m, rr, nil
-	}
-	cell = &cacheCell{done: make(chan struct{})}
-	r.cache[key] = cell
-	ckpts := r.ckpts
+	met, ob, ckpts := r.met, r.ob, r.ckpts
+	e, hit := r.memo[key]
 	r.mu.Unlock()
 	r.statsMu.Lock()
 	r.stats.Requests++
-	r.stats.Runs++
+	if hit {
+		r.stats.CacheHits++
+	} else {
+		r.stats.Runs++
+	}
 	r.statsMu.Unlock()
 	met.requests.Inc()
 
-	opts := req.Options
-	if opts.Checkpoints == nil {
-		opts.Checkpoints = ckpts
-	}
-	if opts.Obs == nil {
-		opts.Obs = ob
-	}
-
-	// A slot is held only while the simulation executes — never while
-	// waiting on another cell — so the Runner-wide bound cannot
-	// deadlock.
-	r.slots <- struct{}{}
-	runStart := obs.Now()
-	cell.m, cell.err = MeasureBench(req.Bench, opts)
-	met.measureWall.Observe(int64(obs.Since(runStart)))
-	<-r.slots
-	r.statsMu.Lock()
-	if cell.err != nil {
-		r.stats.Errors++
+	var rr runResult
+	if hit {
+		met.memoHits.Inc()
+		rr = runResult{cached: true, source: "memo"}
 	} else {
-		r.stats.MeasuredInsts += int64(cell.m.Commits())
-	}
-	r.statsMu.Unlock()
-	rr := runResult{}
-	if cell.err != nil {
-		met.errors.Inc()
-	} else {
-		rr.source = cell.m.WarmSource()
-		if rr.source == "checkpoint-fork" {
-			met.runsFork.Inc()
+		opts := req.Options
+		if opts.Checkpoints == nil {
+			opts.Checkpoints = ckpts
+		}
+		if opts.Obs == nil {
+			opts.Obs = ob
+		}
+		e.m, e.err = MeasureBench(req.Bench, opts)
+		met.measureWall.Observe(int64(obs.Since(start)))
+		r.mu.Lock()
+		r.memo[key] = e
+		r.mu.Unlock()
+		r.statsMu.Lock()
+		if e.err != nil {
+			r.stats.Errors++
 		} else {
-			met.runsCold.Inc()
+			r.stats.MeasuredInsts += int64(e.m.Commits())
+		}
+		r.statsMu.Unlock()
+		if e.err != nil {
+			met.errors.Inc()
+		} else {
+			rr.source = e.m.WarmSource()
+			if rr.source == "checkpoint-fork" {
+				met.runsFork.Inc()
+			} else {
+				met.runsCold.Inc()
+			}
 		}
 	}
-	close(cell.done)
 	rr.dur = obs.Since(start)
-	if cell.err != nil {
-		return nil, rr, cell.err
+	if e.err != nil {
+		return nil, rr, e.err
 	}
-	m := *cell.m
+	m := *e.m // copy so callers cannot corrupt the memo
 	return &m, rr, nil
-}
-
-// MeasureBench measures one benchmark through the runner's cache.
-func (r *Runner) MeasureBench(b Bench, o Options) (*Measurement, error) {
-	m, _, err := r.measureOne(MeasureRequest{Bench: b, Options: o})
-	return m, err
 }
 
 // grid measures every member of every entry under each of opts as one
 // MeasureAll batch and returns out[c][i], entries[i] under opts[c]. It
 // is the substrate the figure drivers stand on: each enumerates its
 // whole request matrix up front, so the worker pool sees all the
-// parallelism at once. Like Validate, it rejects a truncated window.
+// parallelism at once.
 func (r *Runner) grid(entries []Entry, opts ...Options) ([][]*EntryResult, error) {
 	var reqs []MeasureRequest
 	for _, o := range opts {
@@ -511,9 +485,6 @@ func (r *Runner) grid(entries []Entry, opts ...Options) ([][]*EntryResult, error
 	}
 	ms, err := r.MeasureAll(reqs)
 	if err != nil {
-		return nil, err
-	}
-	if err := untruncated(reqs, ms); err != nil {
 		return nil, err
 	}
 	out := make([][]*EntryResult, len(opts))

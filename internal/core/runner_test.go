@@ -91,8 +91,8 @@ func TestSerialAndParallelFigure1Identical(t *testing.T) {
 }
 
 // TestRunnerCacheHitAccounting checks the stats contract:
-// Requests == Runs + CacheHits, duplicates within one batch single-
-// flight, and repeated batches are served entirely from the cache.
+// Requests == Runs + CacheHits, duplicates within one batch run once,
+// and repeated batches are served entirely from the memo.
 func TestRunnerCacheHitAccounting(t *testing.T) {
 	ws, _ := FindBench("Web Search")
 	sat, _ := FindBench("SAT Solver")
@@ -299,11 +299,11 @@ func checkRows[R any](t *testing.T, rows []R, err error, want int, law func(R) b
 	}
 }
 
-// TestRunnerSharedAcrossGoroutines checks the Runner-wide bound and
-// cache under the documented concurrent use: two goroutines submit
-// overlapping batches to one single-slot Runner; everything completes
-// (the simulation semaphore cannot deadlock against cache waits) and
-// shared keys still simulate exactly once.
+// TestRunnerSharedAcrossGoroutines checks the documented concurrent
+// use: two goroutines submit the same batch to one single-worker
+// Runner. Both complete with identical results and the stats law
+// holds. Concurrent callers are not single-flighted, so each of the two
+// keys runs once or twice: between 2 and 4 runs in all.
 func TestRunnerSharedAcrossGoroutines(t *testing.T) {
 	ws, _ := FindBench("Web Search")
 	sat, _ := FindBench("SAT Solver")
@@ -332,7 +332,7 @@ func TestRunnerSharedAcrossGoroutines(t *testing.T) {
 	if !reflect.DeepEqual(out[0], out[1]) {
 		t.Fatal("concurrent callers saw different results for identical batches")
 	}
-	if s := runnerStats(t, r); s.Requests != 4 || s.Runs != 2 || s.CacheHits != 2 {
-		t.Fatalf("stats = %+v, want 4 requests, 2 runs, 2 hits", s)
+	if s := runnerStats(t, r); s.Requests != 4 || s.Requests != s.Runs+s.CacheHits || s.Runs < 2 || s.Runs > 4 {
+		t.Fatalf("stats = %+v, want 4 requests = runs + hits, with 2 to 4 runs", s)
 	}
 }

@@ -63,10 +63,12 @@ func TestMemoKeyIncludesSampling(t *testing.T) {
 	oA.Sampling = Sampling{Intervals: 4}
 	oB := o
 	oB.Sampling = Sampling{Intervals: 6}
+	var reqs []MeasureRequest
 	for _, opt := range []Options{o, oA, oB, oA} {
-		if _, err := r.MeasureBench(b, opt); err != nil {
-			t.Fatal(err)
-		}
+		reqs = append(reqs, MeasureRequest{Bench: b, Options: opt})
+	}
+	if _, err := r.MeasureAll(reqs); err != nil {
+		t.Fatal(err)
 	}
 	s := runnerStats(t, r)
 	if s.Runs != 3 || s.CacheHits != 1 {
@@ -88,10 +90,7 @@ func TestSamplingSpellingsShareCacheSlot(t *testing.T) {
 	}
 	b, _ := FindBench("MapReduce")
 	r := NewRunner(1)
-	if _, err := r.MeasureBench(b, short); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.MeasureBench(b, long); err != nil {
+	if _, err := r.MeasureAll([]MeasureRequest{{Bench: b, Options: short}, {Bench: b, Options: long}}); err != nil {
 		t.Fatal(err)
 	}
 	if s := runnerStats(t, r); s.Runs != 1 || s.CacheHits != 1 {

@@ -60,9 +60,6 @@ func (r *Runner) Validate(o Options) ([]Claim, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := untruncated(reqs, ms0); err != nil {
-		return nil, err
-	}
 	ws, ds, ms, bs, bit := ms0[0], ms0[1], ms0[2], ms0[3], ms0[4]
 	dsSMT, wsBase, wsPol := ms0[5], ms0[6], ms0[7]
 	mr, tpcc := ms0[8], ms0[9]
@@ -117,20 +114,6 @@ func (r *Runner) Validate(o Options) ([]Claim, error) {
 		100*ms.DRAMUtilization(), 100*ws.DRAMUtilization(), 100*ds.DRAMUtilization())
 
 	return claims, nil
-}
-
-// untruncated rejects a claim check or figure fed by a measurement
-// whose timed window hit the MaxCycles cap: a number from a partial
-// window is not a result.
-func untruncated(reqs []MeasureRequest, ms []*Measurement) error {
-	for i, m := range ms {
-		if m.Truncated {
-			c := canonicalize(reqs[i].Options)
-			return fmt.Errorf("core: %s (%s) was truncated at the MaxCycles cap; its counters cover a partial window",
-				reqs[i].Bench.Name, c.label())
-		}
-	}
-	return nil
 }
 
 // AllHold reports whether every claim holds.

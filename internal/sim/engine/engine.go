@@ -85,7 +85,8 @@ type RunConfig struct {
 	// interval in sampled mode). Must be positive.
 	MeasureInsts int64
 	// MaxCycles bounds each timed window as a safety net (0 = no bound).
-	// A window that reaches it stops and is reported Truncated.
+	// A window that reaches it stops and is reported Truncated; core's
+	// measure refuses such a run rather than report a partial window.
 	MaxCycles int64
 
 	// Intervals selects SMARTS-style interval sampling when >= 1: the
