@@ -110,7 +110,7 @@ func resolveBenches(arg string) ([]core.Bench, error) {
 func printMeasurement(m *core.Measurement) {
 	c := &m.Counters
 	fmt.Printf("benchmark        %s\n", m.BenchName)
-	fmt.Printf("cycles           %d (window)\n", m.Cycles)
+	fmt.Printf("cycles           %d (window), %d core-cycles\n", m.WindowCycles, m.Cycles)
 	fmt.Printf("instructions     %d user, %d OS (%.1f%% OS)\n",
 		c.CommitUser, c.CommitOS, 100*float64(c.CommitOS)/float64(c.Commits()))
 	fmt.Printf("IPC              %.3f total, %.3f user\n", c.IPC(), c.UserIPC())
