@@ -177,23 +177,24 @@ type memoEntry struct {
 // that two of them request before either has finished may be
 // simulated by both, to identical results.
 type Runner struct {
-	workers  int
-	progress ProgressFunc
-	progMu   sync.Mutex // serializes progress emission Runner-wide
+	workers int
 
-	mu    sync.Mutex
-	memo  map[measureKey]memoEntry
-	ckpts *CheckpointStore
-	ob    *obs.Observer
-	met   runnerMetrics
-
-	// statsMu guards stats alone, so Stats() snapshots are consistent
-	// without contending on the memo lock, and every transition happens
-	// in one critical section: any snapshot satisfies
+	// mu guards every field below. Each stats transition happens in one
+	// critical section, so any Stats snapshot satisfies
 	// Requests == Runs + CacheHits exactly (the -race hammer test in
 	// obs_test.go holds the Runner to this).
-	statsMu sync.Mutex
-	stats   RunnerStats
+	mu       sync.Mutex
+	memo     map[measureKey]memoEntry
+	ckpts    *CheckpointStore
+	ob       *obs.Observer
+	met      runnerMetrics
+	stats    RunnerStats
+	progress ProgressFunc
+	// emitting is set while a progress callback runs, which it does
+	// without mu held, so the callback may call back into the Runner;
+	// emitDone, on mu, wakes a report waiting for its turn.
+	emitting bool
+	emitDone sync.Cond
 }
 
 // runnerMetrics holds the Runner's pre-resolved metric handles. All
@@ -236,7 +237,9 @@ func NewRunner(workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{workers: workers, memo: map[measureKey]memoEntry{}}
+	r := &Runner{workers: workers, memo: map[measureKey]memoEntry{}}
+	r.emitDone.L = &r.mu
+	return r
 }
 
 // Workers reports the worker-pool width.
@@ -300,18 +303,9 @@ func (r *Runner) Observer() *obs.Observer {
 // internally consistent: Requests == Runs + CacheHits holds exactly,
 // even while MeasureAll is in flight.
 func (r *Runner) Stats() RunnerStats {
-	r.statsMu.Lock()
-	defer r.statsMu.Unlock()
-	return r.stats
-}
-
-func (r *Runner) emit(ev ProgressEvent) {
 	r.mu.Lock()
-	f := r.progress
-	r.mu.Unlock()
-	if f != nil {
-		f(ev)
-	}
+	defer r.mu.Unlock()
+	return r.stats
 }
 
 // MeasureAll measures every request, fanning them out across a worker
@@ -326,20 +320,33 @@ func (r *Runner) MeasureAll(reqs []MeasureRequest) ([]*Measurement, error) {
 	results := make([]*Measurement, n)
 	errs := make([]error, n)
 
-	// Progress is reported under the Runner-wide progMu, which also
-	// owns this call's counter: callbacks never run concurrently (even
-	// from concurrent MeasureAll calls on a shared Runner) and within
-	// this submission Done never goes backwards, so the final event is
-	// the last one this submission delivers.
+	// A report waits until no callback runs, Runner-wide, and only then
+	// counts itself done: callbacks never run concurrently (even from
+	// concurrent MeasureAll calls on a shared Runner) and within this
+	// submission Done never goes backwards, so the final event is the
+	// last one this submission delivers. The callback runs without mu.
 	var doneCount int
 	report := func(req MeasureRequest, rr runResult, err error) {
-		r.progMu.Lock()
+		r.mu.Lock()
+		for r.emitting {
+			r.emitDone.Wait()
+		}
 		doneCount++
-		r.emit(ProgressEvent{
+		ev := ProgressEvent{
 			Bench: req.Bench.Name, Done: doneCount, Total: n,
 			Cached: rr.cached, Source: rr.source, Duration: rr.dur, Err: err,
-		})
-		r.progMu.Unlock()
+		}
+		f := r.progress
+		r.emitting = f != nil
+		r.mu.Unlock()
+		if f == nil {
+			return
+		}
+		f(ev)
+		r.mu.Lock()
+		r.emitting = false
+		r.emitDone.Broadcast()
+		r.mu.Unlock()
 	}
 
 	// Dispatch only the first occurrence of each key to the pool, so no
@@ -415,15 +422,13 @@ func (r *Runner) measureOne(req MeasureRequest) (*Measurement, runResult, error)
 	r.mu.Lock()
 	met, ob, ckpts := r.met, r.ob, r.ckpts
 	e, hit := r.memo[key]
-	r.mu.Unlock()
-	r.statsMu.Lock()
 	r.stats.Requests++
 	if hit {
 		r.stats.CacheHits++
 	} else {
 		r.stats.Runs++
 	}
-	r.statsMu.Unlock()
+	r.mu.Unlock()
 	met.requests.Inc()
 
 	var rr runResult
@@ -442,14 +447,12 @@ func (r *Runner) measureOne(req MeasureRequest) (*Measurement, runResult, error)
 		met.measureWall.Observe(int64(obs.Since(start)))
 		r.mu.Lock()
 		r.memo[key] = e
-		r.mu.Unlock()
-		r.statsMu.Lock()
 		if e.err != nil {
 			r.stats.Errors++
 		} else {
 			r.stats.MeasuredInsts += int64(e.m.Commits())
 		}
-		r.statsMu.Unlock()
+		r.mu.Unlock()
 		if e.err != nil {
 			met.errors.Inc()
 		} else {

@@ -212,6 +212,55 @@ func TestRunnerProgressEvents(t *testing.T) {
 	}
 }
 
+// TestRunnerProgressSerializedAcrossCalls: with four MeasureAll calls
+// in flight on one Runner, no two progress callbacks overlap, each
+// call's Done values arrive in order, and a callback may call Stats
+// without deadlocking. The requests fail validation, so every report
+// comes at once and the calls contend for the callback.
+func TestRunnerProgressSerializedAcrossCalls(t *testing.T) {
+	ws, _ := FindBench("Web Search")
+	bad := fastOptions()
+	bad.Cores = -1
+	const calls, perCall = 4, 64
+	r := NewRunner(4)
+	var inside, overlaps int
+	last := map[int]int{} // call id (Total) -> last Done seen
+	r.SetProgress(func(ev ProgressEvent) {
+		if inside++; inside > 1 {
+			overlaps++
+		}
+		r.Stats()
+		if ev.Done <= last[ev.Total] {
+			t.Errorf("call with %d requests: Done %d after %d", ev.Total, ev.Done, last[ev.Total])
+		}
+		last[ev.Total] = ev.Done
+		inside--
+	})
+	var wg sync.WaitGroup
+	for c := range calls {
+		reqs := make([]MeasureRequest, perCall+c) // Total tells the calls apart
+		for i := range reqs {
+			reqs[i] = MeasureRequest{Bench: ws, Options: bad}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := r.MeasureAll(reqs); err == nil {
+				t.Error("an invalid request measured without error")
+			}
+		}()
+	}
+	wg.Wait()
+	if overlaps != 0 {
+		t.Fatalf("%d progress callbacks ran while another was running", overlaps)
+	}
+	for c := range calls {
+		if got := last[perCall+c]; got != perCall+c {
+			t.Fatalf("call with %d requests delivered Done up to %d", perCall+c, got)
+		}
+	}
+}
+
 // TestRunnerValidateMatchesSerial checks the batched Validate against
 // a serial Runner.
 func TestRunnerValidateMatchesSerial(t *testing.T) {

@@ -29,9 +29,15 @@ type Predictor struct {
 	phtMask uint64  //simlint:ok checkpointcov derived from cfg.GshareBits at construction; LoadState length-checks the packed PHT instead
 	history uint64
 	histMsk uint64 //simlint:ok checkpointcov derived from cfg.HistoryBits at construction
-	btbTag  []uint64
-	btbTgt  []uint64
+	btb     []btbEntry
 	btbMask uint64 //simlint:ok checkpointcov derived from cfg.BTBEntries at construction
+}
+
+// btbEntry is one direct-mapped BTB slot: the branch PC it holds (0 when
+// empty) beside its target, so a lookup and its training touch one host
+// cache line.
+type btbEntry struct {
+	tag, target uint64
 }
 
 // New returns a predictor with all counters weakly not-taken.
@@ -46,8 +52,7 @@ func New(cfg Config) *Predictor {
 		pht:     make([]uint8, (n+3)/4),
 		phtMask: uint64(n - 1),
 		histMsk: (1 << cfg.HistoryBits) - 1,
-		btbTag:  make([]uint64, b),
-		btbTgt:  make([]uint64, b),
+		btb:     make([]btbEntry, b),
 		btbMask: uint64(b - 1),
 	}
 	p.resetPHT()
@@ -95,20 +100,20 @@ func (p *Predictor) SaveState(w *checkpoint.Writer) {
 	w.Tag("bpred")
 	w.U64(p.history)
 	w.U8s(p.pht)
-	w.U32(uint32(len(p.btbTag)))
+	w.U32(uint32(len(p.btb)))
 	filled := uint32(0)
-	for _, t := range p.btbTag {
-		if t != 0 {
+	for _, e := range p.btb {
+		if e.tag != 0 {
 			filled++
 		}
 	}
 	w.U32(filled)
 	prev := -1
-	for i, t := range p.btbTag {
-		if t != 0 {
+	for i, e := range p.btb {
+		if e.tag != 0 {
 			w.Uvarint(uint64(i - prev))
-			w.Uvarint(t)
-			w.Varint(int64(p.btbTgt[i] - t))
+			w.Uvarint(e.tag)
+			w.Varint(int64(e.target - e.tag))
 			prev = i
 		}
 	}
@@ -122,22 +127,21 @@ func (p *Predictor) LoadState(r *checkpoint.Reader) {
 	r.Expect("bpred")
 	p.history = r.U64()
 	r.U8s(p.pht)
-	if n := int(r.U32()); r.Err() == nil && n != len(p.btbTag) {
-		r.Failf("bpred BTB size mismatch: snapshot has %d entries, predictor has %d", n, len(p.btbTag))
+	if n := int(r.U32()); r.Err() == nil && n != len(p.btb) {
+		r.Failf("bpred BTB size mismatch: snapshot has %d entries, predictor has %d", n, len(p.btb))
 		return
 	}
-	clear(p.btbTag)
-	clear(p.btbTgt)
+	clear(p.btb)
 	// A filled slot takes at least three 1-byte varints.
 	filled := r.Count(3)
 	for k, i := 0, -1; k < filled; k++ {
-		i = r.NextIndex(i, len(p.btbTag))
+		i = r.NextIndex(i, len(p.btb))
 		tag := r.Uvarint()
 		tgt := tag + uint64(r.Varint())
 		if r.Err() != nil {
 			return
 		}
-		p.btbTag[i], p.btbTgt[i] = tag, tgt
+		p.btb[i] = btbEntry{tag: tag, target: tgt}
 	}
 }
 
@@ -145,31 +149,46 @@ func (p *Predictor) index(pc uint64) uint64 {
 	return ((pc >> 2) ^ p.history) & p.phtMask
 }
 
+// slot returns the BTB entry the branch at pc maps to.
+func (p *Predictor) slot(pc uint64) *btbEntry { return &p.btb[(pc>>2)&p.btbMask] }
+
 // Lookup predicts the direction and target for the branch at pc.
 // A predicted-taken branch with a BTB miss counts as a misprediction in
 // Predict, because the front-end cannot redirect without a target.
 func (p *Predictor) Lookup(pc uint64) (taken bool, target uint64, targetValid bool) {
 	taken = p.ctr(p.index(pc)) >= 2
-	slot := (pc >> 2) & p.btbMask
-	if p.btbTag[slot] == pc {
-		return taken, p.btbTgt[slot], true
+	if e := p.slot(pc); e.tag == pc {
+		return taken, e.target, true
 	}
 	return taken, 0, false
 }
 
 // Predict runs a full predict-and-train step for a resolved branch and
-// reports whether the front-end would have mispredicted it.
+// reports whether the front-end would have mispredicted it. It is
+// Lookup then Update, with the PHT index and BTB slot found once.
 func (p *Predictor) Predict(pc uint64, taken bool, target uint64) (mispredict bool) {
-	predTaken, predTarget, tgtValid := p.Lookup(pc)
-	mispredict = predTaken != taken || (taken && (!tgtValid || predTarget != target))
-	p.Update(pc, taken, target)
+	idx, e := p.index(pc), p.slot(pc)
+	ctr := p.ctr(idx)
+	mispredict = (ctr >= 2) != taken || (taken && (e.tag != pc || e.target != target))
+	p.train(idx, ctr, taken)
+	if taken {
+		*e = btbEntry{tag: pc, target: target}
+	}
 	return mispredict
 }
 
 // Update trains the predictor with the resolved outcome.
 func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
 	idx := p.index(pc)
-	ctr := p.ctr(idx)
+	p.train(idx, p.ctr(idx), taken)
+	if taken {
+		*p.slot(pc) = btbEntry{tag: pc, target: target}
+	}
+}
+
+// train moves PHT counter idx, whose value is ctr, toward the outcome
+// and shifts the outcome into the global history.
+func (p *Predictor) train(idx uint64, ctr uint8, taken bool) {
 	if taken {
 		if ctr < 3 {
 			p.setCtr(idx, ctr+1)
@@ -178,11 +197,6 @@ func (p *Predictor) Update(pc uint64, taken bool, target uint64) {
 		p.setCtr(idx, ctr-1)
 	}
 	p.history = ((p.history << 1) | b2u(taken)) & p.histMsk
-	if taken {
-		slot := (pc >> 2) & p.btbMask
-		p.btbTag[slot] = pc
-		p.btbTgt[slot] = target
-	}
 }
 
 func b2u(b bool) uint64 {

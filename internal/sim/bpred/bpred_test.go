@@ -140,7 +140,7 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(q.pht, p.pht) || q.history != p.history ||
-		!slices.Equal(q.btbTag, p.btbTag) || !slices.Equal(q.btbTgt, p.btbTgt) {
+		!slices.Equal(q.btb, p.btb) {
 		t.Fatal("restored predictor differs from the saved one")
 	}
 
@@ -149,7 +149,7 @@ func TestStateRoundTrip(t *testing.T) {
 		w.Tag("bpred")
 		w.U64(0)
 		w.U8s(make([]uint8, n))
-		w.U32(uint32(len(q.btbTag)))
+		w.U32(uint32(len(q.btb)))
 		w.U32(0)
 		r = w.Snapshot("bad").Reader()
 		q.LoadState(r)
@@ -174,5 +174,103 @@ func TestPHTImageSize(t *testing.T) {
 	const rest = 4 + len("bpred") + 8 + 4 + 4
 	if got := w.Snapshot("k").Size() - rest; got != 4+16<<10 {
 		t.Errorf("the PHT takes %d bytes of the image, want %d", got, 4+16<<10)
+	}
+}
+
+// saveTwoArrays is the image layout SaveState writes, encoded from the
+// two parallel BTB arrays the predictor kept before each slot held its
+// tag beside its target: history, packed PHT, BTB size, filled count,
+// then per filled slot the index gap, the tag and the target's delta
+// from the tag.
+func saveTwoArrays(p *Predictor) *checkpoint.Snapshot {
+	tags, tgts := make([]uint64, len(p.btb)), make([]uint64, len(p.btb))
+	for i, e := range p.btb {
+		tags[i], tgts[i] = e.tag, e.target
+	}
+	w := checkpoint.NewWriter()
+	w.Tag("bpred")
+	w.U64(p.history)
+	w.U8s(p.pht)
+	w.U32(uint32(len(tags)))
+	filled := uint32(0)
+	for _, t := range tags {
+		if t != 0 {
+			filled++
+		}
+	}
+	w.U32(filled)
+	prev := -1
+	for i, t := range tags {
+		if t != 0 {
+			w.Uvarint(uint64(i - prev))
+			w.Uvarint(t)
+			w.Varint(int64(tgts[i] - t))
+			prev = i
+		}
+	}
+	return w.Snapshot("bpred")
+}
+
+// TestSaveMatchesTwoArrayLayout: after random training, including
+// targets below their branch and an empty BTB, SaveState writes exactly
+// the bytes of the two-array encoding, and loading them into a fresh
+// predictor restores the PHT, the history and every BTB slot.
+func TestSaveMatchesTwoArrayLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, cfg := range []Config{{GshareBits: 6, BTBEntries: 16, HistoryBits: 4}, DefaultConfig()} {
+		for trial := 0; trial < 20; trial++ {
+			p := New(cfg)
+			for range rng.Intn(2000) {
+				pc := uint64(1+rng.Intn(1<<14)) * 4 // a slot holding PC 0 reads as empty
+				tgt := pc + 64
+				if rng.Intn(4) == 0 {
+					tgt = uint64(rng.Intn(1 << 20))
+				}
+				if rng.Intn(2) == 0 {
+					p.Predict(pc, rng.Intn(3) > 0, tgt)
+				} else {
+					p.Update(pc, rng.Intn(3) > 0, tgt)
+				}
+			}
+			w := checkpoint.NewWriter()
+			p.SaveState(w)
+			got, want := w.Snapshot("bpred"), saveTwoArrays(p)
+			if got.Size() != want.Size() || got.Hash() != want.Hash() {
+				t.Fatalf("%+v: SaveState wrote %d bytes unlike the two-array layout's %d", cfg, got.Size(), want.Size())
+			}
+			q := New(cfg)
+			r := got.Reader()
+			q.LoadState(r)
+			if err := r.Err(); err != nil {
+				t.Fatalf("%+v: %v", cfg, err)
+			}
+			if !bytes.Equal(q.pht, p.pht) || q.history != p.history || !slices.Equal(q.btb, p.btb) {
+				t.Fatalf("%+v: restored predictor differs from the saved one", cfg)
+			}
+		}
+	}
+}
+
+// TestPredictMatchesLookupThenUpdate: Predict, which finds the PHT
+// index and BTB slot once, reports the misprediction the Lookup rule
+// gives and leaves the state Update leaves, on random branches whose
+// PCs alias in both tables.
+func TestPredictMatchesLookupThenUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	cfg := Config{GshareBits: 8, BTBEntries: 32, HistoryBits: 6}
+	got, want := New(cfg), New(cfg)
+	for i := 0; i < 20000; i++ {
+		pc := uint64(rng.Intn(512)) * 4
+		taken := rng.Intn(3) > 0
+		tgt := pc + uint64(rng.Intn(4))*64
+		predTaken, predTarget, valid := want.Lookup(pc)
+		wantMiss := predTaken != taken || (taken && (!valid || predTarget != tgt))
+		want.Update(pc, taken, tgt)
+		if g := got.Predict(pc, taken, tgt); g != wantMiss {
+			t.Fatalf("branch %d at %#x: Predict = %v, Lookup rule %v", i, pc, g, wantMiss)
+		}
+		if got.history != want.history || !bytes.Equal(got.pht, want.pht) || !slices.Equal(got.btb, want.btb) {
+			t.Fatalf("branch %d at %#x: Predict left another state than Update", i, pc)
+		}
 	}
 }

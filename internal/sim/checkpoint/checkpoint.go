@@ -84,8 +84,10 @@ import (
 // span (start and last-transfer cycles), which no result read; v13's
 // DRAM section also drops the controller's read and write counts,
 // which the per-core counters already carry, and the cache system no
-// longer holds a socket hop matrix.
-const Version = 13
+// longer holds a socket hop matrix; v14 keeps v13's byte layout, but
+// each BTB slot holds its tag beside its target and each TLB way its
+// tag beside its LRU stamp, so the bpred and tlb schemas changed.
+const Version = 14
 
 //simlint:ok globalrand write-once file-format magic, read-only after initialization
 var magic = [8]byte{'C', 'S', 'C', 'K', 'P', 'T', '0', '1'}

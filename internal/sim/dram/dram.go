@@ -108,9 +108,13 @@ func (c *Controller) BusyCycles() uint64 {
 }
 
 // ResetQueues discards channel backlog, making every channel free at
-// the given cycle. The simulator calls this between the functional
-// warm-up (whose pseudo-clock timing is meaningless) and the timed
-// window, so warm-up traffic cannot queue into the measurement.
+// the given cycle. The simulator calls this at the start of every
+// timed window, so backlog left by the warming before it cannot queue
+// into the measurement. In contiguous mode that warming is the
+// functional warm-up, whose pseudo-clock timing is meaningless. In
+// sampled mode each interval's functional warming is followed by
+// detailed warming, which runs under full timing on the same
+// controllers, so its backlog is discarded too.
 func (c *Controller) ResetQueues(cycle int64) {
 	for i := range c.freeAt {
 		if c.freeAt[i] > cycle {

@@ -60,7 +60,8 @@ func saveMachine(cfg RunConfig, clock int64, cores []*core, mem *cache.System) *
 	for _, co := range cores {
 		w.U32(uint32(co.id))
 		w.U32(uint32(len(co.ctxs)))
-		for _, ctx := range co.ctxs {
+		for i := range co.ctxs {
+			ctx := &co.ctxs[i]
 			w.U64(ctx.warmLine)
 			w.U64(ctx.warmPage)
 		}
@@ -75,7 +76,8 @@ func saveMachine(cfg RunConfig, clock int64, cores []*core, mem *cache.System) *
 		cfg.SaveShared(w)
 	}
 	for _, co := range cores {
-		for _, ctx := range co.ctxs {
+		for i := range co.ctxs {
+			ctx := &co.ctxs[i]
 			ctx.gen.(statefulGen).SaveState(w, len(ctx.batch)-ctx.pos)
 			w.Bool(ctx.eof)
 		}
@@ -104,7 +106,8 @@ func restoreRun(snap *checkpoint.Snapshot, cfg RunConfig, cores []*core, mem *ca
 		if n := int(r.U32()); r.Err() == nil && n != len(co.ctxs) {
 			return fmt.Errorf("engine: snapshot has %d contexts on core %d, run has %d", n, co.id, len(co.ctxs))
 		}
-		for _, ctx := range co.ctxs {
+		for i := range co.ctxs {
+			ctx := &co.ctxs[i]
 			ctx.warmLine = r.U64()
 			ctx.warmPage = r.U64()
 		}
@@ -132,7 +135,8 @@ func restoreRun(snap *checkpoint.Snapshot, cfg RunConfig, cores []*core, mem *ca
 		}
 	}
 	for _, co := range cores {
-		for _, ctx := range co.ctxs {
+		for i := range co.ctxs {
+			ctx := &co.ctxs[i]
 			lent := ctx.gen.(statefulGen).LoadState(r)
 			if r.Err() != nil {
 				return r.Err()

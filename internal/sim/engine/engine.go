@@ -210,23 +210,27 @@ const (
 	stDone
 )
 
-// entry is one window slot. Besides the instruction and its timing it
-// carries the wakeup/select scheduler's links: an entry dispatched
-// behind producers that have not issued yet is threaded onto each
-// producer's consumer list (one edge per operand, so at most two) and
-// counts them in pending; readyAt is the latest completion among its
-// issued producers. An entry is 64 bytes, one host cache line, with the
-// 32-byte trace.Inst in its first half.
+// entry is one window slot. It keeps of its instruction only what
+// issue and retirement read (class, mode and data address); the rest of
+// the trace.Inst is consumed at dispatch. Besides timing it carries the
+// wakeup/select scheduler's links: an entry dispatched behind producers
+// that have not issued yet is threaded onto each producer's consumer
+// list (one edge per operand, so at most two) and counts them in
+// pending. An entry is 32 bytes, two to a host cache line.
 type entry struct {
-	inst    trace.Inst
-	doneAt  int64
-	readyAt int64
+	addr uint64
+	// at is the latest completion among the entry's issued producers
+	// while it waits, and its own completion cycle once it has issued.
+	at int64
 	// waiters heads this entry's consumer list: the edge id
 	// (slot<<1 | operand) of the first consumer operand waiting on it, or
 	// -1. next[k] links operand k's edge to the next one on the list of
-	// the producer it waits on.
-	waiters int32
-	next    [2]int32
+	// the producer it waits on. Slots stay below trace.MaxDepDist, so an
+	// edge id fits in 16 bits.
+	waiters int16
+	next    [2]int16
+	op      trace.Op
+	kernel  bool
 	pending uint8
 	status  uint8
 }
@@ -258,10 +262,12 @@ type context struct {
 	baseSeq int64 // dynamic seq of window head
 
 	// ready has one bit per window slot: waiting entries whose operands
-	// are all ready. timers holds waiting entries whose operands are all
-	// issued but complete in the future, as a min-heap on the cycle they
-	// become ready; issue drains it into ready.
-	ready  []uint64
+	// are all ready. It is held inline, sized for the largest window
+	// (slots stay below trace.MaxDepDist). timers holds waiting entries
+	// whose operands are all issued but complete in the future, as a
+	// min-heap on the cycle they become ready; issue drains it into
+	// ready.
+	ready  [(trace.MaxDepDist + 63) / 64]uint64
 	timers []wake
 
 	fetchBlockedUntil int64
@@ -291,11 +297,15 @@ type context struct {
 }
 
 type core struct {
-	id   int
-	cfg  CoreConfig
-	ctxs []*context
+	id  int
+	cfg CoreConfig
+	// ctxs are the core's SMT contexts, held by value in ctxBuf (a core
+	// runs at most two threads), so a tick finds them in the core's own
+	// allocation.
+	ctxs []context
 	bp   *bpred.Predictor
 	tlbs *tlb.Hierarchy
+	ctr  *counters.Counters // the memory system's block for this core
 
 	rsUsed int
 	lqUsed int
@@ -313,6 +323,8 @@ type core struct {
 	sleeping bool
 	idle     idleCycle
 	ticks    uint64 // cycle calls, for the sleep tests and BenchmarkCycle64
+
+	ctxBuf [2]context
 }
 
 // idleCycle is the classification of a cycle in which a core committed,
@@ -329,37 +341,38 @@ type idleCycle struct {
 // never is the wake time of a core with no pending event.
 const never = int64(math.MaxInt64)
 
-func (c *context) peek() (*trace.Inst, bool) {
-	if c.pos == len(c.batch) {
-		if c.eof {
-			return nil, false
-		}
-		if c.ro != nil {
-			prev := c.ro.Enter(obs.PhaseTraceGen)
-			c.batch = c.gen.Batch(batchInsts)
-			c.ro.Enter(prev)
-		} else {
-			c.batch = c.gen.Batch(batchInsts)
-		}
-		c.pos = 0
-		if len(c.batch) == 0 {
-			c.eof = true
-			return nil, false
-		}
+// refill reports whether the context has an instruction to fetch at
+// batch[pos], pulling the next batch from the generator once the lent
+// one is used up. Fetch reads the batch in place and calls refill only
+// at its end, so the per-instruction path carries no call.
+func (c *context) refill() bool {
+	if c.pos < len(c.batch) {
+		return true
 	}
-	return &c.batch[c.pos], true
+	if c.eof {
+		return false
+	}
+	if c.ro != nil {
+		prev := c.ro.Enter(obs.PhaseTraceGen)
+		c.batch = c.gen.Batch(batchInsts)
+		c.ro.Enter(prev)
+	} else {
+		c.batch = c.gen.Batch(batchInsts)
+	}
+	c.pos = 0
+	if len(c.batch) == 0 {
+		c.eof = true
+		return false
+	}
+	return true
 }
 
-func (c *context) advance() { c.pos++ }
-
-// link records operand k (backward distance d) of the entry in slot,
-// which is about to occupy absolute index seq. A producer that already
-// committed imposes nothing; one that issued raises readyAt to its
-// completion; one still waiting gets the operand on its consumer list.
+// link records operand k (backward distance d > 0) of the entry in
+// slot, which is about to occupy absolute index seq. A producer that
+// already committed imposes nothing; one that issued raises the entry's
+// at to its completion; one still waiting gets the operand on its
+// consumer list.
 func (c *context) link(slot int, seq int64, k int, d uint8) {
-	if d == 0 {
-		return
-	}
 	p := seq - int64(d)
 	if p < c.baseSeq {
 		return // producer already committed
@@ -371,19 +384,19 @@ func (c *context) link(slot int, seq int64, k int, d uint8) {
 	pe, e := &c.window[ps], &c.window[slot]
 	if pe.status == stWaiting {
 		e.next[k] = pe.waiters
-		pe.waiters = int32(slot<<1 | k)
+		pe.waiters = int16(slot<<1 | k)
 		e.pending++
 		return
 	}
-	if pe.doneAt > e.readyAt {
-		e.readyAt = pe.doneAt
+	if pe.at > e.at {
+		e.at = pe.at
 	}
 }
 
 // schedule files the entry in slot, whose producers have all issued: it
 // is ready now if its last operand completes by now, else a timer.
 func (c *context) schedule(slot int, now int64) {
-	at := c.window[slot].readyAt
+	at := c.window[slot].at
 	if at <= now {
 		c.ready[slot>>6] |= 1 << uint(slot&63)
 		return
@@ -436,8 +449,8 @@ func (c *context) wakeConsumers(slot int, now int64) {
 		cs := int(edge >> 1)
 		ce := &c.window[cs]
 		edge = ce.next[edge&1]
-		if pe.doneAt > ce.readyAt {
-			ce.readyAt = pe.doneAt
+		if pe.at > ce.at {
+			ce.at = pe.at
 		}
 		ce.pending--
 		if ce.pending == 0 {
@@ -448,21 +461,22 @@ func (c *context) wakeConsumers(slot int, now int64) {
 }
 
 // newCore builds core id running threads[ti] for every ti in ts, one
-// SMT context each, splitting the ROB evenly between them.
-func newCore(id int, cfg RunConfig, threads []Thread, ts []int) *core {
-	co := &core{id: id, cfg: cfg.Core, bp: bpred.New(bpred.DefaultConfig()), tlbs: tlb.NewHierarchy()}
+// SMT context each, splitting the ROB evenly between them. ctr is the
+// memory system's counter block for the core.
+func newCore(id int, cfg RunConfig, threads []Thread, ts []int, ctr *counters.Counters) *core {
+	co := &core{id: id, cfg: cfg.Core, bp: bpred.New(bpred.DefaultConfig()), tlbs: tlb.NewHierarchy(), ctr: ctr}
 	winPer := cfg.Core.ROB / len(ts)
-	for _, ti := range ts {
+	co.ctxs = co.ctxBuf[:len(ts)]
+	for i, ti := range ts {
 		t := threads[ti]
-		co.ctxs = append(co.ctxs, &context{
+		co.ctxs[i] = context{
 			gen:      t.Gen,
 			measured: t.Measured, tid: ti,
 			window:        make([]entry, winPer),
-			ready:         make([]uint64, (winPer+63)/64),
 			timers:        make([]wake, 0, winPer),
 			pendingBranch: -1,
 			ro:            cfg.Obs,
-		})
+		}
 	}
 	return co
 }
@@ -542,7 +556,7 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 		if !ok {
 			continue
 		}
-		cores = append(cores, newCore(id, cfg, threads, ts))
+		cores = append(cores, newCore(id, cfg, threads, ts, mem.Ctr(id)))
 	}
 
 	// Functional warm-up: stream instructions through caches, TLBs and
@@ -569,7 +583,8 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 		span := cfg.Obs.SpanStart()
 		prev := cfg.Obs.Enter(obs.PhaseFuncWarm)
 		for _, co := range cores {
-			for _, ctx := range co.ctxs {
+			for i := range co.ctxs {
+				ctx := &co.ctxs[i]
 				co.warmThread(ctx, mem, cfg.WarmupInsts, &clock)
 			}
 		}
@@ -613,7 +628,8 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 			span := cfg.Obs.SpanStart()
 			prev := cfg.Obs.Enter(obs.PhaseFuncWarm)
 			for _, co := range cores {
-				for _, ctx := range co.ctxs {
+				for i := range co.ctxs {
+					ctx := &co.ctxs[i]
 					co.warmThread(ctx, mem, cfg.IntervalWarmInsts, &clock)
 				}
 			}
@@ -644,7 +660,8 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 		// once per interval.
 		for _, co := range cores {
 			snapshots[co.id] = *mem.Ctr(co.id)
-			for _, ctx := range co.ctxs {
+			for i := range co.ctxs {
+				ctx := &co.ctxs[i]
 				ctx.target = ctx.committed + uint64(cfg.MeasureInsts)
 			}
 		}
@@ -686,7 +703,8 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 			}
 			window.PerCore[co.id] = &d
 			totals[co.id].Add(&d)
-			for _, ctx := range co.ctxs {
+			for i := range co.ctxs {
+				ctx := &co.ctxs[i]
 				res.PerThread[ctx.tid] = ctx.committed
 				if ctx.measured && !ctx.drained() {
 					drainedAll = false
@@ -730,25 +748,30 @@ func runUntil(cores []*core, mem *cache.System, clock, maxCycles int64, done fun
 	if maxCycles > 0 {
 		stop = clock + maxCycles + 1
 	}
+	// wake[i] is cores[i].idle.wake while that core sleeps, else 0: the
+	// skip test for a sleeping core reads this dense array, not the core.
+	wake := make([]int64, len(cores))
 	for now = clock + 1; now < stop; {
 		next := stop
-		for _, co := range cores {
-			if co.sleeping {
-				if now < co.idle.wake {
-					next = min(next, co.idle.wake)
+		for i, co := range cores {
+			if w := wake[i]; w != 0 {
+				if now < w {
+					next = min(next, w)
 					continue
 				}
-				co.charge(mem.Ctr(co.id), now-1)
+				co.charge(now - 1)
 			}
 			co.cycle(now, mem)
 			if co.sleeping {
+				wake[i] = co.idle.wake
 				next = min(next, co.idle.wake)
 			} else {
+				wake[i] = 0
 				next = now + 1
 			}
 		}
 		if done() {
-			chargeAll(cores, mem, now)
+			chargeAll(cores, now)
 			return now, false
 		}
 		if next == never {
@@ -756,7 +779,7 @@ func runUntil(cores []*core, mem *cache.System, clock, maxCycles int64, done fun
 		}
 		now = next
 	}
-	chargeAll(cores, mem, now-1)
+	chargeAll(cores, now-1)
 	return now, true
 }
 
@@ -764,7 +787,8 @@ func runUntil(cores []*core, mem *cache.System, clock, maxCycles int64, done fun
 // with its idle cycle's classification and wakes it. Advancing nextCtx
 // once per skipped cycle, modulo the context count, keeps the SMT
 // round-robin where ticking would have left it.
-func (co *core) charge(ctr *counters.Counters, last int64) {
+func (co *core) charge(last int64) {
+	ctr := co.ctr
 	k := uint64(last - co.idle.at)
 	ctr.Cycles += k
 	if co.idle.kernel {
@@ -787,10 +811,10 @@ func (co *core) charge(ctr *counters.Counters, last int64) {
 }
 
 // chargeAll charges every sleeping core through last.
-func chargeAll(cores []*core, mem *cache.System, last int64) {
+func chargeAll(cores []*core, last int64) {
 	for _, co := range cores {
 		if co.sleeping {
-			co.charge(mem.Ctr(co.id), last)
+			co.charge(last)
 		}
 	}
 }
@@ -799,7 +823,8 @@ func chargeAll(cores []*core, mem *cache.System, last int64) {
 // whether any of them still has instructions to run.
 func measuredProgress(cores []*core) (committed uint64, live bool) {
 	for _, co := range cores {
-		for _, ctx := range co.ctxs {
+		for i := range co.ctxs {
+			ctx := &co.ctxs[i]
 			if ctx.measured {
 				committed += ctx.committed
 				live = live || !ctx.drained()
@@ -823,7 +848,8 @@ func quantumDone(cores []*core, goal uint64) func() bool {
 func targetsDone(cores []*core) func() bool {
 	return func() bool {
 		for _, co := range cores {
-			for _, ctx := range co.ctxs {
+			for i := range co.ctxs {
+				ctx := &co.ctxs[i]
 				if ctx.measured && ctx.committed < ctx.target && !ctx.drained() {
 					return false
 				}
@@ -840,31 +866,36 @@ func targetsDone(cores []*core) func() bool {
 // warming). The shared clock advances so DRAM-queue and span bookkeeping
 // stay ordered with the timed windows around it.
 func (co *core) warmThread(ctx *context, mem *cache.System, insts int64, clock *int64) {
-	for fetched := int64(0); fetched < insts; fetched++ {
-		in, ok := ctx.peek()
-		if !ok {
-			return
+	now, line, page := *clock, ctx.warmLine, ctx.warmPage
+	tlbs, bp := co.tlbs, co.bp
+	for insts > 0 && ctx.refill() {
+		batch := ctx.batch[ctx.pos:]
+		if int64(len(batch)) > insts {
+			batch = batch[:insts]
 		}
-		line := in.PC >> cache.LineShift
-		if line != ctx.warmLine {
-			page := in.PC >> 12
-			if page != ctx.warmPage {
-				co.tlbs.TranslateI(in.PC)
-				ctx.warmPage = page
+		for i := range batch {
+			in := &batch[i]
+			if l := in.PC >> cache.LineShift; l != line {
+				if pg := in.PC >> 12; pg != page {
+					tlbs.TranslateI(in.PC)
+					page = pg
+				}
+				mem.FetchInstr(co.id, in.PC, now, in.Kernel)
+				line = l
 			}
-			mem.FetchInstr(co.id, in.PC, *clock, in.Kernel)
-			ctx.warmLine = line
+			switch in.Op {
+			case trace.OpLoad, trace.OpStore:
+				tlbs.TranslateD(in.Addr)
+				mem.AccessData(co.id, in.Addr, in.Op == trace.OpStore, in.Kernel, now)
+			case trace.OpBranch:
+				bp.Update(in.PC, in.Taken, in.Target)
+			}
+			now += 2
 		}
-		switch in.Op {
-		case trace.OpLoad, trace.OpStore:
-			co.tlbs.TranslateD(in.Addr)
-			mem.AccessData(co.id, in.Addr, in.Op == trace.OpStore, in.Kernel, *clock)
-		case trace.OpBranch:
-			co.bp.Update(in.PC, in.Taken, in.Target)
-		}
-		ctx.advance()
-		*clock += 2
+		ctx.pos += len(batch)
+		insts -= int64(len(batch))
 	}
+	*clock, ctx.warmLine, ctx.warmPage = now, line, page
 }
 
 // drained reports whether the context has no more work: stream ended and
@@ -876,14 +907,14 @@ func (c *context) drained() bool { return c.eof && c.count == 0 && c.pos == len(
 // next event is more than one cycle away.
 func (co *core) cycle(now int64, mem *cache.System) {
 	co.ticks++
-	ctr := mem.Ctr(co.id)
+	ctr := co.ctr
 	ctr.Cycles++
 
 	co.expireMisses(now)
 
 	committedMode, committedAny := co.commit(now, mem)
-	issued := co.issue(now, mem, ctr)
-	fetched := co.frontend(now, mem, ctr)
+	issued := co.issue(now, mem)
+	fetched := co.frontend(now, mem)
 
 	// Cycle classification (Figure 1). A cycle is Committing if at least
 	// one instruction retired; otherwise it is Stalled and attributed to
@@ -941,10 +972,11 @@ func (co *core) cycle(now int64, mem *cache.System) {
 // an idle core does not touch.
 func (co *core) nextEvent(now int64) int64 {
 	next := never
-	for _, ctx := range co.ctxs {
+	for i := range co.ctxs {
+		ctx := &co.ctxs[i]
 		if ctx.count > 0 {
 			if h := &ctx.window[ctx.head]; h.status == stIssued {
-				next = sooner(next, h.doneAt, now)
+				next = sooner(next, h.at, now)
 			}
 		}
 		if len(ctx.timers) > 0 {
@@ -972,7 +1004,8 @@ func sooner(next, t, now int64) int64 {
 }
 
 func (co *core) imissActive(now int64) bool {
-	for _, ctx := range co.ctxs {
+	for i := range co.ctxs {
+		ctx := &co.ctxs[i]
 		if ctx.imissUntil > now {
 			return true
 		}
@@ -983,7 +1016,8 @@ func (co *core) imissActive(now int64) bool {
 func (co *core) headMode() (kernel bool, windowEmpty bool) {
 	// Prefer the oldest head across contexts for attribution.
 	var found *context
-	for _, ctx := range co.ctxs {
+	for i := range co.ctxs {
+		ctx := &co.ctxs[i]
 		if ctx.count == 0 {
 			continue
 		}
@@ -992,30 +1026,43 @@ func (co *core) headMode() (kernel bool, windowEmpty bool) {
 		}
 	}
 	if found == nil {
-		for _, ctx := range co.ctxs {
+		for i := range co.ctxs {
+			ctx := &co.ctxs[i]
 			if ctx.lastMode {
 				return true, true
 			}
 		}
 		return false, true
 	}
-	return found.window[found.head].inst.Kernel, false
+	return found.window[found.head].kernel, false
 }
 
 func (co *core) expireMisses(now int64) {
-	co.superQ = expire(co.superQ, now)
-	co.offcore = expire(co.offcore, now)
+	if q := expire(co.superQ, now); len(q) != len(co.superQ) {
+		co.superQ = q
+	}
+	if q := expire(co.offcore, now); len(q) != len(co.offcore) {
+		co.offcore = q
+	}
 }
 
+// expire drops the completion times in q that are due by now, keeping
+// the rest in order. A queue with nothing due comes back untouched, so
+// the common tick writes nothing.
 func expire(q []int64, now int64) []int64 {
-	w := 0
-	for _, t := range q {
-		if t > now {
-			q[w] = t
-			w++
+	for i, t := range q {
+		if t <= now {
+			w := i
+			for _, t := range q[i+1:] {
+				if t > now {
+					q[w] = t
+					w++
+				}
+			}
+			return q[:w]
 		}
 	}
-	return q[:w]
+	return q
 }
 
 // rr returns the context i < len(co.ctxs) places after nextCtx in the
@@ -1027,7 +1074,7 @@ func (co *core) rr(i int) *context {
 	if j >= len(co.ctxs) {
 		j -= len(co.ctxs)
 	}
-	return co.ctxs[j]
+	return &co.ctxs[j]
 }
 
 // commit retires up to Width instructions across contexts, oldest head
@@ -1044,7 +1091,7 @@ func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool)
 				continue
 			}
 			h := &ctx.window[ctx.head]
-			if h.status == stIssued && h.doneAt <= now {
+			if h.status == stIssued && h.at <= now {
 				h.status = stDone
 			}
 			if h.status == stDone {
@@ -1056,16 +1103,16 @@ func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool)
 			break
 		}
 		h := &pick.window[pick.head]
-		if h.inst.Op == trace.OpStore {
+		if h.op == trace.OpStore {
 			// Stores update the cache at retirement (store buffer drain).
-			mem.AccessData(co.id, h.inst.Addr, true, h.inst.Kernel, now)
+			mem.AccessData(co.id, h.addr, true, h.kernel, now)
 			co.sqUsed--
 		}
-		if h.inst.Op == trace.OpLoad {
+		if h.op == trace.OpLoad {
 			co.lqUsed--
 		}
-		ctr := mem.Ctr(co.id)
-		if h.inst.Kernel {
+		ctr := co.ctr
+		if h.kernel {
 			ctr.CommitOS++
 		} else {
 			ctr.CommitUser++
@@ -1073,7 +1120,7 @@ func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool)
 		}
 		if !any {
 			any = true
-			kernelMode = h.inst.Kernel
+			kernelMode = h.kernel
 		}
 		pick.committed++
 		pick.head++
@@ -1095,9 +1142,12 @@ func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool)
 // visited: entries reach it through wakeup (a producer issuing) or a
 // timer (a producer's completion time passing), never by rescanning the
 // window. It reports whether anything issued.
-func (co *core) issue(now int64, mem *cache.System, ctr *counters.Counters) bool {
-	for _, ctx := range co.ctxs {
-		ctx.expireTimers(now)
+func (co *core) issue(now int64, mem *cache.System) bool {
+	for i := range co.ctxs {
+		ctx := &co.ctxs[i]
+		if len(ctx.timers) > 0 && ctx.timers[0].at <= now {
+			ctx.expireTimers(now)
+		}
 	}
 	budget := co.cfg.Width
 	for i := 0; i < len(co.ctxs) && budget > 0; i++ {
@@ -1105,74 +1155,80 @@ func (co *core) issue(now int64, mem *cache.System, ctr *counters.Counters) bool
 		// Program order from the head: slots [head, len) then [0, head).
 		// Bits are re-read after every issue, so a consumer an issue makes
 		// ready at once (a zero-latency producer) is seen further on.
-		for _, seg := range [2][2]int{{ctx.head, len(ctx.window)}, {0, ctx.head}} {
-			for pos := seg[0]; pos < seg[1] && budget > 0; pos++ {
-				w := ctx.ready[pos>>6] >> uint(pos&63)
-				if w == 0 {
-					pos |= 63
-					continue
-				}
-				if pos += bits.TrailingZeros64(w); pos >= seg[1] {
-					break
-				}
-				if co.start(ctx, pos, now, mem, ctr) {
-					budget--
-				}
-			}
-		}
+		budget = co.issueSlots(ctx, ctx.head, len(ctx.window), budget, now, mem)
+		budget = co.issueSlots(ctx, 0, ctx.head, budget, now, mem)
 	}
 	return budget < co.cfg.Width
+}
+
+// issueSlots starts ready entries of ctx in slots [lo, hi), lowest
+// first, until budget runs out, and returns the budget left.
+func (co *core) issueSlots(ctx *context, lo, hi, budget int, now int64, mem *cache.System) int {
+	for pos := lo; pos < hi && budget > 0; pos++ {
+		w := ctx.ready[pos>>6] >> uint(pos&63)
+		if w == 0 {
+			pos |= 63
+			continue
+		}
+		if pos += bits.TrailingZeros64(w); pos >= hi {
+			break
+		}
+		if co.start(ctx, pos, now, mem) {
+			budget--
+		}
+	}
+	return budget
 }
 
 // start issues the ready entry in slot unless a structural hazard holds
 // it back (a load with the super queue full stays ready), and reports
 // whether it issued.
-func (co *core) start(ctx *context, slot int, now int64, mem *cache.System, ctr *counters.Counters) bool {
+func (co *core) start(ctx *context, slot int, now int64, mem *cache.System) bool {
 	e := &ctx.window[slot]
-	switch e.inst.Op {
+	switch e.op {
 	case trace.OpLoad:
 		if len(co.superQ) >= co.cfg.MSHRs {
 			return false // super queue full: cannot start the miss
 		}
-		lat, tres := co.tlbs.TranslateD(e.inst.Addr)
+		lat, tres := co.tlbs.TranslateD(e.addr)
 		if tres == tlb.Walk {
-			ctr.STLBMiss++
+			co.ctr.STLBMiss++
 			if end := now + int64(lat); end > co.tlbBusy {
 				co.tlbBusy = end
 			}
 		} else if tres == tlb.HitL2 {
-			ctr.DTLBMiss++
+			co.ctr.DTLBMiss++
 		}
-		r := mem.AccessData(co.id, e.inst.Addr, false, e.inst.Kernel, now)
-		e.doneAt = r.Done + int64(lat)
+		r := mem.AccessData(co.id, e.addr, false, e.kernel, now)
+		e.at = r.Done + int64(lat)
 		if r.L1Miss {
-			co.superQ = append(co.superQ, e.doneAt)
+			co.superQ = append(co.superQ, e.at)
 		}
 		if r.OffCore {
-			co.offcore = append(co.offcore, e.doneAt)
+			co.offcore = append(co.offcore, e.at)
 		}
 	case trace.OpStore:
 		// Address+data ready; completion is immediate (the write
 		// happens at retirement through the store buffer).
-		e.doneAt = now + 1
+		e.at = now + 1
 	case trace.OpBranch:
-		e.doneAt = now + 1
+		e.at = now + 1
 		if ctx.pendingBranch >= 0 {
 			off := slot - ctx.head
 			if off < 0 {
 				off += len(ctx.window)
 			}
 			if ctx.pendingBranch == ctx.baseSeq+int64(off) {
-				ctx.redirectUntil = e.doneAt + int64(co.cfg.MispredictPenalty)
+				ctx.redirectUntil = e.at + int64(co.cfg.MispredictPenalty)
 				ctx.pendingBranch = -1
 			}
 		}
 	case trace.OpMul:
-		e.doneAt = now + int64(co.cfg.MulLatency)
+		e.at = now + int64(co.cfg.MulLatency)
 	case trace.OpFP:
-		e.doneAt = now + int64(co.cfg.FPLatency)
+		e.at = now + int64(co.cfg.FPLatency)
 	default:
-		e.doneAt = now + int64(co.cfg.ALULatency)
+		e.at = now + int64(co.cfg.ALULatency)
 	}
 	e.status = stIssued
 	ctx.ready[slot>>6] &^= 1 << uint(slot&63)
@@ -1187,7 +1243,8 @@ func (co *core) start(ctx *context, slot int, now int64, mem *cache.System, ctr 
 // dispatched, or stopped on a full load/store queue before visiting
 // every context: another context may dispatch next cycle, when the
 // round-robin visits it first.
-func (co *core) frontend(now int64, mem *cache.System, ctr *counters.Counters) (busy bool) {
+func (co *core) frontend(now int64, mem *cache.System) (busy bool) {
+	ctr := co.ctr
 	budget := co.cfg.Width
 	i := 0
 	for ; i < len(co.ctxs) && budget > 0; i++ {
@@ -1199,10 +1256,10 @@ func (co *core) frontend(now int64, mem *cache.System, ctr *counters.Counters) (
 			if ctx.count == len(ctx.window) || co.rsUsed >= co.cfg.RS {
 				break
 			}
-			in, ok := ctx.peek()
-			if !ok {
+			if ctx.pos == len(ctx.batch) && !ctx.refill() {
 				break
 			}
+			in := &ctx.batch[ctx.pos]
 			switch in.Op {
 			case trace.OpLoad:
 				if co.lqUsed >= co.cfg.LoadQ {
@@ -1251,11 +1308,20 @@ func (co *core) frontend(now int64, mem *cache.System, ctr *counters.Counters) (
 			// Dispatch into the window, linking each operand to its
 			// producer.
 			slot := ctx.tail
-			ctx.window[slot] = entry{inst: *in, status: stWaiting, waiters: -1}
+			// Field by field: a composite literal is assembled on the stack
+			// and copied in wide loads the narrow stores cannot forward to.
+			e := &ctx.window[slot]
+			e.addr, e.at = in.Addr, 0
+			e.waiters, e.next = -1, [2]int16{}
+			e.op, e.kernel, e.pending, e.status = in.Op, in.Kernel, 0, stWaiting
 			seq := ctx.baseSeq + int64(ctx.count)
-			ctx.link(slot, seq, 0, in.DepA)
-			ctx.link(slot, seq, 1, in.DepB)
-			if ctx.window[slot].pending == 0 {
+			if in.DepA != 0 {
+				ctx.link(slot, seq, 0, in.DepA)
+			}
+			if in.DepB != 0 {
+				ctx.link(slot, seq, 1, in.DepB)
+			}
+			if e.pending == 0 {
 				ctx.schedule(slot, now)
 			}
 			ctx.tail++
@@ -1279,7 +1345,7 @@ func (co *core) frontend(now int64, mem *cache.System, ctr *counters.Counters) (
 					ctx.pendingBranch = ctx.baseSeq + int64(ctx.count) - 1
 				}
 			}
-			ctx.advance()
+			ctx.pos++
 			busy = true
 			budget--
 		}

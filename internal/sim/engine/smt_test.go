@@ -19,8 +19,8 @@ func TestSMTRotationMatchesModuloRule(t *testing.T) {
 	cfg.Core.Width = 1
 	cfg.Core.ALULatency = 5
 	threads := []Thread{{Gen: aluStream(4, 16)}, {Gen: aluStream(4, 16)}}
-	co := newCore(0, cfg, threads, []int{0, 1})
 	mem := cache.NewSystem(cfg.Mem)
+	co := newCore(0, cfg, threads, []int{0, 1}, mem.Ctr(0))
 
 	// Per context: instructions committed, issued and dispatched so far.
 	type progress struct{ committed, issued, fetched int }
@@ -52,7 +52,7 @@ func TestSMTRotationMatchesModuloRule(t *testing.T) {
 		}
 		return who
 	}
-	snap := func() [2]progress { return [2]progress{progressOf(co.ctxs[0]), progressOf(co.ctxs[1])} }
+	snap := func() [2]progress { return [2]progress{progressOf(&co.ctxs[0]), progressOf(&co.ctxs[1])} }
 
 	// Tick until both contexts run: their first I-TLB and I-cache misses
 	// go to memory.
@@ -67,14 +67,14 @@ func TestSMTRotationMatchesModuloRule(t *testing.T) {
 	// visited returns the context the rule's order from count+i visits
 	// first.
 	visited := func(i int) int { return (count + i) % 2 }
-	both := func(can func(*context) bool) bool { return can(co.ctxs[0]) && can(co.ctxs[1]) }
+	both := func(can func(*context) bool) bool { return can(&co.ctxs[0]) && can(&co.ctxs[1]) }
 	contested := map[string]int{}
 	for step := range 600 {
 		if step%5 == 4 {
 			// A sleep over k skipped cycles, as runUntil charges it.
 			k := int64(2*(step%11) + 1)
 			co.sleeping, co.idle = true, idleCycle{at: now, wake: now + k + 1}
-			co.charge(mem.Ctr(co.id), now+k)
+			co.charge(now + k)
 			now += k
 			count += int(k)
 		} else {
@@ -86,9 +86,9 @@ func TestSMTRotationMatchesModuloRule(t *testing.T) {
 			// the stage.
 			canCommit := func(c *context) bool {
 				h := &c.window[c.head]
-				return c.count > 0 && h.status != stWaiting && h.doneAt <= now
+				return c.count > 0 && h.status != stWaiting && h.at <= now
 			}
-			canIssue := func(c *context) bool { return slices.ContainsFunc(c.ready, func(w uint64) bool { return w != 0 }) }
+			canIssue := func(c *context) bool { return slices.ContainsFunc(c.ready[:], func(w uint64) bool { return w != 0 }) }
 			canFetch := func(c *context) bool {
 				return c.fetchBlockedUntil <= now && c.redirectUntil <= now && c.pendingBranch < 0 &&
 					c.count < len(c.window) && co.rsUsed < co.cfg.RS

@@ -31,10 +31,16 @@ const (
 type TLB struct {
 	sets    int //simlint:ok checkpointcov construction-time geometry, checked by LoadState instead of restored
 	assoc   int //simlint:ok checkpointcov construction-time geometry, checked by LoadState instead of restored
-	tags    []uint64
-	stamps  []uint64
+	ways    []way
 	tick    uint64
 	setMask uint64 //simlint:ok checkpointcov derived from sets at construction
+}
+
+// way is one TLB entry: the page number + 1 it maps (0 when empty)
+// beside its LRU stamp, so a probe and its stamp update touch one host
+// cache line.
+type way struct {
+	tag, stamp uint64
 }
 
 // New returns an empty TLB.
@@ -55,8 +61,7 @@ func New(cfg Config) *TLB {
 	return &TLB{
 		sets:    sets,
 		assoc:   cfg.Assoc,
-		tags:    make([]uint64, sets*cfg.Assoc),
-		stamps:  make([]uint64, sets*cfg.Assoc),
+		ways:    make([]way, sets*cfg.Assoc),
 		setMask: uint64(sets - 1),
 	}
 }
@@ -66,43 +71,49 @@ func New(cfg Config) *TLB {
 func (t *TLB) Lookup(addr uint64) bool {
 	page := addr >> 12
 	set := int(page&t.setMask) * t.assoc
-	tags := t.tags[set : set+t.assoc]
-	stamps := t.stamps[set : set+t.assoc]
+	ways := t.ways[set : set+t.assoc]
 	t.tick++
-	for w, tag := range tags {
-		if tag == page+1 { // +1 so a zero tag is never valid
-			stamps[w] = t.tick
+	for w := range ways {
+		if ways[w].tag == page+1 { // +1 so a zero tag is never valid
+			ways[w].stamp = t.tick
 			return true
 		}
 	}
-	v := oldest(stamps)
-	tags[v] = page + 1
-	stamps[v] = t.tick
+	ways[oldest(ways)] = way{tag: page + 1, stamp: t.tick}
 	return false
 }
 
-// oldest returns the index of the first minimum of stamps. Empty
-// entries hold stamp 0, so they fill first. The scan is branch-free:
-// stamps sit in random order, so a compare-and-branch would mispredict;
-// a borrow mask selects the older stamp and its index instead.
-func oldest(stamps []uint64) int {
-	victim, best := 0, stamps[0]
-	for w := 1; w < len(stamps); w++ {
-		_, older := bits.Sub64(stamps[w], best, 0)
+// oldest returns the index of the first way with the minimum stamp.
+// Empty entries hold stamp 0, so they fill first. The scan is
+// branch-free: stamps sit in random order, so a compare-and-branch
+// would mispredict; a borrow mask selects the older stamp and its index
+// instead.
+func oldest(ways []way) int {
+	victim, best := 0, ways[0].stamp
+	for w := 1; w < len(ways); w++ {
+		s := ways[w].stamp
+		_, older := bits.Sub64(s, best, 0)
 		m := -older
-		best ^= (best ^ stamps[w]) & m
+		best ^= (best ^ s) & m
 		victim ^= (victim ^ w) & int(m)
 	}
 	return victim
 }
 
 // SaveState serializes the TLB's warm contents (tags, LRU stamps, and
-// the LRU clock) into a checkpoint.
+// the LRU clock) into a checkpoint: the clock, then every tag, then
+// every stamp, each array led by its length.
 func (t *TLB) SaveState(w *checkpoint.Writer) {
 	w.Tag("tlb")
 	w.U64(t.tick)
-	w.U64s(t.tags)
-	w.U64s(t.stamps)
+	w.U32(uint32(len(t.ways)))
+	for _, e := range t.ways {
+		w.U64(e.tag)
+	}
+	w.U32(uint32(len(t.ways)))
+	for _, e := range t.ways {
+		w.U64(e.stamp)
+	}
 }
 
 // LoadState restores state saved by SaveState into a TLB of identical
@@ -112,14 +123,25 @@ func (t *TLB) SaveState(w *checkpoint.Writer) {
 func (t *TLB) LoadState(r *checkpoint.Reader) {
 	r.Expect("tlb")
 	t.tick = r.U64()
-	r.U64s(t.tags)
-	r.U64s(t.stamps)
+	for half := range 2 {
+		if n := int(r.U32()); r.Err() == nil && n != len(t.ways) {
+			r.Failf("tlb snapshot has %d entries, TLB has %d", n, len(t.ways))
+			return
+		}
+		for i := range t.ways {
+			if half == 0 {
+				t.ways[i].tag = r.U64()
+			} else {
+				t.ways[i].stamp = r.U64()
+			}
+		}
+	}
 	if r.Err() != nil {
 		return
 	}
-	for i, st := range t.stamps {
-		if st > t.tick {
-			r.Failf("tlb snapshot entry %d has LRU stamp %d past the clock %d", i, st, t.tick)
+	for i, e := range t.ways {
+		if e.stamp > t.tick {
+			r.Failf("tlb snapshot entry %d has LRU stamp %d past the clock %d", i, e.stamp, t.tick)
 			return
 		}
 	}

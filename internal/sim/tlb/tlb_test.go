@@ -80,7 +80,7 @@ func TestQuickCapacityBound(t *testing.T) {
 			set := int(p & tb.setMask)
 			resident := false
 			for w := set * tb.assoc; w < (set+1)*tb.assoc; w++ {
-				if tb.tags[w] == p+1 {
+				if tb.ways[w].tag == p+1 {
 					resident = true
 				}
 			}
@@ -102,18 +102,17 @@ func refLookup(t *TLB, addr uint64) bool {
 	page := addr >> 12
 	set := int(page&t.setMask) * t.assoc
 	t.tick++
-	victim, oldest := set, t.stamps[set]
+	victim, oldest := set, t.ways[set].stamp
 	for w := set; w < set+t.assoc; w++ {
-		if t.tags[w] == page+1 {
-			t.stamps[w] = t.tick
+		if t.ways[w].tag == page+1 {
+			t.ways[w].stamp = t.tick
 			return true
 		}
-		if t.stamps[w] < oldest {
-			victim, oldest = w, t.stamps[w]
+		if t.ways[w].stamp < oldest {
+			victim, oldest = w, t.ways[w].stamp
 		}
 	}
-	t.tags[victim] = page + 1
-	t.stamps[victim] = t.tick
+	t.ways[victim] = way{tag: page + 1, stamp: t.tick}
 	return false
 }
 
@@ -127,24 +126,23 @@ func TestLookupMatchesReference(t *testing.T) {
 		for trial := 0; trial < 200; trial++ {
 			got := New(Config{Entries: 4 * assoc, Assoc: assoc})
 			span := uint64(1 + rng.Intn(2*assoc)) // narrow spans tie stamps
-			for i := range got.tags {
+			for i := range got.ways {
 				if rng.Intn(4) == 0 {
 					continue // empty: tag and stamp 0
 				}
-				got.tags[i] = uint64(rng.Intn(32)) + 1
-				got.stamps[i] = 1 + rng.Uint64()%span
-				got.tick = max(got.tick, got.stamps[i])
+				got.ways[i] = way{tag: uint64(rng.Intn(32)) + 1, stamp: 1 + rng.Uint64()%span}
+				got.tick = max(got.tick, got.ways[i].stamp)
 			}
 			want := &TLB{sets: got.sets, assoc: got.assoc, setMask: got.setMask, tick: got.tick,
-				tags: append([]uint64(nil), got.tags...), stamps: append([]uint64(nil), got.stamps...)}
+				ways: slices.Clone(got.ways)}
 			for op := 0; op < 64; op++ {
 				addr := uint64(rng.Intn(32)) << 12
 				if g, w := got.Lookup(addr), refLookup(want, addr); g != w {
 					t.Fatalf("assoc %d: Lookup(%#x) = %v, reference %v", assoc, addr, g, w)
 				}
-				if !slices.Equal(got.tags, want.tags) || !slices.Equal(got.stamps, want.stamps) {
-					t.Fatalf("assoc %d: after Lookup(%#x) tags %v stamps %v, reference %v %v",
-						assoc, addr, got.tags, got.stamps, want.tags, want.stamps)
+				if !slices.Equal(got.ways, want.ways) {
+					t.Fatalf("assoc %d: after Lookup(%#x) ways %v, reference %v",
+						assoc, addr, got.ways, want.ways)
 				}
 			}
 		}
@@ -167,5 +165,53 @@ func TestLoadRejectsStampPastClock(t *testing.T) {
 	tb.LoadState(r)
 	if r.Err() == nil {
 		t.Fatal("an entry stamped 6 under clock 5 loaded without error")
+	}
+}
+
+// saveTwoArrays is the image layout SaveState writes, encoded from the
+// two parallel arrays the TLB kept before each way held its tag beside
+// its stamp: the clock, then the length-prefixed tags, then the
+// length-prefixed stamps.
+func saveTwoArrays(t *TLB) *checkpoint.Snapshot {
+	tags, stamps := make([]uint64, len(t.ways)), make([]uint64, len(t.ways))
+	for i, e := range t.ways {
+		tags[i], stamps[i] = e.tag, e.stamp
+	}
+	w := checkpoint.NewWriter()
+	w.Tag("tlb")
+	w.U64(t.tick)
+	w.U64s(tags)
+	w.U64s(stamps)
+	return w.Snapshot("tlb")
+}
+
+// TestSaveMatchesTwoArrayLayout: after random traffic at several
+// geometries, SaveState writes exactly the bytes of the two-array
+// encoding, and loading them into a fresh TLB of the same geometry
+// restores every way and the clock.
+func TestSaveMatchesTwoArrayLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, cfg := range []Config{{Entries: 4, Assoc: 4}, {Entries: 64, Assoc: 4}, {Entries: 512, Assoc: 4}, {Entries: 48, Assoc: 3}} {
+		for trial := 0; trial < 20; trial++ {
+			tb := New(cfg)
+			for range rng.Intn(600) {
+				tb.Lookup(uint64(rng.Intn(256)) << 12)
+			}
+			w := checkpoint.NewWriter()
+			tb.SaveState(w)
+			got, want := w.Snapshot("tlb"), saveTwoArrays(tb)
+			if got.Size() != want.Size() || got.Hash() != want.Hash() {
+				t.Fatalf("%+v: SaveState wrote %d bytes unlike the two-array layout's %d", cfg, got.Size(), want.Size())
+			}
+			back := New(cfg)
+			r := got.Reader()
+			back.LoadState(r)
+			if err := r.Err(); err != nil {
+				t.Fatalf("%+v: %v", cfg, err)
+			}
+			if back.tick != tb.tick || !slices.Equal(back.ways, tb.ways) {
+				t.Fatalf("%+v: restored TLB differs from the saved one", cfg)
+			}
+		}
 	}
 }

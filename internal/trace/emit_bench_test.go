@@ -7,35 +7,60 @@ import (
 	"cloudsuite/internal/core"
 )
 
-// emitBatches is how many engine-sized batches BenchmarkEmit pulls from
-// each thread per iteration: about half a million instructions a bench.
-const emitBatches = 32
+const (
+	// Each bench is started with emitThreads threads; one op pulls
+	// emitRounds rounds of one emitBatch-instruction batch (the engine's
+	// batch size) from every thread: a fixed 131,072 instructions. A
+	// workload step can emit thousands of instructions at once, so an op
+	// spans many steps.
+	emitThreads = 4
+	emitRounds  = 8
+	emitBatch   = 4096
+	emitPerOp   = emitThreads * emitRounds * emitBatch
+	// emitWarm is how many ops run untimed after Start, so the timed
+	// ops see the streams in steady state rather than their cold start.
+	emitWarm = 2
+)
 
-// BenchmarkEmit times trace generation alone: each scale-out bench's
-// Start(4, 1) streams pulled in 4096-instruction batches, one batch per
-// thread in turn as the engine pulls them. It reports wall nanoseconds
-// per instruction; Start and Close are outside the timer.
+// BenchmarkEmit times trace generation alone, one sub-benchmark per
+// scale-out bench. Each starts the bench's Start(4, 1) streams and warms
+// them untimed; one op then pulls emitPerOp instructions in batches, one
+// thread after another as the engine pulls them. ns/op is thus a fixed
+// amount of work, and ns/inst is ns/op over emitPerOp. Start, the
+// warm-up and Close are outside the timer.
 //
-//	go test ./internal/trace -run '^$' -bench Emit
+// To compare two builds of one bench, build each test binary once and
+// alternate short runs of them, so host drift hits both alike:
+//
+//	go test -c -o emit.test ./internal/trace
+//	./emit.test -test.run '^$' -test.bench 'Emit/Web_Search$' -test.benchtime 20x -test.count 1
 func BenchmarkEmit(b *testing.B) {
 	for _, bench := range core.ScaleOut() {
 		b.Run(strings.ReplaceAll(bench.Name, " ", "_"), func(b *testing.B) {
-			b.StopTimer()
-			insts := 0
-			for range b.N {
-				gens := bench.New().Start(4, 1)
-				b.StartTimer()
-				for range emitBatches {
-					for _, g := range gens {
-						insts += len(g.Batch(4096))
-					}
-				}
-				b.StopTimer()
+			gens := bench.New().Start(emitThreads, 1)
+			defer func() {
 				for _, g := range gens {
 					g.Close()
 				}
+			}()
+			pull := func() {
+				for range emitRounds {
+					for _, g := range gens {
+						if got := len(g.Batch(emitBatch)); got != emitBatch {
+							b.Fatalf("a batch of %d instructions came back with %d", emitBatch, got)
+						}
+					}
+				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+			for range emitWarm {
+				pull()
+			}
+			b.ResetTimer()
+			for range b.N {
+				pull()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*emitPerOp), "ns/inst")
 		})
 	}
 }
