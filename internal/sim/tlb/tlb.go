@@ -123,21 +123,14 @@ func (t *TLB) SaveState(w *checkpoint.Writer) {
 func (t *TLB) LoadState(r *checkpoint.Reader) {
 	r.Expect("tlb")
 	t.tick = r.U64()
-	for half := range 2 {
-		if n := int(r.U32()); r.Err() == nil && n != len(t.ways) {
-			r.Failf("tlb snapshot has %d entries, TLB has %d", n, len(t.ways))
-			return
-		}
-		for i := range t.ways {
-			if half == 0 {
-				t.ways[i].tag = r.U64()
-			} else {
-				t.ways[i].stamp = r.U64()
-			}
-		}
-	}
+	tags, stamps := make([]uint64, len(t.ways)), make([]uint64, len(t.ways))
+	r.U64s(tags)
+	r.U64s(stamps)
 	if r.Err() != nil {
 		return
+	}
+	for i := range t.ways {
+		t.ways[i] = way{tag: tags[i], stamp: stamps[i]}
 	}
 	for i, e := range t.ways {
 		if e.stamp > t.tick {
