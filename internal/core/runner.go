@@ -178,23 +178,19 @@ type memoEntry struct {
 // simulated by both, to identical results.
 type Runner struct {
 	workers int
+	progMu  sync.Mutex // serializes progress emission Runner-wide
 
 	// mu guards every field below. Each stats transition happens in one
 	// critical section, so any Stats snapshot satisfies
 	// Requests == Runs + CacheHits exactly (the -race hammer test in
 	// obs_test.go holds the Runner to this).
 	mu       sync.Mutex
+	progress ProgressFunc
 	memo     map[measureKey]memoEntry
 	ckpts    *CheckpointStore
 	ob       *obs.Observer
 	met      runnerMetrics
 	stats    RunnerStats
-	progress ProgressFunc
-	// emitting is set while a progress callback runs, which it does
-	// without mu held, so the callback may call back into the Runner;
-	// emitDone, on mu, wakes a report waiting for its turn.
-	emitting bool
-	emitDone sync.Cond
 }
 
 // runnerMetrics holds the Runner's pre-resolved metric handles. All
@@ -237,9 +233,7 @@ func NewRunner(workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	r := &Runner{workers: workers, memo: map[measureKey]memoEntry{}}
-	r.emitDone.L = &r.mu
-	return r
+	return &Runner{workers: workers, memo: map[measureKey]memoEntry{}}
 }
 
 // Workers reports the worker-pool width.
@@ -308,6 +302,15 @@ func (r *Runner) Stats() RunnerStats {
 	return r.stats
 }
 
+func (r *Runner) emit(ev ProgressEvent) {
+	r.mu.Lock()
+	f := r.progress
+	r.mu.Unlock()
+	if f != nil {
+		f(ev)
+	}
+}
+
 // MeasureAll measures every request, fanning them out across a worker
 // pool of at most Workers goroutines, and returns results in request
 // order: results[i] belongs to reqs[i]. Each key runs at most once per
@@ -320,33 +323,21 @@ func (r *Runner) MeasureAll(reqs []MeasureRequest) ([]*Measurement, error) {
 	results := make([]*Measurement, n)
 	errs := make([]error, n)
 
-	// A report waits until no callback runs, Runner-wide, and only then
-	// counts itself done: callbacks never run concurrently (even from
-	// concurrent MeasureAll calls on a shared Runner) and within this
-	// submission Done never goes backwards, so the final event is the
-	// last one this submission delivers. The callback runs without mu.
+	// Progress is reported under the Runner-wide progMu, which also
+	// owns this call's counter: callbacks never run concurrently (even
+	// from concurrent MeasureAll calls on a shared Runner) and within
+	// this submission Done never goes backwards, so the final event is
+	// the last one this submission delivers. The callback runs without
+	// mu, so it may call back into the Runner (Stats, say).
 	var doneCount int
 	report := func(req MeasureRequest, rr runResult, err error) {
-		r.mu.Lock()
-		for r.emitting {
-			r.emitDone.Wait()
-		}
+		r.progMu.Lock()
 		doneCount++
-		ev := ProgressEvent{
+		r.emit(ProgressEvent{
 			Bench: req.Bench.Name, Done: doneCount, Total: n,
 			Cached: rr.cached, Source: rr.source, Duration: rr.dur, Err: err,
-		}
-		f := r.progress
-		r.emitting = f != nil
-		r.mu.Unlock()
-		if f == nil {
-			return
-		}
-		f(ev)
-		r.mu.Lock()
-		r.emitting = false
-		r.emitDone.Broadcast()
-		r.mu.Unlock()
+		})
+		r.progMu.Unlock()
 	}
 
 	// Dispatch only the first occurrence of each key to the pool, so no

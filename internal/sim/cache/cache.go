@@ -78,9 +78,6 @@ func (l *line) valid() bool { return l.tag != 0 }
 type Cache struct {
 	sets  int //simlint:ok checkpointcov construction-time geometry; LoadState checks the image's way count against len(lines)
 	assoc int //simlint:ok checkpointcov construction-time geometry; LoadState checks the image's way count against len(lines)
-	// setHi:setLo is 2^128/sets rounded up, modulo 2^128: setBase's
-	// multiplier for a set index without a division.
-	setHi, setLo uint64 //simlint:ok checkpointcov derived from sets at construction
 	// dirCores is the number of cores the directory tracks (the
 	// machine's TotalCores; 0 in private caches) and dirWords its
 	// sharer-vector width, ceil(dirCores/64) words.
@@ -102,7 +99,6 @@ func New(cfg Config) *Cache { return newDirectory(cfg, 0) }
 func newDirectory(cfg Config, cores int) *Cache {
 	sets := cfg.Sets()
 	c := &Cache{sets: sets, assoc: cfg.Assoc, dirCores: cores, dirWords: (cores + 63) / 64}
-	c.setHi, c.setLo = modMultiplier(uint64(sets))
 	c.lines = make([]line, sets*cfg.Assoc)
 	if c.dirWords > 0 {
 		c.dir = make([]uint64, len(c.lines)*c.dirWords)
@@ -110,30 +106,8 @@ func newDirectory(cfg Config, cores int) *Cache {
 	return c
 }
 
-// setBase returns the index of the first way of lineAddr's set:
-// lineAddr mod sets, times the associativity. The remainder is computed
-// by direct multiplication (Lemire, Kaser and Kurz, "Faster remainder by
-// direct computation", 2019): the low 128 bits of lineAddr times
-// ceil(2^128/sets), times sets, shifted right by 128 bits. With a 128-bit
-// multiplier that is exact for every 64-bit lineAddr and set count, and
-// it costs four multiplications where the division it replaces costs
-// several times as many cycles.
 func (c *Cache) setBase(lineAddr uint64) int {
-	hi, lo := bits.Mul64(c.setLo, lineAddr)
-	hi += c.setHi * lineAddr
-	top, low := bits.Mul64(hi, uint64(c.sets))
-	carryIn, _ := bits.Mul64(lo, uint64(c.sets))
-	_, carry := bits.Add64(low, carryIn, 0)
-	return int(top+carry) * c.assoc
-}
-
-// modMultiplier returns ceil(2^128/d) as hi:lo, modulo 2^128 (so 0 for
-// d = 1, whose remainders are all 0).
-func modMultiplier(d uint64) (hi, lo uint64) {
-	hi = math.MaxUint64 / d
-	lo, _ = bits.Div64(math.MaxUint64%d, math.MaxUint64, d)
-	lo, carry := bits.Add64(lo, 1, 0)
-	return hi + carry, lo
+	return int(lineAddr%uint64(c.sets)) * c.assoc
 }
 
 // probe returns the index of the way holding lineAddr, or -1. On hit
@@ -157,23 +131,16 @@ func (c *Cache) probe(lineAddr uint64, touch bool) int {
 func (c *Cache) Contains(lineAddr uint64) bool { return c.probe(lineAddr, false) >= 0 }
 
 // sharers returns way w's sharer vector (empty in private caches).
-// It and setSharers move the few words by a loop: copy would call
-// memmove for each of these 8- to 32-byte moves.
 func (c *Cache) sharers(w int) sharerSet {
 	var s sharerSet
-	for i, x := range c.dir[w*c.dirWords : (w+1)*c.dirWords] {
-		s.w[i] = x
-	}
+	copy(s.w[:], c.dir[w*c.dirWords:(w+1)*c.dirWords])
 	return s
 }
 
 // setSharers replaces way w's sharer vector. s must name only cores of
 // the machine.
 func (c *Cache) setSharers(w int, s sharerSet) {
-	d := c.dir[w*c.dirWords : (w+1)*c.dirWords]
-	for i := range d {
-		d[i] = s.w[i]
-	}
+	copy(c.dir[w*c.dirWords:(w+1)*c.dirWords], s.w[:])
 }
 
 // addSharer registers core as a holder of way w's line.

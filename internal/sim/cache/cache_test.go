@@ -197,28 +197,3 @@ func TestVictimSelectionOrder(t *testing.T) {
 		}
 	})
 }
-
-// TestSetBaseMatchesModulo: setBase's division-free remainder equals
-// lineAddr % sets, times the associativity, for set counts from 1 and
-// powers of two to the LLC's 12288 and large odd values, on random and
-// extreme line addresses.
-func TestSetBaseMatchesModulo(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	sets := []uint64{1, 2, 3, 7, 64, 96, 12288, 24576, 1<<20 + 1, 1<<32 - 1, 1 << 40, 1<<63 + 5, 1<<64 - 1}
-	for range 20 {
-		sets = append(sets, 1+uint64(rng.Int63n(1<<20)), rng.Uint64()|1)
-	}
-	for _, d := range sets {
-		c := &Cache{sets: int(d), assoc: 3}
-		c.setHi, c.setLo = modMultiplier(d)
-		addrs := []uint64{0, 1, d - 1, d, d + 1, 2*d - 1, 1<<64 - 1, 1<<64 - 2, 1 << 63}
-		for range 2000 {
-			addrs = append(addrs, rng.Uint64(), rng.Uint64()>>uint(rng.Intn(64)))
-		}
-		for _, a := range addrs {
-			if got, want := c.setBase(a), int(a%d)*3; got != want {
-				t.Fatalf("sets %d: setBase(%#x) = %d, want %d", d, a, got, want)
-			}
-		}
-	}
-}
