@@ -123,20 +123,30 @@ func (t *TLB) SaveState(w *checkpoint.Writer) {
 func (t *TLB) LoadState(r *checkpoint.Reader) {
 	r.Expect("tlb")
 	t.tick = r.U64()
-	tags, stamps := make([]uint64, len(t.ways)), make([]uint64, len(t.ways))
-	r.U64s(tags)
-	r.U64s(stamps)
+	t.column(r)
+	for i := range t.ways {
+		t.ways[i].tag = r.U64()
+	}
+	t.column(r)
+	for i := range t.ways {
+		t.ways[i].stamp = r.U64()
+	}
 	if r.Err() != nil {
 		return
-	}
-	for i := range t.ways {
-		t.ways[i] = way{tag: tags[i], stamp: stamps[i]}
 	}
 	for i, e := range t.ways {
 		if e.stamp > t.tick {
 			r.Failf("tlb snapshot entry %d has LRU stamp %d past the clock %d", i, e.stamp, t.tick)
 			return
 		}
+	}
+}
+
+// column reads the length that leads a column of the image and fails
+// the restore unless it matches the TLB's way count.
+func (t *TLB) column(r *checkpoint.Reader) {
+	if n := int(r.U32()); r.Err() == nil && n != len(t.ways) {
+		r.Failf("tlb size mismatch: snapshot has %d entries, TLB has %d", n, len(t.ways))
 	}
 }
 
