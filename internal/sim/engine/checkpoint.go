@@ -60,8 +60,7 @@ func saveMachine(cfg RunConfig, clock int64, cores []*core, mem *cache.System) *
 	for _, co := range cores {
 		w.U32(uint32(co.id))
 		w.U32(uint32(len(co.ctxs)))
-		for i := range co.ctxs {
-			ctx := &co.ctxs[i]
+		for _, ctx := range co.ctxs {
 			w.U64(ctx.warmLine)
 			w.U64(ctx.warmPage)
 		}
@@ -76,8 +75,7 @@ func saveMachine(cfg RunConfig, clock int64, cores []*core, mem *cache.System) *
 		cfg.SaveShared(w)
 	}
 	for _, co := range cores {
-		for i := range co.ctxs {
-			ctx := &co.ctxs[i]
+		for _, ctx := range co.ctxs {
 			ctx.gen.(statefulGen).SaveState(w, len(ctx.batch)-ctx.pos)
 			w.Bool(ctx.eof)
 		}
@@ -106,8 +104,7 @@ func restoreRun(snap *checkpoint.Snapshot, cfg RunConfig, cores []*core, mem *ca
 		if n := int(r.U32()); r.Err() == nil && n != len(co.ctxs) {
 			return fmt.Errorf("engine: snapshot has %d contexts on core %d, run has %d", n, co.id, len(co.ctxs))
 		}
-		for i := range co.ctxs {
-			ctx := &co.ctxs[i]
+		for _, ctx := range co.ctxs {
 			ctx.warmLine = r.U64()
 			ctx.warmPage = r.U64()
 		}
@@ -135,8 +132,7 @@ func restoreRun(snap *checkpoint.Snapshot, cfg RunConfig, cores []*core, mem *ca
 		}
 	}
 	for _, co := range cores {
-		for i := range co.ctxs {
-			ctx := &co.ctxs[i]
+		for _, ctx := range co.ctxs {
 			lent := ctx.gen.(statefulGen).LoadState(r)
 			if r.Err() != nil {
 				return r.Err()

@@ -299,10 +299,7 @@ type context struct {
 type core struct {
 	id  int
 	cfg CoreConfig
-	// ctxs are the core's SMT contexts, held by value in ctxBuf (a core
-	// runs at most two threads), so a tick finds them in the core's own
-	// allocation.
-	ctxs []context
+	ctxs []*context
 	bp   *bpred.Predictor
 	tlbs *tlb.Hierarchy
 	ctr  *counters.Counters // the memory system's block for this core
@@ -323,8 +320,6 @@ type core struct {
 	sleeping bool
 	idle     idleCycle
 	ticks    uint64 // cycle calls, for the sleep tests and BenchmarkCycle64
-
-	ctxBuf [2]context
 }
 
 // idleCycle is the classification of a cycle in which a core committed,
@@ -466,17 +461,16 @@ func (c *context) wakeConsumers(slot int, now int64) {
 func newCore(id int, cfg RunConfig, threads []Thread, ts []int, ctr *counters.Counters) *core {
 	co := &core{id: id, cfg: cfg.Core, bp: bpred.New(bpred.DefaultConfig()), tlbs: tlb.NewHierarchy(), ctr: ctr}
 	winPer := cfg.Core.ROB / len(ts)
-	co.ctxs = co.ctxBuf[:len(ts)]
-	for i, ti := range ts {
+	for _, ti := range ts {
 		t := threads[ti]
-		co.ctxs[i] = context{
+		co.ctxs = append(co.ctxs, &context{
 			gen:      t.Gen,
 			measured: t.Measured, tid: ti,
 			window:        make([]entry, winPer),
 			timers:        make([]wake, 0, winPer),
 			pendingBranch: -1,
 			ro:            cfg.Obs,
-		}
+		})
 	}
 	return co
 }
@@ -583,8 +577,7 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 		span := cfg.Obs.SpanStart()
 		prev := cfg.Obs.Enter(obs.PhaseFuncWarm)
 		for _, co := range cores {
-			for i := range co.ctxs {
-				ctx := &co.ctxs[i]
+			for _, ctx := range co.ctxs {
 				co.warmThread(ctx, mem, cfg.WarmupInsts, &clock)
 			}
 		}
@@ -628,8 +621,7 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 			span := cfg.Obs.SpanStart()
 			prev := cfg.Obs.Enter(obs.PhaseFuncWarm)
 			for _, co := range cores {
-				for i := range co.ctxs {
-					ctx := &co.ctxs[i]
+				for _, ctx := range co.ctxs {
 					co.warmThread(ctx, mem, cfg.IntervalWarmInsts, &clock)
 				}
 			}
@@ -660,8 +652,7 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 		// once per interval.
 		for _, co := range cores {
 			snapshots[co.id] = *mem.Ctr(co.id)
-			for i := range co.ctxs {
-				ctx := &co.ctxs[i]
+			for _, ctx := range co.ctxs {
 				ctx.target = ctx.committed + uint64(cfg.MeasureInsts)
 			}
 		}
@@ -703,8 +694,7 @@ func run(cfg RunConfig, threads []Thread) (*Result, []*core, error) {
 			}
 			window.PerCore[co.id] = &d
 			totals[co.id].Add(&d)
-			for i := range co.ctxs {
-				ctx := &co.ctxs[i]
+			for _, ctx := range co.ctxs {
 				res.PerThread[ctx.tid] = ctx.committed
 				if ctx.measured && !ctx.drained() {
 					drainedAll = false
@@ -748,25 +738,20 @@ func runUntil(cores []*core, mem *cache.System, clock, maxCycles int64, done fun
 	if maxCycles > 0 {
 		stop = clock + maxCycles + 1
 	}
-	// wake[i] is cores[i].idle.wake while that core sleeps, else 0: the
-	// skip test for a sleeping core reads this dense array, not the core.
-	wake := make([]int64, len(cores))
 	for now = clock + 1; now < stop; {
 		next := stop
-		for i, co := range cores {
-			if w := wake[i]; w != 0 {
-				if now < w {
-					next = min(next, w)
+		for _, co := range cores {
+			if co.sleeping {
+				if now < co.idle.wake {
+					next = min(next, co.idle.wake)
 					continue
 				}
 				co.charge(now - 1)
 			}
 			co.cycle(now, mem)
 			if co.sleeping {
-				wake[i] = co.idle.wake
 				next = min(next, co.idle.wake)
 			} else {
-				wake[i] = 0
 				next = now + 1
 			}
 		}
@@ -823,8 +808,7 @@ func chargeAll(cores []*core, last int64) {
 // whether any of them still has instructions to run.
 func measuredProgress(cores []*core) (committed uint64, live bool) {
 	for _, co := range cores {
-		for i := range co.ctxs {
-			ctx := &co.ctxs[i]
+		for _, ctx := range co.ctxs {
 			if ctx.measured {
 				committed += ctx.committed
 				live = live || !ctx.drained()
@@ -848,8 +832,7 @@ func quantumDone(cores []*core, goal uint64) func() bool {
 func targetsDone(cores []*core) func() bool {
 	return func() bool {
 		for _, co := range cores {
-			for i := range co.ctxs {
-				ctx := &co.ctxs[i]
+			for _, ctx := range co.ctxs {
 				if ctx.measured && ctx.committed < ctx.target && !ctx.drained() {
 					return false
 				}
@@ -972,8 +955,7 @@ func (co *core) cycle(now int64, mem *cache.System) {
 // an idle core does not touch.
 func (co *core) nextEvent(now int64) int64 {
 	next := never
-	for i := range co.ctxs {
-		ctx := &co.ctxs[i]
+	for _, ctx := range co.ctxs {
 		if ctx.count > 0 {
 			if h := &ctx.window[ctx.head]; h.status == stIssued {
 				next = sooner(next, h.at, now)
@@ -1004,8 +986,7 @@ func sooner(next, t, now int64) int64 {
 }
 
 func (co *core) imissActive(now int64) bool {
-	for i := range co.ctxs {
-		ctx := &co.ctxs[i]
+	for _, ctx := range co.ctxs {
 		if ctx.imissUntil > now {
 			return true
 		}
@@ -1016,8 +997,7 @@ func (co *core) imissActive(now int64) bool {
 func (co *core) headMode() (kernel bool, windowEmpty bool) {
 	// Prefer the oldest head across contexts for attribution.
 	var found *context
-	for i := range co.ctxs {
-		ctx := &co.ctxs[i]
+	for _, ctx := range co.ctxs {
 		if ctx.count == 0 {
 			continue
 		}
@@ -1026,8 +1006,7 @@ func (co *core) headMode() (kernel bool, windowEmpty bool) {
 		}
 	}
 	if found == nil {
-		for i := range co.ctxs {
-			ctx := &co.ctxs[i]
+		for _, ctx := range co.ctxs {
 			if ctx.lastMode {
 				return true, true
 			}
@@ -1038,17 +1017,13 @@ func (co *core) headMode() (kernel bool, windowEmpty bool) {
 }
 
 func (co *core) expireMisses(now int64) {
-	if q := expire(co.superQ, now); len(q) != len(co.superQ) {
-		co.superQ = q
-	}
-	if q := expire(co.offcore, now); len(q) != len(co.offcore) {
-		co.offcore = q
-	}
+	co.superQ = expire(co.superQ, now)
+	co.offcore = expire(co.offcore, now)
 }
 
 // expire drops the completion times in q that are due by now, keeping
 // the rest in order. A queue with nothing due comes back untouched, so
-// the common tick writes nothing.
+// the common tick moves no element.
 func expire(q []int64, now int64) []int64 {
 	for i, t := range q {
 		if t <= now {
@@ -1074,7 +1049,7 @@ func (co *core) rr(i int) *context {
 	if j >= len(co.ctxs) {
 		j -= len(co.ctxs)
 	}
-	return &co.ctxs[j]
+	return co.ctxs[j]
 }
 
 // commit retires up to Width instructions across contexts, oldest head
@@ -1143,8 +1118,7 @@ func (co *core) commit(now int64, mem *cache.System) (kernelMode bool, any bool)
 // timer (a producer's completion time passing), never by rescanning the
 // window. It reports whether anything issued.
 func (co *core) issue(now int64, mem *cache.System) bool {
-	for i := range co.ctxs {
-		ctx := &co.ctxs[i]
+	for _, ctx := range co.ctxs {
 		if len(ctx.timers) > 0 && ctx.timers[0].at <= now {
 			ctx.expireTimers(now)
 		}

@@ -52,7 +52,7 @@ func TestSMTRotationMatchesModuloRule(t *testing.T) {
 		}
 		return who
 	}
-	snap := func() [2]progress { return [2]progress{progressOf(&co.ctxs[0]), progressOf(&co.ctxs[1])} }
+	snap := func() [2]progress { return [2]progress{progressOf(co.ctxs[0]), progressOf(co.ctxs[1])} }
 
 	// Tick until both contexts run: their first I-TLB and I-cache misses
 	// go to memory.
@@ -67,7 +67,7 @@ func TestSMTRotationMatchesModuloRule(t *testing.T) {
 	// visited returns the context the rule's order from count+i visits
 	// first.
 	visited := func(i int) int { return (count + i) % 2 }
-	both := func(can func(*context) bool) bool { return can(&co.ctxs[0]) && can(&co.ctxs[1]) }
+	both := func(can func(*context) bool) bool { return can(co.ctxs[0]) && can(co.ctxs[1]) }
 	contested := map[string]int{}
 	for step := range 600 {
 		if step%5 == 4 {

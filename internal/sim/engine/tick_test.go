@@ -61,8 +61,8 @@ func TestExpireMatchesReference(t *testing.T) {
 // per-cycle segment table: every timer checked, then each context's
 // slots [head, len) and [0, head) in turn.
 func issueRef(co *core, now int64, mem *cache.System) bool {
-	for i := range co.ctxs {
-		co.ctxs[i].expireTimers(now)
+	for _, ctx := range co.ctxs {
+		ctx.expireTimers(now)
 	}
 	budget := co.cfg.Width
 	for i := 0; i < len(co.ctxs) && budget > 0; i++ {
@@ -101,7 +101,7 @@ func issueSetup(seed int64, rob, width, aluLat int, mem *cache.System) *core {
 	for range cfg.Core.MSHRs {
 		co.superQ = append(co.superQ, 1<<40)
 	}
-	ctx := &co.ctxs[0]
+	ctx := co.ctxs[0]
 	ctx.head = rng.Intn(rob)
 	ctx.tail, ctx.count = ctx.head, rob
 	ops := []trace.Op{trace.OpALU, trace.OpALU, trace.OpMul, trace.OpFP, trace.OpBranch, trace.OpStore, trace.OpLoad}
@@ -140,7 +140,7 @@ func TestIssueScanMatchesReference(t *testing.T) {
 			got := issueSetup(seed, rob, width, aluLat, mem)
 			want := issueSetup(seed, rob, width, aluLat, mem)
 			gi, wi := got.issue(now, mem), issueRef(want, now, mem)
-			g, w := &got.ctxs[0], &want.ctxs[0]
+			g, w := got.ctxs[0], want.ctxs[0]
 			if gi != wi || got.rsUsed != want.rsUsed || g.ready != w.ready || !slices.Equal(g.window, w.window) {
 				t.Fatalf("ROB %d, width %d, head %d: issue started other entries than the two-segment scan", rob, width, g.head)
 			}
